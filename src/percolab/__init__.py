@@ -17,22 +17,14 @@ from .errors import (
 )
 from .grids import MassGrid, OccupancyGrid
 from .words import Word
-from .percolation import (
-    LazyTree,
-    NodeState,
-    PercolationConfig,
-    descendant_counts,
-    expand_occupancy,
-)
-from .measure import XEstimate, dimension, mass_grid, slice_mass, x_estimate
+from .percolation import LazyTree, PercolationConfig, descendant_counts
+from .measure import dimension, expand_occupancy, mass_grid, slice_mass, x_estimate
 from .holes import (
-    HoleReport,
     ball_box,
     ball_mass_sweep,
     ball_measure_porosity,
     ball_porosities,
     ball_set_porosity,
-    build_hole_report,
     cells_threshold,
     discrepancy_indicator,
     empty_block_sides,
@@ -41,7 +33,6 @@ from .holes import (
     measure_hole_indicator,
     min_window_sum,
     por_conversion,
-    porosity_profile,
     restricted_max_empty_block,
     window_min_sweep,
     window_sums,
@@ -63,11 +54,8 @@ from .estimators import (
     EnsembleEstimate,
     MeanPorositySeries,
     PorosityExtremes,
-    bracket_interval,
     covariance_from_paths,
-    covariance_probe,
     discrepancy_rate,
-    ensemble_mean_porosity,
     mean_porosity_series,
     path_average_bracket,
     porosity_extremes,
@@ -79,6 +67,7 @@ from .experiments import (
     SliceDecay,
     covariance_experiment,
     dimension_slope,
+    ensemble_mean_porosity,
     ensemble_sweep_parallel,
     run_path_batch,
     run_path_batch_partial,
@@ -99,12 +88,10 @@ __all__ = [
     "MassGrid",
     "PercolationConfig",
     "LazyTree",
-    "NodeState",
     "descendant_counts",
-    "expand_occupancy",
     "dimension",
-    "XEstimate",
     "x_estimate",
+    "expand_occupancy",
     "mass_grid",
     "slice_mass",
     "empty_block_sides",
@@ -115,8 +102,6 @@ __all__ = [
     "window_min_sweep",
     "cells_threshold",
     "hole_bracket",
-    "HoleReport",
-    "build_hole_report",
     "measure_hole_indicator",
     "discrepancy_indicator",
     "ball_box",
@@ -124,7 +109,6 @@ __all__ = [
     "ball_mass_sweep",
     "ball_measure_porosity",
     "ball_porosities",
-    "porosity_profile",
     "por_conversion",
     "DEFAULT_PROBE_DEPTH",
     "DEFAULT_ALPHA_GRID",
@@ -140,12 +124,10 @@ __all__ = [
     "MeanPorositySeries",
     "mean_porosity_series",
     "EnsembleEstimate",
-    "bracket_interval",
     "ensemble_mean_porosity",
     "path_average_bracket",
     "CovarianceEstimate",
     "covariance_from_paths",
-    "covariance_probe",
     "x_tail_frequency",
     "discrepancy_rate",
     "PorosityExtremes",

@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import MemoryBudgetError, RejectionLimitError
 from .estimators import (
+    CovarianceEstimate,
     covariance_from_paths,
     ensemble_from_sweep,
     path_average_bracket,
@@ -41,15 +43,6 @@ from .percolation import STREAM_ENSEMBLE, PercolationConfig, _max_nodes_default
 from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID
 from .rng import substream
 from . import __version__
-
-KINDS = (
-    "path-series",
-    "ensemble",
-    "covariance",
-    "porosity-extremes",
-    "slice-decay",
-    "dimension-slope",
-)
 
 _SCHEMA_VERSION = 1
 
@@ -84,9 +77,6 @@ class ExperimentSpec:
         return PercolationConfig(m=self.m, k=self.k, p=self.p, seed=self.seed)
 
 
-_TUPLE_FIELDS = {"alpha_grid", "eps_grid", "lags", "depths", "resolutions"}
-
-
 def spec_from_dict(data: dict) -> ExperimentSpec:
     if "spec" in data and isinstance(data["spec"], dict):
         data = data["spec"]  # accept a run manifest as input
@@ -96,26 +86,51 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
     if "kind" not in data:
         raise ValueError("spec must declare a kind")
-    clean = {}
-    for key, value in data.items():
-        if key in _TUPLE_FIELDS:
-            clean[key] = tuple(value)
-        else:
-            clean[key] = value
+    # JSON lists become tuples; spec_errors reports any field of the wrong type
+    clean = {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
     return ExperimentSpec(**clean)
+
+
+def _has_type_of(value, like) -> bool:
+    """True when ``value`` has the JSON type of ``like``; no field is boolean."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(like, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(like, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, str)
+
+
+def _type_errors(spec: ExperimentSpec) -> List[str]:
+    """Fields whose value does not have the type of the field's default."""
+    names = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string",)}
+    errors = []
+    for f in fields(ExperimentSpec):
+        like = "" if f.default is MISSING else f.default  # kind: a string
+        value = getattr(spec, f.name)
+        if isinstance(like, tuple):
+            ok = isinstance(value, tuple) and all(_has_type_of(v, like[0]) for v in value)
+            want = "a list of " + names[type(like[0])][1]
+        else:
+            ok = _has_type_of(value, like)
+            want = names[type(like)][0]
+        if not ok:
+            errors.append(f"{f.name} must be {want}, got {value!r}")
+    return errors
 
 
 def spec_errors(spec: ExperimentSpec) -> List[str]:
     """Hard bound violations; any entry makes the spec unusable."""
-    errors = []
+    errors = _type_errors(spec)
+    if errors:
+        return errors  # the range checks below assume the right types
     if spec.kind not in KINDS:
         errors.append(f"kind must be one of {KINDS}, got {spec.kind!r}")
-    if spec.m < 1:
-        errors.append("m must be >= 1")
-    if spec.k < 2:
-        errors.append("k must be >= 2")
-    if not 0.0 < spec.p <= 1.0:
-        errors.append("p must lie in (0, 1]")
+    try:
+        spec.config()
+    except ValueError as exc:  # m, k and p
+        errors.append(str(exc))
     if spec.scales < 1:
         errors.append("scales must be >= 1")
     if spec.resolution < 1:
@@ -124,6 +139,8 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("probe_depth must be >= 0")
     if spec.replicas < 1:
         errors.append("replicas must be >= 1")
+    if spec.kind == "ensemble" and spec.replicas < 2:
+        errors.append("ensemble needs replicas >= 2 for a confidence interval")
     if spec.workers < 1:
         errors.append("workers must be >= 1")
     if not 0.0 < spec.delta_frac < 1.0:
@@ -142,7 +159,7 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("resolutions must be a nonempty list of integers >= 1")
     if not 0 <= spec.slab_axis < spec.m:
         errors.append("slab_axis out of range")
-    if spec.slab_position < 0 or spec.slab_position >= spec.k ** min(spec.resolutions):
+    if spec.resolutions and not 0 <= spec.slab_position < spec.k ** min(spec.resolutions):
         errors.append("slab_position outside the coarsest slice grid")
     if spec.max_attempts < 1:
         errors.append("max_attempts must be >= 1")
@@ -185,9 +202,7 @@ def validate(spec: ExperimentSpec) -> List[str]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -202,92 +217,113 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _py(obj):
-    """Recursively convert numpy containers/scalars for JSON output."""
-    if isinstance(obj, dict):
-        return {key: _py(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(val) for val in obj]
+def _json_default(obj):
+    """JSON form of the numpy values json cannot encode itself.
+
+    numpy float64 subclasses float, so json already writes it as repr(float).
+    """
     if isinstance(obj, np.ndarray):
-        return [_py(val) for val in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_py(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
-def _estimate_row_fields():
-    return [
-        "alpha",
-        "lower_estimate",
-        "lower_se",
-        "lower_ci_low",
-        "lower_ci_high",
-        "upper_estimate",
-        "upper_se",
-        "upper_ci_low",
-        "upper_ci_high",
-        "replicas",
-        "r",
-        "g",
-        "kind",
-    ]
-
-
-def _estimate_row(lower, upper):
-    return [
-        lower.alpha,
-        lower.estimate,
-        lower.se,
-        lower.ci_low,
-        lower.ci_high,
-        upper.estimate,
-        upper.se,
-        upper.ci_low,
-        upper.ci_high,
-        lower.replicas,
-        lower.r,
-        lower.g,
-        lower.kind,
-    ]
+_BRACKET_STATS = ("estimate", "se", "ci_low", "ci_high")
 
 
 # -- experiment kinds ----------------------------------------------------------
+#
+# Each kind maps a spec to ({csv name: (header, rows)}, summary, survival,
+# replica seeds, error); ``run`` writes everything.  The error is the
+# RejectionLimitError that cut a path batch short, or None.
 
 
-def _paths_outputs(out: Path, paths) -> List[str]:
-    outputs = []
+def _sample_paths(spec: ExperimentSpec, n: int, alpha_grid, eps_grid):
+    """The path batch of a path kind: (paths, error)."""
+    return run_path_batch_partial(
+        spec.config(),
+        paths=spec.replicas,
+        n=n,
+        r=spec.resolution,
+        g=spec.probe_depth,
+        alpha_grid=alpha_grid,
+        eps_grid=eps_grid,
+        workers=spec.workers,
+        max_attempts=spec.max_attempts,
+    )
 
-    rows = [
-        (
-            p.replica,
-            p.tree_config.seed,
-            p.attempts,
-            p.weight,
-            p.n,
-            p.r,
-            p.g,
-        )
+
+def _path_provenance(paths) -> Tuple[dict, List[dict]]:
+    """Survival statistics and per-replica seeds of a path batch."""
+    total_attempts = int(sum(p.attempts for p in paths))
+    survival = {
+        "paths": len(paths),
+        "total_attempts": total_attempts,
+        "rejections": total_attempts - len(paths),
+        "acceptance_rate": len(paths) / total_attempts if total_attempts else 0.0,
+    }
+    seeds = [
+        {"replica": p.replica, "seed": p.tree_config.seed, "attempts": p.attempts}
         for p in paths
     ]
-    _write_csv(
-        out / "path_summary.csv",
-        ["replica", "seed", "attempts", "weight", "scales", "resolution", "probe_depth"],
-        rows,
-    )
-    outputs.append("path_summary.csv")
+    return survival, seeds
 
-    scale_rows = []
-    for p in paths:
-        for j in range(p.n):
-            scale_rows.append(
+
+def _tree_seeds(spec: ExperimentSpec, count: int) -> List[dict]:
+    """Seeds of the first ``count`` plain ensemble trees."""
+    return [
+        {"replica": i, "seed": substream(spec.seed, STREAM_ENSEMBLE, i)}
+        for i in range(count)
+    ]
+
+
+def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
+    """Summary entry of one bracket pair; path-series entries carry the se."""
+
+    def side(est) -> dict:
+        entry = {"estimate": est.estimate, "ci": [est.ci_low, est.ci_high]}
+        if with_se:
+            entry["se"] = est.se
+        return entry
+
+    return {
+        "alpha": alpha,
+        "lower": side(lower),
+        "upper": side(upper),
+        "replicas": lower.replicas,
+        "kind": lower.kind,
+    }
+
+
+def _run_path_series(spec: ExperimentSpec):
+    paths, err = _sample_paths(spec, spec.scales, spec.alpha_grid, spec.eps_grid)
+    tables = {
+        "path_summary.csv": (
+            ["replica", "seed", "attempts", "weight", "scales", "resolution", "probe_depth"],
+            [
+                (p.replica, p.tree_config.seed, p.attempts, p.weight, p.n, p.r, p.g)
+                for p in paths
+            ],
+        ),
+        "scales.csv": (
+            [
+                "replica",
+                "seed",
+                "scale",
+                "x_hat",
+                "total_mass",
+                "a_star",
+                "restricted_a_star",
+                "set_porosity",
+            ],
+            [
                 (
                     p.replica,
                     p.tree_config.seed,
@@ -298,115 +334,48 @@ def _paths_outputs(out: Path, paths) -> List[str]:
                     p.restricted_a_star[j],
                     p.set_por[j],
                 )
-            )
-    _write_csv(
-        out / "scales.csv",
-        [
-            "replica",
-            "seed",
-            "scale",
-            "x_hat",
-            "total_mass",
-            "a_star",
-            "restricted_a_star",
-            "set_porosity",
-        ],
-        scale_rows,
-    )
-    outputs.append("scales.csv")
-
-    ind_rows = []
-    for p in paths:
-        for j in range(p.n):
-            for ia, alpha in enumerate(p.alpha_grid):
-                for ie, eps in enumerate(p.eps_grid):
-                    ind_rows.append(
-                        (
-                            p.replica,
-                            j + 1,
-                            alpha,
-                            eps,
-                            p.lower[j, ia],
-                            p.upper[j, ia],
-                            p.measure_ind[j, ia, ie],
-                        )
-                    )
-    _write_csv(
-        out / "indicators.csv",
-        ["replica", "scale", "alpha", "eps", "set_lower", "set_upper", "measure_hole"],
-        ind_rows,
-    )
-    outputs.append("indicators.csv")
-
-    por_rows = []
-    for p in paths:
-        for j in range(p.n):
-            for ie, eps in enumerate(p.eps_grid):
-                por_rows.append((p.replica, j + 1, eps, p.meas_por[j, ie]))
-    _write_csv(
-        out / "porosity.csv",
-        ["replica", "scale", "eps", "measure_porosity"],
-        por_rows,
-    )
-    outputs.append("porosity.csv")
-    return outputs
-
-
-def _survival_of_paths(paths) -> dict:
-    total_attempts = int(sum(p.attempts for p in paths))
-    return {
-        "paths": len(paths),
-        "total_attempts": total_attempts,
-        "rejections": total_attempts - len(paths),
-        "acceptance_rate": len(paths) / total_attempts if total_attempts else 0.0,
+                for p in paths
+                for j in range(p.n)
+            ],
+        ),
+        "indicators.csv": (
+            ["replica", "scale", "alpha", "eps", "set_lower", "set_upper", "measure_hole"],
+            [
+                (
+                    p.replica,
+                    j + 1,
+                    alpha,
+                    eps,
+                    p.lower[j, ia],
+                    p.upper[j, ia],
+                    p.measure_ind[j, ia, ie],
+                )
+                for p in paths
+                for j in range(p.n)
+                for ia, alpha in enumerate(p.alpha_grid)
+                for ie, eps in enumerate(p.eps_grid)
+            ],
+        ),
+        "porosity.csv": (
+            ["replica", "scale", "eps", "measure_porosity"],
+            [
+                (p.replica, j + 1, eps, p.meas_por[j, ie])
+                for p in paths
+                for j in range(p.n)
+                for ie, eps in enumerate(p.eps_grid)
+            ],
+        ),
     }
-
-
-def _run_path_series(spec: ExperimentSpec, out: Path):
-    config = spec.config()
-    paths, err = run_path_batch_partial(
-        config,
-        paths=spec.replicas,
-        n=spec.scales,
-        r=spec.resolution,
-        g=spec.probe_depth,
-        alpha_grid=spec.alpha_grid,
-        eps_grid=spec.eps_grid,
-        workers=spec.workers,
-        max_attempts=spec.max_attempts,
-    )
-    outputs = _paths_outputs(out, paths)
-
     summary = {"kind": spec.kind, "alphas": []}
     if len(paths) >= 2:
         for alpha in spec.alpha_grid:
             lower, upper = path_average_bracket(paths, alpha)
-            summary["alphas"].append(
-                {
-                    "alpha": alpha,
-                    "lower": {
-                        "estimate": lower.estimate,
-                        "se": lower.se,
-                        "ci": [lower.ci_low, lower.ci_high],
-                    },
-                    "upper": {
-                        "estimate": upper.estimate,
-                        "se": upper.se,
-                        "ci": [upper.ci_low, upper.ci_high],
-                    },
-                    "replicas": lower.replicas,
-                    "kind": lower.kind,
-                }
-            )
+            summary["alphas"].append(_bracket_summary(alpha, lower, upper, with_se=True))
         summary["mean_weight"] = float(np.mean([p.weight for p in paths]))
-    seeds = [
-        {"replica": p.replica, "seed": p.tree_config.seed, "attempts": p.attempts}
-        for p in paths
-    ]
-    return outputs, summary, _survival_of_paths(paths), seeds, err
+    return tables, summary, *_path_provenance(paths), err
 
 
-def _run_ensemble(spec: ExperimentSpec, out: Path):
+def _run_ensemble(spec: ExperimentSpec):
     config = spec.config()
     weights, blocks = ensemble_sweep_parallel(
         config, spec.resolution, spec.probe_depth, spec.replicas, spec.workers
@@ -414,176 +383,105 @@ def _run_ensemble(spec: ExperimentSpec, out: Path):
     pairs = ensemble_from_sweep(
         config, spec.alpha_grid, spec.resolution, spec.probe_depth, weights, blocks
     )
-    _write_csv(
-        out / "ensemble.csv",
-        _estimate_row_fields(),
-        [_estimate_row(lo, up) for lo, up in pairs],
-    )
-    seeds = [substream(spec.seed, STREAM_ENSEMBLE, i) for i in range(spec.replicas)]
-    _write_csv(
-        out / "replica_sweep.csv",
-        ["replica", "seed", "weight", "a_star"],
-        [(i, seeds[i], weights[i], blocks[i]) for i in range(spec.replicas)],
-    )
+    seeds = _tree_seeds(spec, spec.replicas)
+    tables = {
+        "ensemble.csv": (
+            ["alpha"]
+            + [f"{side}_{stat}" for side in ("lower", "upper") for stat in _BRACKET_STATS]
+            + ["replicas", "r", "g", "kind"],
+            [
+                [lo.alpha]
+                + [getattr(est, stat) for est in (lo, up) for stat in _BRACKET_STATS]
+                + [lo.replicas, lo.r, lo.g, lo.kind]
+                for lo, up in pairs
+            ],
+        ),
+        "replica_sweep.csv": (
+            ["replica", "seed", "weight", "a_star"],
+            [
+                (s["replica"], s["seed"], weights[i], blocks[i])
+                for i, s in enumerate(seeds)
+            ],
+        ),
+    }
+    alive_fraction = float((weights > 0).mean())
     summary = {
         "kind": spec.kind,
-        "alphas": [
-            {
-                "alpha": lo.alpha,
-                "lower": {"estimate": lo.estimate, "ci": [lo.ci_low, lo.ci_high]},
-                "upper": {"estimate": up.estimate, "ci": [up.ci_low, up.ci_high]},
-                "replicas": lo.replicas,
-                "kind": lo.kind,
-            }
-            for lo, up in pairs
-        ],
+        "alphas": [_bracket_summary(lo.alpha, lo, up, with_se=False) for lo, up in pairs],
         "mean_weight": float(weights.mean()),
-        "alive_fraction": float((weights > 0).mean()),
+        "alive_fraction": alive_fraction,
     }
-    survival = {
-        "replicas": spec.replicas,
-        "alive_fraction": float((weights > 0).mean()),
-    }
-    return (
-        ["ensemble.csv", "replica_sweep.csv"],
-        summary,
-        survival,
-        [{"replica": i, "seed": seeds[i]} for i in range(spec.replicas)],
-        None,
-    )
+    survival = {"replicas": spec.replicas, "alive_fraction": alive_fraction}
+    return tables, summary, survival, seeds, None
 
 
-def _run_covariance(spec: ExperimentSpec, out: Path):
-    config = spec.config()
+def _run_covariance(spec: ExperimentSpec):
     lags = tuple(sorted(set(spec.lags)))
-    paths, err = run_path_batch_partial(
-        config,
-        paths=spec.replicas,
-        n=max(lags) + 1,
-        r=spec.resolution,
-        g=spec.probe_depth,
-        alpha_grid=(spec.alpha,),
-        eps_grid=(),
-        workers=spec.workers,
-        max_attempts=spec.max_attempts,
-    )
-    rows = []
-    summary = {"kind": spec.kind, "alpha": spec.alpha, "lags": []}
+    paths, err = _sample_paths(spec, max(lags) + 1, (spec.alpha,), ())
+    ests = []
     if len(paths) >= 2:
-        for lag in lags:
-            est = covariance_from_paths(paths, spec.alpha, lag)
-            rows.append(
-                (
-                    est.alpha,
-                    est.r,
-                    est.g,
-                    est.lag,
-                    est.replicas,
-                    est.covariance,
-                    est.se,
-                    est.ci_low,
-                    est.ci_high,
-                    est.mean_first,
-                    est.mean_second,
-                )
-            )
-            summary["lags"].append(
-                {
-                    "lag": est.lag,
-                    "covariance": est.covariance,
-                    "se": est.se,
-                    "ci": [est.ci_low, est.ci_high],
-                    "replicas": est.replicas,
-                }
-            )
-    _write_csv(
-        out / "covariance.csv",
-        [
-            "alpha",
-            "r",
-            "g",
-            "lag",
-            "replicas",
-            "covariance",
-            "se",
-            "ci_low",
-            "ci_high",
-            "mean_first",
-            "mean_second",
+        ests = [covariance_from_paths(paths, spec.alpha, lag) for lag in lags]
+    # one column per CovarianceEstimate field, in declaration order
+    header = [f.name for f in fields(CovarianceEstimate)]
+    tables = {"covariance.csv": (header, [astuple(est) for est in ests])}
+    summary = {
+        "kind": spec.kind,
+        "alpha": spec.alpha,
+        "lags": [
+            {
+                "lag": est.lag,
+                "covariance": est.covariance,
+                "se": est.se,
+                "ci": [est.ci_low, est.ci_high],
+                "replicas": est.replicas,
+            }
+            for est in ests
         ],
-        rows,
-    )
-    seeds = [
-        {"replica": p.replica, "seed": p.tree_config.seed, "attempts": p.attempts}
-        for p in paths
-    ]
-    return ["covariance.csv"], summary, _survival_of_paths(paths), seeds, err
+    }
+    return tables, summary, *_path_provenance(paths), err
 
 
-def _run_porosity_extremes(spec: ExperimentSpec, out: Path):
-    config = spec.config()
-    paths, err = run_path_batch_partial(
-        config,
-        paths=spec.replicas,
-        n=spec.scales,
-        r=spec.resolution,
-        g=spec.probe_depth,
-        alpha_grid=spec.alpha_grid,
-        eps_grid=spec.eps_grid,
-        workers=spec.workers,
-        max_attempts=spec.max_attempts,
-    )
-    rows = []
-    finals = {"set_min": [], "set_max": []}
-    finals_meas = {eps: [] for eps in spec.eps_grid}
-    for p in paths:
-        ext = porosity_extremes(p)
-        for j in range(p.n):
-            for ie, eps in enumerate(spec.eps_grid):
-                rows.append(
-                    (
-                        p.replica,
-                        j + 1,
-                        ext.set_min[j],
-                        ext.set_max[j],
-                        eps,
-                        ext.meas_min[j, ie],
-                        ext.meas_max[j, ie],
-                    )
+def _run_porosity_extremes(spec: ExperimentSpec):
+    paths, err = _sample_paths(spec, spec.scales, spec.alpha_grid, spec.eps_grid)
+    extremes = [porosity_extremes(p) for p in paths]
+    tables = {
+        "extremes.csv": (
+            ["replica", "scale", "set_min", "set_max", "eps", "meas_min", "meas_max"],
+            [
+                (
+                    p.replica,
+                    j + 1,
+                    ext.set_min[j],
+                    ext.set_max[j],
+                    eps,
+                    ext.meas_min[j, ie],
+                    ext.meas_max[j, ie],
                 )
-        finals["set_min"].append(float(ext.set_min[-1]))
-        finals["set_max"].append(float(ext.set_max[-1]))
-        for ie, eps in enumerate(spec.eps_grid):
-            finals_meas[eps].append(float(ext.meas_max[-1, ie]))
-    _write_csv(
-        out / "extremes.csv",
-        ["replica", "scale", "set_min", "set_max", "eps", "meas_min", "meas_max"],
-        rows,
-    )
+                for p, ext in zip(paths, extremes)
+                for j in range(p.n)
+                for ie, eps in enumerate(spec.eps_grid)
+            ],
+        )
+    }
     summary = {"kind": spec.kind}
     if paths:
         summary.update(
             {
-                "median_set_min": float(np.median(finals["set_min"])),
-                "median_set_max": float(np.median(finals["set_max"])),
+                "median_set_min": float(np.median([e.set_min[-1] for e in extremes])),
+                "median_set_max": float(np.median([e.set_max[-1] for e in extremes])),
                 "median_meas_max": {
-                    repr(float(eps)): float(np.median(vals))
-                    for eps, vals in finals_meas.items()
+                    repr(float(eps)): float(np.median([e.meas_max[-1, ie] for e in extremes]))
+                    for ie, eps in enumerate(spec.eps_grid)
                 },
                 "paths": len(paths),
             }
         )
-    seeds = [
-        {"replica": p.replica, "seed": p.tree_config.seed, "attempts": p.attempts}
-        for p in paths
-    ]
-    return ["extremes.csv"], summary, _survival_of_paths(paths), seeds, err
+    return tables, summary, *_path_provenance(paths), err
 
 
-def _run_slice_decay(spec: ExperimentSpec, out: Path):
-    config = spec.config()
+def _run_slice_decay(spec: ExperimentSpec):
     res = slice_decay(
-        config,
+        spec.config(),
         resolutions=spec.resolutions,
         trees=spec.replicas,
         g=spec.probe_depth,
@@ -591,45 +489,34 @@ def _run_slice_decay(spec: ExperimentSpec, out: Path):
         position=spec.slab_position,
         workers=spec.workers,
     )
-    _write_csv(
-        out / "slice.csv",
-        ["resolution", "trees", "surviving", "mean_fraction", "se"],
-        [
-            (r, res.trees, res.surviving[i], res.mean_fraction[i], res.se[i])
-            for i, r in enumerate(res.resolutions)
-        ],
-    )
-    summary = {
-        "kind": spec.kind,
-        "resolutions": list(res.resolutions),
-        "mean_fraction": list(res.mean_fraction),
-        "se": list(res.se),
-        "observed_ratios": list(res.observed_ratios),
-        "theory_ratios": list(res.theory_ratios),
-        "trees": res.trees,
-        "surviving": list(res.surviving),
+    tables = {
+        "slice.csv": (
+            ["resolution", "trees", "surviving", "mean_fraction", "se"],
+            [
+                (r, res.trees, res.surviving[i], res.mean_fraction[i], res.se[i])
+                for i, r in enumerate(res.resolutions)
+            ],
+        )
     }
-    seeds = [
-        {"replica": i, "seed": substream(spec.seed, STREAM_ENSEMBLE, i)}
-        for i in range(spec.replicas)
-    ]
+    summary = {"kind": spec.kind, **asdict(res)}  # every SliceDecay field but the slab
+    del summary["axis"], summary["position"]
     survival = {"trees": res.trees, "surviving": list(res.surviving)}
-    return ["slice.csv"], summary, survival, seeds, None
+    return tables, summary, survival, _tree_seeds(spec, spec.replicas), None
 
 
-def _run_dimension_slope(spec: ExperimentSpec, out: Path):
-    config = spec.config()
+def _run_dimension_slope(spec: ExperimentSpec):
     ds = dimension_slope(
-        config, depths=spec.depths, trees=spec.replicas, workers=spec.workers
+        spec.config(), depths=spec.depths, trees=spec.replicas, workers=spec.workers
     )
-    _write_csv(
-        out / "dimension.csv",
-        ["depth", "mean_count", "log_k_mean", "trees", "candidates"],
-        [
-            (depth, ds.mean_counts[i], ds.log_means[i], ds.trees, ds.candidates)
-            for i, depth in enumerate(ds.depths)
-        ],
-    )
+    tables = {
+        "dimension.csv": (
+            ["depth", "mean_count", "log_k_mean", "trees", "candidates"],
+            [
+                (depth, ds.mean_counts[i], ds.log_means[i], ds.trees, ds.candidates)
+                for i, depth in enumerate(ds.depths)
+            ],
+        )
+    }
     summary = {
         "kind": spec.kind,
         "slope": ds.slope,
@@ -638,16 +525,12 @@ def _run_dimension_slope(spec: ExperimentSpec, out: Path):
         "trees": ds.trees,
         "candidates": ds.candidates,
     }
-    seeds = [
-        {"replica": i, "seed": substream(spec.seed, STREAM_ENSEMBLE, i)}
-        for i in range(ds.candidates)
-    ]
     survival = {
         "trees": ds.trees,
         "candidates": ds.candidates,
         "survival_rate": ds.trees / ds.candidates if ds.candidates else 0.0,
     }
-    return ["dimension.csv"], summary, survival, seeds, None
+    return tables, summary, survival, _tree_seeds(spec, ds.candidates), None
 
 
 _RUNNERS = {
@@ -658,6 +541,7 @@ _RUNNERS = {
     "slice-decay": _run_slice_decay,
     "dimension-slope": _run_dimension_slope,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
@@ -668,9 +552,10 @@ def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    outputs, summary, survival, seeds, err = _RUNNERS[spec.kind](spec, out)
+    tables, summary, survival, seeds, err = _RUNNERS[spec.kind](spec)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     _write_json(out / "summary.json", summary)
-    outputs = outputs + ["summary.json"]
     manifest = {
         "schema_version": _SCHEMA_VERSION,
         "tool": "percolab",
@@ -678,7 +563,7 @@ def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
         "spec": asdict(spec),
-        "outputs": outputs,
+        "outputs": list(tables) + ["summary.json"],
         "survival": survival,
         "replica_seeds": seeds,
         "partial": err is not None,
@@ -719,17 +604,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not isinstance(data, dict):
             print("error: spec file must hold a JSON object", file=sys.stderr)
             return 2
-    if "spec" in data and isinstance(data.get("spec"), dict):
-        data = data["spec"]
-    if args.kind:
-        data["kind"] = args.kind
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.workers is not None:
-        data["workers"] = args.workers
+    flags = {"kind": args.kind, "seed": args.seed, "workers": args.workers}
+    overrides = {name: value for name, value in flags.items() if value is not None}
 
     try:
-        spec = spec_from_dict(data)
+        # the flags stand in for fields the file lacks, then override the rest
+        spec = replace(spec_from_dict({**overrides, **data}), **overrides)
         errors = spec_errors(spec)
         if errors:
             raise ValueError("; ".join(errors))

@@ -13,22 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .holes import cells_threshold
+from .holes import cells_threshold, set_hole_indicators
 from .percolation import PercolationConfig
-from .qsampler import (
-    DEFAULT_PROBE_DEPTH,
-    QPath,
-    WeightedMean,
-    _grid_index,
-    ensemble_view,
-    sample_qpath,
-)
-
-Z95 = 1.96
+from .qsampler import Z95, QPath, WeightedMean, _grid_index
 
 
 def running_mean(values: np.ndarray) -> np.ndarray:
@@ -65,17 +56,14 @@ def mean_porosity_series(
     else:
         v = path.measure_hole(alpha, eps).astype(np.int64)
         lo = up = v
-    scale = np.arange(1, path.n + 1, dtype=np.float64)
-    counts_lower = np.cumsum(lo)
-    counts_upper = np.cumsum(up)
     return MeanPorositySeries(
         alpha=float(alpha),
         eps=None if eps is None else float(eps),
         n=path.n,
-        counts_lower=counts_lower,
-        counts_upper=counts_upper,
-        lower=counts_lower / scale,
-        upper=counts_upper / scale,
+        counts_lower=np.cumsum(lo),
+        counts_upper=np.cumsum(up),
+        lower=running_mean(lo),
+        upper=running_mean(up),
     )
 
 
@@ -95,52 +83,31 @@ class EnsembleEstimate:
     kind: str  # "importance-weighted" | "path-average"
 
 
-def _estimate(values: np.ndarray, alpha, eps, r, g, kind) -> EnsembleEstimate:
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EnsembleEstimate(
-        alpha=alpha,
-        eps=eps,
-        r=r,
-        g=g,
-        estimate=est,
-        se=se,
-        ci_low=est - Z95 * se,
-        ci_high=est + Z95 * se,
-        replicas=n,
-        kind=kind,
-    )
-
-
-def bracket_interval(
-    lower: EnsembleEstimate, upper: EnsembleEstimate
-) -> Tuple[float, float]:
-    """Outer hull of a bracket pair's confidence intervals."""
-    return lower.ci_low, upper.ci_high
+def _bracket(
+    lower_values: np.ndarray, upper_values: np.ndarray, alpha: float, r: int, g: int, kind: str
+) -> Tuple[EnsembleEstimate, EnsembleEstimate]:
+    """Lower and upper estimates of one alpha from per-replica values."""
+    pair = []
+    for values in (lower_values, upper_values):
+        mean = WeightedMean.from_values(values)
+        pair.append(
+            EnsembleEstimate(
+                alpha=float(alpha),
+                eps=None,
+                r=r,
+                g=g,
+                estimate=mean.estimate,
+                se=mean.se,
+                ci_low=mean.ci_low,
+                ci_high=mean.ci_high,
+                replicas=mean.replicas,
+                kind=kind,
+            )
+        )
+    return pair[0], pair[1]
 
 
 # -- importance-weighted ensemble estimates ----------------------------------
-
-
-def ensemble_sweep(
-    config: PercolationConfig, r: int, g: int, replicas: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-replica (deep root weight, largest empty block) pairs.
-
-    One depth-(r+g) expansion per replica yields both the total word weight
-    (the root martingale estimate at depth r+g) and the geometry needed for
-    every alpha at once; hole indicators at any threshold are then pure
-    arithmetic on these two arrays.
-    """
-    weights = np.zeros(replicas)
-    blocks = np.zeros(replicas, dtype=np.int64)
-    for i in range(replicas):
-        view = ensemble_view(config, r, g, i)
-        weights[i] = float(view.word_weights.sum())
-        blocks[i] = view.a_star
-    return weights, blocks
 
 
 def ensemble_from_sweep(
@@ -162,37 +129,9 @@ def ensemble_from_sweep(
     out = []
     for alpha in alphas:
         thr = cells_threshold(float(alpha), side)
-        lower_vals = weights * (blocks >= thr)
-        upper_vals = weights * (blocks >= thr - 1)
-        out.append(
-            (
-                _estimate(lower_vals, float(alpha), None, r, g, "importance-weighted"),
-                _estimate(upper_vals, float(alpha), None, r, g, "importance-weighted"),
-            )
-        )
+        lower, upper = set_hole_indicators(blocks, blocks, thr)
+        out.append(_bracket(weights * lower, weights * upper, alpha, r, g, "importance-weighted"))
     return out
-
-
-def ensemble_mean_porosity(
-    config: PercolationConfig,
-    alpha: Union[float, Sequence[float]],
-    r: int,
-    g: int = DEFAULT_PROBE_DEPTH,
-    replicas: int = 1000,
-) -> Union[
-    Tuple[EnsembleEstimate, EnsembleEstimate],
-    List[Tuple[EnsembleEstimate, EnsembleEstimate]],
-]:
-    """Importance-weighted bracket for the scale-0 hole frequency.
-
-    Accepts one alpha or a whole ladder; the ladder reuses a single replica
-    sweep, so asking for twenty alphas costs the same as one.
-    """
-    scalar = np.isscalar(alpha)
-    alphas = [float(alpha)] if scalar else [float(a) for a in alpha]
-    weights, blocks = ensemble_sweep(config, r, g, replicas)
-    pairs = ensemble_from_sweep(config, alphas, r, g, weights, blocks)
-    return pairs[0] if scalar else pairs
 
 
 # -- path-average estimates ---------------------------------------------------
@@ -209,11 +148,7 @@ def path_average_bracket(
     """
     lower_means = np.array([p.set_hole_lower(alpha).mean() for p in paths])
     upper_means = np.array([p.set_hole_upper(alpha).mean() for p in paths])
-    r, g = paths[0].r, paths[0].g
-    return (
-        _estimate(lower_means, float(alpha), None, r, g, "path-average"),
-        _estimate(upper_means, float(alpha), None, r, g, "path-average"),
-    )
+    return _bracket(lower_means, upper_means, alpha, paths[0].r, paths[0].g, "path-average")
 
 
 # -- covariance probe ---------------------------------------------------------
@@ -266,32 +201,6 @@ def covariance_from_paths(
         mean_first=float(a.mean()),
         mean_second=float(b.mean()),
     )
-
-
-def covariance_probe(
-    config: PercolationConfig,
-    alpha: float,
-    r: int,
-    lag: int,
-    replicas: int,
-    g: int = DEFAULT_PROBE_DEPTH,
-    max_attempts: int = 1000,
-) -> CovarianceEstimate:
-    """Sample fresh paths of lag+1 scales and probe the indicator covariance."""
-    paths = [
-        sample_qpath(
-            config,
-            n=lag + 1,
-            r=r,
-            g=g,
-            alpha_grid=(alpha,),
-            eps_grid=(),
-            replica=i,
-            max_attempts=max_attempts,
-        )
-        for i in range(replicas)
-    ]
-    return covariance_from_paths(paths, alpha, lag)
 
 
 # -- per-path diagnostics ------------------------------------------------------

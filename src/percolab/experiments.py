@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,38 +22,44 @@ from .percolation import (
     STREAM_ENSEMBLE,
     LazyTree,
     PercolationConfig,
+    descendant_counts,
     grid_from_digit_order,
 )
-from .qsampler import QPath, ensemble_view, sample_qpath
+from .qsampler import (
+    DEFAULT_PROBE_DEPTH,
+    QPath,
+    WeightedMean,
+    ensemble_view,
+    sample_qpath,
+)
 from .estimators import (
     CovarianceEstimate,
+    EnsembleEstimate,
     covariance_from_paths,
+    ensemble_from_sweep,
 )
 from .rng import substream
 
 
-def _parallel_map(fn, argses: Sequence, workers: int) -> list:
+def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
+    """Yield fn(args) in input order, in this process or over a pool.
+
+    A worker's exception is raised here when its result is reached, after
+    every earlier result has been yielded; leaving the loop closes the pool.
+    """
     if workers <= 1 or len(argses) <= 1:
-        return [fn(a) for a in argses]
+        yield from map(fn, argses)
+        return
     with Pool(processes=workers) as pool:
-        return list(pool.imap(fn, argses, chunksize=1))
+        yield from pool.imap(fn, argses, chunksize=1)
 
 
 # -- worker functions (top level for pickling) --------------------------------
 
 
 def _path_worker(args) -> QPath:
-    config, n, r, g, alpha_grid, eps_grid, replica, max_attempts = args
-    return sample_qpath(
-        config,
-        n=n,
-        r=r,
-        g=g,
-        alpha_grid=alpha_grid,
-        eps_grid=eps_grid,
-        replica=replica,
-        max_attempts=max_attempts,
-    )
+    # args: config, n, r, g, alpha_grid, eps_grid, replica, max_attempts
+    return sample_qpath(*args)
 
 
 def _sweep_worker(args) -> Tuple[float, int]:
@@ -73,11 +79,9 @@ def _slice_worker(args) -> List[Tuple[int, int]]:
     config, resolutions, g, axis, position, replica = args
     cfg = replace(config, seed=substream(config.seed, STREAM_ENSEMBLE, replica))
     tree = LazyTree(cfg)
-    fanout = cfg.branching
-    levels = tree.expand_retained(cfg.root_word(), max(resolutions) + g)
     out = []
     for r in resolutions:
-        counts = levels[r + g].reshape(fanout ** r, -1).sum(axis=1)
+        counts = descendant_counts(tree, cfg.root_word(), r, g)
         grid = grid_from_digit_order(counts, cfg.m, cfg.k, r)
         index = [slice(None)] * cfg.m
         index[axis] = slice(position, position + 1)
@@ -100,11 +104,12 @@ def run_path_batch(
     max_attempts: int = 1000,
 ) -> List[QPath]:
     """Sample ``paths`` independent mass-biased paths, in replica order."""
-    argses = [
-        (config, n, r, g, alpha_grid, eps_grid, replica, max_attempts)
-        for replica in range(paths)
-    ]
-    return _parallel_map(_path_worker, argses, workers)
+    done, err = run_path_batch_partial(
+        config, paths, n, r, g, alpha_grid, eps_grid, workers, max_attempts
+    )
+    if err is not None:
+        raise err
+    return done
 
 
 def run_path_batch_partial(
@@ -130,33 +135,51 @@ def run_path_batch_partial(
         for replica in range(paths)
     ]
     done: List[QPath] = []
-    if workers <= 1 or len(argses) <= 1:
-        for args in argses:
-            try:
-                done.append(_path_worker(args))
-            except RejectionLimitError as exc:
-                return done, exc
-        return done, None
-    with Pool(processes=workers) as pool:
-        results = pool.imap(_path_worker, argses, chunksize=1)
-        while True:
-            try:
-                done.append(next(results))
-            except StopIteration:
-                return done, None
-            except RejectionLimitError as exc:
-                return done, exc
+    try:
+        for path in _ordered_map(_path_worker, argses, workers):
+            done.append(path)
+    except RejectionLimitError as exc:
+        return done, exc
+    return done, None
 
 
 def ensemble_sweep_parallel(
     config: PercolationConfig, r: int, g: int, replicas: int, workers: int = 1
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Parallel variant of estimators.ensemble_sweep (same values)."""
+    """Per-replica (deep root weight, largest empty block) pairs.
+
+    One depth-(r+g) expansion per replica yields both the total word weight
+    (the root martingale estimate at depth r+g) and the geometry needed for
+    every alpha at once; hole indicators at any threshold are then pure
+    arithmetic on these two arrays.
+    """
     argses = [(config, r, g, i) for i in range(replicas)]
-    rows = _parallel_map(_sweep_worker, argses, workers)
+    rows = list(_ordered_map(_sweep_worker, argses, workers))
     weights = np.array([w for w, _ in rows])
     blocks = np.array([b for _, b in rows], dtype=np.int64)
     return weights, blocks
+
+
+def ensemble_mean_porosity(
+    config: PercolationConfig,
+    alpha: Union[float, Sequence[float]],
+    r: int,
+    g: int = DEFAULT_PROBE_DEPTH,
+    replicas: int = 1000,
+) -> Union[
+    Tuple[EnsembleEstimate, EnsembleEstimate],
+    List[Tuple[EnsembleEstimate, EnsembleEstimate]],
+]:
+    """Importance-weighted bracket for the scale-0 hole frequency.
+
+    Accepts one alpha or a whole ladder; the ladder reuses a single replica
+    sweep, so asking for twenty alphas costs the same as one.
+    """
+    scalar = np.isscalar(alpha)
+    alphas = [float(alpha)] if scalar else [float(a) for a in alpha]
+    weights, blocks = ensemble_sweep_parallel(config, r, g, replicas)
+    pairs = ensemble_from_sweep(config, alphas, r, g, weights, blocks)
+    return pairs[0] if scalar else pairs
 
 
 def covariance_experiment(
@@ -228,7 +251,7 @@ def dimension_slope(
     while len(profiles) < trees and candidates < cap:
         block = min(trees, cap - candidates)
         argses = [(config, max_depth, candidates + i) for i in range(block)]
-        for profile in _parallel_map(_profile_worker, argses, workers):
+        for profile in list(_ordered_map(_profile_worker, argses, workers)):
             candidates += 1
             if profile[max_depth] > 0:
                 profiles.append(profile)
@@ -292,7 +315,7 @@ def slice_decay(
     argses = [
         (config, resolutions, g, axis, position, i) for i in range(trees)
     ]
-    rows = _parallel_map(_slice_worker, argses, workers)
+    rows = list(_ordered_map(_slice_worker, argses, workers))
     fractions: List[np.ndarray] = []
     surviving = []
     for ri in range(len(resolutions)):
@@ -303,10 +326,9 @@ def slice_decay(
                 vals.append(slab / total)
         fractions.append(np.array(vals))
         surviving.append(len(vals))
-    mean_fraction = np.array([v.mean() for v in fractions])
-    se = np.array(
-        [v.std(ddof=1) / math.sqrt(len(v)) if len(v) > 1 else 0.0 for v in fractions]
-    )
+    stats = [WeightedMean.from_values(v) for v in fractions]
+    mean_fraction = np.array([s.estimate for s in stats])
+    se = np.array([s.se for s in stats])
     d = dimension(config)
     observed, theory = [], []
     for (r1, f1), (r2, f2) in zip(

@@ -16,10 +16,8 @@ from .words import Word
 
 
 @dataclass
-class OccupancyGrid:
-    """Boolean grid: which cells still have live descendants probe_depth below."""
-
-    cells: np.ndarray  # bool, shape (side,) * m with side = k**resolution
+class _Grid:
+    cells: np.ndarray  # shape (side,) * m with side = k**resolution
     root: Word
     resolution: int
     probe_depth: int
@@ -31,25 +29,15 @@ class OccupancyGrid:
     @property
     def m(self) -> int:
         return self.cells.ndim
-
-    def occupied_fraction(self) -> float:
-        return float(self.cells.mean())
 
 
 @dataclass
-class MassGrid:
+class OccupancyGrid(_Grid):
+    """Boolean grid: which cells still have live descendants probe_depth below."""
+
+
+@dataclass
+class MassGrid(_Grid):
     """Float grid of natural-measure estimates per cell, plus their sum."""
 
-    cells: np.ndarray  # float64, shape (side,) * m
-    root: Word
-    resolution: int
-    probe_depth: int
     total: float
-
-    @property
-    def side(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.cells.ndim

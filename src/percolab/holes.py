@@ -17,7 +17,6 @@ die deeper down, which is why set holes come as lower/upper pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,11 +99,9 @@ def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np
 def max_empty_block(occupied, spatial: Optional[int] = None):
     """Side of the largest fully empty block in the grid.
 
-    Accepts an OccupancyGrid or a boolean array.  With batch axes present,
-    returns one maximum per batch element; otherwise a plain int.
+    With batch axes present, returns one maximum per batch element;
+    otherwise a plain int.
     """
-    if isinstance(occupied, OccupancyGrid):
-        occupied = occupied.cells
     occ = np.asarray(occupied, dtype=bool)
     if spatial is None:
         spatial = occ.ndim
@@ -121,8 +118,6 @@ def restricted_max_empty_block(occupied, center: Sequence[int]) -> int:
     the point's own cell can never belong to the gap.  When the center cell
     is already occupied this equals ``max_empty_block`` exactly.
     """
-    if isinstance(occupied, OccupancyGrid):
-        occupied = occupied.cells
     occ = np.array(occupied, dtype=bool, copy=True)
     occ[tuple(int(c) for c in center)] = True
     return max_empty_block(occ)
@@ -155,8 +150,6 @@ def window_sums(cells: np.ndarray, a: int) -> np.ndarray:
 
 def min_window_sum(cells, a: int) -> float:
     """Smallest total mass among all windows of side ``a``."""
-    if isinstance(cells, MassGrid):
-        cells = cells.cells
     return float(window_sums(cells, a).min())
 
 
@@ -167,8 +160,6 @@ def window_min_sweep(cells) -> np.ndarray:
     smallest grid extent; entry [0] is 0 (the empty window).  The sequence
     is nondecreasing, since every window contains one of each smaller size.
     """
-    if isinstance(cells, MassGrid):
-        cells = cells.cells
     arr = np.asarray(cells, dtype=np.float64)
     width = min(arr.shape)
     out = np.zeros(width + 1, dtype=np.float64)
@@ -190,6 +181,20 @@ def cells_threshold(alpha: float, side: int) -> int:
     return max(0, math.ceil(alpha * side - 1e-9))
 
 
+def set_hole_indicators(a_star, restricted, thresholds) -> Tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) set-hole indicators from block sides and cell thresholds.
+
+    lower = [restricted >= thr] (an empty block avoiding the center cell is
+    at least thr cells wide); upper = [a_star >= thr - 1].  The arguments
+    broadcast against each other, so one call serves a single grid, a
+    ladder of thresholds, or a stack of scales; results are int8.
+    """
+    thresholds = np.asarray(thresholds)
+    lower = (np.asarray(restricted) >= thresholds).astype(np.int8)
+    upper = (np.asarray(a_star) >= thresholds - 1).astype(np.int8)
+    return lower, upper
+
+
 def hole_bracket(
     grid: OccupancyGrid, alpha: float, center: Optional[Sequence[int]] = None
 ) -> Tuple[int, int]:
@@ -209,56 +214,12 @@ def hole_bracket(
     side = grid.side
     if center is None:
         center = (side // 2,) * grid.m
-    thr = cells_threshold(alpha, side)
-    a_star = max_empty_block(grid.cells)
-    restricted = restricted_max_empty_block(grid.cells, center)
-    lower = 1 if restricted >= thr else 0
-    upper = 1 if a_star >= thr - 1 else 0
-    return lower, upper
-
-
-@dataclass
-class HoleReport:
-    """Hole summary of one occupancy grid over a ladder of alpha values."""
-
-    grid: OccupancyGrid
-    center: Tuple[int, ...]
-    alphas: Tuple[float, ...]
-    a_star: int
-    restricted_a_star: int
-    lower: np.ndarray  # int, one per alpha
-    upper: np.ndarray
-
-
-def build_hole_report(
-    grid: OccupancyGrid,
-    alphas: Sequence[float],
-    center: Optional[Sequence[int]] = None,
-) -> HoleReport:
-    side = grid.side
-    if center is None:
-        center = (side // 2,) * grid.m
-    center = tuple(int(c) for c in center)
-    a_star = max_empty_block(grid.cells)
-    restricted = restricted_max_empty_block(grid.cells, center)
-    alphas = tuple(float(a) for a in alphas)
-    lower = np.zeros(len(alphas), dtype=np.int64)
-    upper = np.zeros(len(alphas), dtype=np.int64)
-    for i, alpha in enumerate(alphas):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        thr = cells_threshold(alpha, side)
-        lower[i] = 1 if restricted >= thr else 0
-        upper[i] = 1 if a_star >= thr - 1 else 0
-    return HoleReport(
-        grid=grid,
-        center=center,
-        alphas=alphas,
-        a_star=a_star,
-        restricted_a_star=restricted,
-        lower=lower,
-        upper=upper,
+    lower, upper = set_hole_indicators(
+        max_empty_block(grid.cells),
+        restricted_max_empty_block(grid.cells, center),
+        cells_threshold(alpha, side),
     )
+    return int(lower), int(upper)
 
 
 def measure_hole_indicator(grid: MassGrid, alpha: float, eps: float) -> int:
@@ -338,8 +299,6 @@ def ball_set_porosity(
     a/2 cells, so the porosity estimate is (a/2) / radius_cells, capped at
     1.  With radius side/4 this is the familiar 2a/side.
     """
-    if isinstance(occupancy, OccupancyGrid):
-        occupancy = occupancy.cells
     occ = np.asarray(occupancy, dtype=bool)
     lo, hi = ball_box(center, occ.shape, radius_cells)
     if any(h < l for l, h in zip(lo, hi)):
@@ -359,8 +318,6 @@ def ball_mass_sweep(
     among size-a windows of the box; sweep has length min(box extents) + 1
     and is nondecreasing.
     """
-    if isinstance(mass_cells, MassGrid):
-        mass_cells = mass_cells.cells
     arr = np.asarray(mass_cells, dtype=np.float64)
     lo, hi = ball_box(center, arr.shape, radius_cells)
     if any(h < l for l, h in zip(lo, hi)):
@@ -417,29 +374,6 @@ def ball_porosities(
         dtype=np.float64,
     )
     return set_por, meas
-
-
-def porosity_profile(
-    occupancy_grids: Sequence[OccupancyGrid],
-    mass_grids: Sequence[MassGrid],
-    centers: Sequence[Sequence[int]],
-    eps_values: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-scale ball porosities along a stack of grids.
-
-    One (occupancy, mass, center) triple per scale; returns the set-porosity
-    sequence (n,) and the measure-porosity sheet (n, len(eps_values)).
-    """
-    n = len(occupancy_grids)
-    if not (len(mass_grids) == len(centers) == n):
-        raise ValueError("grid stacks and centers must have equal length")
-    set_por = np.zeros(n, dtype=np.float64)
-    meas_por = np.zeros((n, len(eps_values)), dtype=np.float64)
-    for i in range(n):
-        set_por[i], meas_por[i] = ball_porosities(
-            occupancy_grids[i], mass_grids[i], centers[i], eps_values
-        )
-    return set_por, meas_por
 
 
 def por_conversion(value: float) -> float:

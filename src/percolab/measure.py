@@ -18,12 +18,11 @@ common rescale factor remains).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .grids import MassGrid
+from .grids import MassGrid, OccupancyGrid
 from .percolation import LazyTree, PercolationConfig, descendant_counts, grid_from_digit_order
 from .words import Word
 
@@ -33,17 +32,7 @@ def dimension(config: PercolationConfig) -> float:
     return config.m + math.log(config.p) / math.log(config.k)
 
 
-@dataclass(frozen=True)
-class XEstimate:
-    """Martingale estimate for one cube, with the probe depth that made it."""
-
-    value: float
-    probe_depth: int
-    word: Word
-    count: int
-
-
-def x_estimate(tree: LazyTree, word: Word, probe_depth: int) -> XEstimate:
+def x_estimate(tree: LazyTree, word: Word, probe_depth: int) -> float:
     """Depth-``probe_depth`` martingale estimate at ``word``.
 
     Raises ValueError on a pruned word: a discarded cube carries no mass and
@@ -51,10 +40,56 @@ def x_estimate(tree: LazyTree, word: Word, probe_depth: int) -> XEstimate:
     """
     if not tree.is_retained(word):
         raise ValueError(f"{word} is pruned; x_estimate needs a retained word")
-    count = tree.count_retained(word, probe_depth)
+    count = tree.count_profile(word, probe_depth)[probe_depth]
     d = dimension(tree.config)
-    value = count * float(tree.config.k) ** (-probe_depth * d)
-    return XEstimate(value=value, probe_depth=probe_depth, word=word, count=count)
+    return count * float(tree.config.k) ** (-probe_depth * d)
+
+
+def count_grids(
+    config: PercolationConfig,
+    counts: np.ndarray,
+    root: Word,
+    resolution: int,
+    probe_depth: int,
+) -> Tuple[OccupancyGrid, MassGrid]:
+    """Occupancy and mass grids from per-cell retained counts.
+
+    ``counts`` holds, in digit order, the retained descendants
+    ``probe_depth`` levels below each depth-``resolution`` cell under
+    ``root``.  A cell is occupied when its count is positive, and its mass
+    is its count times the common factor k^(-(|root| + resolution +
+    probe_depth) d).
+    """
+    m, k = config.m, config.k
+    d = dimension(config)
+    factor = float(k) ** (-(root.level + resolution + probe_depth) * d)
+    occupancy = OccupancyGrid(
+        cells=grid_from_digit_order(counts > 0, m, k, resolution),
+        root=root,
+        resolution=resolution,
+        probe_depth=probe_depth,
+    )
+    mass = MassGrid(
+        cells=grid_from_digit_order(counts.astype(np.float64) * factor, m, k, resolution),
+        root=root,
+        resolution=resolution,
+        probe_depth=probe_depth,
+        total=float(counts.sum()) * factor,
+    )
+    return occupancy, mass
+
+
+def expand_occupancy(
+    tree: LazyTree, root: Word, resolution: int, probe_depth: int
+) -> OccupancyGrid:
+    """Grid of cells that still have retained lines probe_depth levels down.
+
+    A False cell is conclusive: hereditary pruning means no limit-set point
+    can sit over it.  A True cell may still die later, so the grid shrinks
+    (cellwise) as probe_depth grows.
+    """
+    counts = descendant_counts(tree, root, resolution, probe_depth)
+    return count_grids(tree.config, counts, root, resolution, probe_depth)[0]
 
 
 def mass_grid(
@@ -68,18 +103,7 @@ def mass_grid(
     resolution + probe_depth) exactly.
     """
     counts = descendant_counts(tree, root, resolution, probe_depth)
-    cfg = tree.config
-    d = dimension(cfg)
-    factor = float(cfg.k) ** (-(root.level + resolution + probe_depth) * d)
-    cells = grid_from_digit_order(counts.astype(np.float64) * factor, cfg.m, cfg.k, resolution)
-    total = float(counts.sum()) * factor
-    return MassGrid(
-        cells=cells,
-        root=root,
-        resolution=resolution,
-        probe_depth=probe_depth,
-        total=total,
-    )
+    return count_grids(tree.config, counts, root, resolution, probe_depth)[1]
 
 
 def slice_mass(grid: MassGrid, axis: int, bounds: Tuple[int, int]) -> float:

@@ -14,7 +14,6 @@ order in which they were asked for.
 
 from __future__ import annotations
 
-import enum
 import os
 import warnings
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MemoryBudgetError
-from .grids import OccupancyGrid
 from .rng import child_key, child_keys, substream, unit_draw, unit_draws
 from .words import Word, _offset_table
 
@@ -37,11 +35,6 @@ STREAM_RETENTION = 0
 STREAM_PATH = 1
 STREAM_REPLICA = 2
 STREAM_ENSEMBLE = 3
-
-
-class NodeState(enum.Enum):
-    RETAINED = "retained"
-    PRUNED = "pruned"
 
 
 @dataclass(frozen=True)
@@ -166,10 +159,6 @@ class LazyTree:
         self._check_word(word)
         return self._lookup(word.digits)[1]
 
-    def node_key(self, word: Word) -> int:
-        self._check_word(word)
-        return self._lookup(word.digits)[0]
-
     # -- bulk expansion ---------------------------------------------------
 
     def _budget(self, n_nodes: int):
@@ -188,11 +177,6 @@ class LazyTree:
         fanout = self.config.branching
         key, retained = self._lookup(word.digits)
         levels = [np.array([retained])]
-        if not retained:
-            for j in range(1, depth + 1):
-                self._budget(fanout ** j)
-                levels.append(np.zeros(fanout ** j, dtype=bool))
-            return levels
         p = self.config.p
         keys = np.array([key], dtype=np.uint64)
         alive = levels[0]
@@ -204,29 +188,20 @@ class LazyTree:
             levels.append(alive)
         return levels
 
-    def count_retained(self, word: Word, depth: int) -> int:
-        """Number of retained descendants exactly ``depth`` levels below ``word``.
-
-        Walks a retained-only frontier, so memory tracks the surviving
-        population rather than the full (k^m)^depth lattice.
-        """
-        return self.count_profile(word, depth)[depth]
-
     def count_profile(self, word: Word, depth: int) -> List[int]:
         """Retained descendant counts at every relative depth 0..depth.
 
-        Same retained-only frontier walk as count_retained, recording the
+        Walks a retained-only frontier, so memory tracks the surviving
+        population rather than the full (k^m)^depth lattice, recording the
         population size level by level; once the frontier dies the remaining
         entries are zero.
         """
         self._check_word(word)
         key, retained = self._lookup(word.digits)
         counts = [1 if retained else 0]
-        if not retained or depth == 0:
-            return counts + [0] * (depth - len(counts) + 1)
         fanout = self.config.branching
         p = self.config.p
-        keys = np.array([key], dtype=np.uint64)
+        keys = np.array([key] if retained else [], dtype=np.uint64)
         for _ in range(depth):
             self._budget(len(keys) * fanout)
             ck = child_keys(keys, fanout).reshape(-1)
@@ -236,10 +211,6 @@ class LazyTree:
                 break
         counts.extend([0] * (depth + 1 - len(counts)))
         return counts
-
-
-def node_state(tree: LazyTree, word: Word) -> NodeState:
-    return NodeState.RETAINED if tree.is_retained(word) else NodeState.PRUNED
 
 
 def descendant_counts(
@@ -253,20 +224,3 @@ def descendant_counts(
     deep = levels[resolution + probe_depth]
     fanout = tree.config.branching
     return deep.reshape(fanout ** resolution, -1).sum(axis=1)
-
-
-def expand_occupancy(
-    tree: LazyTree, root: Word, resolution: int, probe_depth: int
-) -> OccupancyGrid:
-    """Grid of cells that still have retained lines probe_depth levels down.
-
-    A False cell is conclusive: hereditary pruning means no limit-set point
-    can sit over it.  A True cell may still die later, so the grid shrinks
-    (cellwise) as probe_depth grows.
-    """
-    counts = descendant_counts(tree, root, resolution, probe_depth)
-    cfg = tree.config
-    cells = grid_from_digit_order(counts > 0, cfg.m, cfg.k, resolution)
-    return OccupancyGrid(
-        cells=cells, root=root, resolution=resolution, probe_depth=probe_depth
-    )

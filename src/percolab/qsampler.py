@@ -24,22 +24,21 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DeadSubtreeError, MissingParameterError, RejectionLimitError
-from .grids import MassGrid, OccupancyGrid
 from .holes import (
     ball_porosities,
     cells_threshold,
     max_empty_block,
-    restricted_max_empty_block,
+    set_hole_indicators,
     window_min_sweep,
 )
-from .measure import dimension
+from .measure import count_grids, dimension, x_estimate
 from .percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
     STREAM_REPLICA,
     LazyTree,
     PercolationConfig,
-    grid_from_digit_order,
+    descendant_counts,
 )
 from .rng import child_key, substream, unit_draw
 from .words import Word, cell_of_digits
@@ -49,6 +48,7 @@ DEFAULT_ALPHA_GRID: Tuple[float, ...] = tuple(round(0.05 * t, 2) for t in range(
 DEFAULT_EPS_GRID: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
 
 _MAX_ATTEMPTS = 1000
+Z95 = 1.96  # two-sided 95% normal quantile
 
 
 def replica_config(config: PercolationConfig, replica: int, attempt: int = 0) -> PercolationConfig:
@@ -73,10 +73,7 @@ def sample_step(tree: LazyTree, word: Word, probe_depth: int, u: float) -> int:
     common k^-d rescale cancels in the ratio).  ``u`` is the uniform draw to
     consume -- callers own the stream so that reruns are exactly replayable.
     """
-    levels = tree.expand_retained(word, probe_depth + 1)
-    fanout = tree.config.branching
-    counts = levels[probe_depth + 1].reshape(fanout, -1).sum(axis=1)
-    return _pick_child(counts, u)
+    return _pick_child(descendant_counts(tree, word, 1, probe_depth), u)
 
 
 def _grid_index(grid: Tuple[float, ...], value: float, label: str) -> int:
@@ -112,7 +109,7 @@ class QPath:
     centers: np.ndarray  # (n, m) cell of the path r levels below each scale
     x_hat: np.ndarray  # (n,) martingale estimate at each visited word
     a_star: np.ndarray  # (n,) largest empty block per scale grid
-    restricted_a_star: np.ndarray  # (n,) same with the center cell occupied
+    restricted_a_star: np.ndarray  # (n,) same with the center cell forced occupied
     window_sweep: np.ndarray  # (n, side+1) min window mass per size
     total_mass: np.ndarray  # (n,) grid totals
     lower: np.ndarray  # (n, n_alpha) certified set-hole indicators
@@ -125,11 +122,6 @@ class QPath:
     @property
     def side(self) -> int:
         return self.config.k ** self.r
-
-    @property
-    def words(self) -> List[Word]:
-        cfg = self.config
-        return [Word(cfg.m, cfg.k, self.digits[:j]) for j in range(1, self.n + 1)]
 
     def set_hole_lower(self, alpha: float) -> np.ndarray:
         return self.lower[:, _grid_index(self.alpha_grid, alpha, "alpha")]
@@ -148,12 +140,12 @@ class QPath:
     def upper_at(self, alpha: float) -> np.ndarray:
         """Upper set indicators for an arbitrary alpha (from stored a*)."""
         thr = cells_threshold(alpha, self.side)
-        return (self.a_star >= thr - 1).astype(np.int8)
+        return set_hole_indicators(self.a_star, self.restricted_a_star, thr)[1]
 
     def lower_at(self, alpha: float) -> np.ndarray:
         """Certified set indicators for an arbitrary alpha (from stored a*)."""
         thr = cells_threshold(alpha, self.side)
-        return (self.restricted_a_star >= thr).astype(np.int8)
+        return set_hole_indicators(self.a_star, self.restricted_a_star, thr)[0]
 
     def measure_hole_at(self, alpha: float, eps: float) -> np.ndarray:
         """Measure-hole indicators for arbitrary (alpha, eps) via the sweeps."""
@@ -236,57 +228,39 @@ def _record_path(
     attempts: int,
 ) -> QPath:
     m, k = config.m, config.k
-    d = dimension(config)
-    fanout = config.branching
     side = k ** r
-    n_alpha, n_eps = len(alphas), len(epss)
-    thresholds = [cells_threshold(a, side) for a in alphas]
+    thresholds = np.array([cells_threshold(a, side) for a in alphas], dtype=np.int64)
 
     centers = np.zeros((n, m), dtype=np.int64)
     x_hat = np.zeros(n)
     a_star = np.zeros(n, dtype=np.int64)
-    restricted = np.zeros(n, dtype=np.int64)
     sweeps = np.zeros((n, side + 1))
     totals = np.zeros(n)
-    lower = np.zeros((n, n_alpha), dtype=np.int8)
-    upper = np.zeros((n, n_alpha), dtype=np.int8)
-    measure_ind = np.zeros((n, n_alpha, n_eps), dtype=np.int8)
     set_por = np.zeros(n)
-    meas_por = np.zeros((n, n_eps))
+    meas_por = np.zeros((n, len(epss)))
 
     for j in range(1, n + 1):
         word = Word(m, k, digits[:j])
-        levels = tree.expand_retained(word, r + g)
-        counts = levels[r + g].reshape(fanout ** r, -1).sum(axis=1)
-        x_hat[j - 1] = levels[g].sum() * float(k) ** (-g * d)
-
-        factor = float(k) ** (-(j + r + g) * d)
-        occ_cells = grid_from_digit_order(counts > 0, m, k, r)
-        mass_cells = grid_from_digit_order(counts.astype(np.float64) * factor, m, k, r)
-        total = float(counts.sum()) * factor
+        x_hat[j - 1] = x_estimate(tree, word, g)
+        counts = descendant_counts(tree, word, r, g)
+        occ, mass = count_grids(config, counts, word, r, g)
         center = cell_of_digits(digits[j : j + r], m, k)
 
         centers[j - 1] = center
-        totals[j - 1] = total
-        a_star[j - 1] = max_empty_block(occ_cells)
-        restricted[j - 1] = restricted_max_empty_block(occ_cells, center)
-        sweep = window_min_sweep(mass_cells)
-        sweeps[j - 1] = sweep
-
-        for ia, thr in enumerate(thresholds):
-            lower[j - 1, ia] = 1 if restricted[j - 1] >= thr else 0
-            upper[j - 1, ia] = 1 if a_star[j - 1] >= thr - 1 else 0
-            for ie, eps in enumerate(epss):
-                if thr == 0 or sweep[thr] <= eps * total:
-                    measure_ind[j - 1, ia, ie] = 1
-
-        occ = OccupancyGrid(cells=occ_cells, root=word, resolution=r, probe_depth=g)
-        mass = MassGrid(
-            cells=mass_cells, root=word, resolution=r, probe_depth=g, total=total
-        )
+        totals[j - 1] = mass.total
+        a_star[j - 1] = max_empty_block(occ.cells)
+        sweeps[j - 1] = window_min_sweep(mass.cells)
         set_por[j - 1], meas_por[j - 1] = ball_porosities(occ, mass, center, epss)
 
-    weight = tree.count_retained(config.root_word(), g) * float(k) ** (-g * d)
+    # The descent only enters children alive g levels down, so every
+    # center cell is occupied and forcing it occupied changes no block:
+    # the restricted statistic equals a_star on every recorded scale.
+    restricted = a_star
+    lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
+    light = sweeps[:, thresholds, None] <= np.asarray(epss) * totals[:, None, None]
+    measure_ind = (light | (thresholds == 0)[:, None]).astype(np.int8)
+
+    weight = x_estimate(tree, config.root_word(), g)
     return QPath(
         config=config,
         tree_config=tree_cfg,
@@ -329,36 +303,15 @@ class ReplicaView:
         self.r = r
         self.g = g
         root = tree.config.root_word()
-        levels = tree.expand_retained(root, r + g)
-        fanout = tree.config.branching
-        self.counts = levels[r + g].reshape(fanout ** r, -1).sum(axis=1)
+        self.counts = descendant_counts(tree, root, r, g)
+        self.occupancy, self.mass = count_grids(tree.config, self.counts, root, r, g)
         d = dimension(tree.config)
-        self.weight = float(levels[g].sum()) * float(tree.config.k) ** (-g * d)
         self.word_weights = self.counts * float(tree.config.k) ** (-(r + g) * d)
 
     @cached_property
-    def occupancy(self) -> OccupancyGrid:
-        cfg = self.config
-        cells = grid_from_digit_order(self.counts > 0, cfg.m, cfg.k, self.r)
-        return OccupancyGrid(
-            cells=cells, root=cfg.root_word(), resolution=self.r, probe_depth=self.g
-        )
-
-    @cached_property
-    def mass(self) -> MassGrid:
-        cfg = self.config
-        d = dimension(cfg)
-        factor = float(cfg.k) ** (-(self.r + self.g) * d)
-        cells = grid_from_digit_order(
-            self.counts.astype(np.float64) * factor, cfg.m, cfg.k, self.r
-        )
-        return MassGrid(
-            cells=cells,
-            root=cfg.root_word(),
-            resolution=self.r,
-            probe_depth=self.g,
-            total=float(self.counts.sum()) * factor,
-        )
+    def weight(self) -> float:
+        """Root martingale estimate at probe depth g."""
+        return x_estimate(self.tree, self.config.root_word(), self.g)
 
     @cached_property
     def a_star(self) -> int:
@@ -385,8 +338,8 @@ class WeightedMean:
         return cls(
             estimate=est,
             se=se,
-            ci_low=est - 1.96 * se,
-            ci_high=est + 1.96 * se,
+            ci_low=est - Z95 * se,
+            ci_high=est + Z95 * se,
             replicas=n,
             values=values,
         )

@@ -48,7 +48,13 @@ from percolab import (
 from percolab import cli
 from percolab.estimators import discrepancy_rate, ensemble_from_sweep
 from percolab.experiments import covariance_experiment, ensemble_sweep_parallel
-from percolab.holes import build_hole_report, empty_block_sides, min_window_sum
+from percolab.holes import (
+    cells_threshold,
+    empty_block_sides,
+    min_window_sum,
+    restricted_max_empty_block,
+    set_hole_indicators,
+)
 from percolab.measure import x_estimate
 from percolab.qsampler import ReplicaView, ensemble_view, replica_config
 
@@ -134,12 +140,12 @@ def test_criterion_2a_recursion_residuals():
         for _ in range(3):  # levels 0..2, probe depth 3 at the parent
             nxt = []
             for w in level:
-                lhs = x_estimate(tree, w, 3).value
+                lhs = x_estimate(tree, w, 3)
                 rhs = 0.0
                 for digit in range(cfg.branching):
                     c = Word(cfg.m, cfg.k, w.digits + (digit,))
                     if tree.is_retained(c):
-                        rhs += cfg.k ** -d * x_estimate(tree, c, 2).value
+                        rhs += cfg.k ** -d * x_estimate(tree, c, 2)
                         nxt.append(c)
                 worst = max(worst, abs(lhs - rhs))
                 checked += 1
@@ -152,7 +158,7 @@ def test_criterion_2b_ensemble_mean_one():
     base = PercolationConfig(2, 2, 0.8, seed=1)
     root = Word.root(2, 2)
     vals = np.array(
-        [x_estimate(LazyTree(replica_config(base, i)), root, 5).value for i in range(10000)]
+        [x_estimate(LazyTree(replica_config(base, i)), root, 5) for i in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) < 4 * se
@@ -194,6 +200,16 @@ def test_criterion_3b_random_3d_grids():
 # -- 4: bracket and monotonicity suite -------------------------------------------
 
 
+def _bracket_ladder(occ, alphas):
+    """(lower, upper) indicators of one occupancy grid over an alpha ladder."""
+    cells = occ.cells
+    thresholds = np.array([cells_threshold(a, occ.side) for a in alphas])
+    center = (occ.side // 2,) * occ.m
+    return set_hole_indicators(
+        max_empty_block(cells), restricted_max_empty_block(cells, center), thresholds
+    )
+
+
 def test_criterion_4a_recorded_path_instances(paths_main):
     """2000 path scale-instances: bracket order, alpha-monotonicity, sandwich."""
     instances = 0
@@ -215,17 +231,17 @@ def test_criterion_4b_probe_refinement_instances(cfg08):
         v4 = ReplicaView(v2.tree, 3, 4)
         occ2, occ4 = v2.occupancy, v4.occupancy
         assert not (occ4.cells & ~occ2.cells).any()  # deeper probe only removes
-        rep2 = build_hole_report(occ2, ALPHAS)
-        rep4 = build_hole_report(occ4, ALPHAS)
-        assert np.all(rep2.lower <= rep2.upper)
-        assert np.all(np.diff(rep2.lower) <= 0) and np.all(np.diff(rep2.upper) <= 0)
-        assert np.all(rep2.lower <= rep4.lower)
-        assert np.all(rep2.upper <= rep4.upper)
+        lower2, upper2 = _bracket_ladder(occ2, ALPHAS)
+        lower4, upper4 = _bracket_ladder(occ4, ALPHAS)
+        assert np.all(lower2 <= upper2)
+        assert np.all(np.diff(lower2) <= 0) and np.all(np.diff(upper2) <= 0)
+        assert np.all(lower2 <= lower4)
+        assert np.all(upper2 <= upper4)
         mass = v2.mass
         if mass.total > 0:  # measure holes are undefined on extinct replicas
             for ia, alpha in enumerate(ALPHAS):
                 for eps in EPS:
-                    assert rep2.lower[ia] <= measure_hole_indicator(mass, alpha, eps)
+                    assert lower2[ia] <= measure_hole_indicator(mass, alpha, eps)
         instances += 1
     assert instances == 8000
 

@@ -188,6 +188,46 @@ def test_main_requires_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
+    kindless = {key: value for key, value in TINY.items() if key != "kind"}
+    spec_file = _write_spec(tmp_path, kindless)
+    one = tmp_path / "one"
+    assert cli.main(["--spec", spec_file, "--kind", "path-series", "--out", str(one)]) == 0
+    # the flag also overrides the kind inside a prior run manifest
+    manifest = str(one / "run_manifest.json")
+    two = tmp_path / "two"
+    argv = ["--spec", manifest, "--kind", "porosity-extremes", "--out", str(two)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rerun = json.loads((two / "run_manifest.json").read_text(encoding="utf-8"))
+    assert rerun["spec"]["kind"] == "porosity-extremes"
+    assert rerun["spec"]["seed"] == TINY["seed"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"scales": 1.5},
+        {"m": 2.0},
+        {"replicas": True},
+        {"kind": "ensemble", "replicas": 1},
+        {"seed": "5"},
+        {"lags": 2},
+        {"alpha_grid": [0.25, None]},
+    ],
+    ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
+         "scalar-list", "null-in-list"],
+)
+def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
+    spec_file = _write_spec(tmp_path, {**TINY, **bad})
+    out = tmp_path / "o"
+    assert cli.main(["--spec", spec_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid spec:")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERCOLAB_MAX_NODES", "1000")
     spec_file = _write_spec(tmp_path, {**TINY, "kind": "ensemble", "replicas": 5})

@@ -7,9 +7,8 @@ import pytest
 
 from percolab import (
     PercolationConfig,
-    bracket_interval,
+    covariance_experiment,
     covariance_from_paths,
-    covariance_probe,
     discrepancy_rate,
     ensemble_mean_porosity,
     mean_porosity_series,
@@ -19,7 +18,8 @@ from percolab import (
     sample_qpath,
     x_tail_frequency,
 )
-from percolab.estimators import ensemble_from_sweep, ensemble_sweep
+from percolab.estimators import ensemble_from_sweep
+from percolab.experiments import ensemble_sweep_parallel
 from percolab.qsampler import WeightedMean
 
 
@@ -61,14 +61,12 @@ def test_ensemble_bracket_order_and_interval():
     assert lower.estimate <= upper.estimate + 1e-12
     assert lower.kind == upper.kind == "importance-weighted"
     assert lower.replicas == 300
-    lo, hi = bracket_interval(lower, upper)
-    assert lo == lower.ci_low and hi == upper.ci_high
-    assert lo <= hi
+    assert lower.ci_low <= upper.ci_high
 
 
 def test_ensemble_shared_sweep_consistency():
     cfg = PercolationConfig(2, 2, 0.8, seed=5)
-    weights, blocks = ensemble_sweep(cfg, r=4, g=3, replicas=100)
+    weights, blocks = ensemble_sweep_parallel(cfg, r=4, g=3, replicas=100)
     pairs = ensemble_from_sweep(cfg, (0.25, 0.5, 1.0), 4, 3, weights, blocks)
     single = ensemble_mean_porosity(cfg, 0.5, r=4, g=3, replicas=100)
     assert pairs[1][0].estimate == pytest.approx(single[0].estimate)
@@ -80,7 +78,7 @@ def test_ensemble_shared_sweep_consistency():
 
 def test_ensemble_estimates_monotone_in_alpha():
     cfg = PercolationConfig(2, 2, 0.8, seed=9)
-    weights, blocks = ensemble_sweep(cfg, r=4, g=3, replicas=200)
+    weights, blocks = ensemble_sweep_parallel(cfg, r=4, g=3, replicas=200)
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     pairs = ensemble_from_sweep(cfg, alphas, 4, 3, weights, blocks)
     lows = [lo.estimate for lo, _ in pairs]
@@ -126,7 +124,7 @@ def test_covariance_validation():
 
 def test_covariance_probe_end_to_end():
     cfg = PercolationConfig(2, 2, 0.8, seed=77)
-    est = covariance_probe(cfg, alpha=0.5, r=3, lag=1, replicas=30, g=3)
+    (est,) = covariance_experiment(cfg, alpha=0.5, r=3, g=3, lags=(1,), replicas=30)
     assert est.replicas == 30
     assert est.lag == 1 and est.r == 3
     assert est.ci_low <= est.covariance <= est.ci_high

@@ -12,8 +12,8 @@ from percolab import (
     run_path_batch_partial,
     slice_decay,
 )
-from percolab.estimators import ensemble_sweep
 from percolab.experiments import covariance_experiment, ensemble_sweep_parallel
+from percolab.qsampler import ensemble_view
 
 
 def _same_paths(a, b):
@@ -54,7 +54,9 @@ def test_path_batch_partial_keeps_prefix_on_failure():
 
 def test_ensemble_sweep_parallel_matches_serial():
     cfg = PercolationConfig(2, 2, 0.8, seed=2)
-    w1, b1 = ensemble_sweep(cfg, r=3, g=3, replicas=40)
+    views = [ensemble_view(cfg, 3, 3, i) for i in range(40)]
+    w1 = np.array([float(v.word_weights.sum()) for v in views])
+    b1 = np.array([v.a_star for v in views], dtype=np.int64)
     w2, b2 = ensemble_sweep_parallel(cfg, r=3, g=3, replicas=40, workers=3)
     assert np.array_equal(w1, w2)
     assert np.array_equal(b1, b2)

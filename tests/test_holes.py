@@ -27,7 +27,6 @@ from percolab.holes import (
     ball_measure_porosity,
     ball_porosities,
     ball_set_porosity,
-    build_hole_report,
     cells_threshold,
     discrepancy_indicator,
     empty_block_sides,
@@ -38,6 +37,7 @@ from percolab.holes import (
     por_conversion,
     porosity_from_sweep,
     restricted_max_empty_block,
+    set_hole_indicators,
     window_min_sweep,
     window_sums,
 )
@@ -216,17 +216,23 @@ def test_hole_bracket_full_and_empty_grids():
 def test_hole_bracket_monotone_in_alpha_and_bracket_respecting():
     rng = np.random.default_rng(2)
     alphas = [0.05 * t for t in range(1, 20)] + [1.0]
+    thresholds = np.array([cells_threshold(a, 16) for a in alphas])
     for _ in range(50):
         occ = _occ_grid(rng.random((16, 16)) < rng.uniform(0.2, 0.8))
-        rep = build_hole_report(occ, alphas)
-        assert np.all(np.diff(rep.lower) <= 0)
-        assert np.all(np.diff(rep.upper) <= 0)
-        assert np.all(rep.lower <= rep.upper)
+        lower, upper = set_hole_indicators(
+            max_empty_block(occ.cells),
+            restricted_max_empty_block(occ.cells, (8, 8)),
+            thresholds,
+        )
+        assert np.all(np.diff(lower) <= 0)
+        assert np.all(np.diff(upper) <= 0)
+        assert np.all(lower <= upper)
         # bracket-respecting monotonicity across different alphas
         for i, a in enumerate(alphas):
+            assert (lower[i], upper[i]) == hole_bracket(occ, a)
             for j, b in enumerate(alphas):
                 if b >= a:
-                    assert rep.lower[j] <= rep.upper[i]
+                    assert lower[j] <= upper[i]
 
 
 def test_g_refinement_grows_certificates():

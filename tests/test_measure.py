@@ -31,8 +31,8 @@ def test_x_estimate_mean_one_shape():
     t = LazyTree(cfg)
     est = x_estimate(t, Word.root(2, 2), 5)
     d = dimension(cfg)
-    assert est.value == pytest.approx(est.count * 2.0 ** (-5 * d))
-    assert est.probe_depth == 5
+    count = t.count_profile(Word.root(2, 2), 5)[5]
+    assert est == pytest.approx(count * 2.0 ** (-5 * d))
 
 
 def test_x_estimate_rejects_pruned_word():
@@ -60,12 +60,12 @@ def test_martingale_recursion_is_exact():
             w = Word(2, 2, digits)
             if not t.is_retained(w):
                 continue
-            parent = x_estimate(t, w, 4).value
+            parent = x_estimate(t, w, 4)
             kids = 0.0
             for c in range(4):
                 child = w.child(c)
                 if t.is_retained(child):
-                    kids += factor * x_estimate(t, child, 3).value
+                    kids += factor * x_estimate(t, child, 3)
             worst = max(worst, abs(parent - kids))
     assert worst < 1e-12
 
@@ -78,7 +78,7 @@ def test_mass_grid_total_matches_root_estimate():
     d = dimension(cfg)
     # total = X estimate at depth r+g, scaled to the root cube
     est = x_estimate(t, root, 7)
-    assert grid.total == pytest.approx(est.value, rel=1e-12)
+    assert grid.total == pytest.approx(est, rel=1e-12)
     assert float(grid.cells.sum()) == pytest.approx(grid.total, rel=1e-12)
     assert grid.side == 16
 
@@ -98,12 +98,12 @@ def test_mass_grid_below_subword_scales_by_level():
     cfg = PercolationConfig(2, 2, 0.9, seed=3)
     t = LazyTree(cfg)
     w = next(
-        Word(2, 2, (a,)) for a in range(4) if t.count_retained(Word(2, 2, (a,)), 5)
+        Word(2, 2, (a,)) for a in range(4) if t.count_profile(Word(2, 2, (a,)), 5)[5]
     )
     grid = mass_grid(t, w, 3, 2)
     d = dimension(cfg)
     # each cell is count * k^-(level + r + g) d
-    counts_total = t.count_retained(w, 5)
+    counts_total = t.count_profile(w, 5)[5]
     assert grid.total == pytest.approx(counts_total * 2.0 ** (-(1 + 3 + 2) * d))
 
 

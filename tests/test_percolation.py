@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
-from percolab.percolation import (
-    descendant_counts,
-    expand_occupancy,
-    grid_from_digit_order,
-)
+from percolab.measure import expand_occupancy
+from percolab.percolation import descendant_counts, grid_from_digit_order
 
 
 def tree(p=0.8, seed=0, m=2, k=2, **kw):
@@ -96,7 +93,6 @@ def test_count_profile_matches_expand():
     prof = t.count_profile(root, 6)
     levels = t.expand_retained(root, 6)
     assert prof == [int(lv.sum()) for lv in levels]
-    assert t.count_retained(root, 6) == prof[6]
 
 
 def test_count_profile_zero_fills_after_extinction():
@@ -111,7 +107,7 @@ def test_count_profile_zero_fills_after_extinction():
 
 def test_p_one_retains_everything():
     t = tree(p=1.0, seed=0)
-    assert t.count_retained(Word.root(2, 2), 5) == 4**5
+    assert t.count_profile(Word.root(2, 2), 5)[5] == 4**5
     occ = expand_occupancy(t, Word.root(2, 2), 3, 2)
     assert occ.cells.all()
 

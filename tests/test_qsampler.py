@@ -13,6 +13,7 @@ from percolab import (
     expand_occupancy,
     mass_grid,
 )
+from percolab.holes import restricted_max_empty_block
 from percolab.percolation import STREAM_PATH
 from percolab.qsampler import (
     ReplicaView,
@@ -122,13 +123,31 @@ def test_recorded_grids_match_fresh_expansion():
         assert np.allclose(path.window_sweep[j - 1], window_min_sweep(grid.cells))
 
 
+@pytest.mark.parametrize("m,p,r,g", [(2, 0.8, 3, 0), (2, 0.6, 4, 2), (3, 0.5, 2, 1)])
+def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
+    """Every recorded center cell is occupied, so forcing it changes no block.
+
+    The descent only enters children alive g levels down, so the path's own
+    cell is never empty; the recorded restricted statistic (copied from
+    a_star) must match the forced-center reference on every scale.
+    """
+    cfg = PercolationConfig(m, 2, p, seed=3)
+    for replica in range(3):
+        path = sample_qpath(cfg, n=6, r=r, g=g, alpha_grid=(0.5,), eps_grid=(), replica=replica)
+        tree = LazyTree(path.tree_config)
+        for j in range(path.n):
+            occ = expand_occupancy(tree, Word(m, 2, path.digits[: j + 1]), r, g)
+            reference = restricted_max_empty_block(occ.cells, path.centers[j])
+            assert path.restricted_a_star[j] == path.a_star[j] == reference
+
+
 def test_path_weight_is_root_estimate():
     cfg = PercolationConfig(2, 2, 0.8, seed=19)
     g = 4
     path = sample_qpath(cfg, n=3, r=3, g=g, replica=1)
     tree = LazyTree(path.tree_config)
     d = dimension(cfg)
-    count = tree.count_retained(Word.root(2, 2), g)
+    count = tree.count_profile(Word.root(2, 2), g)[g]
     assert path.weight == pytest.approx(count * 2.0 ** (-g * d), rel=1e-12)
 
 
