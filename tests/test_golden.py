@@ -1,11 +1,12 @@
 """Frozen output digests: every experiment kind, byte for byte.
 
 Each case runs one tiny spec through the command-line entry point and
-compares the sha256 of every CSV table and of summary.json with a value
-frozen from an earlier release.  run_manifest.json holds timestamps and
-wall times, so it is never digested.  Unlike check 13, which compares
-worker counts against each other, these digests catch a refactor that
-changes every number the same way.
+compares the sha256 of every CSV table and of summary.json with a frozen
+value; a digest that moves means the program's numbers changed.
+run_manifest.json holds timestamps and wall times, so it is never
+digested.  Unlike check 13, which compares worker counts against each
+other, these digests catch a refactor that changes every number the same
+way.
 """
 
 import hashlib
