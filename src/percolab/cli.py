@@ -61,7 +61,6 @@ class ExperimentSpec:
     probe_depth: int = 4  # g: extra generations deciding alive cells
     alpha_grid: Tuple[float, ...] = DEFAULT_ALPHA_GRID
     eps_grid: Tuple[float, ...] = DEFAULT_EPS_GRID
-    delta_frac: float = 1.0 / 3.0  # delta = delta_frac * alpha in summaries
     replicas: int = 20  # paths / ensemble replicas / trees, per kind
     workers: int = 1
     out_dir: str = "results"
@@ -143,8 +142,6 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("ensemble needs replicas >= 2 for a confidence interval")
     if spec.workers < 1:
         errors.append("workers must be >= 1")
-    if not 0.0 < spec.delta_frac < 1.0:
-        errors.append("delta_frac must lie in (0, 1)")
     if any(not 0.0 < a <= 1.0 for a in spec.alpha_grid):
         errors.append("alpha_grid entries must lie in (0, 1]")
     if not 0.0 < spec.alpha <= 1.0:
@@ -175,26 +172,28 @@ def validate(spec: ExperimentSpec) -> List[str]:
             f"{float(spec.k) ** (-spec.m):g}: the process dies out almost "
             f"surely and survival rejection will be slow or hopeless"
         )
-    if spec.kind == "slice-decay":
-        depth = max(spec.resolutions) + spec.probe_depth
-    elif spec.kind == "dimension-slope":
-        depth = 0  # sparse frontier walk; dense cap does not apply
-    else:
-        depth = spec.resolution + spec.probe_depth
-    if depth:
-        nodes = spec.k ** (spec.m * depth)
-        budget = _max_nodes_default()
-        concurrent = max(1, spec.workers)
-        if nodes > budget:
-            warnings.append(
-                f"a depth-{depth} expansion needs {nodes} nodes, above the "
-                f"budget {budget}; the run will fail (raise PERCOLAB_MAX_NODES)"
-            )
-        elif nodes * concurrent > budget * 4:
-            warnings.append(
-                f"{concurrent} workers x {nodes} nodes is a large resident "
-                f"set; consider fewer workers or a smaller resolution"
-            )
+    # dimension-slope walks profiles only and builds no count grid
+    r = {"slice-decay": max(spec.resolutions), "dimension-slope": 0}.get(spec.kind, spec.resolution)
+    depth = max(spec.depths) if spec.kind == "dimension-slope" else r + spec.probe_depth
+    # the count grid or the expected deepest frontier, whichever is larger
+    fanout = spec.k ** spec.m
+    try:
+        frontier = fanout * round((spec.p * fanout) ** (depth - 1))
+    except OverflowError:  # far past any budget; the full lattice bounds it
+        frontier = fanout ** depth
+    nodes = max(fanout ** r, frontier)
+    budget = _max_nodes_default()
+    concurrent = max(1, spec.workers)
+    if nodes > budget:
+        warnings.append(
+            f"a depth-{depth} run needs about {nodes} nodes, above the "
+            f"budget {budget}; it will likely fail (raise PERCOLAB_MAX_NODES)"
+        )
+    elif nodes * concurrent > budget * 4:
+        warnings.append(
+            f"{concurrent} workers x {nodes} nodes is a large resident "
+            f"set; consider fewer workers or a smaller resolution"
+        )
     return warnings
 
 
@@ -582,7 +581,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "subdivision sets, their natural mass, and multi-scale holes."
         ),
         epilog=(
-            "The dense-expansion node budget defaults to 2^24 and can be "
+            "The expansion node budget defaults to 2^24 and can be "
             "raised via the PERCOLAB_MAX_NODES environment variable."
         ),
     )

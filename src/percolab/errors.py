@@ -6,7 +6,7 @@ class PercolabError(Exception):
 
 
 class MemoryBudgetError(PercolabError):
-    """A dense or frontier expansion would exceed the configured node budget."""
+    """A frontier expansion or count grid would exceed the configured node budget."""
 
     def __init__(self, requested: int, budget: int):
         self.requested = int(requested)
@@ -15,6 +15,9 @@ class MemoryBudgetError(PercolabError):
             f"expansion needs {self.requested} nodes, budget is {self.budget} "
             f"(raise PERCOLAB_MAX_NODES or pass max_nodes)"
         )
+
+    def __reduce__(self):  # a pool worker's error must unpickle in the parent
+        return type(self), (self.requested, self.budget)
 
 
 class DeadSubtreeError(PercolabError):
@@ -31,6 +34,9 @@ class RejectionLimitError(PercolabError):
             f"(the configuration may be subcritical or nearly so)"
         )
         super().__init__(text)
+
+    def __reduce__(self):
+        return type(self), (self.attempts, str(self))
 
 
 class ZeroMassError(PercolabError):

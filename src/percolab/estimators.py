@@ -11,7 +11,6 @@ between, and no point estimate of it is ever produced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -184,16 +183,14 @@ def covariance_from_paths(
         raise ValueError(f"paths must record at least {lag + 1} scales")
     a = np.array([float(p.set_hole_lower(alpha)[0]) for p in paths])
     b = np.array([float(p.set_hole_lower(alpha)[lag]) for p in paths])
-    n = len(paths)
     cov = float((a * b).mean() - a.mean() * b.mean())
-    centered = (a - a.mean()) * (b - b.mean())
-    se = float(centered.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = WeightedMean.from_values((a - a.mean()) * (b - b.mean())).se
     return CovarianceEstimate(
         alpha=float(alpha),
         r=paths[0].r,
         g=paths[0].g,
         lag=lag,
-        replicas=n,
+        replicas=len(paths),
         covariance=cov,
         se=se,
         ci_low=cov - Z95 * se,

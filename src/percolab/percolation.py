@@ -110,9 +110,9 @@ def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndar
 class LazyTree:
     """On-demand view of one realization of the percolation process.
 
-    Node retention is cached sparsely (dict keyed by digit path) for scalar
-    queries, and recomputed in bulk for dense region expansions; both routes
-    hash the same keys, so they always agree.
+    Nothing is cached: a scalar query walks the keys down from the root, and
+    ``expand_retained`` walks a retained-only frontier.  Both hash the same
+    counter-based keys, so they always agree.
     """
 
     def __init__(self, config: PercolationConfig, max_nodes: Optional[int] = None):
@@ -126,27 +126,18 @@ class LazyTree:
                 stacklevel=2,
             )
         self._root_key = substream(config.seed, STREAM_RETENTION)
-        # digit path -> (stream key, retained flag); root is always retained
-        self._nodes = {(): (self._root_key, True)}
 
     # -- scalar queries ---------------------------------------------------
 
-    def _lookup(self, digits: Tuple[int, ...]) -> Tuple[int, bool]:
-        cached = self._nodes.get(digits)
-        if cached is not None:
-            return cached
-        # walk down from the longest cached ancestor
-        depth = len(digits)
-        start = depth - 1
-        while start > 0 and digits[:start] not in self._nodes:
-            start -= 1
-        key, retained = self._nodes[digits[:start]]
+    def _lookup(self, digits: Tuple[int, ...]) -> Optional[int]:
+        """Stream key of the node at ``digits``, or None if it is pruned."""
+        key = self._root_key
         p = self.config.p
-        for i in range(start, depth):
-            key = child_key(key, digits[i])
-            retained = retained and (unit_draw(key) < p)
-            self._nodes[digits[: i + 1]] = (key, retained)
-        return key, retained
+        for digit in digits:
+            key = child_key(key, digit)
+            if unit_draw(key) >= p:
+                return None  # hereditary: the rest of the path is dead too
+        return key
 
     def _check_word(self, word: Word):
         if word.m != self.config.m or word.k != self.config.k:
@@ -157,7 +148,7 @@ class LazyTree:
 
     def is_retained(self, word: Word) -> bool:
         self._check_word(word)
-        return self._lookup(word.digits)[1]
+        return self._lookup(word.digits) is not None
 
     # -- bulk expansion ---------------------------------------------------
 
@@ -166,51 +157,31 @@ class LazyTree:
             raise MemoryBudgetError(n_nodes, self.max_nodes)
 
     def expand_retained(self, word: Word, depth: int) -> List[np.ndarray]:
-        """Dense retention flags for all descendants of ``word``.
+        """Retained descendants of ``word``, level by level.
 
-        Returns ``depth + 1`` flat boolean arrays; level j has length
-        (k^m)^j and is indexed by digit path with the first digit most
-        significant.  If ``word`` itself is pruned every level is all-False
-        (hereditary pruning makes the descendants' draws irrelevant).
+        Returns ``depth + 1`` int64 arrays.  Level j lists the retained
+        nodes at relative depth j in digit-path order, each stored as
+        ``parent_position * k^m + digit`` where ``parent_position`` indexes
+        level j-1.  Level 0 is ``[0]``, or empty if ``word`` is pruned.
+        Only the children of retained nodes are hashed, so memory tracks the
+        surviving population rather than the (k^m)^depth lattice.
         """
         self._check_word(word)
         fanout = self.config.branching
-        key, retained = self._lookup(word.digits)
-        levels = [np.array([retained])]
-        p = self.config.p
-        keys = np.array([key], dtype=np.uint64)
-        alive = levels[0]
-        for j in range(1, depth + 1):
-            self._budget(fanout ** j)
-            keys = child_keys(keys, fanout).reshape(-1)
-            draws = unit_draws(keys)
-            alive = np.repeat(alive, fanout) & (draws < p)
-            levels.append(alive)
+        key = self._lookup(word.digits)
+        keys = np.array([] if key is None else [key], dtype=np.uint64)
+        levels = [np.zeros(keys.size, dtype=np.int64)]
+        for _ in range(depth):
+            self._budget(keys.size * fanout)
+            children = child_keys(keys, fanout).reshape(-1)
+            (alive,) = np.nonzero(unit_draws(children) < self.config.p)
+            keys = children[alive]
+            levels.append(alive.astype(np.int64, copy=False))
         return levels
 
     def count_profile(self, word: Word, depth: int) -> List[int]:
-        """Retained descendant counts at every relative depth 0..depth.
-
-        Walks a retained-only frontier, so memory tracks the surviving
-        population rather than the full (k^m)^depth lattice, recording the
-        population size level by level; once the frontier dies the remaining
-        entries are zero.
-        """
-        self._check_word(word)
-        key, retained = self._lookup(word.digits)
-        counts = [1 if retained else 0]
-        fanout = self.config.branching
-        p = self.config.p
-        keys = np.array([key] if retained else [], dtype=np.uint64)
-        for _ in range(depth):
-            self._budget(len(keys) * fanout)
-            ck = child_keys(keys, fanout).reshape(-1)
-            keys = ck[unit_draws(ck) < p]
-            counts.append(int(keys.size))
-            if keys.size == 0:
-                break
-        counts.extend([0] * (depth + 1 - len(counts)))
-        return counts
+        """Retained descendant counts at every relative depth 0..depth."""
+        return [int(level.size) for level in self.expand_retained(word, depth)]
 
 
 def descendant_counts(
@@ -220,7 +191,13 @@ def descendant_counts(
 
     Digit-path order, length (k^m)^resolution.
     """
-    levels = tree.expand_retained(root, resolution + probe_depth)
-    deep = levels[resolution + probe_depth]
     fanout = tree.config.branching
-    return deep.reshape(fanout ** resolution, -1).sum(axis=1)
+    cells = fanout ** resolution
+    tree._budget(cells)
+    levels = tree.expand_retained(root, resolution + probe_depth)
+    # carry each node's depth-resolution cell down the frontier
+    cell = np.zeros(levels[0].size, dtype=np.int64)
+    for j, level in enumerate(levels[1:], start=1):
+        parent, digit = np.divmod(level, fanout)
+        cell = cell[parent] * fanout + digit if j <= resolution else cell[parent]
+    return np.bincount(cell, minlength=cells)

@@ -87,8 +87,12 @@ def test_validate_clean_spec_has_no_warnings():
 def test_validate_warns_subcritical_and_budget():
     sub = cli.spec_from_dict({"kind": "ensemble", "p": 0.2})
     assert any("critical" in w for w in cli.validate(sub))
-    big = cli.spec_from_dict({"kind": "ensemble", "resolution": 12, "probe_depth": 4})
-    assert any("budget" in w for w in cli.validate(big))
+    for big in [
+        {"kind": "ensemble", "resolution": 12, "probe_depth": 4},
+        {"kind": "dimension-slope", "depths": [4, 30]},  # expected frontier only
+        {"kind": "ensemble", "m": 3, "k": 3, "resolution": 300},  # past float range
+    ]:
+        assert any("budget" in w for w in cli.validate(cli.spec_from_dict(big)))
 
 
 # -- every kind runs and writes its tables --------------------------------------
@@ -177,9 +181,15 @@ def test_main_rejects_bad_json(tmp_path, capsys):
 
 
 def test_main_rejects_unknown_field(tmp_path, capsys):
-    spec_file = _write_spec(tmp_path, {**TINY, "typo_field": 1})
-    assert cli.main(["--spec", spec_file, "--out", str(tmp_path / "o")]) == 2
-    assert "invalid spec" in capsys.readouterr().err
+    # delta_frac was a field once: older manifests that carry it are refused
+    for name, payload in [
+        ("typo_field", {**TINY, "typo_field": 1}),
+        ("delta_frac", {"spec": {**TINY, "delta_frac": 1 / 3}}),
+    ]:
+        spec_file = _write_spec(tmp_path, payload)
+        assert cli.main(["--spec", spec_file, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid spec" in err and name in err and len(err.splitlines()) == 1
 
 
 def test_main_requires_kind(tmp_path, capsys):
@@ -229,11 +239,14 @@ def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
 
 
 def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERCOLAB_MAX_NODES", "1000")
-    spec_file = _write_spec(tmp_path, {**TINY, "kind": "ensemble", "replicas": 5})
-    assert cli.main(["--spec", spec_file, "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert "budget" in err
+    # each replica's 64-cell grid fits; its retained frontier outgrows 100
+    monkeypatch.setenv("PERCOLAB_MAX_NODES", "100")
+    for workers in (1, 2):  # a pool worker's error must reach the parent
+        spec = {**TINY, "kind": "ensemble", "replicas": 5, "workers": workers}
+        spec_file = _write_spec(tmp_path, spec)
+        assert cli.main(["--spec", spec_file, "--out", str(tmp_path / f"o{workers}")]) == 3
+        err = capsys.readouterr().err
+        assert "budget" in err
 
 
 def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Batch drivers: worker-count invariance, partial batches, diagnostics."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from percolab import (
+    MemoryBudgetError,
     PercolationConfig,
     RejectionLimitError,
     dimension,
@@ -118,3 +121,13 @@ def test_slice_decay_position_and_axis_checked():
         slice_decay(cfg, resolutions=(2, 3), trees=10, axis=5)
     with pytest.raises(ValueError):
         slice_decay(cfg, resolutions=(2, 3), trees=10, position=100)
+
+
+@pytest.mark.parametrize(
+    "error", [RejectionLimitError(2, "no luck"), RejectionLimitError(7), MemoryBudgetError(10, 5)]
+)
+def test_errors_survive_a_pickle_round_trip(error):
+    # a pool worker's exception reaches the parent only through pickle
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error) and vars(back) == vars(error)

@@ -47,8 +47,11 @@ SPECS = {
     },
 }
 
-CASES = [(name, seed) for name in SPECS if name != "partial" for seed in (0, 1)]
-CASES.append(("partial", 2))
+# (name, seed, workers); the partial case also runs on a pool, whose
+# workers must hand their rejection error back to the parent
+CASES = [(name, seed, 1) for name in SPECS if name != "partial" for seed in (0, 1)]
+CASES += [("partial", 2, 1), ("partial", 2, 2)]
+IDS = [f"{n}-{s}" + (f"-workers{w}" if w > 1 else "") for n, s, w in CASES]
 
 DIGESTS = {
     "path-series-0": {
@@ -117,19 +120,20 @@ DIGESTS = {
 }
 
 
-def run_digests(tmp_path, name, seed):
+def run_digests(tmp_path, name, seed, workers=1):
     """(exit code, {file: sha256}) of one CLI run of SPECS[name] at ``seed``."""
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({**SPECS[name], "seed": seed}), encoding="utf-8")
+    spec = {**SPECS[name], "seed": seed, "workers": workers}
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
     out = tmp_path / "out"
     code = cli.main(["--spec", str(spec_file), "--out", str(out)])
     names = sorted(p.name for p in out.glob("*.csv")) + ["summary.json"]
     return code, {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
 
 
-@pytest.mark.parametrize("name,seed", CASES, ids=[f"{n}-{s}" for n, s in CASES])
-def test_golden_digests(tmp_path, capsys, name, seed):
-    code, got = run_digests(tmp_path, name, seed)
+@pytest.mark.parametrize("name,seed,workers", CASES, ids=IDS)
+def test_golden_digests(tmp_path, capsys, name, seed, workers):
+    code, got = run_digests(tmp_path, name, seed, workers)
     capsys.readouterr()
     assert code == (4 if name == "partial" else 0)
     assert got == DIGESTS[f"{name}-{seed}"]

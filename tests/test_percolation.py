@@ -1,5 +1,7 @@
 """Lazy tree: determinism, hereditary pruning, budgets, retention law."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def test_root_always_retained():
 def test_retention_is_deterministic_and_order_free():
     t1, t2 = tree(seed=3), tree(seed=3)
     words = [Word(2, 2, tuple(d)) for d in [(0,), (3, 2), (1, 1, 1), (2,), (0, 0)]]
-    # query in different orders; lazy caching must not change answers
+    # query in different orders; the answers must not depend on it
     a = [t1.is_retained(w) for w in words]
     b = [t2.is_retained(w) for w in reversed(words)][::-1]
     assert a == b
@@ -68,11 +70,14 @@ def test_expand_matches_pointwise_queries():
     t = tree(p=0.7, seed=5)
     root = Word.root(2, 2)
     levels = t.expand_retained(root, 3)
-    assert [lv.shape for lv in levels] == [(1,), (4,), (16,), (64,)]
-    # digit order: flat index encodes the digit path, most significant first
-    for flat in range(64):
-        digits = (flat >> 4) & 3, (flat >> 2) & 3, flat & 3
-        assert bool(levels[3][flat]) == t.is_retained(Word(2, 2, digits))
+    assert len(levels) == 4 and levels[0].tolist() == [0]
+    # each entry is parent position * 4 + digit: rebuild the digit paths
+    paths = [()]
+    for level in levels[1:]:
+        paths = [paths[v // 4] + (v % 4,) for v in level.tolist()]
+    assert paths == sorted(paths)  # digit-path order
+    retained = [d for d in itertools.product(range(4), repeat=3) if t.is_retained(Word(2, 2, d))]
+    assert paths == retained
 
 
 def test_expand_below_pruned_word_is_all_dead():
@@ -84,7 +89,7 @@ def test_expand_below_pruned_word_is_all_dead():
         if not t.is_retained(Word(2, 2, (a, b)))
     )
     levels = t.expand_retained(pruned, 2)
-    assert all(not lv.any() for lv in levels)
+    assert len(levels) == 3 and all(lv.size == 0 for lv in levels)
 
 
 def test_count_profile_matches_expand():
@@ -92,7 +97,18 @@ def test_count_profile_matches_expand():
     root = Word.root(2, 2)
     prof = t.count_profile(root, 6)
     levels = t.expand_retained(root, 6)
-    assert prof == [int(lv.sum()) for lv in levels]
+    assert prof == [int(lv.size) for lv in levels]
+
+
+def test_count_profile_deep_3d_matches_pointwise_walk():
+    # 8^25 overflows int64: the frontier must not index the full lattice
+    t = tree(p=0.15, seed=6, m=3, k=2)
+    prof = t.count_profile(Word.root(3, 2), 25)
+    alive, walked = [Word.root(3, 2)], [1]
+    for _ in range(25):
+        alive = [w.child(d) for w in alive for d in range(8) if t.is_retained(w.child(d))]
+        walked.append(len(alive))
+    assert prof == walked and prof[25] > 0
 
 
 def test_count_profile_zero_fills_after_extinction():
@@ -128,8 +144,8 @@ def test_retention_frequency_matches_p():
 def test_memory_budget_enforced():
     t = tree(p=0.9, seed=0, max_nodes=1000)
     with pytest.raises(MemoryBudgetError):
-        t.expand_retained(Word.root(2, 2), 6)  # needs 4**6 > 1000 at the frontier
-    # sparse profile walks are budgeted by live frontier, not dense size
+        t.expand_retained(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
+    # the budget bounds the retained frontier's children, not the 4**depth lattice
     assert len(t.count_profile(Word.root(2, 2), 3)) == 4
 
 
@@ -150,6 +166,27 @@ def test_descendant_counts_and_occupancy_agree():
     grid = grid_from_digit_order(counts > 0, 2, 2, 3)
     assert np.array_equal(grid, occ.cells)
     assert occ.side == 8 and occ.resolution == 3 and occ.probe_depth == 2
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p", [0.7, 1.0])
+def test_descendant_counts_match_pointwise_oracle(m, k, p):
+    t = tree(p=p, seed=4, m=m, k=k)
+    fanout = k**m
+    r, g = (2, 1) if fanout > 4 else (2, 2)
+    starts = [Word.root(m, k), Word(m, k, (1,))]
+    dead = [Word(m, k, (d,)) for d in range(fanout) if not t.is_retained(Word(m, k, (d,)))]
+    starts += dead[:1]
+    assert bool(dead) == (p < 1)
+    for start in starts:
+        oracle = [
+            sum(
+                t.is_retained(Word(m, k, start.digits + cell + probe))
+                for probe in itertools.product(range(fanout), repeat=g)
+            )
+            for cell in itertools.product(range(fanout), repeat=r)
+        ]
+        assert descendant_counts(t, start, r, g).tolist() == oracle
 
 
 def test_grid_from_digit_order_layout():

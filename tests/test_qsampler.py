@@ -48,8 +48,7 @@ def test_sample_step_uses_descendant_counts():
     cfg = PercolationConfig(2, 2, 0.8, seed=15)
     t = LazyTree(cfg)
     root = Word.root(2, 2)
-    levels = t.expand_retained(root, 4)
-    counts = levels[4].reshape(4, -1).sum(axis=1)
+    counts = np.array([t.count_profile(root.child(c), 3)[3] for c in range(4)])
     total = counts.sum()
     # u placed in the middle of child c's band must select c
     cum = np.cumsum(counts)
