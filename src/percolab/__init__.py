@@ -21,7 +21,6 @@ from .percolation import LazyTree, PercolationConfig, descendant_counts
 from .measure import dimension, expand_occupancy, mass_grid, slice_mass, x_estimate
 from .holes import (
     ball_box,
-    ball_mass_sweep,
     ball_measure_porosity,
     ball_porosities,
     ball_set_porosity,
@@ -35,7 +34,6 @@ from .holes import (
     por_conversion,
     restricted_max_empty_block,
     window_min_sweep,
-    window_sums,
 )
 from .qsampler import (
     DEFAULT_ALPHA_GRID,
@@ -97,7 +95,6 @@ __all__ = [
     "empty_block_sides",
     "max_empty_block",
     "restricted_max_empty_block",
-    "window_sums",
     "min_window_sum",
     "window_min_sweep",
     "cells_threshold",
@@ -106,7 +103,6 @@ __all__ = [
     "discrepancy_indicator",
     "ball_box",
     "ball_set_porosity",
-    "ball_mass_sweep",
     "ball_measure_porosity",
     "ball_porosities",
     "por_conversion",

@@ -1,9 +1,11 @@
 """Exact grid kernels for holes, window masses, and ball porosities.
 
-Everything here is deterministic geometry on dense grids:
+Everything here is deterministic geometry on dense grids, and every window
+sum is read off one summed-area table per grid (Crow, SIGGRAPH 1984; exact
+int64 for integer and boolean grids):
 
-* largest empty axis-aligned block (dynamic program, any dimension),
-* minimum window sums of a mass grid (sliding cumsum windows),
+* largest empty axis-aligned blocks (windows of sum 0, any dimension),
+* minimum window sums of a count or mass grid, for every window side,
 * certified hole brackets at a fraction alpha of the grid side,
 * measure-hole indicators (windows of negligible mass),
 * porosities of k-adic balls around a marked center cell.
@@ -24,76 +26,61 @@ import numpy as np
 from .errors import ZeroMassError
 from .grids import MassGrid, OccupancyGrid
 
+# -- summed-area table -------------------------------------------------------
+
+
+def _summed_table(cells: np.ndarray, spatial: int) -> np.ndarray:
+    """The grid zero-padded on its low side, cumsummed over ``spatial`` axes.
+
+    Entry [i, j, ...] is the sum of cells[:i, :j, ...]; axes beyond
+    ``spatial`` are batch axes.  int64 for boolean or integer cells.
+    """
+    shape = tuple(n + 1 for n in cells.shape[:spatial]) + cells.shape[spatial:]
+    table = np.zeros(shape, dtype=np.int64 if cells.dtype.kind in "biu" else np.float64)
+    table[(slice(1, None),) * spatial] = cells
+    for axis in range(spatial):
+        np.add.accumulate(table, axis=axis, out=table)  # in-place cumsum
+    return table
+
+
+def _window_sums(table: np.ndarray, a: int, spatial: int) -> np.ndarray:
+    """Sums over every side-``a`` window, entry [i, j, ...] at its lowest cell.
+
+    Differencing the table at lag a along one axis at a time is the
+    inclusion-exclusion formula over the window's 2^spatial corners.
+    """
+    for axis in range(spatial):
+        lead = (slice(None),) * axis
+        table = table[lead + (slice(a, None),)] - table[lead + (slice(None, -a),)]
+    return table
+
+
 # -- largest empty block -----------------------------------------------------
 
 
-def _neighbor_min(prev: np.ndarray, spatial: int) -> np.ndarray:
-    """Elementwise min of ``prev`` over all low-side unit shifts.
-
-    Covers every subset of the first ``spatial`` axes (identity included);
-    cells shifted in from outside count as zero.
-    """
-    res = prev
-    for mask in range(1, 1 << spatial):
-        shifted = np.zeros_like(prev)
-        dst = [slice(None)] * prev.ndim
-        src = [slice(None)] * prev.ndim
-        for axis in range(spatial):
-            if (mask >> axis) & 1:
-                dst[axis] = slice(1, None)
-                src[axis] = slice(None, -1)
-        shifted[tuple(dst)] = prev[tuple(src)]
-        res = np.minimum(res, shifted)
-    return res
-
-
-def _dp_empty_side(occupied: np.ndarray, ext: np.ndarray, spatial: int) -> np.ndarray:
-    """Capped empty-block dynamic program.
-
-    Returns s with s[c] = 0 on occupied cells and otherwise
-    min(ext[c], 1 + min over the 2^spatial - 1 backward neighbors of s),
-    zero outside the grid.  Axes beyond ``spatial`` are batch axes.
-
-    The recursion peels off axis 0: scanning row i, the usual backward
-    neighborhood splits into same-row neighbors (handled by the
-    (spatial-1)-dimensional subproblem) and row i-1 neighbors, whose
-    contribution only enters as a per-cell cap min(ext, 1 + neighbor-min).
-    The one-dimensional base case s[j] = min(b[j], 1 + s[j-1]) (with
-    b[t] = 0 on occupied cells, ext[t] elsewhere, s[-1] = 0) unrolls to the
-    prefix-scan closed form s[j] = (j + 1) + min(0, min_{t <= j} (b[t] - t - 1)).
-    """
-    n = occupied.shape[0]
-    if spatial == 1:
-        j = np.arange(n).reshape((n,) + (1,) * (occupied.ndim - 1))
-        b = np.where(occupied, 0, ext)
-        run = np.minimum.accumulate(b - j - 1, axis=0)
-        return (j + 1) + np.minimum(0, run)
-    out = np.empty(occupied.shape, dtype=np.int64)
-    prev = np.zeros(occupied.shape[1:], dtype=np.int64)
-    for i in range(n):
-        cap = np.minimum(ext[i], 1 + _neighbor_min(prev, spatial - 1))
-        prev = _dp_empty_side(occupied[i], cap, spatial - 1)
-        out[i] = prev
-    return out
-
-
 def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np.ndarray:
-    """Per-cell DP map: side of the largest empty block ending at each cell.
+    """Per-cell map: side of the largest empty block ending at each cell.
 
     "Ending at" means the cell is the block's highest corner along every
     spatial axis.  Trailing axes beyond ``spatial`` are independent batch
-    problems.
+    problems.  An empty block contains the empty block of every smaller side
+    ending at the same cell, so counting the empty windows of side 1, 2, ...
+    that end at a cell gives its side; the count stops at the first side
+    with no empty window anywhere.
     """
     occ = np.asarray(occupied, dtype=bool)
     if spatial is None:
         spatial = occ.ndim
     if spatial < 1 or spatial > occ.ndim:
         raise ValueError(f"spatial axis count {spatial} out of range")
-    if 0 in occ.shape[:spatial]:
-        return np.zeros(occ.shape, dtype=np.int64)
-    big = max(occ.shape[:spatial]) + 1
-    ext = np.full(occ.shape, big, dtype=np.int64)
-    return _dp_empty_side(occ, ext, spatial)
+    sides = np.zeros(occ.shape, dtype=np.int64)
+    table = _summed_table(occ, spatial)
+    for a in range(1, min(occ.shape[:spatial]) + 1):
+        empty = _window_sums(table, a, spatial) == 0
+        if not empty.any():
+            break
+        sides[(slice(a - 1, None),) * spatial] += empty
+    return sides
 
 
 def max_empty_block(occupied, spatial: Optional[int] = None):
@@ -126,31 +113,12 @@ def restricted_max_empty_block(occupied, center: Sequence[int]) -> int:
 # -- window sums -------------------------------------------------------------
 
 
-def window_sums(cells: np.ndarray, a: int) -> np.ndarray:
-    """Sums over every a x ... x a window fully inside the grid."""
-    if a < 1:
-        raise ValueError("window size must be >= 1")
-    arr = np.asarray(cells, dtype=np.float64)
-    for axis in range(arr.ndim):
-        if a > arr.shape[axis]:
-            raise ValueError(
-                f"window size {a} exceeds grid extent {arr.shape[axis]} on axis {axis}"
-            )
-        c = np.cumsum(arr, axis=axis)
-        pad_shape = list(c.shape)
-        pad_shape[axis] = 1
-        padded = np.concatenate([np.zeros(pad_shape), c], axis=axis)
-        lead = [slice(None)] * arr.ndim
-        trail = [slice(None)] * arr.ndim
-        lead[axis] = slice(a, None)
-        trail[axis] = slice(None, padded.shape[axis] - a)
-        arr = padded[tuple(lead)] - padded[tuple(trail)]
-    return arr
-
-
 def min_window_sum(cells, a: int) -> float:
     """Smallest total mass among all windows of side ``a``."""
-    return float(window_sums(cells, a).min())
+    arr = np.asarray(cells)
+    if not 1 <= a <= min(arr.shape):
+        raise ValueError(f"window size {a} must lie in [1, {min(arr.shape)}]")
+    return float(_window_sums(_summed_table(arr, arr.ndim), a, arr.ndim).min())
 
 
 def window_min_sweep(cells) -> np.ndarray:
@@ -159,12 +127,14 @@ def window_min_sweep(cells) -> np.ndarray:
     Entry [a] is the minimum over windows of side a, for a up to the
     smallest grid extent; entry [0] is 0 (the empty window).  The sequence
     is nondecreasing, since every window contains one of each smaller size.
+    Integer cells give exact int64 sums, anything else float64.
     """
-    arr = np.asarray(cells, dtype=np.float64)
+    arr = np.asarray(cells)
+    table = _summed_table(arr, arr.ndim)
     width = min(arr.shape)
-    out = np.zeros(width + 1, dtype=np.float64)
+    out = np.zeros(width + 1, dtype=table.dtype)
     for a in range(1, width + 1):
-        out[a] = window_sums(arr, a).min()
+        out[a] = _window_sums(table, a, arr.ndim).min()
     return out
 
 
@@ -279,14 +249,28 @@ def ball_box(
     lo = []
     hi = []
     for c, n in zip(center, shape):
-        lo.append(max(0, math.floor(c + 0.5 - radius_cells) + 1))
-        hi.append(min(n - 1, math.ceil(c + 0.5 + radius_cells) - 2))
+        lo.append(max(0, math.ceil(c + 0.5 - radius_cells)))
+        hi.append(min(n - 1, math.floor(c + 0.5 + radius_cells) - 1))
     return tuple(lo), tuple(hi)
 
 
-def _box_view(cells: np.ndarray, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
-    index = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
-    return cells[index]
+def _ball_sweep(
+    cells: np.ndarray, center: Sequence[int], radius_cells: float
+) -> Tuple[np.ndarray, float]:
+    """Window sweep and total of the ball's box; an empty box gives [0] and 0."""
+    lo, hi = ball_box(center, cells.shape, radius_cells)
+    box = cells[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
+    return window_min_sweep(box), box.sum()
+
+
+def _gap_porosity(sweep: np.ndarray, limit: float, radius_cells: float) -> float:
+    """(a/2) / radius_cells for the largest side a whose minimum is <= limit.
+
+    A gap of side a contains a sub-ball of radius a/2 cells; capped at 1.
+    Size 0 always qualifies.
+    """
+    a = int(np.searchsorted(sweep, limit, side="right")) - 1
+    return min(1.0, 0.5 * a / radius_cells)
 
 
 def ball_set_porosity(
@@ -299,31 +283,9 @@ def ball_set_porosity(
     a/2 cells, so the porosity estimate is (a/2) / radius_cells, capped at
     1.  With radius side/4 this is the familiar 2a/side.
     """
-    occ = np.asarray(occupancy, dtype=bool)
-    lo, hi = ball_box(center, occ.shape, radius_cells)
-    if any(h < l for l, h in zip(lo, hi)):
-        return 0.0
-    box = np.array(_box_view(occ, lo, hi), copy=True)
-    box[tuple(int(c) - l for c, l in zip(center, lo))] = True
-    a = max_empty_block(box)
-    return min(1.0, 0.5 * a / radius_cells)
-
-
-def ball_mass_sweep(
-    mass_cells: np.ndarray, center: Sequence[int], radius_cells: float
-) -> Tuple[float, np.ndarray]:
-    """Ball mass and the minimum-window-sum sweep inside the ball's box.
-
-    Returns (total mass of the box, sweep) with sweep[a] the smallest mass
-    among size-a windows of the box; sweep has length min(box extents) + 1
-    and is nondecreasing.
-    """
-    arr = np.asarray(mass_cells, dtype=np.float64)
-    lo, hi = ball_box(center, arr.shape, radius_cells)
-    if any(h < l for l, h in zip(lo, hi)):
-        return 0.0, np.zeros(1, dtype=np.float64)
-    box = _box_view(arr, lo, hi)
-    return float(box.sum()), window_min_sweep(box)
+    occ = np.array(occupancy, dtype=bool, copy=True)
+    occ[tuple(int(c) for c in center)] = True
+    return _gap_porosity(_ball_sweep(occ, center, radius_cells)[0], 0, radius_cells)
 
 
 def porosity_from_sweep(
@@ -337,26 +299,31 @@ def porosity_from_sweep(
     """
     if ball_mass <= 0.0:
         raise ZeroMassError("measure porosity is undefined for a massless ball")
-    a = int(np.searchsorted(sweep, eps * ball_mass, side="right")) - 1
-    return min(1.0, 0.5 * a / radius_cells)
+    return _gap_porosity(sweep, eps * ball_mass, radius_cells)
 
 
 def ball_measure_porosity(
     mass_cells: np.ndarray, center: Sequence[int], radius_cells: float, eps: float
 ) -> float:
     """Normalized size of the largest eps-light window inside the ball."""
-    ball_mass, sweep = ball_mass_sweep(mass_cells, center, radius_cells)
+    sweep, ball_mass = _ball_sweep(np.asarray(mass_cells), center, radius_cells)
     return porosity_from_sweep(sweep, ball_mass, eps, radius_cells)
 
 
 def ball_porosities(
-    occupancy: OccupancyGrid,
-    mass: MassGrid,
+    counts: np.ndarray,
     center: Sequence[int],
     eps_values: Sequence[float],
     radius_cells: Optional[float] = None,
 ) -> Tuple[float, np.ndarray]:
     """Set porosity and measure porosities (one per eps) of one ball.
+
+    ``counts`` is a grid of retained counts (mass is proportional to them,
+    and a cell is occupied iff its count is positive), so one integer sweep
+    of the ball's box answers both: the set gap is the largest window side
+    whose minimum count is 0, the measure gap the largest whose minimum is
+    at most eps times the box count.  The center cell must have a positive
+    count -- the marked point belongs to the set -- so no forcing is needed.
 
     The default radius is a quarter of the grid side: at scale i the grid
     covers a cube of side k^-i, so this is the ball of radius k^-i / 4
@@ -365,15 +332,17 @@ def ball_porosities(
     and that part is clipped away (see ``ball_box``), so both porosities
     are taken over the ball's intersection with the cube.
     """
+    counts = np.asarray(counts)
     if radius_cells is None:
-        radius_cells = occupancy.side / 4.0
-    set_por = ball_set_porosity(occupancy.cells, center, radius_cells)
-    ball_mass, sweep = ball_mass_sweep(mass.cells, center, radius_cells)
+        radius_cells = counts.shape[0] / 4.0
+    if not counts[tuple(int(c) for c in center)] > 0:
+        raise ValueError(f"center cell {tuple(center)} has no retained count")
+    sweep, total = _ball_sweep(counts, center, radius_cells)
     meas = np.array(
-        [porosity_from_sweep(sweep, ball_mass, e, radius_cells) for e in eps_values],
+        [porosity_from_sweep(sweep, total, e, radius_cells) for e in eps_values],
         dtype=np.float64,
     )
-    return set_por, meas
+    return _gap_porosity(sweep, 0, radius_cells), meas
 
 
 def por_conversion(value: float) -> float:

@@ -51,32 +51,33 @@ def count_grids(
     root: Word,
     resolution: int,
     probe_depth: int,
-) -> Tuple[OccupancyGrid, MassGrid]:
-    """Occupancy and mass grids from per-cell retained counts.
+) -> Tuple[OccupancyGrid, MassGrid, np.ndarray]:
+    """Occupancy, mass and count grids from per-cell retained counts.
 
     ``counts`` holds, in digit order, the retained descendants
     ``probe_depth`` levels below each depth-``resolution`` cell under
-    ``root``.  A cell is occupied when its count is positive, and its mass
-    is its count times the common factor k^(-(|root| + resolution +
-    probe_depth) d).
+    ``root``; it is reordered into the spatial count grid once.  A cell is
+    occupied when its count is positive, and its mass is its count times the
+    common factor k^(-(|root| + resolution + probe_depth) d).
     """
     m, k = config.m, config.k
     d = dimension(config)
     factor = float(k) ** (-(root.level + resolution + probe_depth) * d)
+    grid = grid_from_digit_order(counts, m, k, resolution)
     occupancy = OccupancyGrid(
-        cells=grid_from_digit_order(counts > 0, m, k, resolution),
+        cells=grid > 0,
         root=root,
         resolution=resolution,
         probe_depth=probe_depth,
     )
     mass = MassGrid(
-        cells=grid_from_digit_order(counts.astype(np.float64) * factor, m, k, resolution),
+        cells=grid * factor,
         root=root,
         resolution=resolution,
         probe_depth=probe_depth,
         total=float(counts.sum()) * factor,
     )
-    return occupancy, mass
+    return occupancy, mass, grid
 
 
 def expand_occupancy(

@@ -110,7 +110,7 @@ class QPath:
     x_hat: np.ndarray  # (n,) martingale estimate at each visited word
     a_star: np.ndarray  # (n,) largest empty block per scale grid
     restricted_a_star: np.ndarray  # (n,) same with the center cell forced occupied
-    window_sweep: np.ndarray  # (n, side+1) min window mass per size
+    window_sweep: np.ndarray  # (n, side+1) min window count per size; last = grid count
     total_mass: np.ndarray  # (n,) grid totals
     lower: np.ndarray  # (n, n_alpha) certified set-hole indicators
     upper: np.ndarray  # (n, n_alpha) unrefuted set-hole indicators
@@ -154,7 +154,7 @@ class QPath:
         thr = cells_threshold(alpha, self.side)
         if thr == 0:
             return np.ones(self.n, dtype=np.int8)
-        light = self.window_sweep[:, thr] <= eps * self.total_mass
+        light = self.window_sweep[:, thr] <= eps * self.window_sweep[:, -1]
         return light.astype(np.int8)
 
     def discrepancy(self, alpha: float, eps: float, delta: float) -> np.ndarray:
@@ -234,7 +234,7 @@ def _record_path(
     centers = np.zeros((n, m), dtype=np.int64)
     x_hat = np.zeros(n)
     a_star = np.zeros(n, dtype=np.int64)
-    sweeps = np.zeros((n, side + 1))
+    sweeps = np.zeros((n, side + 1), dtype=np.int64)
     totals = np.zeros(n)
     set_por = np.zeros(n)
     meas_por = np.zeros((n, len(epss)))
@@ -243,21 +243,22 @@ def _record_path(
         word = Word(m, k, digits[:j])
         x_hat[j - 1] = x_estimate(tree, word, g)
         counts = descendant_counts(tree, word, r, g)
-        occ, mass = count_grids(config, counts, word, r, g)
+        occ, mass, grid = count_grids(config, counts, word, r, g)
         center = cell_of_digits(digits[j : j + r], m, k)
 
         centers[j - 1] = center
         totals[j - 1] = mass.total
         a_star[j - 1] = max_empty_block(occ.cells)
-        sweeps[j - 1] = window_min_sweep(mass.cells)
-        set_por[j - 1], meas_por[j - 1] = ball_porosities(occ, mass, center, epss)
+        sweeps[j - 1] = window_min_sweep(grid)
+        set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
 
     # The descent only enters children alive g levels down, so every
-    # center cell is occupied and forcing it occupied changes no block:
-    # the restricted statistic equals a_star on every recorded scale.
+    # center cell has a positive count (as ball_porosities requires) and
+    # forcing it occupied changes no block: the restricted statistic
+    # equals a_star on every recorded scale.
     restricted = a_star
     lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
-    light = sweeps[:, thresholds, None] <= np.asarray(epss) * totals[:, None, None]
+    light = sweeps[:, thresholds, None] <= np.asarray(epss) * sweeps[:, -1, None, None]
     measure_ind = (light | (thresholds == 0)[:, None]).astype(np.int8)
 
     weight = x_estimate(tree, config.root_word(), g)
@@ -304,7 +305,7 @@ class ReplicaView:
         self.g = g
         root = tree.config.root_word()
         self.counts = descendant_counts(tree, root, r, g)
-        self.occupancy, self.mass = count_grids(tree.config, self.counts, root, r, g)
+        self.occupancy, self.mass, _ = count_grids(tree.config, self.counts, root, r, g)
         d = dimension(tree.config)
         self.word_weights = self.counts * float(tree.config.k) ** (-(r + g) * d)
 

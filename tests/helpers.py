@@ -21,7 +21,7 @@ def brute_max_empty_block(occ: np.ndarray) -> int:
 
 
 def brute_empty_block_sides(occ: np.ndarray) -> np.ndarray:
-    """Per-cell oracle for the DP map (block's highest corner at the cell)."""
+    """Per-cell oracle for the empty-block map (block's highest corner at the cell)."""
     occ = np.asarray(occ, dtype=bool)
     out = np.zeros(occ.shape, dtype=np.int64)
     for idx in np.ndindex(*occ.shape):

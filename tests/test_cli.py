@@ -268,3 +268,17 @@ def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):
     assert "rejection_error" in manifest
     assert 0 < len(manifest["replica_seeds"]) < 8
     assert (out / "path_summary.csv").exists()
+
+
+def test_main_resolution_one_path_series(tmp_path, capsys):
+    # at r = 1 the side-2 grid's ball faces fall on cell boundaries; the
+    # one-cell ball box must keep its cell, or the ball is massless
+    payload = {
+        "kind": "path-series", "p": 0.8, "replicas": 2, "scales": 2,
+        "resolution": 1, "probe_depth": 2,
+    }
+    out = tmp_path / "o"
+    assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("path_summary.csv", "scales.csv", "indicators.csv", "porosity.csv"):
+        assert (out / name).exists()

@@ -40,6 +40,15 @@ SPECS = {
     "dimension-slope": {
         "kind": "dimension-slope", "p": 0.7, "replicas": 20, "depths": [3, 4, 5],
     },
+    # k = 3: grid sides that are not powers of two, quarter-cell ball radii
+    "path-series-k3": {
+        "kind": "path-series", "m": 2, "k": 3, "p": 0.8, "replicas": 3, "scales": 3,
+        "resolution": 2, "probe_depth": 2,
+    },
+    "porosity-extremes-k3": {
+        "kind": "porosity-extremes", "m": 1, "k": 3, "p": 0.8, "replicas": 3,
+        "scales": 5, "resolution": 3, "probe_depth": 2,
+    },
     # survival rejection runs out after a few replicas: exit code 4
     "partial": {
         "kind": "path-series", "p": 0.3, "replicas": 8, "scales": 25,
@@ -109,6 +118,28 @@ DIGESTS = {
     "dimension-slope-1": {
         "dimension.csv": "3a59503fd1999a95e91e138298b78324fff8393af86ea2362a35dc509aebd2c3",
         "summary.json": "9b9e1e344ffaae9757e2bdc1977c1757971722db750c3e2a199a618e282d4679",
+    },
+    "path-series-k3-0": {
+        "indicators.csv": "40d7da3873dcd8519a5b7fc4c5d5903adda5332dd3c863846b23383aacf32c53",
+        "path_summary.csv": "7c588e4c5f69712f2d23fc2c9246a7d95c209e8ed6314261485bac58d821280c",
+        "porosity.csv": "55a6af3aeb457b80f190e39173d9385bda761bb1b13d01f2a62038409e27a08f",
+        "scales.csv": "a38f1848d32085579acbd2d447150de1b7a808395a0ca50c79c55b5920eec4ae",
+        "summary.json": "5374ccde4cef13fbc07cf3ed4c1f0ab5c252c2127a2bf103b996b269896e8f8f",
+    },
+    "path-series-k3-1": {
+        "indicators.csv": "f40afce732ec5d7a3fd290c0c7ad3c733f1f18f7798b1c11c2baad47ab2a1d63",
+        "path_summary.csv": "1e4379e17d9df75c5cdf1288a46e45eb475459d3b88894401b632d19c60e79b9",
+        "porosity.csv": "550db05e7badb8f90cb197b709f1b68bb860511f5554ec38986c34e9823edbea",
+        "scales.csv": "d195de05f6f370aa226ad0e9f75cc64c99589ba873fa1985622af8670ea5e3fe",
+        "summary.json": "466be0f85bec90bcd5b1f71655b5911600d5845296012ffbb7fe546d93a79879",
+    },
+    "porosity-extremes-k3-0": {
+        "extremes.csv": "7a8d6a01b6cf4333e2250e0d83138afc9ad51b79bda0dde310b90c916e85245c",
+        "summary.json": "d0aa4c66c92db6a0cedabc61ac8c3b472146398606ab505d4d8b1f9befd21ba8",
+    },
+    "porosity-extremes-k3-1": {
+        "extremes.csv": "9da7ba9ccfe3fa119cca9888ee09df8c81e2a73e40855955d4e49b3eaee3fd20",
+        "summary.json": "3462aaa97e37565df0e39f4d086f46f1cb0cfe7938bc86b664d299f488c57cc7",
     },
     "partial-2": {
         "indicators.csv": "eb12cae1f77323c57ff16b3ddbd2f7c20940b499683dcd837bbbec0b317cd6ae",

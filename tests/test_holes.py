@@ -1,7 +1,8 @@
 """Grid kernels against brute-force oracles, plus geometry fixtures.
 
-The empty-block DP and the window sweeps are the two kernels everything
-else trusts, so they get exhaustive and randomized oracles.  The frozen
+The empty-block map and the window sweeps, both read off one summed-area
+table, are the kernels everything else trusts, so they get exhaustive and
+randomized oracles.  The frozen
 histogram below pins the exhaustive 4x4 answer independently of both
 implementations (its tail entries are hand-checkable: exactly one grid has
 a* = 0 and one has a* = 4, and inclusion-exclusion over the four 3x3
@@ -23,7 +24,6 @@ from percolab.grids import MassGrid, OccupancyGrid
 from percolab.errors import ZeroMassError
 from percolab.holes import (
     ball_box,
-    ball_mass_sweep,
     ball_measure_porosity,
     ball_porosities,
     ball_set_porosity,
@@ -39,14 +39,13 @@ from percolab.holes import (
     restricted_max_empty_block,
     set_hole_indicators,
     window_min_sweep,
-    window_sums,
 )
 
 # a* value -> number of 4x4 grids, over all 65536
 FROZEN_4X4_HISTOGRAM = [1, 42175, 22913, 446, 1]
 
 
-# -- empty-block DP ------------------------------------------------------------
+# -- empty blocks --------------------------------------------------------------
 
 
 def test_exhaustive_4x4_histogram_frozen():
@@ -123,21 +122,23 @@ def test_window_sums_match_brute():
         ndim = int(rng.integers(1, 4))
         shape = tuple(int(s) for s in rng.integers(2, 7, size=ndim))
         cells = rng.random(shape)
+        counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.6)
         for a in range(1, min(shape) + 1):
             got = min_window_sum(cells, a)
             assert got == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
+            # integer count grids take an exact int64 table
+            assert min_window_sum(counts, a) == brute_min_window_sum(counts, a)
 
 
-def test_window_sums_shape_and_values():
+def test_min_window_sum_values_and_range():
     cells = np.arange(16, dtype=np.float64).reshape(4, 4)
-    sums = window_sums(cells, 2)
-    assert sums.shape == (3, 3)
-    assert sums[0, 0] == pytest.approx(cells[:2, :2].sum())
-    assert sums[2, 2] == pytest.approx(cells[2:, 2:].sum())
+    assert min_window_sum(cells, 2) == pytest.approx(cells[:2, :2].sum())
+    assert min_window_sum(cells[::-1, ::-1], 2) == pytest.approx(cells[:2, :2].sum())
+    assert min_window_sum(cells, 4) == pytest.approx(cells.sum())
     with pytest.raises(ValueError):
-        window_sums(cells, 5)
+        min_window_sum(cells, 5)
     with pytest.raises(ValueError):
-        window_sums(cells, 0)
+        min_window_sum(cells, 0)
 
 
 def test_window_min_sweep_properties():
@@ -352,6 +353,9 @@ def test_ball_box_geometry():
     # sub-cell radius leaves no whole cell
     lo, hi = ball_box((5,), (16,), 0.4)
     assert hi[0] < lo[0]
+    # ball faces on cell boundaries: the boundary cells lie inside
+    assert ball_box((1,), (2,), 0.5) == ((1,), (1,))
+    assert ball_box((3, 3), (6, 6), 1.5) == ((2, 2), (4, 4))
 
 
 def test_ball_set_porosity_fixtures():
@@ -402,17 +406,19 @@ def test_porosity_from_sweep_threshold_semantics():
 
 def test_ball_porosities_joint_consistency():
     rng = np.random.default_rng(43)
-    occ_cells = rng.random((16, 16)) < 0.5
-    mass_cells = np.where(occ_cells, rng.random((16, 16)), 0.0)
-    mass_cells[8, 8] = 0.5  # keep the ball massful
-    occ, mass = _occ_grid(occ_cells), _mass_grid(mass_cells)
-    set_por, meas = ball_porosities(occ, mass, (8, 8), (0.0, 1e-2, 1.0))
+    counts = rng.integers(1, 60, size=(16, 16)) * (rng.random((16, 16)) < 0.5)
+    counts[8, 8] = 30  # the marked point's own cell is retained
+    set_por, meas = ball_porosities(counts, (8, 8), (0.0, 1e-2, 1.0))
     assert meas.shape == (3,)
     assert np.all(np.diff(meas) >= 0)  # monotone in eps
     assert set_por <= meas[0] + 1e-12  # empty blocks are massless windows
-    assert set_por == pytest.approx(ball_set_porosity(occ_cells, (8, 8), 4.0))
-    bm, sweep = ball_mass_sweep(mass_cells, (8, 8), 4.0)
-    assert meas[1] == pytest.approx(porosity_from_sweep(sweep, bm, 1e-2, 4.0))
+    assert set_por == pytest.approx(ball_set_porosity(counts > 0, (8, 8), 4.0))
+    box = counts[5:12, 5:12]  # ball_box((8, 8), (16, 16), 4.0)
+    sweep = window_min_sweep(box)
+    assert meas[1] == pytest.approx(porosity_from_sweep(sweep, box.sum(), 1e-2, 4.0))
+    counts[8, 8] = 0  # a center without retained lines is not a set point
+    with pytest.raises(ValueError):
+        ball_porosities(counts, (8, 8), (1e-2,))
 
 
 def test_por_conversion_values():

@@ -14,7 +14,7 @@ from percolab import (
     mass_grid,
 )
 from percolab.holes import restricted_max_empty_block
-from percolab.percolation import STREAM_PATH
+from percolab.percolation import STREAM_PATH, descendant_counts, grid_from_digit_order
 from percolab.qsampler import (
     ReplicaView,
     ensemble_view,
@@ -119,7 +119,8 @@ def test_recorded_grids_match_fresh_expansion():
         assert path.a_star[j - 1] < side  # grid is never fully empty
         grid = mass_grid(tree, word, r, g)
         assert path.total_mass[j - 1] == pytest.approx(grid.total, rel=1e-12)
-        assert np.allclose(path.window_sweep[j - 1], window_min_sweep(grid.cells))
+        counts = grid_from_digit_order(descendant_counts(tree, word, r, g), 2, 2, r)
+        assert np.array_equal(path.window_sweep[j - 1], window_min_sweep(counts))
 
 
 @pytest.mark.parametrize("m,p,r,g", [(2, 0.8, 3, 0), (2, 0.6, 4, 2), (3, 0.5, 2, 1)])
@@ -161,7 +162,9 @@ def test_qpath_accessors_match_grid_columns():
     # off-grid parameters are either recomputed (..._at) or rejected
     assert np.array_equal(path.lower_at(0.25), path.lower[:, 0])
     assert np.array_equal(path.upper_at(0.5), path.upper[:, 1])
-    assert np.array_equal(path.measure_hole_at(0.5, 1e-1), path.measure_ind[:, 1, 1])
+    for ia, alpha in enumerate(alphas):
+        for ie, eps in enumerate(epss):
+            assert np.array_equal(path.measure_hole_at(alpha, eps), path.measure_ind[:, ia, ie])
     with pytest.raises(MissingParameterError):
         path.set_hole_lower(0.33)
     with pytest.raises(MissingParameterError):
