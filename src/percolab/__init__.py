@@ -15,23 +15,15 @@ from .errors import (
     RejectionLimitError,
     ZeroMassError,
 )
-from .grids import MassGrid, OccupancyGrid
 from .words import Word
 from .percolation import LazyTree, PercolationConfig, descendant_counts
-from .measure import dimension, expand_occupancy, mass_grid, slice_mass, x_estimate
+from .measure import dimension, x_estimate
 from .holes import (
     ball_box,
-    ball_measure_porosity,
     ball_porosities,
-    ball_set_porosity,
     cells_threshold,
-    discrepancy_indicator,
     empty_block_sides,
-    hole_bracket,
     max_empty_block,
-    measure_hole_indicator,
-    min_window_sum,
-    por_conversion,
     restricted_max_empty_block,
     window_min_sweep,
 )
@@ -50,15 +42,12 @@ from .qsampler import (
 from .estimators import (
     CovarianceEstimate,
     EnsembleEstimate,
-    MeanPorositySeries,
     PorosityExtremes,
     covariance_from_paths,
     discrepancy_rate,
-    mean_porosity_series,
     path_average_bracket,
     porosity_extremes,
     running_mean,
-    x_tail_frequency,
 )
 from .experiments import (
     DimensionSlope,
@@ -82,30 +71,18 @@ __all__ = [
     "ZeroMassError",
     "MissingParameterError",
     "Word",
-    "OccupancyGrid",
-    "MassGrid",
     "PercolationConfig",
     "LazyTree",
     "descendant_counts",
     "dimension",
     "x_estimate",
-    "expand_occupancy",
-    "mass_grid",
-    "slice_mass",
     "empty_block_sides",
     "max_empty_block",
     "restricted_max_empty_block",
-    "min_window_sum",
     "window_min_sweep",
     "cells_threshold",
-    "hole_bracket",
-    "measure_hole_indicator",
-    "discrepancy_indicator",
     "ball_box",
-    "ball_set_porosity",
-    "ball_measure_porosity",
     "ball_porosities",
-    "por_conversion",
     "DEFAULT_PROBE_DEPTH",
     "DEFAULT_ALPHA_GRID",
     "DEFAULT_EPS_GRID",
@@ -117,14 +94,11 @@ __all__ = [
     "importance_functional",
     "WeightedMean",
     "running_mean",
-    "MeanPorositySeries",
-    "mean_porosity_series",
     "EnsembleEstimate",
     "ensemble_mean_porosity",
     "path_average_bracket",
     "CovarianceEstimate",
     "covariance_from_paths",
-    "x_tail_frequency",
     "discrepancy_rate",
     "PorosityExtremes",
     "porosity_extremes",

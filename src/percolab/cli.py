@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import sys
 import time
@@ -156,7 +157,10 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("resolutions must be a nonempty list of integers >= 1")
     if not 0 <= spec.slab_axis < spec.m:
         errors.append("slab_axis out of range")
-    if spec.resolutions and not 0 <= spec.slab_position < spec.k ** min(spec.resolutions):
+    # past the position's bit length, k^r >= 2^r exceeds it; capping r there
+    # keeps the test exact and never builds the huge k^r of a deep resolution
+    bits = spec.slab_position.bit_length()
+    if spec.resolutions and not 0 <= spec.slab_position < spec.k ** min(*spec.resolutions, bits):
         errors.append("slab_position outside the coarsest slice grid")
     if spec.max_attempts < 1:
         errors.append("max_attempts must be >= 1")
@@ -175,18 +179,19 @@ def validate(spec: ExperimentSpec) -> List[str]:
     # dimension-slope walks profiles only and builds no count grid
     r = {"slice-decay": max(spec.resolutions), "dimension-slope": 0}.get(spec.kind, spec.resolution)
     depth = max(spec.depths) if spec.kind == "dimension-slope" else r + spec.probe_depth
-    # the count grid or the expected deepest frontier, whichever is larger
+    # the count grid or the expected deepest frontier, whichever is larger,
+    # in floats: an exact k^(m r) of a deep spec is a huge integer
     fanout = spec.k ** spec.m
     try:
-        frontier = fanout * round((spec.p * fanout) ** (depth - 1))
-    except OverflowError:  # far past any budget; the full lattice bounds it
-        frontier = fanout ** depth
-    nodes = max(fanout ** r, frontier)
+        nodes = max(float(fanout) ** r, fanout * (spec.p * fanout) ** (depth - 1))
+    except OverflowError:  # past float range, so far past any budget
+        nodes = math.inf
     budget = _max_nodes_default()
     concurrent = max(1, spec.workers)
     if nodes > budget:
+        about = f"about {nodes:.3g}" if nodes < math.inf else "more than 1e308"
         warnings.append(
-            f"a depth-{depth} run needs about {nodes} nodes, above the "
+            f"a depth-{depth} run needs {about} nodes, above the "
             f"budget {budget}; it will likely fail (raise PERCOLAB_MAX_NODES)"
         )
     elif nodes * concurrent > budget * 4:

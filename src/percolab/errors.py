@@ -12,8 +12,8 @@ class MemoryBudgetError(PercolabError):
         self.requested = int(requested)
         self.budget = int(budget)
         super().__init__(
-            f"expansion needs {self.requested} nodes, budget is {self.budget} "
-            f"(raise PERCOLAB_MAX_NODES or pass max_nodes)"
+            f"expansion needs at least {self.requested} nodes, budget is "
+            f"{self.budget} (raise PERCOLAB_MAX_NODES or pass max_nodes)"
         )
 
     def __reduce__(self):  # a pool worker's error must unpickle in the parent

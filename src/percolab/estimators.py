@@ -27,46 +27,6 @@ def running_mean(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class MeanPorositySeries:
-    """Running hole frequencies N_i / i along one path, as a bracket pair.
-
-    For set holes the two series come from the certified (lower) and
-    unrefuted (upper) indicators.  For measure holes there is a single
-    indicator; it is mirrored into both slots so downstream code can treat
-    every series as a bracket.
-    """
-
-    alpha: float
-    eps: Optional[float]
-    n: int
-    counts_lower: np.ndarray  # cumulative indicator counts
-    counts_upper: np.ndarray
-    lower: np.ndarray  # counts / scale
-    upper: np.ndarray
-
-
-def mean_porosity_series(
-    path: QPath, alpha: float, eps: Optional[float] = None
-) -> MeanPorositySeries:
-    """Running average of the recorded hole indicators at one parameter."""
-    if eps is None:
-        lo = path.set_hole_lower(alpha).astype(np.int64)
-        up = path.set_hole_upper(alpha).astype(np.int64)
-    else:
-        v = path.measure_hole(alpha, eps).astype(np.int64)
-        lo = up = v
-    return MeanPorositySeries(
-        alpha=float(alpha),
-        eps=None if eps is None else float(eps),
-        n=path.n,
-        counts_lower=np.cumsum(lo),
-        counts_upper=np.cumsum(up),
-        lower=running_mean(lo),
-        upper=running_mean(up),
-    )
-
-
-@dataclass
 class EnsembleEstimate:
     """Point estimate of one indicator mean with a normal 95% interval."""
 
@@ -201,13 +161,6 @@ def covariance_from_paths(
 
 
 # -- per-path diagnostics ------------------------------------------------------
-
-
-def x_tail_frequency(path: QPath, s: float) -> np.ndarray:
-    """Running frequency of scales whose martingale estimate is at most s."""
-    if s < 0:
-        raise ValueError("threshold must be >= 0")
-    return running_mean(path.x_hat <= s)
 
 
 def discrepancy_rate(path: QPath, alpha: float, eps: float, delta: float) -> np.ndarray:

@@ -46,11 +46,12 @@ def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
 
     A worker's exception is raised here when its result is reached, after
     every earlier result has been yielded; leaving the loop closes the pool.
+    The pool never has more processes than there are tasks.
     """
     if workers <= 1 or len(argses) <= 1:
         yield from map(fn, argses)
         return
-    with Pool(processes=workers) as pool:
+    with Pool(processes=min(workers, len(argses))) as pool:
         yield from pool.imap(fn, argses, chunksize=1)
 
 
@@ -230,7 +231,6 @@ def dimension_slope(
     depths: Sequence[int] = tuple(range(4, 13)),
     trees: int = 200,
     workers: int = 1,
-    candidate_cap: Optional[int] = None,
 ) -> DimensionSlope:
     """Fit the growth rate of survivor populations against depth.
 
@@ -239,13 +239,14 @@ def dimension_slope(
     (conditioning on survival to the deepest queried level biases means by
     a depth-independent factor at these sizes).  Candidates are consumed in
     replica order until ``trees`` survivors are found, which keeps the
-    selected set independent of the worker count.
+    selected set independent of the worker count; at most 20 * ``trees``
+    candidates are inspected.
     """
     depths = tuple(sorted(int(j) for j in depths))
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
     max_depth = depths[-1]
-    cap = candidate_cap if candidate_cap is not None else 20 * trees
+    cap = 20 * trees
     profiles: List[List[int]] = []
     candidates = 0
     while len(profiles) < trees and candidates < cap:

@@ -6,13 +6,11 @@ int64 for integer and boolean grids):
 
 * largest empty axis-aligned blocks (windows of sum 0, any dimension),
 * minimum window sums of a count or mass grid, for every window side,
-* certified hole brackets at a fraction alpha of the grid side,
-* measure-hole indicators (windows of negligible mass),
 * porosities of k-adic balls around a marked center cell.
 
-Conventions.  A "block" of side a is a cube of a^m cells.  An occupancy
-grid's False cells are conclusively dead (pruning is hereditary), so an
-empty block certifies a genuine gap of the limit set; a True cell may still
+Conventions.  A "block" of side a is a cube of a^m cells.  A cell with no
+retained count is conclusively dead (pruning is hereditary), so an empty
+block certifies a genuine gap of the limit set; an occupied cell may still
 die deeper down, which is why set holes come as lower/upper pairs.
 """
 
@@ -24,7 +22,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ZeroMassError
-from .grids import MassGrid, OccupancyGrid
 
 # -- summed-area table -------------------------------------------------------
 
@@ -113,14 +110,6 @@ def restricted_max_empty_block(occupied, center: Sequence[int]) -> int:
 # -- window sums -------------------------------------------------------------
 
 
-def min_window_sum(cells, a: int) -> float:
-    """Smallest total mass among all windows of side ``a``."""
-    arr = np.asarray(cells)
-    if not 1 <= a <= min(arr.shape):
-        raise ValueError(f"window size {a} must lie in [1, {min(arr.shape)}]")
-    return float(_window_sums(_summed_table(arr, arr.ndim), a, arr.ndim).min())
-
-
 def window_min_sweep(cells) -> np.ndarray:
     """Minimum window sums for every size at once.
 
@@ -155,7 +144,8 @@ def set_hole_indicators(a_star, restricted, thresholds) -> Tuple[np.ndarray, np.
     """(lower, upper) set-hole indicators from block sides and cell thresholds.
 
     lower = [restricted >= thr] (an empty block avoiding the center cell is
-    at least thr cells wide); upper = [a_star >= thr - 1].  The arguments
+    at least thr cells wide); upper = [a_star >= thr - 1], one cell less to
+    absorb the half-open slack of the discretization.  The arguments
     broadcast against each other, so one call serves a single grid, a
     ladder of thresholds, or a stack of scales; results are int8.
     """
@@ -165,70 +155,23 @@ def set_hole_indicators(a_star, restricted, thresholds) -> Tuple[np.ndarray, np.
     return lower, upper
 
 
-def hole_bracket(
-    grid: OccupancyGrid, alpha: float, center: Optional[Sequence[int]] = None
-) -> Tuple[int, int]:
-    """(lower, upper) indicators that the grid has an alpha-scale hole.
+def measure_hole_indicators(sweep, thresholds, eps) -> np.ndarray:
+    """Measure-hole indicators from a window sweep and cell thresholds.
 
-    lower = 1 certifies a gap: an empty block of at least ceil(alpha * side)
-    cells avoiding the center cell exists, and empty cells are conclusive.
-    upper = 1 merely fails to rule the hole out at this probe depth; it asks
-    for one cell less, absorbing the half-open slack of the discretization
-    (ceil(alpha k^r) - 1 = ceil((alpha - k^-r) k^r) for non-degenerate
-    alpha).  Always lower <= upper.  Deeper probes shrink the occupancy
-    (alive cells may die, dead cells stay dead), so both indicators are
-    nondecreasing in the probe depth.
+    ``sweep[..., a]`` is the minimum sum over side-a windows and its last
+    entry is the grid total, as ``window_min_sweep`` gives for a cube grid;
+    leading axes are batch axes.  The indicator is [sweep[thr] <= eps *
+    total]: some window thr cells wide carries at most eps of the mass.
+    Entry 0 of a sweep is 0, so thr = 0 gives 1 for every eps >= 0.
+    ``thresholds`` and ``eps`` broadcast against each other and append
+    their shape to the batch axes; results are int8.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    side = grid.side
-    if center is None:
-        center = (side // 2,) * grid.m
-    lower, upper = set_hole_indicators(
-        max_empty_block(grid.cells),
-        restricted_max_empty_block(grid.cells, center),
-        cells_threshold(alpha, side),
-    )
-    return int(lower), int(upper)
-
-
-def measure_hole_indicator(grid: MassGrid, alpha: float, eps: float) -> int:
-    """1 iff some alpha-scale window carries at most ``eps`` of the total mass."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    if grid.total <= 0.0:
+    sweep = np.asarray(sweep)
+    thresholds, eps = np.broadcast_arrays(thresholds, eps)
+    total = sweep[..., -1].reshape(sweep.shape[:-1] + (1,) * thresholds.ndim)
+    if np.any(total <= 0):
         raise ZeroMassError("measure holes are undefined on a zero-mass grid")
-    thr = cells_threshold(alpha, grid.side)
-    if thr == 0:
-        return 1
-    return 1 if min_window_sum(grid.cells, thr) <= eps * grid.total else 0
-
-
-def discrepancy_indicator(
-    occupancy: OccupancyGrid,
-    mass: MassGrid,
-    alpha: float,
-    eps: float,
-    delta: float,
-    center: Optional[Sequence[int]] = None,
-) -> int:
-    """1 when a measure hole at alpha is not even loosely visible as a set hole.
-
-    The probe compares the measure hole at scale alpha against the upper set
-    indicator at the slightly smaller scale alpha - delta; the product
-    v * (1 - upper) isolates events where mass vanishes on a window that the
-    occupancy pattern cannot explain yet.  Pointwise, measure_hole <=
-    upper + discrepancy by construction.
-    """
-    if not 0.0 < delta < alpha:
-        raise ValueError("delta must lie strictly between 0 and alpha")
-    v = measure_hole_indicator(mass, alpha, eps)
-    if v == 0:
-        return 0
-    _, upper = hole_bracket(occupancy, alpha - delta, center)
-    return v * (1 - upper)
+    return (sweep[..., thresholds] <= eps * total).astype(np.int8)
 
 
 # -- ball porosities ---------------------------------------------------------
@@ -254,15 +197,6 @@ def ball_box(
     return tuple(lo), tuple(hi)
 
 
-def _ball_sweep(
-    cells: np.ndarray, center: Sequence[int], radius_cells: float
-) -> Tuple[np.ndarray, float]:
-    """Window sweep and total of the ball's box; an empty box gives [0] and 0."""
-    lo, hi = ball_box(center, cells.shape, radius_cells)
-    box = cells[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-    return window_min_sweep(box), box.sum()
-
-
 def _gap_porosity(sweep: np.ndarray, limit: float, radius_cells: float) -> float:
     """(a/2) / radius_cells for the largest side a whose minimum is <= limit.
 
@@ -271,21 +205,6 @@ def _gap_porosity(sweep: np.ndarray, limit: float, radius_cells: float) -> float
     """
     a = int(np.searchsorted(sweep, limit, side="right")) - 1
     return min(1.0, 0.5 * a / radius_cells)
-
-
-def ball_set_porosity(
-    occupancy: np.ndarray, center: Sequence[int], radius_cells: float
-) -> float:
-    """Normalized size of the largest certified gap inside the ball.
-
-    An empty block of side a (the center cell is forced occupied: the
-    marked point itself belongs to the set) contains a sub-ball of radius
-    a/2 cells, so the porosity estimate is (a/2) / radius_cells, capped at
-    1.  With radius side/4 this is the familiar 2a/side.
-    """
-    occ = np.array(occupancy, dtype=bool, copy=True)
-    occ[tuple(int(c) for c in center)] = True
-    return _gap_porosity(_ball_sweep(occ, center, radius_cells)[0], 0, radius_cells)
 
 
 def porosity_from_sweep(
@@ -302,19 +221,10 @@ def porosity_from_sweep(
     return _gap_porosity(sweep, eps * ball_mass, radius_cells)
 
 
-def ball_measure_porosity(
-    mass_cells: np.ndarray, center: Sequence[int], radius_cells: float, eps: float
-) -> float:
-    """Normalized size of the largest eps-light window inside the ball."""
-    sweep, ball_mass = _ball_sweep(np.asarray(mass_cells), center, radius_cells)
-    return porosity_from_sweep(sweep, ball_mass, eps, radius_cells)
-
-
 def ball_porosities(
     counts: np.ndarray,
     center: Sequence[int],
     eps_values: Sequence[float],
-    radius_cells: Optional[float] = None,
 ) -> Tuple[float, np.ndarray]:
     """Set porosity and measure porosities (one per eps) of one ball.
 
@@ -325,7 +235,7 @@ def ball_porosities(
     at most eps times the box count.  The center cell must have a positive
     count -- the marked point belongs to the set -- so no forcing is needed.
 
-    The default radius is a quarter of the grid side: at scale i the grid
+    The radius is a quarter of the grid side: at scale i the grid
     covers a cube of side k^-i, so this is the ball of radius k^-i / 4
     around the marked point.  The ball is not guaranteed to stay inside the
     cube: a center within a quarter side of a face puts part of it outside,
@@ -333,23 +243,14 @@ def ball_porosities(
     are taken over the ball's intersection with the cube.
     """
     counts = np.asarray(counts)
-    if radius_cells is None:
-        radius_cells = counts.shape[0] / 4.0
+    radius_cells = counts.shape[0] / 4.0
     if not counts[tuple(int(c) for c in center)] > 0:
         raise ValueError(f"center cell {tuple(center)} has no retained count")
-    sweep, total = _ball_sweep(counts, center, radius_cells)
+    lo, hi = ball_box(center, counts.shape, radius_cells)
+    box = counts[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
+    sweep, total = window_min_sweep(box), box.sum()
     meas = np.array(
         [porosity_from_sweep(sweep, total, e, radius_cells) for e in eps_values],
         dtype=np.float64,
     )
     return _gap_porosity(sweep, 0, radius_cells), meas
-
-
-def por_conversion(value: float) -> float:
-    """Map a porosity of the doubled ball onto the standard normalization.
-
-    v -> v / (1 - v); defined for v in [0, 1), 1/2 maps to 1.
-    """
-    if not 0.0 <= value < 1.0:
-        raise ValueError("conversion needs a value in [0, 1)")
-    return value / (1.0 - value)

@@ -192,8 +192,10 @@ def descendant_counts(
     Digit-path order, length (k^m)^resolution.
     """
     fanout = tree.config.branching
+    # past the budget's bit length the grid is over budget for any fanout,
+    # so the check caps the exponent there and never builds a huge k^(m r)
+    tree._budget(fanout ** min(resolution, tree.max_nodes.bit_length()))
     cells = fanout ** resolution
-    tree._budget(cells)
     levels = tree.expand_retained(root, resolution + probe_depth)
     # carry each node's depth-resolution cell down the frontier
     cell = np.zeros(levels[0].size, dtype=np.int64)

@@ -28,10 +28,11 @@ from .holes import (
     ball_porosities,
     cells_threshold,
     max_empty_block,
+    measure_hole_indicators,
     set_hole_indicators,
     window_min_sweep,
 )
-from .measure import count_grids, dimension, x_estimate
+from .measure import mass_factor, x_estimate
 from .percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
@@ -39,6 +40,7 @@ from .percolation import (
     LazyTree,
     PercolationConfig,
     descendant_counts,
+    grid_from_digit_order,
 )
 from .rng import child_key, substream, unit_draw
 from .words import Word, cell_of_digits
@@ -134,28 +136,17 @@ class QPath:
         ie = _grid_index(self.eps_grid, eps, "eps")
         return self.measure_ind[:, ia, ie]
 
-    def measure_porosity(self, eps: float) -> np.ndarray:
-        return self.meas_por[:, _grid_index(self.eps_grid, eps, "eps")]
-
     def upper_at(self, alpha: float) -> np.ndarray:
         """Upper set indicators for an arbitrary alpha (from stored a*)."""
         thr = cells_threshold(alpha, self.side)
         return set_hole_indicators(self.a_star, self.restricted_a_star, thr)[1]
-
-    def lower_at(self, alpha: float) -> np.ndarray:
-        """Certified set indicators for an arbitrary alpha (from stored a*)."""
-        thr = cells_threshold(alpha, self.side)
-        return set_hole_indicators(self.a_star, self.restricted_a_star, thr)[0]
 
     def measure_hole_at(self, alpha: float, eps: float) -> np.ndarray:
         """Measure-hole indicators for arbitrary (alpha, eps) via the sweeps."""
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         thr = cells_threshold(alpha, self.side)
-        if thr == 0:
-            return np.ones(self.n, dtype=np.int8)
-        light = self.window_sweep[:, thr] <= eps * self.window_sweep[:, -1]
-        return light.astype(np.int8)
+        return measure_hole_indicators(self.window_sweep, thr, eps)
 
     def discrepancy(self, alpha: float, eps: float, delta: float) -> np.ndarray:
         """Per-scale indicators of measure holes invisible to the set bracket."""
@@ -243,12 +234,12 @@ def _record_path(
         word = Word(m, k, digits[:j])
         x_hat[j - 1] = x_estimate(tree, word, g)
         counts = descendant_counts(tree, word, r, g)
-        occ, mass, grid = count_grids(config, counts, word, r, g)
+        grid = grid_from_digit_order(counts, m, k, r)
         center = cell_of_digits(digits[j : j + r], m, k)
 
         centers[j - 1] = center
-        totals[j - 1] = mass.total
-        a_star[j - 1] = max_empty_block(occ.cells)
+        totals[j - 1] = counts.sum() * mass_factor(config, j + r + g)
+        a_star[j - 1] = max_empty_block(grid)
         sweeps[j - 1] = window_min_sweep(grid)
         set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
 
@@ -258,8 +249,7 @@ def _record_path(
     # equals a_star on every recorded scale.
     restricted = a_star
     lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
-    light = sweeps[:, thresholds, None] <= np.asarray(epss) * sweeps[:, -1, None, None]
-    measure_ind = (light | (thresholds == 0)[:, None]).astype(np.int8)
+    measure_ind = measure_hole_indicators(sweeps, thresholds[:, None], epss)
 
     weight = x_estimate(tree, config.root_word(), g)
     return QPath(
@@ -294,8 +284,8 @@ class ReplicaView:
     Exposes the per-word weights of the expectation-transfer identity: a
     functional f of (word, configuration) has size-biased mean
     E[sum over depth-r words of k^(-rd) X_word f(word, .)], and the view
-    hands f the retained counts, grids, and weights it needs to evaluate
-    that inner sum cheaply.
+    hands f the retained counts (in digit order, and as the spatial count
+    ``grid``) and weights it needs to evaluate that inner sum cheaply.
     """
 
     def __init__(self, tree: LazyTree, r: int, g: int):
@@ -303,11 +293,9 @@ class ReplicaView:
         self.config = tree.config
         self.r = r
         self.g = g
-        root = tree.config.root_word()
-        self.counts = descendant_counts(tree, root, r, g)
-        self.occupancy, self.mass, _ = count_grids(tree.config, self.counts, root, r, g)
-        d = dimension(tree.config)
-        self.word_weights = self.counts * float(tree.config.k) ** (-(r + g) * d)
+        self.counts = descendant_counts(tree, self.config.root_word(), r, g)
+        self.grid = grid_from_digit_order(self.counts, self.config.m, self.config.k, r)
+        self.word_weights = self.counts * mass_factor(self.config, r + g)
 
     @cached_property
     def weight(self) -> float:
@@ -316,7 +304,7 @@ class ReplicaView:
 
     @cached_property
     def a_star(self) -> int:
-        return max_empty_block(self.occupancy.cells)
+        return max_empty_block(self.grid)
 
 
 @dataclass

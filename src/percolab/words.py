@@ -10,7 +10,7 @@ offsets in mixed radix with axis 0 most significant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
@@ -71,30 +71,8 @@ class Word:
     def level(self) -> int:
         return len(self.digits)
 
-    @property
-    def fanout(self) -> int:
-        return self.k ** self.m
-
     def child(self, digit: int) -> "Word":
         return Word(self.m, self.k, self.digits + (int(digit),))
-
-    def parent(self) -> "Word":
-        if not self.digits:
-            raise ValueError("the root word has no parent")
-        return Word(self.m, self.k, self.digits[:-1])
-
-    def prefix(self, length: int) -> "Word":
-        if not 0 <= length <= self.level:
-            raise ValueError(f"prefix length {length} out of range")
-        return Word(self.m, self.k, self.digits[:length])
-
-    def cell(self) -> Tuple[int, ...]:
-        """Coordinates on the side-``k**level`` grid."""
-        return cell_of_digits(self.digits, self.m, self.k)
-
-    def side(self) -> float:
-        """Euclidean side length of the cube this word names."""
-        return float(self.k) ** (-self.level)
 
     def __str__(self) -> str:
         body = ".".join(str(d) for d in self.digits) if self.digits else "()"

@@ -4,6 +4,8 @@ Everything here is written directly from the definitions (enumerate all
 windows / blocks), deliberately sharing no code with the package kernels.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -41,6 +43,41 @@ def brute_min_window_sum(cells: np.ndarray, a: int) -> float:
     windows = sliding_window_view(cells, (a,) * cells.ndim)
     flat = windows.reshape(windows.shape[: cells.ndim] + (-1,))
     return float(flat.sum(axis=-1).min())
+
+
+def hole_bracket(occ: np.ndarray, alpha: float, center=None):
+    """(lower, upper) set-hole indicators of one grid at relative scale alpha.
+
+    lower: an empty block at least ceil(alpha * side) cells wide exists with
+    the center cell (default: the grid's middle) counted as occupied; upper:
+    an empty block one cell narrower exists anywhere.
+    """
+    occ = np.asarray(occ, dtype=bool)
+    side = occ.shape[0]
+    center = (side // 2,) * occ.ndim if center is None else tuple(center)
+    need = math.ceil(alpha * side - 1e-9)
+    forced = occ.copy()
+    forced[center] = True
+    return int(brute_max_empty_block(forced) >= need), int(brute_max_empty_block(occ) >= need - 1)
+
+
+def ball_set_porosity(occ: np.ndarray, center, radius_cells: float) -> float:
+    """Set porosity of the ball, its center cell counted as occupied.
+
+    The box holds the cells [t, t+1) inside the sup-metric ball of radius
+    ``radius_cells`` around the center cell's midpoint, clipped to the grid;
+    an empty block of side a in it holds a sub-ball of radius a/2.
+    """
+    occ = np.array(occ, dtype=bool)
+    occ[tuple(center)] = True
+    r = radius_cells
+    box = occ[
+        tuple(
+            slice(max(0, math.ceil(c + 0.5 - r)), min(n, math.floor(c + 0.5 + r)))
+            for c, n in zip(center, occ.shape)
+        )
+    ]
+    return min(1.0, 0.5 * brute_max_empty_block(box) / r)
 
 
 def pack_all_grids(side: int) -> np.ndarray:

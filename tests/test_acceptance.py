@@ -38,7 +38,6 @@ from percolab import (
     dimension,
     dimension_slope,
     max_empty_block,
-    measure_hole_indicator,
     path_average_bracket,
     porosity_extremes,
     run_path_batch,
@@ -51,7 +50,7 @@ from percolab.experiments import covariance_experiment, ensemble_sweep_parallel
 from percolab.holes import (
     cells_threshold,
     empty_block_sides,
-    min_window_sum,
+    measure_hole_indicators,
     restricted_max_empty_block,
     set_hole_indicators,
 )
@@ -192,7 +191,7 @@ def test_criterion_3b_random_3d_grids():
         assert max_empty_block(occ) == brute_max_empty_block(occ)
         mass = rng.random((3, 3, 3))
         for a in (1, 2, 3):
-            assert min_window_sum(mass, a) == pytest.approx(
+            assert window_min_sweep(mass)[a] == pytest.approx(
                 brute_min_window_sum(mass, a), abs=1e-12
             )
 
@@ -200,13 +199,15 @@ def test_criterion_3b_random_3d_grids():
 # -- 4: bracket and monotonicity suite -------------------------------------------
 
 
-def _bracket_ladder(occ, alphas):
-    """(lower, upper) indicators of one occupancy grid over an alpha ladder."""
-    cells = occ.cells
-    thresholds = np.array([cells_threshold(a, occ.side) for a in alphas])
-    center = (occ.side // 2,) * occ.m
+def _thresholds(grid, alphas):
+    return np.array([cells_threshold(a, grid.shape[0]) for a in alphas])
+
+
+def _bracket_ladder(grid, alphas):
+    """(lower, upper) indicators of one count grid over an alpha ladder."""
+    center = (grid.shape[0] // 2,) * grid.ndim
     return set_hole_indicators(
-        max_empty_block(cells), restricted_max_empty_block(cells, center), thresholds
+        max_empty_block(grid), restricted_max_empty_block(grid, center), _thresholds(grid, alphas)
     )
 
 
@@ -229,19 +230,18 @@ def test_criterion_4b_probe_refinement_instances(cfg08):
     for i in range(8000):
         v2 = ensemble_view(cfg08, r=3, g=2, replica=i)
         v4 = ReplicaView(v2.tree, 3, 4)
-        occ2, occ4 = v2.occupancy, v4.occupancy
-        assert not (occ4.cells & ~occ2.cells).any()  # deeper probe only removes
-        lower2, upper2 = _bracket_ladder(occ2, ALPHAS)
-        lower4, upper4 = _bracket_ladder(occ4, ALPHAS)
+        assert not ((v4.grid > 0) & (v2.grid == 0)).any()  # deeper probe only removes
+        lower2, upper2 = _bracket_ladder(v2.grid, ALPHAS)
+        lower4, upper4 = _bracket_ladder(v4.grid, ALPHAS)
         assert np.all(lower2 <= upper2)
         assert np.all(np.diff(lower2) <= 0) and np.all(np.diff(upper2) <= 0)
         assert np.all(lower2 <= lower4)
         assert np.all(upper2 <= upper4)
-        mass = v2.mass
-        if mass.total > 0:  # measure holes are undefined on extinct replicas
-            for ia, alpha in enumerate(ALPHAS):
-                for eps in EPS:
-                    assert lower2[ia] <= measure_hole_indicator(mass, alpha, eps)
+        sweep = window_min_sweep(v2.grid)
+        if sweep[-1] > 0:  # measure holes are undefined on extinct replicas
+            thresholds = _thresholds(v2.grid, ALPHAS)
+            measure = measure_hole_indicators(sweep, thresholds[:, None], EPS)
+            assert np.all(lower2[:, None] <= measure)
         instances += 1
     assert instances == 8000
 

@@ -91,6 +91,7 @@ def test_validate_warns_subcritical_and_budget():
         {"kind": "ensemble", "resolution": 12, "probe_depth": 4},
         {"kind": "dimension-slope", "depths": [4, 30]},  # expected frontier only
         {"kind": "ensemble", "m": 3, "k": 3, "resolution": 300},  # past float range
+        {"kind": "dimension-slope", "depths": [8000]},  # 4**8000 has 4817 digits
     ]:
         assert any("budget" in w for w in cli.validate(cli.spec_from_dict(big)))
 
@@ -239,14 +240,24 @@ def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
 
 
 def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
-    # each replica's 64-cell grid fits; its retained frontier outgrows 100
     monkeypatch.setenv("PERCOLAB_MAX_NODES", "100")
-    for workers in (1, 2):  # a pool worker's error must reach the parent
-        spec = {**TINY, "kind": "ensemble", "replicas": 5, "workers": workers}
+    # each replica's 64-cell grid fits; its retained frontier outgrows 100
+    ensemble = {**TINY, "kind": "ensemble", "replicas": 5}
+    specs = [
+        {**ensemble, "workers": 1},
+        {**ensemble, "workers": 2},  # a pool worker's error must reach the parent
+        # deep specs: node counts past 4300 digits stay out of every message
+        {"kind": "dimension-slope", "depths": [8000]},
+        {"kind": "ensemble", "resolution": 8000},
+        {"kind": "path-series", "resolution": 3, "probe_depth": 8000},
+        {"kind": "slice-decay", "resolutions": [10**8]},
+    ]
+    for i, spec in enumerate(specs):
         spec_file = _write_spec(tmp_path, spec)
-        assert cli.main(["--spec", spec_file, "--out", str(tmp_path / f"o{workers}")]) == 3
+        assert cli.main(["--spec", spec_file, "--out", str(tmp_path / f"o{i}")]) == 3
         err = capsys.readouterr().err
-        assert "budget" in err
+        assert "budget" in err and "Traceback" not in err
+        assert all(len(line) < 200 for line in err.splitlines())
 
 
 def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):

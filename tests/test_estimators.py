@@ -11,12 +11,10 @@ from percolab import (
     covariance_from_paths,
     discrepancy_rate,
     ensemble_mean_porosity,
-    mean_porosity_series,
     path_average_bracket,
     porosity_extremes,
     running_mean,
     sample_qpath,
-    x_tail_frequency,
 )
 from percolab.estimators import ensemble_from_sweep
 from percolab.experiments import ensemble_sweep_parallel
@@ -37,22 +35,22 @@ def _paths(n_paths=6, n=8, seed=2, p=0.8, r=4, g=3, alphas=(0.25, 0.5), epss=(1e
 
 
 def test_mean_porosity_series_structure():
+    # the running hole frequencies N_i / i of one path, as a bracket pair
     path = _paths(n_paths=1)[0]
-    series = mean_porosity_series(path, 0.25)
-    assert series.n == path.n
-    assert np.all(series.lower <= series.upper + 1e-15)
-    assert np.allclose(series.lower, running_mean(path.set_hole_lower(0.25)))
-    assert np.allclose(series.upper, running_mean(path.set_hole_upper(0.25)))
-    assert series.counts_lower[-1] == path.set_hole_lower(0.25).sum()
-    measure = mean_porosity_series(path, 0.25, eps=1e-2)
-    assert np.array_equal(measure.lower, measure.upper)  # mirrored single series
+    lower = running_mean(path.set_hole_lower(0.25))
+    upper = running_mean(path.set_hole_upper(0.25))
+    assert lower.shape == upper.shape == (path.n,)
+    assert np.all(lower <= upper + 1e-15)
+    assert lower[-1] * path.n == pytest.approx(path.set_hole_lower(0.25).sum())
+    measure = running_mean(path.measure_hole(0.25, 1e-2))
+    assert measure.shape == (path.n,)
 
 
 def test_series_values_are_frequencies():
     path = _paths(n_paths=1)[0]
-    s = mean_porosity_series(path, 0.5)
-    assert np.all((0 <= s.lower) & (s.lower <= 1))
-    assert np.all((0 <= s.upper) & (s.upper <= 1))
+    for series in (path.set_hole_lower(0.5), path.set_hole_upper(0.5)):
+        s = running_mean(series)
+        assert np.all((0 <= s) & (s <= 1))
 
 
 def test_ensemble_bracket_order_and_interval():
@@ -102,7 +100,7 @@ def test_path_average_bracket():
     assert lower.kind == upper.kind == "path-average"
     assert lower.estimate <= upper.estimate + 1e-12
     assert lower.replicas == len(paths)
-    finals = [mean_porosity_series(p, 0.25).lower[-1] for p in paths]
+    finals = [running_mean(p.set_hole_lower(0.25))[-1] for p in paths]
     assert lower.estimate == pytest.approx(float(np.mean(finals)))
 
 
@@ -128,16 +126,6 @@ def test_covariance_probe_end_to_end():
     assert est.replicas == 30
     assert est.lag == 1 and est.r == 3
     assert est.ci_low <= est.covariance <= est.ci_high
-
-
-def test_x_tail_frequency():
-    path = _paths(n_paths=1)[0]
-    freq = x_tail_frequency(path, 1.0)
-    assert freq.shape == (path.n,)
-    assert np.all((0 <= freq) & (freq <= 1))
-    assert np.all(x_tail_frequency(path, 0.0) == 0.0)  # survivors carry mass
-    with pytest.raises(ValueError):
-        x_tail_frequency(path, -0.5)
 
 
 def test_discrepancy_rate_running_mean():

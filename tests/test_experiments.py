@@ -37,6 +37,32 @@ def test_path_batch_worker_count_invariant():
     assert [p.replica for p in serial] == list(range(6))
 
 
+def test_pool_never_outnumbers_the_tasks(monkeypatch):
+    from percolab import experiments
+
+    requested = []
+
+    class SerialPool:  # stands in for multiprocessing.Pool, starts no process
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, argses, chunksize=1):
+            return map(fn, argses)
+
+    cfg = PercolationConfig(2, 2, 0.8, seed=4)
+    serial = ensemble_sweep_parallel(cfg, r=2, g=1, replicas=3, workers=1)
+    monkeypatch.setattr(experiments, "Pool", SerialPool)
+    pooled = ensemble_sweep_parallel(cfg, r=2, g=1, replicas=3, workers=64)
+    assert requested == [3]
+    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+
 def test_path_batch_partial_success_is_complete():
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
     full = run_path_batch(cfg, paths=5, n=2, r=3, g=2)

@@ -15,31 +15,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ball_set_porosity,
     brute_empty_block_sides,
     brute_max_empty_block,
     brute_min_window_sum,
+    hole_bracket,
     pack_all_grids,
 )
-from percolab.grids import MassGrid, OccupancyGrid
+from percolab import PercolationConfig
 from percolab.errors import ZeroMassError
 from percolab.holes import (
     ball_box,
-    ball_measure_porosity,
     ball_porosities,
-    ball_set_porosity,
     cells_threshold,
-    discrepancy_indicator,
     empty_block_sides,
-    hole_bracket,
     max_empty_block,
-    measure_hole_indicator,
-    min_window_sum,
-    por_conversion,
+    measure_hole_indicators,
     porosity_from_sweep,
     restricted_max_empty_block,
     set_hole_indicators,
     window_min_sweep,
 )
+from percolab.qsampler import sample_qpath
 
 # a* value -> number of 4x4 grids, over all 65536
 FROZEN_4X4_HISTOGRAM = [1, 42175, 22913, 446, 1]
@@ -123,22 +120,21 @@ def test_window_sums_match_brute():
         shape = tuple(int(s) for s in rng.integers(2, 7, size=ndim))
         cells = rng.random(shape)
         counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.6)
+        sweep = window_min_sweep(cells)
+        exact = window_min_sweep(counts)  # integer grids take an exact int64 table
         for a in range(1, min(shape) + 1):
-            got = min_window_sum(cells, a)
-            assert got == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
-            # integer count grids take an exact int64 table
-            assert min_window_sum(counts, a) == brute_min_window_sum(counts, a)
+            assert sweep[a] == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
+            assert exact[a] == brute_min_window_sum(counts, a)
 
 
 def test_min_window_sum_values_and_range():
     cells = np.arange(16, dtype=np.float64).reshape(4, 4)
-    assert min_window_sum(cells, 2) == pytest.approx(cells[:2, :2].sum())
-    assert min_window_sum(cells[::-1, ::-1], 2) == pytest.approx(cells[:2, :2].sum())
-    assert min_window_sum(cells, 4) == pytest.approx(cells.sum())
-    with pytest.raises(ValueError):
-        min_window_sum(cells, 5)
-    with pytest.raises(ValueError):
-        min_window_sum(cells, 0)
+    assert window_min_sweep(cells)[2] == pytest.approx(cells[:2, :2].sum())
+    assert window_min_sweep(cells[::-1, ::-1])[2] == pytest.approx(cells[:2, :2].sum())
+    assert window_min_sweep(cells)[4] == pytest.approx(cells.sum())
+    # one entry per side 0..4: no window is wider than the grid
+    assert window_min_sweep(cells).shape == (5,)
+    assert window_min_sweep(cells)[0] == 0.0
 
 
 def test_window_min_sweep_properties():
@@ -150,7 +146,7 @@ def test_window_min_sweep_properties():
     assert np.all(np.diff(sweep) >= 0)  # larger windows carry more mass
     assert sweep[6] == pytest.approx(cells.sum())
     for a in range(1, 7):
-        assert sweep[a] == pytest.approx(min_window_sum(cells, a))
+        assert sweep[a] == pytest.approx(brute_min_window_sum(cells, a))
 
 
 # -- thresholds and brackets -----------------------------------------------------
@@ -180,38 +176,38 @@ def test_cells_threshold_monotone_in_alpha():
     assert all(t1 <= t2 for t1, t2 in zip(thrs, thrs[1:]))
 
 
-def _occ_grid(cells):
-    from percolab.words import Word
-
-    cells = np.asarray(cells, dtype=bool)
-    return OccupancyGrid(
-        cells=cells,
-        root=Word.root(cells.ndim, 2),
-        resolution=int(np.log2(cells.shape[0])),
-        probe_depth=2,
+def _bracket(occ, alpha):
+    """(lower, upper) of one grid from the package's kernels, center at side // 2."""
+    occ = np.asarray(occ, dtype=bool)
+    side = occ.shape[0]
+    lower, upper = set_hole_indicators(
+        max_empty_block(occ),
+        restricted_max_empty_block(occ, (side // 2,) * occ.ndim),
+        cells_threshold(alpha, side),
     )
+    return int(lower), int(upper)
 
 
 def test_hole_bracket_order_and_extremes():
     rng = np.random.default_rng(21)
     for _ in range(200):
-        occ = _occ_grid(rng.random((16, 16)) < rng.uniform(0.2, 0.8))
+        occ = rng.random((16, 16)) < rng.uniform(0.2, 0.8)
         for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
-            lo, up = hole_bracket(occ, alpha)
+            lo, up = _bracket(occ, alpha)
             assert 0 <= lo <= up <= 1
 
 
 def test_hole_bracket_full_and_empty_grids():
-    full = _occ_grid(np.ones((16, 16)))
-    assert hole_bracket(full, 0.25) == (0, 0)
-    assert hole_bracket(full, 1.0) == (0, 0)
+    full = np.ones((16, 16))
+    assert _bracket(full, 0.25) == (0, 0)
+    assert _bracket(full, 1.0) == (0, 0)
     # alpha at one cell: upper asks for a* >= 0, which always holds
-    assert hole_bracket(full, 1 / 16) == (0, 1)
-    empty = _occ_grid(np.zeros((16, 16)))
-    lo, up = hole_bracket(empty, 0.5)
+    assert _bracket(full, 1 / 16) == (0, 1)
+    empty = np.zeros((16, 16))
+    lo, up = _bracket(empty, 0.5)
     assert (lo, up) == (1, 1)
     # a gap spanning everything but the forced center: lower caps at side/2
-    assert hole_bracket(empty, 1.0) == (0, 1)
+    assert _bracket(empty, 1.0) == (0, 1)
 
 
 def test_hole_bracket_monotone_in_alpha_and_bracket_respecting():
@@ -219,10 +215,10 @@ def test_hole_bracket_monotone_in_alpha_and_bracket_respecting():
     alphas = [0.05 * t for t in range(1, 20)] + [1.0]
     thresholds = np.array([cells_threshold(a, 16) for a in alphas])
     for _ in range(50):
-        occ = _occ_grid(rng.random((16, 16)) < rng.uniform(0.2, 0.8))
+        occ = rng.random((16, 16)) < rng.uniform(0.2, 0.8)
         lower, upper = set_hole_indicators(
-            max_empty_block(occ.cells),
-            restricted_max_empty_block(occ.cells, (8, 8)),
+            max_empty_block(occ),
+            restricted_max_empty_block(occ, (8, 8)),
             thresholds,
         )
         assert np.all(np.diff(lower) <= 0)
@@ -243,60 +239,48 @@ def test_g_refinement_grows_certificates():
         coarse = rng.random((16, 16)) < 0.5
         fine = coarse & (rng.random((16, 16)) < 0.7)  # refinement: subset
         assert max_empty_block(fine) >= max_empty_block(coarse)
-        lo_c, up_c = hole_bracket(_occ_grid(coarse), 0.3)
-        lo_f, up_f = hole_bracket(_occ_grid(fine), 0.3)
+        lo_c, up_c = _bracket(coarse, 0.3)
+        lo_f, up_f = _bracket(fine, 0.3)
         assert lo_f >= lo_c and up_f >= up_c
-
-
-def test_bracket_alpha_validation():
-    occ = _occ_grid(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        hole_bracket(occ, 0.0)
-    with pytest.raises(ValueError):
-        hole_bracket(occ, 1.5)
 
 
 # -- measure holes -------------------------------------------------------------
 
 
-def _mass_grid(cells):
-    from percolab.words import Word
-
-    cells = np.asarray(cells, dtype=np.float64)
-    return MassGrid(
-        cells=cells,
-        root=Word.root(cells.ndim, 2),
-        resolution=int(np.log2(cells.shape[0])),
-        probe_depth=2,
-        total=float(cells.sum()),
-    )
+def _measure_hole(cells, alpha, eps):
+    """Measure-hole indicator of one grid at relative scale alpha."""
+    thr = cells_threshold(alpha, cells.shape[0])
+    return int(measure_hole_indicators(window_min_sweep(cells), thr, eps))
 
 
 def test_measure_hole_indicator_basics():
     cells = np.ones((8, 8))
     cells[:4, :4] = 0.0  # an exactly massless quadrant
-    grid = _mass_grid(cells)
-    assert measure_hole_indicator(grid, 0.5, 0.0) == 1
-    assert measure_hole_indicator(grid, 0.625, 1e-6) == 0  # 5x5 must overlap mass
-    assert measure_hole_indicator(grid, 1.0, 0.99) == 0
-    assert measure_hole_indicator(grid, 1.0, 1.0) == 1
+    assert _measure_hole(cells, 0.5, 0.0) == 1
+    assert _measure_hole(cells, 0.625, 1e-6) == 0  # 5x5 must overlap mass
+    assert _measure_hole(cells, 1.0, 0.99) == 0
+    assert _measure_hole(cells, 1.0, 1.0) == 1
+    # a ladder of thresholds against a grid of eps in one call
+    thresholds = np.array([0, 4, 5, 8])
+    ladder = measure_hole_indicators(window_min_sweep(cells), thresholds[:, None], (0.0, 1.0))
+    assert ladder.shape == (4, 2) and ladder.dtype == np.int8
+    assert ladder.tolist() == [[1, 1], [1, 1], [0, 1], [0, 1]]
 
 
 def test_measure_hole_monotone_in_eps_and_alpha():
     rng = np.random.default_rng(17)
-    grid = _mass_grid(rng.random((16, 16)) * (rng.random((16, 16)) < 0.5))
+    cells = rng.random((16, 16)) * (rng.random((16, 16)) < 0.5)
     for alpha in (0.2, 0.4, 0.8):
-        vals = [measure_hole_indicator(grid, alpha, e) for e in (1e-4, 1e-2, 1e-1, 1.0)]
+        vals = [_measure_hole(cells, alpha, e) for e in (1e-4, 1e-2, 1e-1, 1.0)]
         assert vals == sorted(vals)  # easier to be a hole with larger eps
     for eps in (1e-3, 1e-1):
-        vals = [measure_hole_indicator(grid, a, eps) for a in (0.1, 0.3, 0.6, 1.0)]
+        vals = [_measure_hole(cells, a, eps) for a in (0.1, 0.3, 0.6, 1.0)]
         assert vals == sorted(vals, reverse=True)
 
 
 def test_measure_hole_zero_mass_raises():
-    grid = _mass_grid(np.zeros((4, 4)))
     with pytest.raises(ZeroMassError):
-        measure_hole_indicator(grid, 0.5, 0.1)
+        _measure_hole(np.zeros((4, 4)), 0.5, 0.1)
 
 
 def test_set_lower_implies_measure_hole():
@@ -307,36 +291,33 @@ def test_set_lower_implies_measure_hole():
         mass_cells = np.where(occ_cells, rng.random((16, 16)), 0.0)
         if mass_cells.sum() == 0:
             continue
-        occ, mass = _occ_grid(occ_cells), _mass_grid(mass_cells)
         for alpha in (0.1, 0.3, 0.5):
-            lo, _ = hole_bracket(occ, alpha)
+            lo, _ = _bracket(occ_cells, alpha)
             if lo:
-                assert measure_hole_indicator(mass, alpha, 0.0) == 1
+                assert _measure_hole(mass_cells, alpha, 0.0) == 1
 
 
 def test_discrepancy_indicator_bounds_measure_minus_upper():
-    rng = np.random.default_rng(29)
+    cfg = PercolationConfig(2, 2, 0.8, seed=29)
     alpha, eps, delta = 0.4, 1e-3, 0.1
-    for _ in range(100):
-        occ_cells = rng.random((16, 16)) < rng.uniform(0.2, 0.8)
-        mass_cells = np.where(occ_cells, rng.random((16, 16)), 0.0)
-        if mass_cells.sum() == 0:
-            continue
-        occ, mass = _occ_grid(occ_cells), _mass_grid(mass_cells)
-        v = measure_hole_indicator(mass, alpha, eps)
-        _, up = hole_bracket(occ, alpha - delta)
-        disc = discrepancy_indicator(occ, mass, alpha, eps, delta)
-        assert disc in (0, 1)
-        assert v <= up + disc  # the pointwise sandwich the rate bound relies on
+    for replica in range(4):
+        path = sample_qpath(
+            cfg, n=25, r=4, g=3, alpha_grid=(alpha,), eps_grid=(eps,), replica=replica
+        )
+        v = path.measure_hole_at(alpha, eps)
+        up = path.upper_at(alpha - delta)
+        disc = path.discrepancy(alpha, eps, delta)
+        assert set(disc.tolist()) <= {0, 1}
+        assert np.all(v <= up + disc)  # the pointwise sandwich the rate bound relies on
 
 
 def test_discrepancy_indicator_validates_delta():
-    occ = _occ_grid(np.zeros((4, 4)))
-    mass = _mass_grid(np.ones((4, 4)))
+    cfg = PercolationConfig(2, 2, 0.8, seed=29)
+    path = sample_qpath(cfg, n=2, r=2, g=2, alpha_grid=(0.5,), eps_grid=(1e-3,), replica=0)
     with pytest.raises(ValueError):
-        discrepancy_indicator(occ, mass, 0.3, 1e-3, 0.3)
+        path.discrepancy(0.3, 1e-3, 0.3)
     with pytest.raises(ValueError):
-        discrepancy_indicator(occ, mass, 0.3, 1e-3, 0.0)
+        path.discrepancy(0.3, 1e-3, 0.0)
 
 
 # -- ball porosities -----------------------------------------------------------
@@ -358,41 +339,51 @@ def test_ball_box_geometry():
     assert ball_box((3, 3), (6, 6), 1.5) == ((2, 2), (4, 4))
 
 
+def _set_porosity(occ, center):
+    """ball_porosities' set porosity with the center cell forced occupied."""
+    counts = np.asarray(occ, dtype=np.int64)
+    counts[center] = 1
+    return ball_porosities(counts, center, ())[0]
+
+
 def test_ball_set_porosity_fixtures():
     sides = 16
-    center = (8, 8)
+    center = (8, 8)  # radius sides / 4 = 4 cells
     # fully empty ball except the forced center: gap of 4 cells at radius 4
     occ = np.zeros((sides, sides), dtype=bool)
+    assert _set_porosity(occ, center) == pytest.approx(0.5 * 3 / 4)
     assert ball_set_porosity(occ, center, 4.0) == pytest.approx(0.5 * 3 / 4)
     # fully occupied ball: no gap at all
-    assert ball_set_porosity(np.ones((sides, sides), dtype=bool), center, 4.0) == 0.0
+    assert _set_porosity(np.ones((sides, sides), dtype=bool), center) == 0.0
     # an empty quadrant of the ball box: gap of 3 cells
     occ = np.ones((sides, sides), dtype=bool)
     occ[5:8, 5:8] = False
-    assert ball_set_porosity(occ, center, 4.0) == pytest.approx(0.5 * 3 / 4)
+    assert _set_porosity(occ, center) == pytest.approx(0.5 * 3 / 4)
 
 
 def test_ball_set_porosity_respects_structural_cap():
     rng = np.random.default_rng(41)
     for _ in range(200):
         occ = rng.random((16, 16)) < rng.uniform(0.0, 0.6)
-        v = ball_set_porosity(occ, (8, 8), 4.0)
+        v = _set_porosity(occ, (8, 8))
         assert 0.0 <= v <= 0.5 + 1 / 8  # a <= R + 1 once the center is forced
+        assert v == pytest.approx(ball_set_porosity(occ, (8, 8), 4.0))
 
 
 def test_ball_measure_porosity_point_mass():
-    cells = np.zeros((16, 16))
-    cells[8, 8] = 1.0  # all mass on the center cell
-    # windows missing the center are massless; the largest such is 3 wide
-    v = ball_measure_porosity(cells, (8, 8), 4.0, eps=0.0)
-    assert v == pytest.approx(0.5 * 3 / 4)
+    counts = np.zeros((16, 16), dtype=np.int64)
+    counts[8, 8] = 1  # all mass on the center cell
+    # windows missing the center are massless; the largest such is 3 wide;
     # with eps = 1 every window qualifies, up to the full 7-wide box
-    assert ball_measure_porosity(cells, (8, 8), 4.0, eps=1.0) == pytest.approx(0.5 * 7 / 4)
+    _, meas = ball_porosities(counts, (8, 8), (0.0, 1.0))
+    assert meas[0] == pytest.approx(0.5 * 3 / 4)
+    assert meas[1] == pytest.approx(0.5 * 7 / 4)
 
 
 def test_ball_measure_porosity_zero_mass_raises():
+    box = np.zeros((16, 16))[5:12, 5:12]  # ball_box((8, 8), (16, 16), 4.0)
     with pytest.raises(ZeroMassError):
-        ball_measure_porosity(np.zeros((16, 16)), (8, 8), 4.0, eps=0.1)
+        porosity_from_sweep(window_min_sweep(box), box.sum(), 0.1, 4.0)
 
 
 def test_porosity_from_sweep_threshold_semantics():
@@ -419,13 +410,3 @@ def test_ball_porosities_joint_consistency():
     counts[8, 8] = 0  # a center without retained lines is not a set point
     with pytest.raises(ValueError):
         ball_porosities(counts, (8, 8), (1e-2,))
-
-
-def test_por_conversion_values():
-    assert por_conversion(0.0) == 0.0
-    assert por_conversion(0.5) == pytest.approx(1.0)
-    assert por_conversion(0.25) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        por_conversion(1.0)
-    with pytest.raises(ValueError):
-        por_conversion(-0.1)

@@ -1,20 +1,15 @@
 """Dimension arithmetic, martingale recursion, mass grids and slices."""
 
+import itertools
 import math
 
-import numpy as np
 import pytest
 
-from percolab import (
-    LazyTree,
-    PercolationConfig,
-    Word,
-    ZeroMassError,
-    dimension,
-    mass_grid,
-    slice_mass,
-    x_estimate,
-)
+from percolab import LazyTree, PercolationConfig, Word, dimension, x_estimate
+from percolab.experiments import _slice_worker
+from percolab.measure import mass_factor
+from percolab.percolation import descendant_counts, grid_from_digit_order
+from percolab.words import cell_of_digits
 
 
 def test_dimension_reference_values():
@@ -70,28 +65,35 @@ def test_martingale_recursion_is_exact():
     assert worst < 1e-12
 
 
+def _mass_grid(tree, root, r, g):
+    """Per-cell mass estimates under ``root`` and their total."""
+    cfg = tree.config
+    counts = descendant_counts(tree, root, r, g)
+    factor = mass_factor(cfg, root.level + r + g)
+    return grid_from_digit_order(counts, cfg.m, cfg.k, r) * factor, counts.sum() * factor
+
+
 def test_mass_grid_total_matches_root_estimate():
     cfg = PercolationConfig(2, 2, 0.8, seed=6)
     t = LazyTree(cfg)
     root = Word.root(2, 2)
-    grid = mass_grid(t, root, 4, 3)
-    d = dimension(cfg)
+    cells, total = _mass_grid(t, root, 4, 3)
     # total = X estimate at depth r+g, scaled to the root cube
     est = x_estimate(t, root, 7)
-    assert grid.total == pytest.approx(est, rel=1e-12)
-    assert float(grid.cells.sum()) == pytest.approx(grid.total, rel=1e-12)
-    assert grid.side == 16
+    assert total == pytest.approx(est, rel=1e-12)
+    assert float(cells.sum()) == pytest.approx(total, rel=1e-12)
+    assert cells.shape == (16, 16)
 
 
 def test_mass_cells_support_equals_occupancy():
-    from percolab import expand_occupancy
-
     cfg = PercolationConfig(2, 2, 0.7, seed=9)
     t = LazyTree(cfg)
     root = Word.root(2, 2)
-    grid = mass_grid(t, root, 4, 2)
-    occ = expand_occupancy(t, root, 4, 2)
-    assert np.array_equal(grid.cells > 0, occ.cells)
+    cells, _ = _mass_grid(t, root, 4, 2)
+    # a cell carries mass iff some line survives 2 levels below its word
+    for digits in itertools.product(range(4), repeat=4):
+        alive = t.count_profile(Word(2, 2, digits), 2)[2] > 0
+        assert (cells[cell_of_digits(digits, 2, 2)] > 0) == alive
 
 
 def test_mass_grid_below_subword_scales_by_level():
@@ -100,28 +102,18 @@ def test_mass_grid_below_subword_scales_by_level():
     w = next(
         Word(2, 2, (a,)) for a in range(4) if t.count_profile(Word(2, 2, (a,)), 5)[5]
     )
-    grid = mass_grid(t, w, 3, 2)
+    _, total = _mass_grid(t, w, 3, 2)
     d = dimension(cfg)
     # each cell is count * k^-(level + r + g) d
     counts_total = t.count_profile(w, 5)[5]
-    assert grid.total == pytest.approx(counts_total * 2.0 ** (-(1 + 3 + 2) * d))
+    assert total == pytest.approx(counts_total * 2.0 ** (-(1 + 3 + 2) * d))
 
 
 def test_slice_mass_partitions_total():
     cfg = PercolationConfig(2, 2, 0.8, seed=12)
-    t = LazyTree(cfg)
-    grid = mass_grid(t, Word.root(2, 2), 3, 3)
-    parts = [slice_mass(grid, axis=0, bounds=(i, i + 1)) for i in range(8)]
-    assert sum(parts) == pytest.approx(grid.total, rel=1e-12)
-    assert slice_mass(grid, axis=1, bounds=(0, 8)) == pytest.approx(grid.total)
-
-
-def test_slice_mass_validates_bounds():
-    cfg = PercolationConfig(2, 2, 0.8, seed=12)
-    grid = mass_grid(LazyTree(cfg), Word.root(2, 2), 3, 1)
-    with pytest.raises(ValueError):
-        slice_mass(grid, axis=2, bounds=(0, 1))
-    with pytest.raises(ValueError):
-        slice_mass(grid, axis=0, bounds=(3, 2))
-    with pytest.raises(ValueError):
-        slice_mass(grid, axis=0, bounds=(0, 9))
+    # the slab counts of slice_decay's replica 0 at resolution 3, probe depth 3
+    for axis in (0, 1):
+        rows = [_slice_worker((cfg, (3,), 3, axis, i, 0))[0] for i in range(8)]
+        total = rows[0][0]
+        assert total > 0 and all(t == total for t, _ in rows)
+        assert sum(slab for _, slab in rows) == total

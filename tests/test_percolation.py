@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
-from percolab.measure import expand_occupancy
 from percolab.percolation import descendant_counts, grid_from_digit_order
+from percolab.words import cell_of_digits
 
 
 def tree(p=0.8, seed=0, m=2, k=2, **kw):
@@ -124,8 +124,8 @@ def test_count_profile_zero_fills_after_extinction():
 def test_p_one_retains_everything():
     t = tree(p=1.0, seed=0)
     assert t.count_profile(Word.root(2, 2), 5)[5] == 4**5
-    occ = expand_occupancy(t, Word.root(2, 2), 3, 2)
-    assert occ.cells.all()
+    counts = descendant_counts(t, Word.root(2, 2), 3, 2)
+    assert (grid_from_digit_order(counts, 2, 2, 3) > 0).all()
 
 
 def test_retention_frequency_matches_p():
@@ -147,6 +147,9 @@ def test_memory_budget_enforced():
         t.expand_retained(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
     # the budget bounds the retained frontier's children, not the 4**depth lattice
     assert len(t.count_profile(Word.root(2, 2), 3)) == 4
+    # a count grid past the budget fails before 4**resolution is ever built
+    with pytest.raises(MemoryBudgetError):
+        descendant_counts(t, Word.root(2, 2), 10**8, 0)
 
 
 def test_word_geometry_must_match_tree():
@@ -161,11 +164,13 @@ def test_descendant_counts_and_occupancy_agree():
     t = tree(p=0.75, seed=8)
     root = Word.root(2, 2)
     counts = descendant_counts(t, root, resolution=3, probe_depth=2)
-    occ = expand_occupancy(t, root, resolution=3, probe_depth=2)
     assert counts.shape == (64,)
-    grid = grid_from_digit_order(counts > 0, 2, 2, 3)
-    assert np.array_equal(grid, occ.cells)
-    assert occ.side == 8 and occ.resolution == 3 and occ.probe_depth == 2
+    occ = grid_from_digit_order(counts, 2, 2, 3) > 0
+    assert occ.shape == (8, 8)
+    # a cell is occupied iff some line survives 2 levels below its word
+    for digits in itertools.product(range(4), repeat=3):
+        alive = t.count_profile(Word(2, 2, digits), 2)[2] > 0
+        assert occ[cell_of_digits(digits, 2, 2)] == alive
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)])

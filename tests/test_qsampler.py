@@ -10,8 +10,7 @@ from percolab import (
     RejectionLimitError,
     Word,
     dimension,
-    expand_occupancy,
-    mass_grid,
+    x_estimate,
 )
 from percolab.holes import restricted_max_empty_block
 from percolab.percolation import STREAM_PATH, descendant_counts, grid_from_digit_order
@@ -106,20 +105,21 @@ def test_recorded_grids_match_fresh_expansion():
     side = 2**r
     for j in range(1, n + 1):
         word = Word(2, 2, path.digits[:j])
-        occ = expand_occupancy(tree, word, r, g)
+        counts = grid_from_digit_order(descendant_counts(tree, word, r, g), 2, 2, r)
+        occ = counts > 0
         # center cell is the path's continuation and must be alive
         center = tuple(path.centers[j - 1])
-        assert occ.cells[center]
+        assert occ[center]
         # recorded block statistics agree with a fresh computation
         from percolab.holes import max_empty_block, window_min_sweep
 
-        assert path.a_star[j - 1] == max_empty_block(occ.cells)
+        assert path.a_star[j - 1] == max_empty_block(occ)
         # the center being occupied makes the restricted statistic equal
         assert path.restricted_a_star[j - 1] == path.a_star[j - 1]
         assert path.a_star[j - 1] < side  # grid is never fully empty
-        grid = mass_grid(tree, word, r, g)
-        assert path.total_mass[j - 1] == pytest.approx(grid.total, rel=1e-12)
-        counts = grid_from_digit_order(descendant_counts(tree, word, r, g), 2, 2, r)
+        # the grid total is the word's deeper martingale estimate, scaled
+        total = 2.0 ** (-j * d) * x_estimate(tree, word, r + g)
+        assert path.total_mass[j - 1] == pytest.approx(total, rel=1e-12)
         assert np.array_equal(path.window_sweep[j - 1], window_min_sweep(counts))
 
 
@@ -136,8 +136,9 @@ def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
         path = sample_qpath(cfg, n=6, r=r, g=g, alpha_grid=(0.5,), eps_grid=(), replica=replica)
         tree = LazyTree(path.tree_config)
         for j in range(path.n):
-            occ = expand_occupancy(tree, Word(m, 2, path.digits[: j + 1]), r, g)
-            reference = restricted_max_empty_block(occ.cells, path.centers[j])
+            counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
+            occ = grid_from_digit_order(counts, m, 2, r) > 0
+            reference = restricted_max_empty_block(occ, path.centers[j])
             assert path.restricted_a_star[j] == path.a_star[j] == reference
 
 
@@ -158,9 +159,8 @@ def test_qpath_accessors_match_grid_columns():
     assert np.array_equal(path.set_hole_lower(0.25), path.lower[:, 0])
     assert np.array_equal(path.set_hole_upper(0.5), path.upper[:, 1])
     assert np.array_equal(path.measure_hole(0.5, 1e-1), path.measure_ind[:, 1, 1])
-    assert np.array_equal(path.measure_porosity(1e-2), path.meas_por[:, 0])
     # off-grid parameters are either recomputed (..._at) or rejected
-    assert np.array_equal(path.lower_at(0.25), path.lower[:, 0])
+    assert np.array_equal(path.upper_at(0.25), path.upper[:, 0])
     assert np.array_equal(path.upper_at(0.5), path.upper[:, 1])
     for ia, alpha in enumerate(alphas):
         for ie, eps in enumerate(epss):
@@ -168,7 +168,7 @@ def test_qpath_accessors_match_grid_columns():
     with pytest.raises(MissingParameterError):
         path.set_hole_lower(0.33)
     with pytest.raises(MissingParameterError):
-        path.measure_porosity(5e-3)
+        path.measure_hole(0.25, 5e-3)
     with pytest.raises(ValueError):
         path.measure_hole_at(1.5, 1e-2)
 
@@ -203,16 +203,15 @@ def test_replica_view_consistency():
     assert view.word_weights.sum() == pytest.approx(
         view.counts.sum() * 2.0 ** (-(3 + 3) * d)
     )
-    occ = view.occupancy
-    assert np.array_equal(occ.cells.reshape(-1), (view.counts > 0)[_perm_inv(3)])
-    assert np.array_equal(view.mass.cells > 0, occ.cells)
+    assert view.grid.dtype == np.int64
+    assert np.array_equal(view.grid.reshape(-1), view.counts[_perm_inv(3)])
     from percolab.holes import max_empty_block
 
-    assert view.a_star == max_empty_block(occ.cells)
+    assert view.a_star == max_empty_block(view.grid > 0)
 
 
 def _perm_inv(r):
-    # identity helper: occupancy cells come from grid_from_digit_order(counts)
+    # identity helper: grid cells come from grid_from_digit_order(counts)
     from percolab.percolation import grid_from_digit_order
 
     idx = grid_from_digit_order(np.arange(4**r), 2, 2, r).reshape(-1)

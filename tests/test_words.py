@@ -47,12 +47,7 @@ def test_cell_of_digits_roundtrip():
 def test_word_basic_properties():
     w = Word(2, 2, (1, 2, 3))
     assert w.level == 3
-    assert w.fanout == 4
-    assert w.side() == pytest.approx(1 / 8)  # Euclidean side length k**-level
-    assert w.cell() == cell_of_digits((1, 2, 3), 2, 2)
-    assert w.parent().digits == (1, 2)
     assert w.child(0).digits == (1, 2, 3, 0)
-    assert w.prefix(2).digits == (1, 2)
     assert Word.root(2, 2).digits == ()
     assert Word.root(2, 2).level == 0
 
