@@ -259,9 +259,10 @@ def dimension_slope(
                 if len(profiles) == trees:
                     break
     if len(profiles) < trees:
-        raise RuntimeError(
+        raise RejectionLimitError(
+            candidates,
             f"only {len(profiles)} of {trees} trees survived to depth "
-            f"{max_depth} within {candidates} candidates"
+            f"{max_depth} within {candidates} candidates",
         )
     counts = np.array([[prof[j] for j in depths] for prof in profiles], dtype=np.float64)
     mean_counts = counts.mean(axis=0)

@@ -43,7 +43,7 @@ def x_estimate(tree: LazyTree, word: Word, probe_depth: int) -> float:
     Raises ValueError on a pruned word: a discarded cube carries no mass and
     has no martingale to estimate.
     """
-    if not tree.is_retained(word):
+    profile = tree.count_profile(word, probe_depth)
+    if profile[0] == 0:
         raise ValueError(f"{word} is pruned; x_estimate needs a retained word")
-    count = tree.count_profile(word, probe_depth)[probe_depth]
-    return count * mass_factor(tree.config, probe_depth)
+    return profile[probe_depth] * mass_factor(tree.config, probe_depth)

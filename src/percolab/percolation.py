@@ -164,19 +164,21 @@ class LazyTree:
         ``parent_position * k^m + digit`` where ``parent_position`` indexes
         level j-1.  Level 0 is ``[0]``, or empty if ``word`` is pruned.
         Only the children of retained nodes are hashed, so memory tracks the
-        surviving population rather than the (k^m)^depth lattice.
+        surviving population rather than the (k^m)^depth lattice; once a
+        level is empty, hashing stops and the rest are empty levels.
         """
         self._check_word(word)
         fanout = self.config.branching
         key = self._lookup(word.digits)
         keys = np.array([] if key is None else [key], dtype=np.uint64)
         levels = [np.zeros(keys.size, dtype=np.int64)]
-        for _ in range(depth):
+        while len(levels) <= depth and keys.size:
             self._budget(keys.size * fanout)
             children = child_keys(keys, fanout).reshape(-1)
             (alive,) = np.nonzero(unit_draws(children) < self.config.p)
             keys = children[alive]
             levels.append(alive.astype(np.int64, copy=False))
+        levels.extend(np.zeros(0, dtype=np.int64) for _ in range(depth + 1 - len(levels)))
         return levels
 
     def count_profile(self, word: Word, depth: int) -> List[int]:

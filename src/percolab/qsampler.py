@@ -58,24 +58,19 @@ def replica_config(config: PercolationConfig, replica: int, attempt: int = 0) ->
     return replace(config, seed=substream(config.seed, STREAM_REPLICA, replica, attempt))
 
 
-def _pick_child(counts: np.ndarray, u: float) -> int:
-    """Index drawn proportionally to ``counts`` using one uniform draw."""
+def sample_step(counts: np.ndarray, u: float) -> int:
+    """One descent step: a child digit drawn with mass-proportional odds.
+
+    ``counts`` holds each child's retained descendant count at the probe
+    depth (proportional to the truncated martingale estimates; the common
+    k^-d rescale cancels in the ratio).  ``u`` is the uniform draw to
+    consume -- callers own the stream so that reruns are exactly replayable.
+    """
     total = int(counts.sum())
     if total == 0:
         raise DeadSubtreeError("no child is alive at the probe depth")
     cum = np.cumsum(counts)
     return int(np.searchsorted(cum, u * total, side="right"))
-
-
-def sample_step(tree: LazyTree, word: Word, probe_depth: int, u: float) -> int:
-    """One descent step: a child digit drawn with mass-proportional odds.
-
-    Children are weighted by their retained descendant counts probe_depth
-    levels down (proportional to the truncated martingale estimates; the
-    common k^-d rescale cancels in the ratio).  ``u`` is the uniform draw to
-    consume -- callers own the stream so that reruns are exactly replayable.
-    """
-    return _pick_child(descendant_counts(tree, word, 1, probe_depth), u)
 
 
 def _grid_index(grid: Tuple[float, ...], value: float, label: str) -> int:
@@ -170,111 +165,99 @@ def sample_qpath(
     """Sample one surviving mass-biased path and fill its scale records.
 
     The descent needs n + r digits (scale j's records are centered on the
-    path's cell r levels below scale j).  Whenever the walk hits a word with
-    no alive children, the whole attempt -- tree and path stream both -- is
-    thrown away and redrawn from the next attempt substream, which keeps the
-    accepted sample a pure function of (seed, replica).
+    path's cell r levels below scale j).  It is one walk that expands each
+    visited word once: the first r steps pick from one-level counts, then
+    scale j's record grid also supplies step j + r - 1's counts, and the
+    scale is recorded as soon as that step fixes its centre.  Whenever the
+    walk hits a word with no alive children, the whole attempt -- tree and
+    path stream both -- is thrown away and redrawn from the next attempt
+    substream, which keeps the accepted sample a pure function of
+    (seed, replica).
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
     alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(float(a) for a in alpha_grid)
     epss = DEFAULT_EPS_GRID if eps_grid is None else tuple(float(e) for e in eps_grid)
+    m, k, fanout = config.m, config.k, config.branching
+    side = k ** r
+    thresholds = np.array([cells_threshold(a, side) for a in alphas], dtype=np.int64)
+    child_mass = mass_factor(config, g)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)
         path_key = substream(tree_cfg.seed, STREAM_PATH)
-        word = tree_cfg.root_word()
         digits: List[int] = []
+        centers = np.zeros((n, m), dtype=np.int64)
+        x_hat = np.zeros(n)
+        a_star = np.zeros(n, dtype=np.int64)
+        sweeps = np.zeros((n, side + 1), dtype=np.int64)
+        totals = np.zeros(n)
+        set_por = np.zeros(n)
+        meas_por = np.zeros((n, len(epss)))
         try:
             for step in range(n + r):
-                u = unit_draw(child_key(path_key, step))
-                digit = sample_step(tree, word, g, u)
+                # Scale j's grid counts depth r + g below word_j, which is
+                # depth g below each child of word_{j+r-1}: step j + r - 1
+                # picks among the k^m entries under digits[j : j+r-1].
+                j = step - r + 1
+                if j < 1:
+                    counts = descendant_counts(tree, Word(m, k, tuple(digits)), 1, g)
+                else:
+                    scale = descendant_counts(tree, Word(m, k, tuple(digits[:j])), r, g)
+                    counts = scale.reshape((fanout,) * r)[tuple(digits[j:])]
+                digit = sample_step(counts, unit_draw(child_key(path_key, step)))
                 digits.append(digit)
-                word = word.child(digit)
+                if step < n:
+                    # the chosen child's count is x_estimate(word_{step+1}, g)'s
+                    x_hat[step] = counts[digit] * child_mass
+                if j < 1:
+                    continue
+                grid = grid_from_digit_order(scale, m, k, r)
+                center = cell_of_digits(digits[j:], m, k)
+                centers[j - 1] = center
+                totals[j - 1] = scale.sum() * mass_factor(config, j + r + g)
+                a_star[j - 1] = max_empty_block(grid)
+                sweeps[j - 1] = window_min_sweep(grid)
+                set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
         except DeadSubtreeError:
             continue
-        return _record_path(
-            config, tree_cfg, tree, tuple(digits), n, r, g, alphas, epss,
-            replica, attempt + 1,
+
+        # The descent only enters children alive g levels down, so every
+        # center cell has a positive count (as ball_porosities requires) and
+        # forcing it occupied changes no block: the restricted statistic
+        # equals a_star on every recorded scale.
+        restricted = a_star
+        lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
+        measure_ind = measure_hole_indicators(sweeps, thresholds[:, None], epss)
+        return QPath(
+            config=config,
+            tree_config=tree_cfg,
+            replica=replica,
+            attempts=attempt + 1,
+            n=n,
+            r=r,
+            g=g,
+            alpha_grid=alphas,
+            eps_grid=epss,
+            digits=tuple(digits),
+            centers=centers,
+            x_hat=x_hat,
+            a_star=a_star,
+            restricted_a_star=restricted,
+            window_sweep=sweeps,
+            total_mass=totals,
+            lower=lower,
+            upper=upper,
+            measure_ind=measure_ind,
+            set_por=set_por,
+            meas_por=meas_por,
+            weight=x_estimate(tree, config.root_word(), g),
         )
     raise RejectionLimitError(
         max_attempts,
         f"no attempt of {max_attempts} survived {n + r} mass-biased steps "
         f"(observed survival rate 0/{max_attempts}); the configuration is "
         f"likely subcritical or the walk too deep",
-    )
-
-
-def _record_path(
-    config: PercolationConfig,
-    tree_cfg: PercolationConfig,
-    tree: LazyTree,
-    digits: Tuple[int, ...],
-    n: int,
-    r: int,
-    g: int,
-    alphas: Tuple[float, ...],
-    epss: Tuple[float, ...],
-    replica: int,
-    attempts: int,
-) -> QPath:
-    m, k = config.m, config.k
-    side = k ** r
-    thresholds = np.array([cells_threshold(a, side) for a in alphas], dtype=np.int64)
-
-    centers = np.zeros((n, m), dtype=np.int64)
-    x_hat = np.zeros(n)
-    a_star = np.zeros(n, dtype=np.int64)
-    sweeps = np.zeros((n, side + 1), dtype=np.int64)
-    totals = np.zeros(n)
-    set_por = np.zeros(n)
-    meas_por = np.zeros((n, len(epss)))
-
-    for j in range(1, n + 1):
-        word = Word(m, k, digits[:j])
-        x_hat[j - 1] = x_estimate(tree, word, g)
-        counts = descendant_counts(tree, word, r, g)
-        grid = grid_from_digit_order(counts, m, k, r)
-        center = cell_of_digits(digits[j : j + r], m, k)
-
-        centers[j - 1] = center
-        totals[j - 1] = counts.sum() * mass_factor(config, j + r + g)
-        a_star[j - 1] = max_empty_block(grid)
-        sweeps[j - 1] = window_min_sweep(grid)
-        set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
-
-    # The descent only enters children alive g levels down, so every
-    # center cell has a positive count (as ball_porosities requires) and
-    # forcing it occupied changes no block: the restricted statistic
-    # equals a_star on every recorded scale.
-    restricted = a_star
-    lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
-    measure_ind = measure_hole_indicators(sweeps, thresholds[:, None], epss)
-
-    weight = x_estimate(tree, config.root_word(), g)
-    return QPath(
-        config=config,
-        tree_config=tree_cfg,
-        replica=replica,
-        attempts=attempts,
-        n=n,
-        r=r,
-        g=g,
-        alpha_grid=alphas,
-        eps_grid=epss,
-        digits=digits,
-        centers=centers,
-        x_hat=x_hat,
-        a_star=a_star,
-        restricted_a_star=restricted,
-        window_sweep=sweeps,
-        total_mass=totals,
-        lower=lower,
-        upper=upper,
-        measure_ind=measure_ind,
-        set_por=set_por,
-        meas_por=meas_por,
-        weight=weight,
     )
 
 

@@ -281,6 +281,20 @@ def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):
     assert (out / "path_summary.csv").exists()
 
 
+def test_main_dimension_slope_without_survivors_exits_4(tmp_path, capsys):
+    # subcritical trees all die before depth 20: survival rejection is
+    # exhausted, and this kind has no completed prefix to write
+    payload = {"kind": "dimension-slope", "p": 0.1, "replicas": 2, "depths": [20]}
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="critical"):
+        assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: only 0 of 2 trees survived to depth 20 within 40 candidates"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_main_resolution_one_path_series(tmp_path, capsys):
     # at r = 1 the side-2 grid's ball faces fall on cell boundaries; the
     # one-cell ball box must keep its cell, or the ball is massless

@@ -92,6 +92,29 @@ def test_expand_below_pruned_word_is_all_dead():
     assert len(levels) == 3 and all(lv.size == 0 for lv in levels)
 
 
+def test_expand_hashes_nothing_after_extinction(monkeypatch):
+    from percolab import percolation
+
+    hashed = []
+    child_keys = percolation.child_keys
+
+    def counted(keys, fanout):
+        hashed.append(keys.size)
+        return child_keys(keys, fanout)
+
+    monkeypatch.setattr(percolation, "child_keys", counted)
+    t = tree(p=0.4, seed=2)
+    pruned = next(Word(2, 2, (a,)) for a in range(4) if not t.is_retained(Word(2, 2, (a,))))
+    levels = t.expand_retained(pruned, 8000)
+    assert hashed == []
+    assert len(levels) == 8001
+    assert all(lv.dtype == np.int64 and lv.size == 0 for lv in levels)
+    # a root whose line dies at depth 7 hashes the seven levels that had nodes
+    prof = tree(p=0.6, seed=5, m=1).count_profile(Word.root(1, 2), 40)
+    assert prof[:8] == [1, 1, 2, 2, 3, 1, 1, 0] and prof[8:] == [0] * 33
+    assert hashed == [1, 1, 2, 2, 3, 1, 1]
+
+
 def test_count_profile_matches_expand():
     t = tree(p=0.7, seed=11)
     root = Word.root(2, 2)

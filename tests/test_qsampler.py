@@ -21,33 +21,33 @@ from percolab.qsampler import (
     replica_config,
     sample_qpath,
     sample_step,
-    _pick_child,
 )
 from percolab.rng import child_key, substream, unit_draw
 
 
-def test_pick_child_threshold_layout():
+def test_sample_step_threshold_layout():
     counts = np.array([3, 1, 0, 4])
     # cumulative thresholds at 3, 4, 4, 8 over u * 8
-    assert _pick_child(counts, 0.0) == 0
-    assert _pick_child(counts, 3 / 8 - 1e-12) == 0
-    assert _pick_child(counts, 3 / 8 + 1e-12) == 1
-    assert _pick_child(counts, 0.5 + 1e-12) == 3  # dead child 2 is unreachable
-    assert _pick_child(counts, 1.0 - 1e-12) == 3
+    assert sample_step(counts, 0.0) == 0
+    assert sample_step(counts, 3 / 8 - 1e-12) == 0
+    assert sample_step(counts, 3 / 8 + 1e-12) == 1
+    assert sample_step(counts, 0.5 + 1e-12) == 3  # dead child 2 is unreachable
+    assert sample_step(counts, 1.0 - 1e-12) == 3
 
 
-def test_pick_child_dead_total_raises():
+def test_sample_step_dead_total_raises():
     from percolab.errors import DeadSubtreeError
 
     with pytest.raises(DeadSubtreeError):
-        _pick_child(np.array([0, 0, 0, 0]), 0.5)
+        sample_step(np.array([0, 0, 0, 0]), 0.5)
 
 
 def test_sample_step_uses_descendant_counts():
     cfg = PercolationConfig(2, 2, 0.8, seed=15)
     t = LazyTree(cfg)
     root = Word.root(2, 2)
-    counts = np.array([t.count_profile(root.child(c), 3)[3] for c in range(4)])
+    counts = descendant_counts(t, root, 1, 3)
+    assert counts.tolist() == [t.count_profile(root.child(c), 3)[3] for c in range(4)]
     total = counts.sum()
     # u placed in the middle of child c's band must select c
     cum = np.cumsum(counts)
@@ -55,26 +55,56 @@ def test_sample_step_uses_descendant_counts():
         if counts[c] == 0:
             continue
         u = (cum[c] - counts[c] / 2) / total
-        assert sample_step(t, root, 3, float(u)) == c
+        assert sample_step(counts, float(u)) == c
 
 
-def test_path_walk_replays_by_hand():
-    """Reconstruct the sampled digits with raw RNG primitives."""
-    cfg = PercolationConfig(2, 2, 0.85, seed=33)
-    n, r, g = 3, 2, 3
+@pytest.mark.parametrize(
+    "m,k,r,g",
+    [(2, 2, 2, 3), (2, 2, 1, 0), (2, 2, 1, 3), (1, 3, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)],
+)
+def test_path_walk_replays_by_hand(m, k, r, g):
+    """Reconstruct the digits with raw RNG primitives and a per-word walk.
+
+    The oracle expands every visited word on its own, one level plus the
+    probe below it; the sampler reads the same counts off its scale grids.
+    """
+    cfg = PercolationConfig(m, k, 0.85, seed=33)
+    n = 4
     path = sample_qpath(cfg, n=n, r=r, g=g, alpha_grid=(0.5,), eps_grid=(), replica=2)
     tcfg = replica_config(cfg, 2, attempt=path.attempts - 1)
     assert path.tree_config == tcfg
     tree = LazyTree(tcfg)
     key = substream(tcfg.seed, STREAM_PATH)
-    word = Word.root(2, 2)
+    word = Word.root(m, k)
     digits = []
     for step in range(n + r):
         u = unit_draw(child_key(key, step))
-        digit = sample_step(tree, word, g, u)
+        digit = sample_step(descendant_counts(tree, word, 1, g), u)
         digits.append(digit)
         word = word.child(digit)
     assert tuple(digits) == path.digits
+    for j in range(1, n + 1):
+        assert path.x_hat[j - 1] == x_estimate(tree, Word(m, k, path.digits[:j]), g)
+
+
+def test_accepted_path_expands_each_word_once(monkeypatch):
+    # r one-level steps, one grid per scale that also drives a step, and
+    # the root weight: n + r + 1 expansions when the first attempt survives
+    calls = []
+    expand = LazyTree.expand_retained
+
+    def counted(self, word, depth):
+        calls.append((word.level, depth))
+        return expand(self, word, depth)
+
+    monkeypatch.setattr(LazyTree, "expand_retained", counted)
+    n, r, g = 5, 3, 2
+    path = sample_qpath(PercolationConfig(2, 2, 1.0, seed=0), n=n, r=r, g=g)
+    assert path.attempts == 1
+    assert len(calls) == n + r + 1
+    assert calls[:r] == [(i, 1 + g) for i in range(r)]
+    assert calls[r:-1] == [(j, r + g) for j in range(1, n + 1)]
+    assert calls[-1] == (0, g)
 
 
 def test_sample_qpath_deterministic():
