@@ -40,9 +40,8 @@ from .experiments import (
     run_path_batch_partial,
     slice_decay,
 )
-from .percolation import STREAM_ENSEMBLE, PercolationConfig, _max_nodes_default
-from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID
-from .rng import substream
+from .percolation import PercolationConfig, _max_nodes_default
+from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, ensemble_config
 from . import __version__
 
 _SCHEMA_VERSION = 1
@@ -249,7 +248,7 @@ _BRACKET_STATS = ("estimate", "se", "ci_low", "ci_high")
 # RejectionLimitError that cut a path batch short, or None.
 
 
-def _sample_paths(spec: ExperimentSpec, n: int, alpha_grid, eps_grid):
+def _sample_paths(spec: ExperimentSpec, n: int, eps_grid):
     """The path batch of a path kind: (paths, error)."""
     return run_path_batch_partial(
         spec.config(),
@@ -257,7 +256,6 @@ def _sample_paths(spec: ExperimentSpec, n: int, alpha_grid, eps_grid):
         n=n,
         r=spec.resolution,
         g=spec.probe_depth,
-        alpha_grid=alpha_grid,
         eps_grid=eps_grid,
         workers=spec.workers,
         max_attempts=spec.max_attempts,
@@ -282,10 +280,8 @@ def _path_provenance(paths) -> Tuple[dict, List[dict]]:
 
 def _tree_seeds(spec: ExperimentSpec, count: int) -> List[dict]:
     """Seeds of the first ``count`` plain ensemble trees."""
-    return [
-        {"replica": i, "seed": substream(spec.seed, STREAM_ENSEMBLE, i)}
-        for i in range(count)
-    ]
+    config = spec.config()
+    return [{"replica": i, "seed": ensemble_config(config, i).seed} for i in range(count)]
 
 
 def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
@@ -306,8 +302,17 @@ def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
     }
 
 
+def _hole_sheets(p, alphas) -> List[tuple]:
+    """(alpha, lower, upper, measure) of one path per alpha; measure is (n, n_eps)."""
+    return [
+        (float(a), p.set_hole_lower(a), p.set_hole_upper(a), p.measure_hole(a, p.eps_grid))
+        for a in alphas
+    ]
+
+
 def _run_path_series(spec: ExperimentSpec):
-    paths, err = _sample_paths(spec, spec.scales, spec.alpha_grid, spec.eps_grid)
+    paths, err = _sample_paths(spec, spec.scales, spec.eps_grid)
+    sheets = [_hole_sheets(p, spec.alpha_grid) for p in paths]
     tables = {
         "path_summary.csv": (
             ["replica", "seed", "attempts", "weight", "scales", "resolution", "probe_depth"],
@@ -335,7 +340,7 @@ def _run_path_series(spec: ExperimentSpec):
                     p.x_hat[j],
                     p.total_mass[j],
                     p.a_star[j],
-                    p.restricted_a_star[j],
+                    p.a_star[j],  # restricted_a_star: the center cell is always occupied
                     p.set_por[j],
                 )
                 for p in paths
@@ -345,18 +350,10 @@ def _run_path_series(spec: ExperimentSpec):
         "indicators.csv": (
             ["replica", "scale", "alpha", "eps", "set_lower", "set_upper", "measure_hole"],
             [
-                (
-                    p.replica,
-                    j + 1,
-                    alpha,
-                    eps,
-                    p.lower[j, ia],
-                    p.upper[j, ia],
-                    p.measure_ind[j, ia, ie],
-                )
-                for p in paths
+                (p.replica, j + 1, alpha, eps, lower[j], upper[j], measure[j, ie])
+                for p, sheet in zip(paths, sheets)
                 for j in range(p.n)
-                for ia, alpha in enumerate(p.alpha_grid)
+                for alpha, lower, upper, measure in sheet
                 for ie, eps in enumerate(p.eps_grid)
             ],
         ),
@@ -421,7 +418,7 @@ def _run_ensemble(spec: ExperimentSpec):
 
 def _run_covariance(spec: ExperimentSpec):
     lags = tuple(sorted(set(spec.lags)))
-    paths, err = _sample_paths(spec, max(lags) + 1, (spec.alpha,), ())
+    paths, err = _sample_paths(spec, max(lags) + 1, ())
     ests = []
     if len(paths) >= 2:
         ests = [covariance_from_paths(paths, spec.alpha, lag) for lag in lags]
@@ -446,7 +443,7 @@ def _run_covariance(spec: ExperimentSpec):
 
 
 def _run_porosity_extremes(spec: ExperimentSpec):
-    paths, err = _sample_paths(spec, spec.scales, spec.alpha_grid, spec.eps_grid)
+    paths, err = _sample_paths(spec, spec.scales, spec.eps_grid)
     extremes = [porosity_extremes(p) for p in paths]
     tables = {
         "extremes.csv": (
@@ -553,10 +550,11 @@ def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
     errors = spec_errors(spec)
     if errors:
         raise ValueError("; ".join(errors))
-    out = Path(out_dir if out_dir is not None else spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     tables, summary, survival, seeds, err = _RUNNERS[spec.kind](spec)
+    # made only now, so a run that raises (exit 3 or 4) leaves no directory
+    out = Path(out_dir if out_dir is not None else spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
     _write_json(out / "summary.json", summary)

@@ -12,13 +12,14 @@ between, and no point estimate of it is ever produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .holes import cells_threshold, set_hole_indicators
 from .percolation import PercolationConfig
-from .qsampler import Z95, QPath, WeightedMean, _grid_index
+from .errors import MissingParameterError
+from .qsampler import Z95, QPath, WeightedMean
 
 
 def running_mean(values: np.ndarray) -> np.ndarray:
@@ -31,7 +32,6 @@ class EnsembleEstimate:
     """Point estimate of one indicator mean with a normal 95% interval."""
 
     alpha: float
-    eps: Optional[float]
     r: int
     g: int
     estimate: float
@@ -52,7 +52,6 @@ def _bracket(
         pair.append(
             EnsembleEstimate(
                 alpha=float(alpha),
-                eps=None,
                 r=r,
                 g=g,
                 estimate=mean.estimate,
@@ -88,7 +87,7 @@ def ensemble_from_sweep(
     out = []
     for alpha in alphas:
         thr = cells_threshold(float(alpha), side)
-        lower, upper = set_hole_indicators(blocks, blocks, thr)
+        lower, upper = set_hole_indicators(blocks, thr)
         out.append(_bracket(weights * lower, weights * upper, alpha, r, g, "importance-weighted"))
     return out
 
@@ -179,8 +178,10 @@ class PorosityExtremes:
     meas_max: np.ndarray
 
     def for_eps(self, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        ie = _grid_index(self.eps_grid, eps, "eps")
-        return self.meas_min[:, ie], self.meas_max[:, ie]
+        for ie, entry in enumerate(self.eps_grid):
+            if abs(entry - eps) <= 1e-12:
+                return self.meas_min[:, ie], self.meas_max[:, ie]
+        raise MissingParameterError(f"eps={eps} is not on the recorded grid {self.eps_grid}")
 
 
 def porosity_extremes(path: QPath) -> PorosityExtremes:

@@ -10,7 +10,7 @@ module top level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import RejectionLimitError
 from .measure import dimension
 from .percolation import (
-    STREAM_ENSEMBLE,
     LazyTree,
     PercolationConfig,
     descendant_counts,
@@ -29,6 +28,7 @@ from .qsampler import (
     DEFAULT_PROBE_DEPTH,
     QPath,
     WeightedMean,
+    ensemble_config,
     ensemble_view,
     sample_qpath,
 )
@@ -38,7 +38,6 @@ from .estimators import (
     covariance_from_paths,
     ensemble_from_sweep,
 )
-from .rng import substream
 
 
 def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
@@ -59,7 +58,7 @@ def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
 
 
 def _path_worker(args) -> QPath:
-    # args: config, n, r, g, alpha_grid, eps_grid, replica, max_attempts
+    # args: config, n, r, g, eps_grid, replica, max_attempts
     return sample_qpath(*args)
 
 
@@ -71,14 +70,14 @@ def _sweep_worker(args) -> Tuple[float, int]:
 
 def _profile_worker(args) -> List[int]:
     config, depth, replica = args
-    cfg = replace(config, seed=substream(config.seed, STREAM_ENSEMBLE, replica))
+    cfg = ensemble_config(config, replica)
     tree = LazyTree(cfg)
     return tree.count_profile(cfg.root_word(), depth)
 
 
 def _slice_worker(args) -> List[Tuple[int, int]]:
     config, resolutions, g, axis, position, replica = args
-    cfg = replace(config, seed=substream(config.seed, STREAM_ENSEMBLE, replica))
+    cfg = ensemble_config(config, replica)
     tree = LazyTree(cfg)
     out = []
     for r in resolutions:
@@ -99,14 +98,13 @@ def run_path_batch(
     n: int,
     r: int,
     g: int,
-    alpha_grid: Optional[Sequence[float]] = None,
     eps_grid: Optional[Sequence[float]] = None,
     workers: int = 1,
     max_attempts: int = 1000,
 ) -> List[QPath]:
     """Sample ``paths`` independent mass-biased paths, in replica order."""
     done, err = run_path_batch_partial(
-        config, paths, n, r, g, alpha_grid, eps_grid, workers, max_attempts
+        config, paths, n, r, g, eps_grid, workers, max_attempts
     )
     if err is not None:
         raise err
@@ -119,7 +117,6 @@ def run_path_batch_partial(
     n: int,
     r: int,
     g: int,
-    alpha_grid: Optional[Sequence[float]] = None,
     eps_grid: Optional[Sequence[float]] = None,
     workers: int = 1,
     max_attempts: int = 1000,
@@ -132,7 +129,7 @@ def run_path_batch_partial(
     the prefix is intact).
     """
     argses = [
-        (config, n, r, g, alpha_grid, eps_grid, replica, max_attempts)
+        (config, n, r, g, eps_grid, replica, max_attempts)
         for replica in range(paths)
     ]
     done: List[QPath] = []
@@ -202,7 +199,6 @@ def covariance_experiment(
         n=n,
         r=r,
         g=g,
-        alpha_grid=(alpha,),
         eps_grid=(),
         workers=workers,
         max_attempts=max_attempts,

@@ -140,17 +140,20 @@ def cells_threshold(alpha: float, side: int) -> int:
     return max(0, math.ceil(alpha * side - 1e-9))
 
 
-def set_hole_indicators(a_star, restricted, thresholds) -> Tuple[np.ndarray, np.ndarray]:
+def set_hole_indicators(a_star, thresholds) -> Tuple[np.ndarray, np.ndarray]:
     """(lower, upper) set-hole indicators from block sides and cell thresholds.
 
-    lower = [restricted >= thr] (an empty block avoiding the center cell is
-    at least thr cells wide); upper = [a_star >= thr - 1], one cell less to
-    absorb the half-open slack of the discretization.  The arguments
-    broadcast against each other, so one call serves a single grid, a
-    ladder of thresholds, or a stack of scales; results are int8.
+    lower = [a_star >= thr] (an empty block at least thr cells wide);
+    upper = [a_star >= thr - 1], one cell less to absorb the half-open slack
+    of the discretization.  The certified lower needs a block avoiding the
+    center cell: pass ``restricted_max_empty_block`` when the center may be
+    empty, or ``a_star`` itself when it is occupied, as on every path scale
+    and every alive ensemble word.  The arguments broadcast against each
+    other, so one call serves a single grid, a ladder of thresholds, or a
+    stack of scales; results are int8.
     """
     thresholds = np.asarray(thresholds)
-    lower = (np.asarray(restricted) >= thresholds).astype(np.int8)
+    lower = (np.asarray(a_star) >= thresholds).astype(np.int8)
     upper = (np.asarray(a_star) >= thresholds - 1).astype(np.int8)
     return lower, upper
 

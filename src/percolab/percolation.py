@@ -118,13 +118,6 @@ class LazyTree:
     def __init__(self, config: PercolationConfig, max_nodes: Optional[int] = None):
         self.config = config
         self.max_nodes = int(max_nodes) if max_nodes else _max_nodes_default()
-        if not config.supercritical:
-            warnings.warn(
-                f"p={config.p} is at or below the critical value "
-                f"{config.critical_probability:g}; the limit set dies out "
-                f"almost surely",
-                stacklevel=2,
-            )
         self._root_key = substream(config.seed, STREAM_RETENTION)
 
     # -- scalar queries ---------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DeadSubtreeError, MissingParameterError, RejectionLimitError
+from .errors import DeadSubtreeError, RejectionLimitError
 from .holes import (
     ball_porosities,
     cells_threshold,
@@ -58,6 +58,11 @@ def replica_config(config: PercolationConfig, replica: int, attempt: int = 0) ->
     return replace(config, seed=substream(config.seed, STREAM_REPLICA, replica, attempt))
 
 
+def ensemble_config(config: PercolationConfig, replica: int) -> PercolationConfig:
+    """Config for the replica-th tree of a plain (unweighted-law) ensemble."""
+    return replace(config, seed=substream(config.seed, STREAM_ENSEMBLE, replica))
+
+
 def sample_step(counts: np.ndarray, u: float) -> int:
     """One descent step: a child digit drawn with mass-proportional odds.
 
@@ -73,24 +78,19 @@ def sample_step(counts: np.ndarray, u: float) -> int:
     return int(np.searchsorted(cum, u * total, side="right"))
 
 
-def _grid_index(grid: Tuple[float, ...], value: float, label: str) -> int:
-    for i, entry in enumerate(grid):
-        if abs(entry - value) <= 1e-12:
-            return i
-    raise MissingParameterError(
-        f"{label}={value} was not recorded on this path (grid: {grid})"
-    )
-
-
 @dataclass
 class QPath:
-    """One mass-biased descent with per-scale hole and porosity records.
+    """One mass-biased descent with per-scale geometry and porosity records.
 
-    Arrays are indexed by scale (row j holds scale j+1); indicator sheets
-    additionally by the alpha and eps grids the path was sampled with.  The
-    full minimum-window sweep per scale is kept so that measure-hole and
-    discrepancy questions can be answered afterwards for parameters off the
-    recorded grids.
+    Arrays are indexed by scale (row j holds scale j+1); ``meas_por`` also
+    by the eps grid the path was sampled with.  The path records geometry
+    only: every hole indicator, for any alpha and eps, is read off the
+    recorded ``a_star`` and minimum-window sweep by the accessors.
+
+    The descent only enters children alive g levels down, so every center
+    cell has a positive count and forcing it occupied changes no block:
+    ``a_star`` is also the center-restricted statistic the certified lower
+    indicator needs.
     """
 
     config: PercolationConfig
@@ -100,18 +100,13 @@ class QPath:
     n: int
     r: int
     g: int
-    alpha_grid: Tuple[float, ...]
     eps_grid: Tuple[float, ...]
     digits: Tuple[int, ...]  # n + r digits of the descent
     centers: np.ndarray  # (n, m) cell of the path r levels below each scale
     x_hat: np.ndarray  # (n,) martingale estimate at each visited word
     a_star: np.ndarray  # (n,) largest empty block per scale grid
-    restricted_a_star: np.ndarray  # (n,) same with the center cell forced occupied
     window_sweep: np.ndarray  # (n, side+1) min window count per size; last = grid count
     total_mass: np.ndarray  # (n,) grid totals
-    lower: np.ndarray  # (n, n_alpha) certified set-hole indicators
-    upper: np.ndarray  # (n, n_alpha) unrefuted set-hole indicators
-    measure_ind: np.ndarray  # (n, n_alpha, n_eps)
     set_por: np.ndarray  # (n,) ball porosity of the occupancy pattern
     meas_por: np.ndarray  # (n, n_eps) ball porosity of the mass pattern
     weight: float  # root martingale estimate at probe depth g
@@ -120,35 +115,29 @@ class QPath:
     def side(self) -> int:
         return self.config.k ** self.r
 
-    def set_hole_lower(self, alpha: float) -> np.ndarray:
-        return self.lower[:, _grid_index(self.alpha_grid, alpha, "alpha")]
-
-    def set_hole_upper(self, alpha: float) -> np.ndarray:
-        return self.upper[:, _grid_index(self.alpha_grid, alpha, "alpha")]
-
-    def measure_hole(self, alpha: float, eps: float) -> np.ndarray:
-        ia = _grid_index(self.alpha_grid, alpha, "alpha")
-        ie = _grid_index(self.eps_grid, eps, "eps")
-        return self.measure_ind[:, ia, ie]
-
-    def upper_at(self, alpha: float) -> np.ndarray:
-        """Upper set indicators for an arbitrary alpha (from stored a*)."""
-        thr = cells_threshold(alpha, self.side)
-        return set_hole_indicators(self.a_star, self.restricted_a_star, thr)[1]
-
-    def measure_hole_at(self, alpha: float, eps: float) -> np.ndarray:
-        """Measure-hole indicators for arbitrary (alpha, eps) via the sweeps."""
+    def _threshold(self, alpha: float) -> int:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        thr = cells_threshold(alpha, self.side)
-        return measure_hole_indicators(self.window_sweep, thr, eps)
+        return cells_threshold(alpha, self.side)
+
+    def set_hole_lower(self, alpha: float) -> np.ndarray:
+        """Certified set-hole indicators per scale, for any alpha in (0, 1]."""
+        return set_hole_indicators(self.a_star, self._threshold(alpha))[0]
+
+    def set_hole_upper(self, alpha: float) -> np.ndarray:
+        """Unrefuted set-hole indicators per scale, for any alpha in (0, 1]."""
+        return set_hole_indicators(self.a_star, self._threshold(alpha))[1]
+
+    def measure_hole(self, alpha: float, eps) -> np.ndarray:
+        """Measure-hole indicators per scale; an eps sequence adds a last axis."""
+        return measure_hole_indicators(self.window_sweep, self._threshold(alpha), eps)
 
     def discrepancy(self, alpha: float, eps: float, delta: float) -> np.ndarray:
         """Per-scale indicators of measure holes invisible to the set bracket."""
         if not 0.0 < delta < alpha:
             raise ValueError("delta must lie strictly between 0 and alpha")
-        v = self.measure_hole_at(alpha, eps)
-        up = self.upper_at(alpha - delta)
+        v = self.measure_hole(alpha, eps)
+        up = self.set_hole_upper(alpha - delta)
         return (v & (1 - up)).astype(np.int8)
 
 
@@ -157,7 +146,6 @@ def sample_qpath(
     n: int,
     r: int,
     g: int = DEFAULT_PROBE_DEPTH,
-    alpha_grid: Optional[Sequence[float]] = None,
     eps_grid: Optional[Sequence[float]] = None,
     replica: int = 0,
     max_attempts: int = _MAX_ATTEMPTS,
@@ -176,11 +164,9 @@ def sample_qpath(
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
-    alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(float(a) for a in alpha_grid)
     epss = DEFAULT_EPS_GRID if eps_grid is None else tuple(float(e) for e in eps_grid)
     m, k, fanout = config.m, config.k, config.branching
     side = k ** r
-    thresholds = np.array([cells_threshold(a, side) for a in alphas], dtype=np.int64)
     child_mass = mass_factor(config, g)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
@@ -221,14 +207,6 @@ def sample_qpath(
                 set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
         except DeadSubtreeError:
             continue
-
-        # The descent only enters children alive g levels down, so every
-        # center cell has a positive count (as ball_porosities requires) and
-        # forcing it occupied changes no block: the restricted statistic
-        # equals a_star on every recorded scale.
-        restricted = a_star
-        lower, upper = set_hole_indicators(a_star[:, None], restricted[:, None], thresholds)
-        measure_ind = measure_hole_indicators(sweeps, thresholds[:, None], epss)
         return QPath(
             config=config,
             tree_config=tree_cfg,
@@ -237,18 +215,13 @@ def sample_qpath(
             n=n,
             r=r,
             g=g,
-            alpha_grid=alphas,
             eps_grid=epss,
             digits=tuple(digits),
             centers=centers,
             x_hat=x_hat,
             a_star=a_star,
-            restricted_a_star=restricted,
             window_sweep=sweeps,
             total_mass=totals,
-            lower=lower,
-            upper=upper,
-            measure_ind=measure_ind,
             set_por=set_por,
             meas_por=meas_por,
             weight=x_estimate(tree, config.root_word(), g),
@@ -319,8 +292,7 @@ class WeightedMean:
 
 def ensemble_view(config: PercolationConfig, r: int, g: int, replica: int) -> ReplicaView:
     """The replica-th independent view for plain (unweighted-law) ensembles."""
-    cfg = replace(config, seed=substream(config.seed, STREAM_ENSEMBLE, replica))
-    return ReplicaView(LazyTree(cfg), r, g)
+    return ReplicaView(LazyTree(ensemble_config(config, replica)), r, g)
 
 
 def importance_functional(

@@ -73,7 +73,7 @@ def cfg08():
 def paths_main(cfg08):
     """20 mass-biased paths x 100 scales at r=6, g=4: the workhorse batch."""
     return run_path_batch(
-        cfg08, paths=20, n=100, r=6, g=4, alpha_grid=ALPHAS, eps_grid=EPS, workers=4
+        cfg08, paths=20, n=100, r=6, g=4, eps_grid=EPS, workers=4
     )
 
 
@@ -92,7 +92,7 @@ def paths_poro(cfg08):
     tested on ``paths_poro99`` instead.
     """
     return run_path_batch(
-        cfg08, paths=50, n=40, r=6, g=4, alpha_grid=(0.25,), eps_grid=(1e-2,), workers=4
+        cfg08, paths=50, n=40, r=6, g=4, eps_grid=(1e-2,), workers=4
     )
 
 
@@ -109,7 +109,7 @@ def paths_poro99():
     """
     cfg = PercolationConfig(2, 2, 0.99, seed=0)
     return run_path_batch(
-        cfg, paths=20, n=40, r=6, g=4, alpha_grid=(0.25,), eps_grid=(1e-2,), workers=4
+        cfg, paths=20, n=40, r=6, g=4, eps_grid=(1e-2,), workers=4
     )
 
 
@@ -206,20 +206,23 @@ def _thresholds(grid, alphas):
 def _bracket_ladder(grid, alphas):
     """(lower, upper) indicators of one count grid over an alpha ladder."""
     center = (grid.shape[0] // 2,) * grid.ndim
-    return set_hole_indicators(
-        max_empty_block(grid), restricted_max_empty_block(grid, center), _thresholds(grid, alphas)
-    )
+    thresholds = _thresholds(grid, alphas)
+    lower = set_hole_indicators(restricted_max_empty_block(grid, center), thresholds)[0]
+    return lower, set_hole_indicators(max_empty_block(grid), thresholds)[1]
 
 
 def test_criterion_4a_recorded_path_instances(paths_main):
     """2000 path scale-instances: bracket order, alpha-monotonicity, sandwich."""
     instances = 0
     for p in paths_main:
-        assert np.all(p.lower <= p.upper)
-        assert np.all(np.diff(p.lower, axis=1) <= 0)
-        assert np.all(np.diff(p.upper, axis=1) <= 0)
+        lower = np.stack([p.set_hole_lower(a) for a in ALPHAS], axis=1)
+        upper = np.stack([p.set_hole_upper(a) for a in ALPHAS], axis=1)
+        measure_ind = np.stack([p.measure_hole(a, EPS) for a in ALPHAS], axis=1)
+        assert np.all(lower <= upper)
+        assert np.all(np.diff(lower, axis=1) <= 0)
+        assert np.all(np.diff(upper, axis=1) <= 0)
         # a certified empty block is a zero-mass window: set implies measure
-        assert np.all(p.lower[:, :, None] <= p.measure_ind)
+        assert np.all(lower[:, :, None] <= measure_ind)
         instances += p.n
     assert instances == 2000
 

@@ -25,7 +25,8 @@ def _same_paths(a, b):
         assert pa.digits == pb.digits
         assert pa.tree_config == pb.tree_config
         assert np.array_equal(pa.x_hat, pb.x_hat)
-        assert np.array_equal(pa.lower, pb.lower)
+        assert np.array_equal(pa.a_star, pb.a_star)
+        assert np.array_equal(pa.window_sweep, pb.window_sweep)
         assert np.array_equal(pa.meas_por, pb.meas_por)
 
 

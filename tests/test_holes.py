@@ -180,12 +180,9 @@ def _bracket(occ, alpha):
     """(lower, upper) of one grid from the package's kernels, center at side // 2."""
     occ = np.asarray(occ, dtype=bool)
     side = occ.shape[0]
-    lower, upper = set_hole_indicators(
-        max_empty_block(occ),
-        restricted_max_empty_block(occ, (side // 2,) * occ.ndim),
-        cells_threshold(alpha, side),
-    )
-    return int(lower), int(upper)
+    thr = cells_threshold(alpha, side)
+    lower = set_hole_indicators(restricted_max_empty_block(occ, (side // 2,) * occ.ndim), thr)[0]
+    return int(lower), int(set_hole_indicators(max_empty_block(occ), thr)[1])
 
 
 def test_hole_bracket_order_and_extremes():
@@ -216,11 +213,8 @@ def test_hole_bracket_monotone_in_alpha_and_bracket_respecting():
     thresholds = np.array([cells_threshold(a, 16) for a in alphas])
     for _ in range(50):
         occ = rng.random((16, 16)) < rng.uniform(0.2, 0.8)
-        lower, upper = set_hole_indicators(
-            max_empty_block(occ),
-            restricted_max_empty_block(occ, (8, 8)),
-            thresholds,
-        )
+        lower = set_hole_indicators(restricted_max_empty_block(occ, (8, 8)), thresholds)[0]
+        upper = set_hole_indicators(max_empty_block(occ), thresholds)[1]
         assert np.all(np.diff(lower) <= 0)
         assert np.all(np.diff(upper) <= 0)
         assert np.all(lower <= upper)
@@ -301,11 +295,9 @@ def test_discrepancy_indicator_bounds_measure_minus_upper():
     cfg = PercolationConfig(2, 2, 0.8, seed=29)
     alpha, eps, delta = 0.4, 1e-3, 0.1
     for replica in range(4):
-        path = sample_qpath(
-            cfg, n=25, r=4, g=3, alpha_grid=(alpha,), eps_grid=(eps,), replica=replica
-        )
-        v = path.measure_hole_at(alpha, eps)
-        up = path.upper_at(alpha - delta)
+        path = sample_qpath(cfg, n=25, r=4, g=3, eps_grid=(eps,), replica=replica)
+        v = path.measure_hole(alpha, eps)
+        up = path.set_hole_upper(alpha - delta)
         disc = path.discrepancy(alpha, eps, delta)
         assert set(disc.tolist()) <= {0, 1}
         assert np.all(v <= up + disc)  # the pointwise sandwich the rate bound relies on
@@ -313,7 +305,7 @@ def test_discrepancy_indicator_bounds_measure_minus_upper():
 
 def test_discrepancy_indicator_validates_delta():
     cfg = PercolationConfig(2, 2, 0.8, seed=29)
-    path = sample_qpath(cfg, n=2, r=2, g=2, alpha_grid=(0.5,), eps_grid=(1e-3,), replica=0)
+    path = sample_qpath(cfg, n=2, r=2, g=2, eps_grid=(1e-3,), replica=0)
     with pytest.raises(ValueError):
         path.discrepancy(0.3, 1e-3, 0.3)
     with pytest.raises(ValueError):

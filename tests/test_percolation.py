@@ -33,11 +33,6 @@ def test_config_derived_quantities():
     assert not PercolationConfig(m=2, k=2, p=0.25).supercritical
 
 
-def test_subcritical_config_warns_on_tree_build():
-    with pytest.warns(UserWarning):
-        LazyTree(PercolationConfig(m=2, k=2, p=0.2))
-
-
 def test_root_always_retained():
     for seed in range(20):
         assert tree(seed=seed).is_retained(Word.root(2, 2))
@@ -135,8 +130,7 @@ def test_count_profile_deep_3d_matches_pointwise_walk():
 
 
 def test_count_profile_zero_fills_after_extinction():
-    with pytest.warns(UserWarning):
-        t = tree(p=0.26, seed=1, m=1, k=2)
+    t = tree(p=0.26, seed=1, m=1, k=2)
     prof = t.count_profile(Word.root(1, 2), 40)
     assert len(prof) == 41
     died = [i for i, c in enumerate(prof) if c == 0]

@@ -5,7 +5,6 @@ import pytest
 
 from percolab import (
     LazyTree,
-    MissingParameterError,
     PercolationConfig,
     RejectionLimitError,
     Word,
@@ -13,9 +12,15 @@ from percolab import (
     x_estimate,
 )
 from percolab.holes import restricted_max_empty_block
-from percolab.percolation import STREAM_PATH, descendant_counts, grid_from_digit_order
+from percolab.percolation import (
+    STREAM_ENSEMBLE,
+    STREAM_PATH,
+    descendant_counts,
+    grid_from_digit_order,
+)
 from percolab.qsampler import (
     ReplicaView,
+    ensemble_config,
     ensemble_view,
     importance_functional,
     replica_config,
@@ -23,6 +28,8 @@ from percolab.qsampler import (
     sample_step,
 )
 from percolab.rng import child_key, substream, unit_draw
+
+from helpers import brute_min_window_sum, hole_bracket
 
 
 def test_sample_step_threshold_layout():
@@ -70,7 +77,7 @@ def test_path_walk_replays_by_hand(m, k, r, g):
     """
     cfg = PercolationConfig(m, k, 0.85, seed=33)
     n = 4
-    path = sample_qpath(cfg, n=n, r=r, g=g, alpha_grid=(0.5,), eps_grid=(), replica=2)
+    path = sample_qpath(cfg, n=n, r=r, g=g, eps_grid=(), replica=2)
     tcfg = replica_config(cfg, 2, attempt=path.attempts - 1)
     assert path.tree_config == tcfg
     tree = LazyTree(tcfg)
@@ -145,7 +152,7 @@ def test_recorded_grids_match_fresh_expansion():
 
         assert path.a_star[j - 1] == max_empty_block(occ)
         # the center being occupied makes the restricted statistic equal
-        assert path.restricted_a_star[j - 1] == path.a_star[j - 1]
+        assert restricted_max_empty_block(occ, center) == path.a_star[j - 1]
         assert path.a_star[j - 1] < side  # grid is never fully empty
         # the grid total is the word's deeper martingale estimate, scaled
         total = 2.0 ** (-j * d) * x_estimate(tree, word, r + g)
@@ -158,18 +165,18 @@ def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
     """Every recorded center cell is occupied, so forcing it changes no block.
 
     The descent only enters children alive g levels down, so the path's own
-    cell is never empty; the recorded restricted statistic (copied from
-    a_star) must match the forced-center reference on every scale.
+    cell is never empty; the recorded a_star, which the certified lower
+    indicator reads, must match the forced-center reference on every scale.
     """
     cfg = PercolationConfig(m, 2, p, seed=3)
     for replica in range(3):
-        path = sample_qpath(cfg, n=6, r=r, g=g, alpha_grid=(0.5,), eps_grid=(), replica=replica)
+        path = sample_qpath(cfg, n=6, r=r, g=g, eps_grid=(), replica=replica)
         tree = LazyTree(path.tree_config)
         for j in range(path.n):
             counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
             occ = grid_from_digit_order(counts, m, 2, r) > 0
             reference = restricted_max_empty_block(occ, path.centers[j])
-            assert path.restricted_a_star[j] == path.a_star[j] == reference
+            assert path.a_star[j] == reference
 
 
 def test_path_weight_is_root_estimate():
@@ -182,47 +189,76 @@ def test_path_weight_is_root_estimate():
     assert path.weight == pytest.approx(count * 2.0 ** (-g * d), rel=1e-12)
 
 
-def test_qpath_accessors_match_grid_columns():
+def test_qpath_accessors_match_oracles_off_grid():
+    """Any alpha and eps, read off the recorded a* and sweep, match brute force.
+
+    The parameters lie off every grid the path was sampled with, and the
+    alphas (t + 1/2) / side reach every cell threshold 1..side; the oracles
+    see only a fresh count grid of each scale and its center.
+    """
     cfg = PercolationConfig(2, 2, 0.8, seed=3)
-    alphas, epss = (0.25, 0.5), (1e-2, 1e-1)
-    path = sample_qpath(cfg, n=4, r=4, g=3, alpha_grid=alphas, eps_grid=epss, replica=0)
-    assert np.array_equal(path.set_hole_lower(0.25), path.lower[:, 0])
-    assert np.array_equal(path.set_hole_upper(0.5), path.upper[:, 1])
-    assert np.array_equal(path.measure_hole(0.5, 1e-1), path.measure_ind[:, 1, 1])
-    # off-grid parameters are either recomputed (..._at) or rejected
-    assert np.array_equal(path.upper_at(0.25), path.upper[:, 0])
-    assert np.array_equal(path.upper_at(0.5), path.upper[:, 1])
-    for ia, alpha in enumerate(alphas):
-        for ie, eps in enumerate(epss):
-            assert np.array_equal(path.measure_hole_at(alpha, eps), path.measure_ind[:, ia, ie])
-    with pytest.raises(MissingParameterError):
-        path.set_hole_lower(0.33)
-    with pytest.raises(MissingParameterError):
-        path.measure_hole(0.25, 5e-3)
-    with pytest.raises(ValueError):
-        path.measure_hole_at(1.5, 1e-2)
+    r, g = 4, 3
+    path = sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(1e-1,), replica=0)
+    tree = LazyTree(path.tree_config)
+    grids = [
+        grid_from_digit_order(descendant_counts(tree, Word(2, 2, path.digits[:j]), r, g), 2, 2, r)
+        for j in range(1, path.n + 1)
+    ]
+    for alpha in (0.33,) + tuple((t + 0.5) / 2**r for t in range(2**r)):
+        lower, upper = path.set_hole_lower(alpha), path.set_hole_upper(alpha)
+        need = int(np.ceil(alpha * 2**r - 1e-9))
+        for eps in (5e-3, 0.07, 0.3, 2.0):
+            measure = path.measure_hole(alpha, eps)
+            for j, grid in enumerate(grids):
+                assert (lower[j], upper[j]) == hole_bracket(grid > 0, alpha, path.centers[j])
+                light = brute_min_window_sum(grid, need) <= eps * grid.sum()
+                assert measure[j] == int(light)
+    # an eps sequence appends its axis
+    sheet = path.measure_hole(0.33, (5e-3, 0.3))
+    assert sheet.shape == (path.n, 2)
+    assert np.array_equal(sheet[:, 1], path.measure_hole(0.33, 0.3))
+    for bad in (0.0, -0.1, 1.5):
+        for accessor in (path.set_hole_lower, path.set_hole_upper):
+            with pytest.raises(ValueError):
+                accessor(bad)
+        with pytest.raises(ValueError):
+            path.measure_hole(bad, 1e-2)
 
 
 def test_path_indicator_structure():
     cfg = PercolationConfig(2, 2, 0.8, seed=8)
     alphas = tuple(0.05 * t for t in range(1, 20)) + (1.0,)
-    path = sample_qpath(cfg, n=6, r=4, g=3, alpha_grid=alphas, eps_grid=(1e-3,), replica=0)
-    assert np.all(path.lower <= path.upper)
-    assert np.all(np.diff(path.lower.astype(np.int8), axis=1) <= 0)
-    assert np.all(np.diff(path.upper.astype(np.int8), axis=1) <= 0)
+    path = sample_qpath(cfg, n=6, r=4, g=3, eps_grid=(1e-3,), replica=0)
+    lower = np.stack([path.set_hole_lower(a) for a in alphas], axis=1)
+    upper = np.stack([path.set_hole_upper(a) for a in alphas], axis=1)
+    measure_ind = np.stack([path.measure_hole(a, path.eps_grid) for a in alphas], axis=1)
+    assert np.all(lower <= upper)
+    assert np.all(np.diff(lower.astype(np.int8), axis=1) <= 0)
+    assert np.all(np.diff(upper.astype(np.int8), axis=1) <= 0)
     # certified set holes imply measure holes at every eps
-    assert np.all(path.lower[:, :, None] <= path.measure_ind)
+    assert np.all(lower[:, :, None] <= measure_ind)
 
 
 def test_p_one_walk_visits_uniformly_and_sees_no_holes():
     cfg = PercolationConfig(2, 2, 1.0, seed=0)
-    path = sample_qpath(cfg, n=3, r=4, g=2, alpha_grid=(0.25, 1.0), eps_grid=(1e-2,), replica=0)
+    path = sample_qpath(cfg, n=3, r=4, g=2, eps_grid=(1e-2,), replica=0)
     assert np.array_equal(path.a_star, np.zeros(3, dtype=np.int64))
-    assert np.all(path.lower == 0) and np.all(path.upper == 0)
-    assert np.all(path.measure_ind == 0)
+    for alpha in (0.25, 1.0):
+        assert np.all(path.set_hole_lower(alpha) == 0)
+        assert np.all(path.set_hole_upper(alpha) == 0)
+        assert np.all(path.measure_hole(alpha, 1e-2) == 0)
     assert np.all(path.set_por == 0.0)
     assert path.weight == pytest.approx(1.0)
     assert np.allclose(path.x_hat, 1.0)
+
+
+def test_ensemble_config_is_the_plain_ensemble_stream():
+    cfg = PercolationConfig(2, 2, 0.8, seed=77)
+    for i in range(4):
+        seed = ensemble_config(cfg, i).seed
+        assert seed == substream(77, STREAM_ENSEMBLE, i)
+        assert ensemble_view(cfg, r=2, g=1, replica=i).config.seed == seed
+        assert seed != replica_config(cfg, i).seed  # disjoint from path replicas
 
 
 def test_replica_view_consistency():
