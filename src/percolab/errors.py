@@ -13,7 +13,7 @@ class MemoryBudgetError(PercolabError):
         self.budget = int(budget)
         super().__init__(
             f"expansion needs at least {self.requested} nodes, budget is "
-            f"{self.budget} (raise PERCOLAB_MAX_NODES or pass max_nodes)"
+            f"{self.budget} (raise PERCOLAB_MAX_NODES)"
         )
 
     def __reduce__(self):  # a pool worker's error must unpickle in the parent

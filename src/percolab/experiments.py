@@ -236,7 +236,9 @@ def dimension_slope(
     a depth-independent factor at these sizes).  Candidates are consumed in
     replica order until ``trees`` survivors are found, which keeps the
     selected set independent of the worker count; at most 20 * ``trees``
-    candidates are inspected.
+    candidates are inspected.  Each block of candidates is no larger than
+    the number of survivors still missing, so no candidate past the last
+    survivor needed is computed.
     """
     depths = tuple(sorted(int(j) for j in depths))
     if depths[0] < 1:
@@ -246,14 +248,12 @@ def dimension_slope(
     profiles: List[List[int]] = []
     candidates = 0
     while len(profiles) < trees and candidates < cap:
-        block = min(trees, cap - candidates)
+        block = min(trees - len(profiles), cap - candidates)
         argses = [(config, max_depth, candidates + i) for i in range(block)]
-        for profile in list(_ordered_map(_profile_worker, argses, workers)):
-            candidates += 1
+        for profile in _ordered_map(_profile_worker, argses, workers):
             if profile[max_depth] > 0:
                 profiles.append(profile)
-                if len(profiles) == trees:
-                    break
+        candidates += block
     if len(profiles) < trees:
         raise RejectionLimitError(
             candidates,

@@ -28,6 +28,10 @@ from .words import Word, _offset_table
 
 _DEFAULT_MAX_NODES = 1 << 24
 
+# Parents hashed per slice of a frontier level: a slice's keys, children and
+# draws stay in cache, where one pass over a whole large level would not.
+_CHUNK = 1 << 14
+
 # Stream indices under a seed.  Retention draws, path-choice draws, path
 # replicas, and plain ensemble replicas live in disjoint key subtrees, so
 # changing how many of one kind a run needs never perturbs the others.
@@ -112,7 +116,9 @@ class LazyTree:
 
     Nothing is cached: a scalar query walks the keys down from the root, and
     ``expand_retained`` walks a retained-only frontier.  Both hash the same
-    counter-based keys, so they always agree.
+    counter-based keys, so they always agree.  ``max_nodes`` caps the
+    children one frontier level or count grid may hold; it defaults to the
+    ``PERCOLAB_MAX_NODES`` environment variable, else 2^24.
     """
 
     def __init__(self, config: PercolationConfig, max_nodes: Optional[int] = None):
@@ -158,7 +164,9 @@ class LazyTree:
         level j-1.  Level 0 is ``[0]``, or empty if ``word`` is pruned.
         Only the children of retained nodes are hashed, so memory tracks the
         surviving population rather than the (k^m)^depth lattice; once a
-        level is empty, hashing stops and the rest are empty levels.
+        level is empty, hashing stops and the rest are empty levels.  A
+        level is hashed in slices of ``_CHUNK`` parents, which changes no
+        key, draw or entry.
         """
         self._check_word(word)
         fanout = self.config.branching
@@ -167,12 +175,23 @@ class LazyTree:
         levels = [np.zeros(keys.size, dtype=np.int64)]
         while len(levels) <= depth and keys.size:
             self._budget(keys.size * fanout)
-            children = child_keys(keys, fanout).reshape(-1)
-            (alive,) = np.nonzero(unit_draws(children) < self.config.p)
-            keys = children[alive]
-            levels.append(alive.astype(np.int64, copy=False))
+            if keys.size <= _CHUNK:
+                keys, alive = self._retained_children(keys)
+            else:
+                parts = [
+                    self._retained_children(keys[start : start + _CHUNK], start * fanout)
+                    for start in range(0, keys.size, _CHUNK)
+                ]
+                keys, alive = (np.concatenate(column) for column in zip(*parts))
+            levels.append(alive)
         levels.extend(np.zeros(0, dtype=np.int64) for _ in range(depth + 1 - len(levels)))
         return levels
+
+    def _retained_children(self, keys: np.ndarray, offset: int = 0):
+        """Retained child keys of ``keys``, and their level entries plus ``offset``."""
+        children = child_keys(keys, self.config.branching).reshape(-1)
+        (alive,) = np.nonzero(unit_draws(children) < self.config.p)
+        return children[alive], alive.astype(np.int64, copy=False) + offset
 
     def count_profile(self, word: Word, depth: int) -> List[int]:
         """Retained descendant counts at every relative depth 0..depth."""

@@ -49,19 +49,23 @@ def mix64(x: int) -> int:
     return x
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer on a uint64 array.
-
-    Overflow wraps silently for arrays (unlike numpy scalars), which is the
-    behaviour we want here.
-    """
-    x = x.astype(np.uint64, copy=True)
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array; returns it."""
     x ^= x >> _SHIFT_30
     x *= _MIX1_U64
     x ^= x >> _SHIFT_27
     x *= _MIX2_U64
     x ^= x >> _SHIFT_31
     return x
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer on a uint64 array; ``x`` is untouched.
+
+    Overflow wraps silently for arrays (unlike numpy scalars), which is the
+    behaviour we want here.
+    """
+    return _mix64_inplace(x.astype(np.uint64, copy=True))
 
 
 def seed_key(seed: int) -> int:
@@ -82,7 +86,7 @@ def child_key(key: int, index: int) -> int:
 def child_keys(keys: np.ndarray, fanout: int) -> np.ndarray:
     """Child keys for a whole frontier at once: (n,) uint64 -> (n, fanout)."""
     offsets = (np.arange(1, fanout + 1, dtype=np.uint64)) * _GOLDEN_U64
-    return mix64_array(keys[:, None] + offsets[None, :])
+    return _mix64_inplace(keys[:, None] + offsets[None, :])
 
 
 def unit_draw(key: int) -> float:
@@ -92,8 +96,11 @@ def unit_draw(key: int) -> float:
 
 def unit_draws(keys: np.ndarray) -> np.ndarray:
     """Vectorized uniform draws in [0, 1) for a uint64 key array."""
-    bits = mix64_array(keys ^ _DRAW_SALT_U64)
-    return (bits >> _SHIFT_11).astype(np.float64) * _INV_2_53
+    bits = _mix64_inplace(keys ^ _DRAW_SALT_U64)
+    bits >>= _SHIFT_11
+    draws = bits.astype(np.float64)
+    draws *= _INV_2_53
+    return draws
 
 
 def substream(seed: int, *indices: int) -> int:

@@ -258,6 +258,8 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
         assert cli.main(["--spec", spec_file, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "budget" in err and "Traceback" not in err
+        # the advice names only what a CLI run can change
+        assert "PERCOLAB_MAX_NODES" in err and "pass max_nodes" not in err
         assert all(len(line) < 200 for line in err.splitlines())
         assert not out.exists()
 

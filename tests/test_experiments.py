@@ -113,6 +113,23 @@ def test_dimension_slope_deterministic_across_workers():
     assert abs(a.slope - a.dimension_value) < 0.3
 
 
+def test_dimension_slope_computes_no_unread_profile(monkeypatch):
+    from percolab import experiments
+
+    replicas = []
+    worker = experiments._profile_worker
+
+    def counted(args):
+        replicas.append(args[2])
+        return worker(args)
+
+    monkeypatch.setattr(experiments, "_profile_worker", counted)
+    cfg = PercolationConfig(2, 2, 0.4, seed=1)
+    res = dimension_slope(cfg, depths=(2, 4, 6), trees=20)
+    # every candidate computed is read, in replica order, and none past the last survivor
+    assert replicas == list(range(res.candidates))
+
+
 def test_dimension_slope_survivors_only():
     cfg = PercolationConfig(2, 2, 0.7, seed=1)
     res = dimension_slope(cfg, depths=(3, 4, 5), trees=30)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
-from percolab.percolation import descendant_counts, grid_from_digit_order
+from percolab.percolation import STREAM_RETENTION, descendant_counts, grid_from_digit_order
+from percolab.rng import child_keys, substream, unit_draws
 from percolab.words import cell_of_digits
 
 
@@ -108,6 +109,43 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
     prof = tree(p=0.6, seed=5, m=1).count_profile(Word.root(1, 2), 40)
     assert prof[:8] == [1, 1, 2, 2, 3, 1, 1, 0] and prof[8:] == [0] * 33
     assert hashed == [1, 1, 2, 2, 3, 1, 1]
+
+
+def _one_shot_levels(t, depth):
+    """Reference expansion from the root: each level hashed in one call."""
+    fanout, p = t.config.branching, t.config.p
+    keys = np.array([substream(t.config.seed, STREAM_RETENTION)], dtype=np.uint64)
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(depth):
+        children = child_keys(keys, fanout).reshape(-1)
+        (alive,) = np.nonzero(unit_draws(children) < p)
+        keys = children[alive]
+        levels.append(alive)
+    return levels
+
+
+def _same_levels(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chunked_levels_match_one_shot(monkeypatch, m):
+    # golden specs never hash a level past one chunk, so shrink the chunk
+    # until every level of a small tree crosses several slice boundaries
+    from percolab import percolation
+
+    t = tree(p=0.8, seed=3, m=m)
+    root = Word.root(m, 2)
+    levels = t.expand_retained(root, 6)
+    counts = descendant_counts(t, root, 3, 3)
+    assert levels[5].size > 5  # the deepest hashed level spans several chunks
+    assert _same_levels(levels, _one_shot_levels(t, 6))
+    for chunk in (1, 3, 5):
+        monkeypatch.setattr(percolation, "_CHUNK", chunk)
+        assert _same_levels(t.expand_retained(root, 6), levels)
+        assert np.array_equal(descendant_counts(t, root, 3, 3), counts)
 
 
 def test_count_profile_matches_expand():

@@ -86,3 +86,16 @@ def test_substream_separates_indices():
 def test_child_keys_match_nested_substreams():
     # child_key is the elementary step substream is built from
     assert substream(5, 2, 7) == child_key(child_key(seed_key(5), 2), 7)
+
+
+def test_vector_kernels_leave_input_untouched():
+    keys = np.array([substream(9, i) for i in range(50)] + [0, 2**64 - 1], dtype=np.uint64)
+    before = keys.tobytes()
+    children = child_keys(keys, 3)
+    draws = unit_draws(keys)
+    mixed = mix64_array(keys)
+    assert keys.tobytes() == before
+    for i, key in enumerate(keys.tolist()):
+        assert children[i].tolist() == [child_key(key, j) for j in range(3)]
+        assert float(draws[i]) == unit_draw(key)
+        assert int(mixed[i]) == mix64(key)
