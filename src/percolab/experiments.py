@@ -9,10 +9,12 @@ module top level.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,18 +42,27 @@ from .estimators import (
 )
 
 
-def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
-    """Yield fn(args) in input order, in this process or over a pool.
+@contextmanager
+def _mapper(workers: int, tasks: int) -> Iterator[Callable]:
+    """An ordered map for one run: ``map_(fn, argses)`` yields fn(args) in input order.
 
-    A worker's exception is raised here when its result is reached, after
-    every earlier result has been yielded; leaving the loop closes the pool.
-    The pool never has more processes than there are tasks.
+    It maps in this process, or over one pool of ``min(workers, tasks)``
+    processes that every call shares, where ``tasks`` is the most any one
+    call maps.  A worker's exception is raised when its result is reached,
+    after every earlier result has been yielded; leaving the block closes
+    the pool.
     """
-    if workers <= 1 or len(argses) <= 1:
-        yield from map(fn, argses)
+    if workers <= 1 or tasks <= 1:
+        yield map
         return
-    with Pool(processes=min(workers, len(argses))) as pool:
-        yield from pool.imap(fn, argses, chunksize=1)
+    with Pool(processes=min(workers, tasks)) as pool:
+        yield functools.partial(pool.imap, chunksize=1)
+
+
+def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
+    """Yield fn(args) in input order, in this process or over a pool of its own."""
+    with _mapper(workers, len(argses)) as map_:
+        yield from map_(fn, argses)
 
 
 # -- worker functions (top level for pickling) --------------------------------
@@ -238,7 +249,7 @@ def dimension_slope(
     selected set independent of the worker count; at most 20 * ``trees``
     candidates are inspected.  Each block of candidates is no larger than
     the number of survivors still missing, so no candidate past the last
-    survivor needed is computed.
+    survivor needed is computed, and every block runs on one pool.
     """
     depths = tuple(sorted(int(j) for j in depths))
     if depths[0] < 1:
@@ -247,13 +258,15 @@ def dimension_slope(
     cap = 20 * trees
     profiles: List[List[int]] = []
     candidates = 0
-    while len(profiles) < trees and candidates < cap:
-        block = min(trees - len(profiles), cap - candidates)
-        argses = [(config, max_depth, candidates + i) for i in range(block)]
-        for profile in _ordered_map(_profile_worker, argses, workers):
-            if profile[max_depth] > 0:
-                profiles.append(profile)
-        candidates += block
+    # no block is larger than the first, so one pool that size serves them all
+    with _mapper(workers, trees) as map_:
+        while len(profiles) < trees and candidates < cap:
+            block = min(trees - len(profiles), cap - candidates)
+            argses = [(config, max_depth, candidates + i) for i in range(block)]
+            for profile in map_(_profile_worker, argses):
+                if profile[max_depth] > 0:
+                    profiles.append(profile)
+            candidates += block
     if len(profiles) < trees:
         raise RejectionLimitError(
             candidates,

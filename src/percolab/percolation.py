@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .words import Word, _offset_table
 
 _DEFAULT_MAX_NODES = 1 << 24
 
-# Parents hashed per slice of a frontier level: a slice's keys, children and
-# draws stay in cache, where one pass over a whole large level would not.
+# Parents hashed per slice of a frontier level: a slice's children, draws and
+# labels stay in cache, where one pass over a whole large level would not.
 _CHUNK = 1 << 14
 
 # Stream indices under a seed.  Retention draws, path-choice draws, path
@@ -111,14 +112,119 @@ def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndar
     return out.reshape((side,) * m)
 
 
+def labels_fit(fanout: int, digits: int) -> bool:
+    """Whether base-``fanout`` labels of ``digits`` digits, and fanout^digits
+    itself, fit int64."""
+    return digits < 63 and fanout ** digits < 1 << 63
+
+
+class _Level:
+    """Growable key and label arrays holding one frontier level."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.labels = np.empty(0, dtype=np.int64)
+
+    def reserve(self, size: int, keep: int, labelled: bool):
+        """Make room for ``size`` nodes, keeping the first ``keep``."""
+        names = ("keys", "labels") if labelled else ("keys",)
+        for name in names:
+            old = getattr(self, name)
+            if size > old.size:
+                new = np.empty(max(size, 2 * old.size), dtype=old.dtype)
+                new[:keep] = old[:keep]
+                setattr(self, name, new)
+
+
+class _Workspace:
+    """One process's arrays for hashing trees of one fanout, grown on demand.
+
+    The slice arrays hold the children of one slice of parents while it is
+    hashed; ``spares`` holds the level buffers no open frontier holds.
+    """
+
+    _DTYPES = (np.uint64, np.uint64, np.float64, bool, np.int64)
+
+    def __init__(self, fanout: int):
+        self.fanout = fanout
+        self.spares: List[_Level] = []
+        self.arrays = [np.empty(0, dtype) for dtype in self._DTYPES]
+
+    def slice(self, parents: int) -> List[np.ndarray]:
+        """Children, bits, draws, alive and label arrays for ``parents`` parents."""
+        n = parents * self.fanout
+        if n > self.arrays[0].size:
+            self.arrays = [np.empty(n, dtype) for dtype in self._DTYPES]
+        return [array[:n] for array in self.arrays]
+
+
+@lru_cache(maxsize=None)
+def _workspace(fanout: int) -> _Workspace:
+    """This process's workspace for ``fanout``: it lives as long as the process."""
+    return _Workspace(fanout)
+
+
+class Frontier:
+    """The retained nodes at one depth below a word, in digit-path order.
+
+    ``keys`` holds their stream keys.  ``labels`` (None when ``label_depth``
+    is 0) holds each node's first ``label_depth`` digits below the word as
+    one base-k^m integer, so the labels are sorted; a node at most
+    ``label_depth`` levels down is labelled with its whole digit path below
+    the word.  Both are views into buffers the frontier holds until the
+    ``with`` block of ``LazyTree.frontier`` ends: read them inside it and
+    copy what must outlive it.
+    """
+
+    def __init__(self, fanout: int, key: Optional[int], label_depth: int, levels: List[_Level]):
+        self.fanout = fanout
+        self.label_depth = label_depth
+        self.depth = 0
+        self._levels = levels  # the current level's buffers, then the spare
+        levels[0].reserve(1, 0, label_depth > 0)
+        if key is not None:
+            levels[0].keys[0] = key
+            if label_depth:
+                levels[0].labels[0] = 0
+        self._show(0 if key is None else 1)
+
+    @property
+    def size(self) -> int:
+        return self.keys.size
+
+    def _show(self, size: int):
+        current = self._levels[0]
+        self.keys = current.keys[:size]
+        self.labels = current.labels[:size] if self.label_depth else None
+
+    def _swap(self, size: int):
+        """Make the spare buffers, filled with ``size`` nodes one level down, current."""
+        self._levels.reverse()
+        self.depth += 1
+        self._show(size)
+
+    def descend(self, digit: int):
+        """Keep the nodes under child ``digit`` of the word; that child becomes the word."""
+        if not 0 < self.depth <= self.label_depth:
+            raise ValueError("descend needs a labelled frontier below its word")
+        unit = self.fanout ** (self.depth - 1)
+        lo, hi = np.searchsorted(self.labels, (digit * unit, (digit + 1) * unit))
+        self.keys = self.keys[lo:hi]
+        self.labels = self.labels[lo:hi]
+        self.labels -= digit * unit
+        self.depth -= 1
+
+
 class LazyTree:
     """On-demand view of one realization of the percolation process.
 
-    Nothing is cached: a scalar query walks the keys down from the root, and
-    ``expand_retained`` walks a retained-only frontier.  Both hash the same
-    counter-based keys, so they always agree.  ``max_nodes`` caps the
-    children one frontier level or count grid may hold; it defaults to the
-    ``PERCOLAB_MAX_NODES`` environment variable, else 2^24.
+    Buffers are reused; no result is.  A scalar query walks the keys down
+    from the root, and ``expand_retained`` hashes a retained-only frontier
+    whose work and level buffers each process keeps per fanout, for every
+    tree; both hash the same counter-based keys, so they always agree.
+    ``max_nodes`` caps the children one frontier level or count grid may
+    hold; it defaults to the ``PERCOLAB_MAX_NODES`` environment variable,
+    else 2^24.
     """
 
     def __init__(self, config: PercolationConfig, max_nodes: Optional[int] = None):
@@ -155,47 +261,73 @@ class LazyTree:
         if n_nodes > self.max_nodes:
             raise MemoryBudgetError(n_nodes, self.max_nodes)
 
-    def expand_retained(self, word: Word, depth: int) -> List[np.ndarray]:
-        """Retained descendants of ``word``, level by level.
+    @contextmanager
+    def frontier(self, word: Word, label_depth: int = 0) -> Iterator[Frontier]:
+        """A frontier holding ``word`` alone (none if it is pruned), for one ``with`` block.
 
-        Returns ``depth + 1`` int64 arrays.  Level j lists the retained
-        nodes at relative depth j in digit-path order, each stored as
-        ``parent_position * k^m + digit`` where ``parent_position`` indexes
-        level j-1.  Level 0 is ``[0]``, or empty if ``word`` is pruned.
-        Only the children of retained nodes are hashed, so memory tracks the
-        surviving population rather than the (k^m)^depth lattice; once a
-        level is empty, hashing stops and the rest are empty levels.  A
-        level is hashed in slices of ``_CHUNK`` parents, which changes no
-        key, draw or entry.
+        ``label_depth`` must pass ``labels_fit``.
         """
         self._check_word(word)
         fanout = self.config.branching
-        key = self._lookup(word.digits)
-        keys = np.array([] if key is None else [key], dtype=np.uint64)
-        levels = [np.zeros(keys.size, dtype=np.int64)]
-        while len(levels) <= depth and keys.size:
-            self._budget(keys.size * fanout)
-            if keys.size <= _CHUNK:
-                keys, alive = self._retained_children(keys)
-            else:
-                parts = [
-                    self._retained_children(keys[start : start + _CHUNK], start * fanout)
-                    for start in range(0, keys.size, _CHUNK)
-                ]
-                keys, alive = (np.concatenate(column) for column in zip(*parts))
-            levels.append(alive)
-        levels.extend(np.zeros(0, dtype=np.int64) for _ in range(depth + 1 - len(levels)))
-        return levels
+        if not labels_fit(fanout, label_depth):
+            raise ValueError(f"{label_depth}-digit labels overflow int64 at fanout {fanout}")
+        workspace = _workspace(fanout)
+        levels = [workspace.spares.pop() if workspace.spares else _Level() for _ in range(2)]
+        try:
+            yield Frontier(fanout, self._lookup(word.digits), label_depth, levels)
+        finally:
+            workspace.spares.extend(levels)
 
-    def _retained_children(self, keys: np.ndarray, offset: int = 0):
-        """Retained child keys of ``keys``, and their level entries plus ``offset``."""
-        children = child_keys(keys, self.config.branching).reshape(-1)
-        (alive,) = np.nonzero(unit_draws(children) < self.config.p)
-        return children[alive], alive.astype(np.int64, copy=False) + offset
+    def expand_retained(self, frontier: Frontier, levels: int) -> List[int]:
+        """Hash ``levels`` more levels below ``frontier``, in place.
+
+        Returns the frontier's retained counts before and after each level,
+        ``levels + 1`` ints.  Only the children of retained nodes are hashed,
+        so memory tracks the surviving population rather than the
+        (k^m)^depth lattice; once the frontier is empty, hashing stops and
+        the remaining counts are 0.  A level is hashed in slices of at most
+        ``_CHUNK`` parents, each compacted straight into the frontier's
+        spare level buffer, which changes no key, draw, node or label.
+        """
+        fanout, p = self.config.branching, self.config.p
+        workspace = _workspace(fanout)
+        sizes = [frontier.size]
+        while len(sizes) <= levels and frontier.size:
+            self._budget(frontier.size * fanout)
+            keys, labels = frontier.keys, frontier.labels
+            extend = frontier.depth < frontier.label_depth
+            out = frontier._levels[1]
+            filled = 0
+            for start in range(0, keys.size, _CHUNK):
+                part = keys[start : start + _CHUNK]
+                children, bits, draws, alive, child_labels = workspace.slice(part.size)
+                child_keys(part, fanout, children.reshape(-1, fanout), bits.reshape(-1, fanout))
+                np.less(unit_draws(children, draws, bits), p, out=alive)
+                count = int(np.count_nonzero(alive))
+                out.reserve(filled + count, filled, labels is not None)
+                np.compress(alive, children, out=out.keys[filled : filled + count])
+                if labels is not None:
+                    # column by column, as in child_keys
+                    grid = child_labels.reshape(-1, fanout)
+                    parent = labels[start : start + _CHUNK]
+                    if extend:  # append each child's digit to its parent's label
+                        np.multiply(parent, fanout, out=grid[:, 0])
+                        for digit in range(1, fanout):
+                            np.add(grid[:, 0], digit, out=grid[:, digit])
+                    else:
+                        for digit in range(fanout):
+                            grid[:, digit] = parent
+                    np.compress(alive, child_labels, out=out.labels[filled : filled + count])
+                filled += count
+            frontier._swap(filled)
+            sizes.append(filled)
+        sizes.extend([0] * (levels + 1 - len(sizes)))
+        return sizes
 
     def count_profile(self, word: Word, depth: int) -> List[int]:
         """Retained descendant counts at every relative depth 0..depth."""
-        return [int(level.size) for level in self.expand_retained(word, depth)]
+        with self.frontier(word) as front:
+            return self.expand_retained(front, depth)
 
 
 def descendant_counts(
@@ -209,11 +341,7 @@ def descendant_counts(
     # past the budget's bit length the grid is over budget for any fanout,
     # so the check caps the exponent there and never builds a huge k^(m r)
     tree._budget(fanout ** min(resolution, tree.max_nodes.bit_length()))
-    cells = fanout ** resolution
-    levels = tree.expand_retained(root, resolution + probe_depth)
-    # carry each node's depth-resolution cell down the frontier
-    cell = np.zeros(levels[0].size, dtype=np.int64)
-    for j, level in enumerate(levels[1:], start=1):
-        parent, digit = np.divmod(level, fanout)
-        cell = cell[parent] * fanout + digit if j <= resolution else cell[parent]
-    return np.bincount(cell, minlength=cells)
+    # labels stop growing at the depth-resolution cell: each node carries its cell
+    with tree.frontier(root, resolution) as front:
+        tree.expand_retained(front, resolution + probe_depth)
+        return np.bincount(front.labels, minlength=fanout ** resolution)

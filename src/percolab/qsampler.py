@@ -41,6 +41,7 @@ from .percolation import (
     PercolationConfig,
     descendant_counts,
     grid_from_digit_order,
+    labels_fit,
 )
 from .rng import child_key, substream, unit_draw
 from .words import Word, cell_of_digits
@@ -153,14 +154,18 @@ def sample_qpath(
     """Sample one surviving mass-biased path and fill its scale records.
 
     The descent needs n + r digits (scale j's records are centered on the
-    path's cell r levels below scale j).  It is one walk that expands each
-    visited word once: the first r steps pick from one-level counts, then
-    scale j's record grid also supplies step j + r - 1's counts, and the
-    scale is recorded as soon as that step fixes its centre.  Whenever the
-    walk hits a word with no alive children, the whole attempt -- tree and
-    path stream both -- is thrown away and redrawn from the next attempt
-    substream, which keeps the accepted sample a pure function of
-    (seed, replica).
+    path's cell r levels below scale j).  It is one walk through one
+    labelled frontier that hashes every retained node's children at most
+    once.  The root is expanded g + 1 levels for the first step; the walk
+    then keeps only the nodes under word_1 and deepens them one level per
+    step, until they lie r + g levels below it.  From there each step
+    keeps the nodes under the next digit of the scale's word and hashes one
+    more level.  Step s picks among the children of word_s, whose counts
+    are read off the frontier's cells; from step r on, that cell grid is
+    the record of scale s - r + 1.  Whenever the walk hits a word with no
+    alive children, the whole attempt -- tree and path stream both -- is
+    thrown away and redrawn from the next attempt substream, which keeps
+    the accepted sample a pure function of (seed, replica).
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
@@ -168,9 +173,13 @@ def sample_qpath(
     m, k, fanout = config.m, config.k, config.branching
     side = k ** r
     child_mass = mass_factor(config, g)
+    cell_unit = fanout ** g  # label // cell_unit drops a node's g probe digits
+    # past int64 labels, each step counts its word's cells afresh instead
+    streamed = labels_fit(fanout, r + g)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)
+        tree._budget(fanout ** min(r, tree.max_nodes.bit_length()))
         path_key = substream(tree_cfg.seed, STREAM_PATH)
         digits: List[int] = []
         centers = np.zeros((n, m), dtype=np.int64)
@@ -181,30 +190,45 @@ def sample_qpath(
         set_por = np.zeros(n)
         meas_por = np.zeros((n, len(epss)))
         try:
-            for step in range(n + r):
-                # Scale j's grid counts depth r + g below word_j, which is
-                # depth g below each child of word_{j+r-1}: step j + r - 1
-                # picks among the k^m entries under digits[j : j+r-1].
-                j = step - r + 1
-                if j < 1:
-                    counts = descendant_counts(tree, Word(m, k, tuple(digits)), 1, g)
-                else:
-                    scale = descendant_counts(tree, Word(m, k, tuple(digits[:j])), r, g)
-                    counts = scale.reshape((fanout,) * r)[tuple(digits[j:])]
-                digit = sample_step(counts, unit_draw(child_key(path_key, step)))
-                digits.append(digit)
-                if step < n:
-                    # the chosen child's count is x_estimate(word_{step+1}, g)'s
-                    x_hat[step] = counts[digit] * child_mass
-                if j < 1:
-                    continue
-                grid = grid_from_digit_order(scale, m, k, r)
-                center = cell_of_digits(digits[j:], m, k)
-                centers[j - 1] = center
-                totals[j - 1] = scale.sum() * mass_factor(config, j + r + g)
-                a_star[j - 1] = max_empty_block(grid)
-                sweeps[j - 1] = window_min_sweep(grid)
-                set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
+            with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
+                weight = tree.expand_retained(front, 1 + g)[g] * child_mass
+                word = 0  # the frontier lies below word_{word}
+                for step in range(n + r):
+                    # the word trails the step by r - 1 digits, and never
+                    # stays above word_1 past step 0
+                    if step and word < max(1, step - r + 1):
+                        if streamed:
+                            front.descend(digits[word])
+                        word += 1
+                    # step picks among the children of word_step: the cells
+                    # `cells` digits below word_{word}, under digits[word:]
+                    cells = step - word + 1
+                    if not streamed:
+                        cell_counts = descendant_counts(
+                            tree, Word(m, k, tuple(digits[:word])), cells, g
+                        )
+                    else:
+                        if step:
+                            tree.expand_retained(front, 1)
+                        bounds = np.arange(fanout ** cells + 1) * cell_unit
+                        cell_counts = np.diff(np.searchsorted(front.labels, bounds))
+                    counts = cell_counts.reshape((fanout,) * cells)[tuple(digits[word:])]
+                    digit = sample_step(counts, unit_draw(child_key(path_key, step)))
+                    digits.append(digit)
+                    if step < n:
+                        # the chosen child's count is x_estimate(word_{step+1}, g)'s
+                        x_hat[step] = counts[digit] * child_mass
+                    j = step - r + 1
+                    if j < 1:
+                        continue
+                    # from step r on, word == j and cell_counts is scale j's grid
+                    grid = grid_from_digit_order(cell_counts, m, k, r)
+                    center = cell_of_digits(digits[j:], m, k)
+                    centers[j - 1] = center
+                    totals[j - 1] = cell_counts.sum() * mass_factor(config, j + r + g)
+                    a_star[j - 1] = max_empty_block(grid)
+                    sweeps[j - 1] = window_min_sweep(grid)
+                    set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
         except DeadSubtreeError:
             continue
         return QPath(
@@ -224,7 +248,7 @@ def sample_qpath(
             total_mass=totals,
             set_por=set_por,
             meas_por=meas_por,
-            weight=x_estimate(tree, config.root_word(), g),
+            weight=weight,
         )
     raise RejectionLimitError(
         max_attempts,

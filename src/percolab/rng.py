@@ -13,6 +13,8 @@ sampled tree, so they must stay fixed across versions.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -26,7 +28,6 @@ _MIX2 = 0x94D049BB133111EB
 # hash space.  Any fixed odd constant works.
 _DRAW_SALT = 0x5851F42D4C957F2D
 
-_GOLDEN_U64 = np.uint64(GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
 _DRAW_SALT_U64 = np.uint64(_DRAW_SALT)
@@ -49,13 +50,17 @@ def mix64(x: int) -> int:
     return x
 
 
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer applied in place to a uint64 array; returns it."""
-    x ^= x >> _SHIFT_30
-    x *= _MIX1_U64
-    x ^= x >> _SHIFT_27
-    x *= _MIX2_U64
-    x ^= x >> _SHIFT_31
+def _mix64_inplace(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array; returns it.
+
+    ``scratch``, a uint64 array of ``x``'s shape, takes the shifted words,
+    so that no temporary is allocated.
+    """
+    tmp = np.empty_like(x) if scratch is None else scratch
+    for shift, mult in ((_SHIFT_30, _MIX1_U64), (_SHIFT_27, _MIX2_U64)):
+        x ^= np.right_shift(x, shift, out=tmp)
+        x *= mult
+    x ^= np.right_shift(x, _SHIFT_31, out=tmp)
     return x
 
 
@@ -83,10 +88,22 @@ def child_key(key: int, index: int) -> int:
     return mix64((key + GOLDEN * (int(index) + 1)) & MASK64)
 
 
-def child_keys(keys: np.ndarray, fanout: int) -> np.ndarray:
-    """Child keys for a whole frontier at once: (n,) uint64 -> (n, fanout)."""
-    offsets = (np.arange(1, fanout + 1, dtype=np.uint64)) * _GOLDEN_U64
-    return _mix64_inplace(keys[:, None] + offsets[None, :])
+def child_keys(
+    keys: np.ndarray,
+    fanout: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Child keys for a whole frontier at once: (n,) uint64 -> (n, fanout).
+
+    ``out`` receives the keys and ``scratch`` is the finalizer's work array,
+    both uint64 of shape (n, fanout); without them both are allocated.
+    """
+    children = np.empty((keys.size, fanout), dtype=np.uint64) if out is None else out
+    # one pass per column: a broadcast add would loop fanout entries at a time
+    for index in range(fanout):
+        np.add(keys, np.uint64(GOLDEN * (index + 1) & MASK64), out=children[:, index])
+    return _mix64_inplace(children, scratch)
 
 
 def unit_draw(key: int) -> float:
@@ -94,13 +111,24 @@ def unit_draw(key: int) -> float:
     return (mix64(key ^ _DRAW_SALT) >> 11) * _INV_2_53
 
 
-def unit_draws(keys: np.ndarray) -> np.ndarray:
-    """Vectorized uniform draws in [0, 1) for a uint64 key array."""
-    bits = _mix64_inplace(keys ^ _DRAW_SALT_U64)
+def unit_draws(
+    keys: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Vectorized uniform draws in [0, 1) for a uint64 key array.
+
+    ``out`` (float64) receives the draws and ``scratch`` (uint64) holds the
+    hashed bits, both of ``keys``' shape; without them both are allocated.
+    ``out`` doubles as the finalizer's work array before it is written.
+    """
+    if out is None:
+        out = np.empty(keys.shape, dtype=np.float64)
+    bits = np.bitwise_xor(keys, _DRAW_SALT_U64, out=scratch)
+    _mix64_inplace(bits, out.view(np.uint64))
     bits >>= _SHIFT_11
-    draws = bits.astype(np.float64)
-    draws *= _INV_2_53
-    return draws
+    # bits < 2^53 convert exactly, and the power-of-two scale is exact too
+    return np.multiply(bits, _INV_2_53, out=out)
 
 
 def substream(seed: int, *indices: int) -> int:

@@ -130,6 +130,28 @@ def test_dimension_slope_computes_no_unread_profile(monkeypatch):
     assert replicas == list(range(res.candidates))
 
 
+def test_dimension_slope_opens_one_pool(monkeypatch):
+    from percolab import experiments
+
+    built = []
+    pool = experiments.Pool
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("processes"))
+        return pool(*args, **kwargs)
+
+    cfg = PercolationConfig(2, 2, 0.3, seed=2)
+    serial = dimension_slope(cfg, depths=(4, 8, 14), trees=100, workers=1)
+    monkeypatch.setattr(experiments, "Pool", counted)
+    pooled = dimension_slope(cfg, depths=(4, 8, 14), trees=100, workers=2)
+    # low survival needs several blocks of candidates; all run on one pool
+    assert serial.candidates > 2 * serial.trees
+    assert built == [2]
+    assert serial.slope == pooled.slope and serial.candidates == pooled.candidates
+    assert np.array_equal(serial.mean_counts, pooled.mean_counts)
+    assert np.array_equal(serial.log_means, pooled.log_means)
+
+
 def test_dimension_slope_survivors_only():
     cfg = PercolationConfig(2, 2, 0.7, seed=1)
     res = dimension_slope(cfg, depths=(3, 4, 5), trees=30)

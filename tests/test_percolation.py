@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
+from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word, x_estimate
 from percolab.percolation import STREAM_RETENTION, descendant_counts, grid_from_digit_order
+from percolab.qsampler import sample_qpath
 from percolab.rng import child_keys, substream, unit_draws
 from percolab.words import cell_of_digits
 
@@ -62,18 +63,36 @@ def test_pruning_is_hereditary():
     assert dead_children > 10  # the sample actually exercised dead nodes
 
 
+def _retained_paths(t, start, depth):
+    """Pointwise oracle: (digit path, key) of each retained node ``depth`` below ``start``."""
+    fanout = t.config.branching
+    found = []
+    for tail in itertools.product(range(fanout), repeat=depth):
+        key = t._lookup(start.digits + tail)
+        if key is not None:
+            found.append((tail, key))
+    return found
+
+
+def _label(digits, fanout):
+    label = 0
+    for d in digits:
+        label = label * fanout + d
+    return label
+
+
 def test_expand_matches_pointwise_queries():
     t = tree(p=0.7, seed=5)
-    root = Word.root(2, 2)
-    levels = t.expand_retained(root, 3)
-    assert len(levels) == 4 and levels[0].tolist() == [0]
-    # each entry is parent position * 4 + digit: rebuild the digit paths
-    paths = [()]
-    for level in levels[1:]:
-        paths = [paths[v // 4] + (v % 4,) for v in level.tolist()]
-    assert paths == sorted(paths)  # digit-path order
-    retained = [d for d in itertools.product(range(4), repeat=3) if t.is_retained(Word(2, 2, d))]
-    assert paths == retained
+    for start in (Word.root(2, 2), Word(2, 2, (2, 3))):
+        assert t.is_retained(start)
+        with t.frontier(start, 3) as front:
+            profile = t.expand_retained(front, 3)
+            keys, labels = front.keys.tolist(), front.labels.tolist()
+        oracle = _retained_paths(t, start, 3)
+        assert profile == [len(_retained_paths(t, start, j)) for j in range(4)]
+        # each label is the node's digit path below the word, in digit-path order
+        assert labels == [_label(tail, 4) for tail, _ in oracle] == sorted(labels)
+        assert keys == [key for _, key in oracle]
 
 
 def test_expand_below_pruned_word_is_all_dead():
@@ -84,8 +103,9 @@ def test_expand_below_pruned_word_is_all_dead():
         for b in range(4)
         if not t.is_retained(Word(2, 2, (a, b)))
     )
-    levels = t.expand_retained(pruned, 2)
-    assert len(levels) == 3 and all(lv.size == 0 for lv in levels)
+    with t.frontier(pruned, 2) as front:
+        assert t.expand_retained(front, 2) == [0, 0, 0]
+        assert front.keys.size == 0 and front.labels.size == 0
 
 
 def test_expand_hashes_nothing_after_extinction(monkeypatch):
@@ -94,66 +114,108 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
     hashed = []
     child_keys = percolation.child_keys
 
-    def counted(keys, fanout):
+    def counted(keys, fanout, *buffers):
         hashed.append(keys.size)
-        return child_keys(keys, fanout)
+        return child_keys(keys, fanout, *buffers)
 
     monkeypatch.setattr(percolation, "child_keys", counted)
     t = tree(p=0.4, seed=2)
     pruned = next(Word(2, 2, (a,)) for a in range(4) if not t.is_retained(Word(2, 2, (a,))))
-    levels = t.expand_retained(pruned, 8000)
+    with t.frontier(pruned) as front:
+        assert t.expand_retained(front, 8000) == [0] * 8001
     assert hashed == []
-    assert len(levels) == 8001
-    assert all(lv.dtype == np.int64 and lv.size == 0 for lv in levels)
     # a root whose line dies at depth 7 hashes the seven levels that had nodes
     prof = tree(p=0.6, seed=5, m=1).count_profile(Word.root(1, 2), 40)
     assert prof[:8] == [1, 1, 2, 2, 3, 1, 1, 0] and prof[8:] == [0] * 33
     assert hashed == [1, 1, 2, 2, 3, 1, 1]
 
 
-def _one_shot_levels(t, depth):
-    """Reference expansion from the root: each level hashed in one call."""
+def _one_shot(t, depth):
+    """Reference expansion from the root: each level hashed in one call.
+
+    Returns the profile and the deepest level's keys and digit-path labels,
+    each label carried down by parent position.
+    """
     fanout, p = t.config.branching, t.config.p
     keys = np.array([substream(t.config.seed, STREAM_RETENTION)], dtype=np.uint64)
-    levels = [np.zeros(1, dtype=np.int64)]
+    labels = np.zeros(1, dtype=np.int64)
+    profile = [1]
     for _ in range(depth):
         children = child_keys(keys, fanout).reshape(-1)
         (alive,) = np.nonzero(unit_draws(children) < p)
         keys = children[alive]
-        levels.append(alive)
-    return levels
+        labels = labels[alive // fanout] * fanout + alive % fanout
+        profile.append(keys.size)
+    return profile, keys, labels
 
 
-def _same_levels(a, b):
-    return len(a) == len(b) and all(
-        x.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(a, b)
-    )
+def _same_path(a, b):
+    assert a.digits == b.digits and a.attempts == b.attempts and a.weight == b.weight
+    for name in ("centers", "x_hat", "a_star", "window_sweep", "total_mass", "set_por", "meas_por"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_chunked_levels_match_one_shot(monkeypatch, m):
     # golden specs never hash a level past one chunk, so shrink the chunk
-    # until every level of a small tree crosses several slice boundaries
-    from percolab import percolation
+    # until every level of a small tree crosses several slice boundaries;
+    # trees of fanout 4 and 8 take turns (dimension m first), and a path
+    # meets other expansions between its scales, so no result may alias a
+    # reused buffer
+    from percolab import percolation, qsampler
 
-    t = tree(p=0.8, seed=3, m=m)
-    root = Word.root(m, 2)
-    levels = t.expand_retained(root, 6)
-    counts = descendant_counts(t, root, 3, 3)
-    assert levels[5].size > 5  # the deepest hashed level spans several chunks
-    assert _same_levels(levels, _one_shot_levels(t, 6))
+    trees = [tree(p=0.8, seed=3, m=dim) for dim in (m, 5 - m)]
+
+    def expansions(t):
+        root = Word.root(t.config.m, 2)
+        with t.frontier(root, 6) as front:
+            profile = t.expand_retained(front, 6)
+            keys, labels = front.keys.copy(), front.labels.copy()
+        return profile, keys, labels, t.count_profile(root, 6), descendant_counts(t, root, 3, 3)
+
+    def paths():
+        return [
+            sample_qpath(PercolationConfig(dim, 2, 0.8, seed=3), n=3, r=2, g=2, eps_grid=(0.1,))
+            for dim in (m, 5 - m)
+        ]
+
+    expected = [expansions(t) for t in trees]
+    weights = [x_estimate(t, Word.root(t.config.m, 2), 3) for t in trees]
+    for t, (profile, keys, labels, counts, cells) in zip(trees, expected):
+        fanout = t.config.branching
+        one_shot = _one_shot(t, 6)
+        assert profile[5] > 5  # the deepest hashed level spans several chunks
+        assert profile == counts == one_shot[0]
+        assert np.array_equal(keys, one_shot[1]) and np.array_equal(labels, one_shot[2])
+        assert cells.tolist() == np.bincount(labels // fanout**3, minlength=fanout**3).tolist()
+    recorded = paths()
+    step = qsampler.sample_step
+
+    def interleaved(counts, u):
+        for t, weight in zip(trees, weights):
+            assert x_estimate(t, Word.root(t.config.m, 2), 3) == weight
+        return step(counts, u)
+
+    monkeypatch.setattr(qsampler, "sample_step", interleaved)
     for chunk in (1, 3, 5):
         monkeypatch.setattr(percolation, "_CHUNK", chunk)
-        assert _same_levels(t.expand_retained(root, 6), levels)
-        assert np.array_equal(descendant_counts(t, root, 3, 3), counts)
+        percolation._workspace.cache_clear()  # fresh buffers grow mid-level
+        for t, (profile, keys, labels, counts, cells) in zip(trees, expected):
+            again = expansions(t)
+            assert again[0] == profile and again[3] == counts
+            assert np.array_equal(again[1], keys) and np.array_equal(again[2], labels)
+            assert np.array_equal(again[4], cells)
+        for a, b in zip(paths(), recorded):
+            _same_path(a, b)
 
 
 def test_count_profile_matches_expand():
     t = tree(p=0.7, seed=11)
     root = Word.root(2, 2)
     prof = t.count_profile(root, 6)
-    levels = t.expand_retained(root, 6)
-    assert prof == [int(lv.size) for lv in levels]
+    with t.frontier(root, 6) as front:
+        assert t.expand_retained(front, 6) == prof
+    assert prof == [len(_retained_paths(t, root, j)) for j in range(7)]
 
 
 def test_count_profile_deep_3d_matches_pointwise_walk():
@@ -199,7 +261,7 @@ def test_retention_frequency_matches_p():
 def test_memory_budget_enforced():
     t = tree(p=0.9, seed=0, max_nodes=1000)
     with pytest.raises(MemoryBudgetError):
-        t.expand_retained(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
+        t.count_profile(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
     # the budget bounds the retained frontier's children, not the 4**depth lattice
     assert len(t.count_profile(Word.root(2, 2), 3)) == 4
     # a count grid past the budget fails before 4**resolution is ever built
@@ -261,6 +323,5 @@ def test_grid_from_digit_order_layout():
 
 
 def test_different_seeds_differ():
-    a = tree(seed=0).expand_retained(Word.root(2, 2), 4)[4]
-    b = tree(seed=1).expand_retained(Word.root(2, 2), 4)[4]
+    a, b = (descendant_counts(tree(seed=s), Word.root(2, 2), 4, 0) for s in (0, 1))
     assert not np.array_equal(a, b)

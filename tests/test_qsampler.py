@@ -1,5 +1,7 @@
 """Mass-biased path sampler: replay, determinism, invariants, weights."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from percolab import (
     dimension,
     x_estimate,
 )
-from percolab.holes import restricted_max_empty_block
+from percolab.holes import restricted_max_empty_block, window_min_sweep
 from percolab.percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
     descendant_counts,
     grid_from_digit_order,
+    labels_fit,
 )
 from percolab.qsampler import (
     ReplicaView,
@@ -95,23 +98,74 @@ def test_path_walk_replays_by_hand(m, k, r, g):
 
 
 def test_accepted_path_expands_each_word_once(monkeypatch):
-    # r one-level steps, one grid per scale that also drives a step, and
-    # the root weight: n + r + 1 expansions when the first attempt survives
-    calls = []
-    expand = LazyTree.expand_retained
+    # The root's first g + 1 levels, word_1's levels g .. r + g - 1, then one
+    # level per later scale: those parents' children, in that order, are
+    # every key an accepted attempt hashes, and no parent is hashed twice.
+    from percolab import percolation
 
-    def counted(self, word, depth):
-        calls.append((word.level, depth))
-        return expand(self, word, depth)
+    parents = []
+    hash_children = percolation.child_keys
 
-    monkeypatch.setattr(LazyTree, "expand_retained", counted)
-    n, r, g = 5, 3, 2
-    path = sample_qpath(PercolationConfig(2, 2, 1.0, seed=0), n=n, r=r, g=g)
+    def recorded(keys, fanout, *buffers):
+        parents.extend(keys.tolist())
+        return hash_children(keys, fanout, *buffers)
+
+    monkeypatch.setattr(percolation, "child_keys", recorded)
+    n, r, g = 4, 3, 2
+    path = sample_qpath(PercolationConfig(2, 2, 0.8, seed=0), n=n, r=r, g=g)
     assert path.attempts == 1
-    assert len(calls) == n + r + 1
-    assert calls[:r] == [(i, 1 + g) for i in range(r)]
-    assert calls[r:-1] == [(j, r + g) for j in range(1, n + 1)]
-    assert calls[-1] == (0, g)
+    tree = LazyTree(path.tree_config)
+
+    def retained(digits, depth):
+        found = (tree._lookup(digits + tail) for tail in product(range(4), repeat=depth))
+        return [key for key in found if key is not None]
+
+    expected = [key for depth in range(g + 1) for key in retained((), depth)]
+    expected += [key for depth in range(g, r + g) for key in retained(path.digits[:1], depth)]
+    for j in range(2, n + 1):
+        expected += retained(path.digits[:j], r + g - 1)
+    assert parents == expected
+    assert len(set(parents)) == len(parents)
+
+
+@pytest.mark.parametrize("m,p,r,g", [(2, 0.8, 3, 2), (2, 0.7, 1, 0), (3, 0.6, 2, 1)])
+def test_paths_past_int64_labels_match_streamed(monkeypatch, m, p, r, g):
+    # where r + g digits overflow int64, each step counts its cells afresh
+    from percolab import qsampler
+
+    cfg = PercolationConfig(m, 2, p, seed=9)
+    streamed = [sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(0.1,), replica=i) for i in range(3)]
+    monkeypatch.setattr(qsampler, "labels_fit", lambda fanout, digits: False)
+    for i, path in enumerate(streamed):
+        fresh = sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(0.1,), replica=i)
+        assert fresh.digits == path.digits and fresh.weight == path.weight
+        for name in ("x_hat", "a_star", "window_sweep", "total_mass", "set_por", "meas_por"):
+            assert np.array_equal(getattr(fresh, name), getattr(path, name)), name
+
+
+def test_labels_fit_int64():
+    assert labels_fit(4, 31) and labels_fit(8, 20) and labels_fit(2, 62)
+    assert not (labels_fit(8, 21) or labels_fit(2, 63) or labels_fit(27, 14))
+    tree = LazyTree(PercolationConfig(3, 2, 0.5))
+    with pytest.raises(ValueError):
+        with tree.frontier(Word.root(3, 2), 21):
+            pass
+
+
+def test_a_star_counts_the_empty_window_sizes():
+    # a_star is the count of zeros in window_sweep[1:], on every recorded
+    # path scale and every ensemble view, dead ones included
+    for m, p, r, g in [(2, 0.8, 4, 2), (2, 0.5, 3, 3), (3, 0.6, 2, 2)]:
+        cfg = PercolationConfig(m, 2, p, seed=7)
+        for replica in range(3):
+            path = sample_qpath(cfg, n=5, r=r, g=g, eps_grid=(), replica=replica)
+            zeros = np.count_nonzero(path.window_sweep[:, 1:] == 0, axis=1)
+            assert path.a_star.tolist() == zeros.tolist()
+        views = [ensemble_view(cfg, r, g, i) for i in range(20)]
+        assert any(v.counts.sum() == 0 for v in views) == (p == 0.5)
+        for view in views:
+            sweep = window_min_sweep(view.grid)
+            assert view.a_star == np.count_nonzero(sweep[1:] == 0)
 
 
 def test_sample_qpath_deterministic():
