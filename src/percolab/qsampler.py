@@ -162,8 +162,9 @@ def sample_qpath(
     keeps the nodes under the next digit of the scale's word and hashes one
     more level.  Step s picks among the children of word_s, whose counts
     are read off the frontier's cells; from step r on, that cell grid is
-    the record of scale s - r + 1.  Whenever the walk hits a word with no
-    alive children, the whole attempt -- tree and path stream both -- is
+    the record of scale s - r + 1.  Where the r + g digit labels would
+    overflow int64, each step counts its word's cells afresh instead.
+    Whenever the walk hits a word with no alive children, the whole attempt -- tree and path stream both -- is
     thrown away and redrawn from the next attempt substream, which keeps
     the accepted sample a pure function of (seed, replica).
     """
