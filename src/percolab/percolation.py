@@ -30,8 +30,10 @@ from .words import Word, _offset_table
 _DEFAULT_MAX_NODES = 1 << 24
 
 # Parents hashed per slice of a frontier level: a slice's children, draws and
-# labels stay in cache, where one pass over a whole large level would not.
-_CHUNK = 1 << 14
+# index array stay in cache, where one pass over a whole large level would
+# not.  On a 2-CPU x86-64 machine 1 << 13 hashed as fast as 1 << 14 with
+# 1.7 MB less peak memory, and 1 << 12 was slower by its per-call costs.
+_CHUNK = 1 << 13
 
 # Stream indices under a seed.  Retention draws, path-choice draws, path
 # replicas, and plain ensemble replicas live in disjoint key subtrees, so
@@ -140,10 +142,13 @@ class _Workspace:
     """One process's arrays for hashing trees of one fanout, grown on demand.
 
     The slice arrays hold the children of one slice of parents while it is
-    hashed; ``spares`` holds the level buffers no open frontier holds.
+    hashed: their keys, hashed bits, draws and alive mask.  A slice's labels
+    are read through the index array of its alive children, so no label
+    array is kept here.  ``spares`` holds the level buffers no open
+    frontier holds.
     """
 
-    _DTYPES = (np.uint64, np.uint64, np.float64, bool, np.int64)
+    _DTYPES = (np.uint64, np.uint64, np.float64, bool)
 
     def __init__(self, fanout: int):
         self.fanout = fanout
@@ -151,7 +156,7 @@ class _Workspace:
         self.arrays = [np.empty(0, dtype) for dtype in self._DTYPES]
 
     def slice(self, parents: int) -> List[np.ndarray]:
-        """Children, bits, draws, alive and label arrays for ``parents`` parents."""
+        """Children, bits, draws and alive arrays for ``parents`` parents."""
         n = parents * self.fanout
         if n > self.arrays[0].size:
             self.arrays = [np.empty(n, dtype) for dtype in self._DTYPES]
@@ -278,7 +283,9 @@ class LazyTree:
         finally:
             workspace.spares.extend(levels)
 
-    def expand_retained(self, frontier: Frontier, levels: int) -> List[int]:
+    def expand_retained(
+        self, frontier: Frontier, levels: int, cells: Optional[np.ndarray] = None
+    ) -> List[int]:
         """Hash ``levels`` more levels below ``frontier``, in place.
 
         Returns the frontier's retained counts before and after each level,
@@ -286,48 +293,79 @@ class LazyTree:
         so memory tracks the surviving population rather than the
         (k^m)^depth lattice; once the frontier is empty, hashing stops and
         the remaining counts are 0.  A level is hashed in slices of at most
-        ``_CHUNK`` parents, each compacted straight into the frontier's
-        spare level buffer, which changes no key, draw, node or label.
+        ``_CHUNK`` parents.  Each slice is compacted through one index array
+        of its alive children straight into the frontier's spare level
+        buffer, which changes no key, draw, node or label.
+
+        With ``cells`` (int64), the deepest level is counted, not stored:
+        each of its nodes adds one to ``cells`` at its label (at 0 in an
+        unlabelled frontier), and the frontier stays one level above it.
         """
         fanout, p = self.config.branching, self.config.p
         workspace = _workspace(fanout)
         sizes = [frontier.size]
         while len(sizes) <= levels and frontier.size:
             self._budget(frontier.size * fanout)
+            counted = cells is not None and len(sizes) == levels
             keys, labels = frontier.keys, frontier.labels
             extend = frontier.depth < frontier.label_depth
             out = frontier._levels[1]
             filled = 0
             for start in range(0, keys.size, _CHUNK):
                 part = keys[start : start + _CHUNK]
-                children, bits, draws, alive, child_labels = workspace.slice(part.size)
+                children, bits, draws, alive = workspace.slice(part.size)
                 child_keys(part, fanout, children.reshape(-1, fanout), bits.reshape(-1, fanout))
                 np.less(unit_draws(children, draws, bits), p, out=alive)
-                count = int(np.count_nonzero(alive))
+                parent = None if labels is None else labels[start : start + _CHUNK]
+                if counted:
+                    filled += _count_level(alive.reshape(-1, fanout), parent, extend, cells)
+                    continue
+                nz = np.flatnonzero(alive)
+                count = nz.size
                 out.reserve(filled + count, filled, labels is not None)
-                np.compress(alive, children, out=out.keys[filled : filled + count])
-                if labels is not None:
-                    # column by column, as in child_keys
-                    grid = child_labels.reshape(-1, fanout)
-                    parent = labels[start : start + _CHUNK]
-                    if extend:  # append each child's digit to its parent's label
-                        np.multiply(parent, fanout, out=grid[:, 0])
-                        for digit in range(1, fanout):
-                            np.add(grid[:, 0], digit, out=grid[:, digit])
-                    else:
-                        for digit in range(fanout):
-                            grid[:, digit] = parent
-                    np.compress(alive, child_labels, out=out.labels[filled : filled + count])
+                np.take(children, nz, mode="clip", out=out.keys[filled : filled + count])
+                if parent is not None:
+                    child_labels = out.labels[filled : filled + count]
+                    owner = nz // fanout  # each child's parent, within the slice
+                    np.take(parent, owner, mode="clip", out=child_labels)
+                    if extend:  # append the child's digit nz - owner * fanout
+                        child_labels -= owner
+                        child_labels *= fanout
+                        child_labels += nz
                 filled += count
-            frontier._swap(filled)
             sizes.append(filled)
+            if counted:
+                break
+            frontier._swap(filled)
         sizes.extend([0] * (levels + 1 - len(sizes)))
         return sizes
 
     def count_profile(self, word: Word, depth: int) -> List[int]:
-        """Retained descendant counts at every relative depth 0..depth."""
+        """Retained descendant counts at every relative depth 0..depth.
+
+        The deepest level is counted, not stored.
+        """
         with self.frontier(word) as front:
-            return self.expand_retained(front, depth)
+            return self.expand_retained(front, depth, np.zeros(1, dtype=np.int64))
+
+
+def _count_level(
+    alive: np.ndarray, parent: Optional[np.ndarray], extend: bool, cells: np.ndarray
+) -> int:
+    """Add each alive child of an (parents, fanout) mask to ``cells`` at its
+    label, where ``parent`` holds the parents' labels (None: all in cell 0);
+    returns the number of alive children."""
+    count = int(np.count_nonzero(alive))
+    fanout = alive.shape[1]
+    if parent is None:
+        cells[0] += count
+    elif extend:  # a child's label is its parent's with its digit appended
+        cells.reshape(-1, fanout)[parent] += alive
+    else:  # a child's label is its parent's: weigh each parent by its alive children
+        per_parent = alive.view(np.uint8) @ np.ones(fanout, np.uint8 if fanout < 256 else np.int64)
+        added = np.bincount(parent, weights=per_parent)  # exact: each sum is below 2^53
+        np.add(cells[: added.size], added, out=cells[: added.size], casting="unsafe")
+    return count
 
 
 def descendant_counts(
@@ -335,13 +373,17 @@ def descendant_counts(
 ) -> np.ndarray:
     """Retained descendant counts, probe_depth below each depth-resolution cell.
 
-    Digit-path order, length (k^m)^resolution.
+    Digit-path order, length (k^m)^resolution.  Nodes are labelled down to
+    their depth-resolution cell, and the deepest level is counted into the
+    cells without being stored.
     """
     fanout = tree.config.branching
     # past the budget's bit length the grid is over budget for any fanout,
     # so the check caps the exponent there and never builds a huge k^(m r)
     tree._budget(fanout ** min(resolution, tree.max_nodes.bit_length()))
-    # labels stop growing at the depth-resolution cell: each node carries its cell
+    cells = np.zeros(fanout ** resolution, dtype=np.int64)
     with tree.frontier(root, resolution) as front:
-        tree.expand_retained(front, resolution + probe_depth)
-        return np.bincount(front.labels, minlength=fanout ** resolution)
+        tree.expand_retained(front, resolution + probe_depth, cells)
+        if resolution + probe_depth == 0:  # no level below: the word is its own cell
+            cells[0] = front.size
+    return cells

@@ -127,8 +127,9 @@ def unit_draws(
     bits = np.bitwise_xor(keys, _DRAW_SALT_U64, out=scratch)
     _mix64_inplace(bits, out.view(np.uint64))
     bits >>= _SHIFT_11
-    # bits < 2^53 convert exactly, and the power-of-two scale is exact too
-    return np.multiply(bits, _INV_2_53, out=out)
+    # bits < 2^53 convert exactly, and the power-of-two scale is exact too;
+    # they read the same as int64, which converts faster than uint64
+    return np.multiply(bits.view(np.int64), _INV_2_53, out=out)
 
 
 def substream(seed: int, *indices: int) -> int:

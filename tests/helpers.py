@@ -86,3 +86,25 @@ def pack_all_grids(side: int) -> np.ndarray:
     codes = np.arange(1 << n, dtype=np.uint32)
     bits = (codes[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
     return bits.reshape(side, side, 1 << n).astype(bool)
+
+
+def unmix64(y: int) -> int:
+    """Inverse of the splitmix64 finalizer: mix64(unmix64(y)) == y.
+
+    Each xorshift x ^ (x >> s) is undone by iterating x = y ^ (x >> s), which
+    fixes s more top bits per round, and each odd multiplier by its inverse
+    mod 2^64.
+    """
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    y = unshift(y & mask, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    y = unshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unshift(y, 30)

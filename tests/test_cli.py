@@ -313,3 +313,17 @@ def test_main_resolution_one_path_series(tmp_path, capsys):
     capsys.readouterr()
     for name in ("path_summary.csv", "scales.csv", "indicators.csv", "porosity.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 9])
+def test_median_matches_numpy(size):
+    # porosity-extremes summaries take medians without np.median, whose
+    # first call imports numpy.ma; they must stay byte-identical to it
+    import numpy as np
+
+    rng = np.random.default_rng(size)
+    values = (rng.integers(0, 32, size) / 32).tolist()  # ties, as porosities have
+    values[-1] = 0.1  # a middle pair whose mean rounds
+    for sample in (values, sorted(values), [1e-300, 0.3, 0.7, 1.0][: size + 1]):
+        assert repr(cli._median(sample)) == repr(float(np.median(sample)))
+    assert np.isnan(cli._median(values + [float("nan")]))

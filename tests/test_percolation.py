@@ -155,6 +155,46 @@ def _same_path(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _stored(t, word, r, g):
+    """Profile and cell counts from a fully stored expansion: every level,
+    the deepest too, compacted into the frontier and its labels bincounted."""
+    with t.frontier(word, r) as front:
+        profile = t.expand_retained(front, r + g)
+        labels = front.labels if r else np.zeros(front.size, dtype=np.int64)
+        return profile, np.bincount(labels, minlength=t.config.branching**r).tolist()
+
+
+def _pointwise(t, word, r, g):
+    """The same, from the ``_lookup`` oracle."""
+    fanout = t.config.branching
+    profile = [len(_retained_paths(t, word, j)) for j in range(r + g + 1)]
+    cells = [0] * fanout**r
+    for tail, _ in _retained_paths(t, word, r + g):
+        cells[_label(tail[:r], fanout)] += 1
+    return profile, cells
+
+
+def _counted_cases(m):
+    """(tree, word, r, g) cases whose deepest level is counted, not stored:
+    probe depths 0, 1 and 3, resolution 0 (one cell, the word), a pruned
+    word, and a tree that dies exactly at the counted level."""
+    r = 3 if m == 2 else 2
+    live = tree(p=0.8, seed=3, m=m)
+    root = Word.root(m, 2)
+    cases = [(live, root, r, g) for g in (0, 1, 3)] + [(live, root, 0, 0), (live, root, 0, 2)]
+    sparse = tree(p=0.4, seed=2, m=m)
+    pruned = next(w for w in (Word(m, 2, (d,)) for d in range(2**m)) if not sparse.is_retained(w))
+    cases.append((sparse, pruned, r, 1))
+    for seed in range(500):
+        dying = tree(p=0.3 if m == 2 else 0.15, seed=seed, m=m)
+        profile = _stored(dying, root, 2, 1)[0]
+        if profile[2] > 1 and profile[3] == 0:
+            cases.append((dying, root, 2, 1))
+            break
+    assert len(cases) == 7
+    return cases
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_chunked_levels_match_one_shot(monkeypatch, m):
     # golden specs never hash a level past one chunk, so shrink the chunk
@@ -189,6 +229,8 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
         assert np.array_equal(keys, one_shot[1]) and np.array_equal(labels, one_shot[2])
         assert cells.tolist() == np.bincount(labels // fanout**3, minlength=fanout**3).tolist()
     recorded = paths()
+    # levels that are counted, not stored, against stored levels and the oracle
+    counted = [(case, _pointwise(*case)) for case in _counted_cases(m)]
     step = qsampler.sample_step
 
     def interleaved(counts, u):
@@ -207,6 +249,38 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
             assert np.array_equal(again[4], cells)
         for a, b in zip(paths(), recorded):
             _same_path(a, b)
+        for (t, word, r, g), (profile, cells) in counted:
+            assert t.count_profile(word, r + g) == profile
+            assert descendant_counts(t, word, r, g).tolist() == cells
+            assert _stored(t, word, r, g) == (profile, cells)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_deepest_counted_level_is_never_stored(monkeypatch, chunk):
+    from percolab import percolation
+
+    if chunk:
+        monkeypatch.setattr(percolation, "_CHUNK", chunk)
+    percolation._workspace.cache_clear()  # fresh buffers must grow
+    asked = []
+    reserve = percolation._Level.reserve
+
+    def recorded(level, size, keep, labelled):
+        asked.append(size)
+        return reserve(level, size, keep, labelled)
+
+    monkeypatch.setattr(percolation._Level, "reserve", recorded)
+    t = tree(p=0.8, seed=3)
+    root = Word.root(2, 2)
+    profile = t.count_profile(root, 6)
+    assert profile[6] > profile[5] > 5  # the deepest level is the largest
+    assert asked and max(asked) <= profile[5]
+    asked.clear()
+    for r, g in ((3, 3), (6, 0)):
+        cells = descendant_counts(t, root, r, g)
+        assert cells.sum() == profile[6]
+        assert asked and max(asked) <= profile[5]
+        asked.clear()
 
 
 def test_count_profile_matches_expand():

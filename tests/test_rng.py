@@ -9,7 +9,9 @@ were computed once from the reference definitions and must never drift.
 import numpy as np
 import pytest
 
+from helpers import unmix64
 from percolab.rng import (
+    _DRAW_SALT,
     child_key,
     child_keys,
     mix64,
@@ -99,3 +101,27 @@ def test_vector_kernels_leave_input_untouched():
         assert children[i].tolist() == [child_key(key, j) for j in range(3)]
         assert float(draws[i]) == unit_draw(key)
         assert int(mixed[i]) == mix64(key)
+
+
+def test_unit_draws_at_the_edges_of_the_range():
+    # keys crafted so that their salted hash is each edge of the 64-bit range:
+    # the low 11 bits are dropped, the top bit must not read as a sign, and
+    # the largest draw is (2^53 - 1) / 2^53
+    edges = {0: 0.0, 2**11 - 1: 0.0, 2**63: 0.5, 2**64 - 1: (2**53 - 1) / 2**53}
+    keys = [unmix64(bits) ^ _DRAW_SALT for bits in edges]
+    for key, bits in zip(keys, edges):
+        assert mix64(key ^ _DRAW_SALT) == bits
+    expected = list(edges.values())
+    assert [unit_draw(key) for key in keys] == expected
+    assert unit_draws(np.array(keys, dtype=np.uint64)).tolist() == expected
+    # between ordinary keys, and in a buffer the caller owns
+    mixed = [substream(3, 0)] + keys + [substream(3, 1)]
+    out, bits = np.empty(6), np.empty(6, dtype=np.uint64)
+    got = unit_draws(np.array(mixed, dtype=np.uint64), out, bits)
+    assert got is out and got.tolist() == [unit_draw(key) for key in mixed]
+    assert got[1:5].tolist() == expected
+
+
+def test_unmix64_inverts_the_finalizer():
+    for x in (0, 1, 12345, 2**63, 2**64 - 1, substream(9, 4)):
+        assert unmix64(mix64(x)) == x and mix64(unmix64(x)) == x

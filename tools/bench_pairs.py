@@ -1,0 +1,206 @@
+"""Alternated parent/change runs of benchmarks/run.py, written as one BENCH_*.json.
+
+Usage:
+    python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_N.json
+        [--set WORKLOAD:SEED:PAIRS[:trace] ...] [--seconds S]
+        [--note TEXT]
+
+Each side is a git revision of this repository; ``git archive`` unpacks it
+into a fresh directory, so each side runs its own committed benchmark and
+sources.  To measure uncommitted work, stage it and pass ``$(git stash
+create)`` as the revision.
+
+Every ``--set`` (default ``all:0:10``) runs PAIRS pairs of
+``benchmarks/run.py --workload WORKLOAD --seed SEED --seconds S``, adding
+``--trace 1`` when the set ends in ``:trace``.  The pairs alternate ABBA:
+parent then change, change then parent, and so on, so that a drift of the
+machine falls on both sides alike.  For each set the output holds the order,
+every run's metrics and failures, and, per workload and metric, both sides'
+median and quartiles over the pairs and the number of pairs in which the
+change was better (the direction comes from BENCHMARK.json).
+
+One resource probe per side runs the dimension-sparse spec at seed 0 as one
+CLI process and records its wall time,
+max RSS, minor page faults and user and system CPU from ``getrusage``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib import metadata
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+PROBE = "dimension-sparse"  # the workload whose memory the probe reads
+
+
+def unpack(rev: str, dest: Path) -> str:
+    """Unpack ``rev`` of this repository into ``dest``; returns its commit."""
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        capture_output=True, check=True,
+    ).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One run of the side's benchmarks/run.py; returns its --out result."""
+    out = tree / "bench-result.json"
+    try:
+        cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(int(trace)), "--out", str(out)]
+        subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL, check=True)
+        result = json.loads(out.read_text(encoding="utf-8"))
+    finally:
+        out.unlink(missing_ok=True)
+    return {
+        r["workload"]: {"metrics": r["metrics"], "attempted": r["attempted"],
+                        "failed": r["failed"], "failures": r["failures"]}
+        for r in result["results"]
+    }
+
+
+def probe(tree: Path, workload: str) -> dict:
+    """getrusage of one CLI run of ``workload``'s seed-0 spec from ``tree``."""
+    sys.path.insert(0, str(tree / "benchmarks"))
+    try:
+        import workloads
+
+        spec = workloads.WORKLOADS[workload].spec(workloads.DEFAULT_SEED)
+    finally:
+        sys.path.pop(0)
+        sys.modules.pop("workloads", None)
+    with tempfile.TemporaryDirectory() as work:
+        spec_path = Path(work) / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        env.pop("PERCOLAB_MAX_NODES", None)
+        code = "import sys; from percolab import cli; sys.exit(cli.main(sys.argv[1:]))"
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "--spec", str(spec_path), "--out", str(Path(work) / "out")],
+            env=env, stdout=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
+    return {
+        "workload": workload,
+        "exit": os.waitstatus_to_exitcode(status),
+        "wall_s": wall,
+        "max_rss_mb": usage.ru_maxrss / 1024.0,
+        "minor_page_faults": usage.ru_minflt,
+        "user_cpu_s": usage.ru_utime,
+        "system_cpu_s": usage.ru_stime,
+    }
+
+
+def _quartiles(values: List[float]) -> List[float]:
+    """First and third quartiles."""
+    return statistics.quantiles(values, n=4)[::2] if len(values) > 1 else values * 2
+
+
+def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
+    """Per workload and metric: each side's median and quartiles over the
+    pairs, and the pairs in which the change was better."""
+    summary: Dict[str, dict] = {}
+    for workload in pairs[0]["parent"]:
+        for metric, direction in better.items():
+            values = {side: [p[side][workload]["metrics"].get(metric) for p in pairs]
+                      for side in SIDES}
+            if None in values["parent"] + values["change"]:
+                continue
+            wins = sum(
+                (c < p) if direction == "lower" else (c > p)
+                for p, c in zip(values["parent"], values["change"])
+            )
+            summary.setdefault(workload, {})[metric] = {
+                "parent_median": statistics.median(values["parent"]),
+                "parent_q1_q3": _quartiles(values["parent"]),
+                "change_median": statistics.median(values["change"]),
+                "change_q1_q3": _quartiles(values["change"]),
+                "change_better_pairs": wins,
+                "pairs": len(pairs),
+            }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", required=True, help="git revision of the change")
+    parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    parser.add_argument("--set", action="append", dest="sets",
+                        help="WORKLOAD:SEED:PAIRS[:trace]; default all:0:10")
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--note", default="")
+    args = parser.parse_args(argv)
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = json.load(fh)
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {side: Path(scratch) / side for side in SIDES}
+        commits = {side: unpack(getattr(args, side), trees[side]) for side in SIDES}
+        sets = []
+        for text in args.sets or ["all:0:10"]:
+            workload, seed, count, *flag = text.split(":")
+            trace = flag == ["trace"]
+            pairs, order = [], []
+            for i in range(int(count)):
+                pair = {}
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    order.append(f"{side} {i + 1}")
+                    pair[side] = bench(trees[side], workload, int(seed), args.seconds, trace)
+                    print(f"{text}: {order[-1]} done", file=sys.stderr)
+                pairs.append(pair)
+            sets.append({
+                "command": f"python3 benchmarks/run.py --workload {workload} --seed {seed} "
+                           f"--seconds {args.seconds:g}" + (" --trace 1" if trace else ""),
+                "order": order,
+                "summary": summarize(pairs, better),
+                "pairs": pairs,
+            })
+        probes = {side: probe(trees[side], PROBE) for side in SIDES}
+
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    report = {
+        "tool": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        "note": args.note,
+        "environment": {
+            "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy_version,
+            "machine": platform.machine(),
+        },
+        "commits": commits,
+        "sets": sets,
+        "rusage": probes,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
