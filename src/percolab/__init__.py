@@ -10,7 +10,6 @@ paths and over importance-weighted tree ensembles.
 from .errors import (
     DeadSubtreeError,
     MemoryBudgetError,
-    MissingParameterError,
     PercolabError,
     RejectionLimitError,
     ZeroMassError,
@@ -69,7 +68,6 @@ __all__ = [
     "DeadSubtreeError",
     "RejectionLimitError",
     "ZeroMassError",
-    "MissingParameterError",
     "Word",
     "PercolationConfig",
     "LazyTree",

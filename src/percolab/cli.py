@@ -146,8 +146,8 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("alpha_grid entries must lie in (0, 1]")
     if not 0.0 < spec.alpha <= 1.0:
         errors.append("alpha must lie in (0, 1]")
-    if any(e <= 0.0 for e in spec.eps_grid):
-        errors.append("eps_grid entries must be > 0")
+    if any(not 0.0 < e < math.inf for e in spec.eps_grid):
+        errors.append("eps_grid entries must be finite and > 0")
     if any(l < 0 for l in spec.lags) or not spec.lags:
         errors.append("lags must be a nonempty list of integers >= 0")
     if any(j < 1 for j in spec.depths) or not spec.depths:
@@ -261,7 +261,7 @@ _BRACKET_STATS = ("estimate", "se", "ci_low", "ci_high")
 # RejectionLimitError that cut a path batch short, or None.
 
 
-def _sample_paths(spec: ExperimentSpec, n: int, eps_grid):
+def _sample_paths(spec: ExperimentSpec, n: int):
     """The path batch of a path kind: (paths, error)."""
     return run_path_batch_partial(
         spec.config(),
@@ -269,7 +269,6 @@ def _sample_paths(spec: ExperimentSpec, n: int, eps_grid):
         n=n,
         r=spec.resolution,
         g=spec.probe_depth,
-        eps_grid=eps_grid,
         workers=spec.workers,
         max_attempts=spec.max_attempts,
     )
@@ -315,17 +314,18 @@ def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
     }
 
 
-def _hole_sheets(p, alphas) -> List[tuple]:
+def _hole_sheets(p, alphas, epss) -> List[tuple]:
     """(alpha, lower, upper, measure) of one path per alpha; measure is (n, n_eps)."""
     return [
-        (float(a), p.set_hole_lower(a), p.set_hole_upper(a), p.measure_hole(a, p.eps_grid))
+        (float(a), p.set_hole_lower(a), p.set_hole_upper(a), p.measure_hole(a, epss))
         for a in alphas
     ]
 
 
 def _run_path_series(spec: ExperimentSpec):
-    paths, err = _sample_paths(spec, spec.scales, spec.eps_grid)
-    sheets = [_hole_sheets(p, spec.alpha_grid) for p in paths]
+    paths, err = _sample_paths(spec, spec.scales)
+    epss = tuple(float(e) for e in spec.eps_grid)  # written as floats: 1 as 1.0
+    sheets = [_hole_sheets(p, spec.alpha_grid, epss) for p in paths]
     tables = {
         "path_summary.csv": (
             ["replica", "seed", "attempts", "weight", "scales", "resolution", "probe_depth"],
@@ -354,10 +354,10 @@ def _run_path_series(spec: ExperimentSpec):
                     p.total_mass[j],
                     p.a_star[j],
                     p.a_star[j],  # restricted_a_star: the center cell is always occupied
-                    p.set_por[j],
+                    set_por,
                 )
                 for p in paths
-                for j in range(p.n)
+                for j, set_por in enumerate(p.set_porosity)
             ],
         ),
         "indicators.csv": (
@@ -367,16 +367,16 @@ def _run_path_series(spec: ExperimentSpec):
                 for p, sheet in zip(paths, sheets)
                 for j in range(p.n)
                 for alpha, lower, upper, measure in sheet
-                for ie, eps in enumerate(p.eps_grid)
+                for ie, eps in enumerate(epss)
             ],
         ),
         "porosity.csv": (
             ["replica", "scale", "eps", "measure_porosity"],
             [
-                (p.replica, j + 1, eps, p.meas_por[j, ie])
+                (p.replica, j + 1, eps, value)
                 for p in paths
-                for j in range(p.n)
-                for ie, eps in enumerate(p.eps_grid)
+                for j, row in enumerate(p.measure_porosity(epss))
+                for eps, value in zip(epss, row)
             ],
         ),
     }
@@ -431,7 +431,7 @@ def _run_ensemble(spec: ExperimentSpec):
 
 def _run_covariance(spec: ExperimentSpec):
     lags = tuple(sorted(set(spec.lags)))
-    paths, err = _sample_paths(spec, max(lags) + 1, ())
+    paths, err = _sample_paths(spec, max(lags) + 1)
     ests = []
     if len(paths) >= 2:
         ests = [covariance_from_paths(paths, spec.alpha, lag) for lag in lags]
@@ -456,8 +456,8 @@ def _run_covariance(spec: ExperimentSpec):
 
 
 def _run_porosity_extremes(spec: ExperimentSpec):
-    paths, err = _sample_paths(spec, spec.scales, spec.eps_grid)
-    extremes = [porosity_extremes(p) for p in paths]
+    paths, err = _sample_paths(spec, spec.scales)
+    extremes = [porosity_extremes(p, spec.eps_grid) for p in paths]
     tables = {
         "extremes.csv": (
             ["replica", "scale", "set_min", "set_max", "eps", "meas_min", "meas_max"],

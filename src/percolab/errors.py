@@ -41,7 +41,3 @@ class RejectionLimitError(PercolabError):
 
 class ZeroMassError(PercolabError):
     """An operation needed a positive-mass grid but total mass is zero."""
-
-
-class MissingParameterError(PercolabError):
-    """A requested parameter value was not part of the recorded grids."""

@@ -18,7 +18,6 @@ import numpy as np
 
 from .holes import cells_threshold, set_hole_indicators
 from .percolation import PercolationConfig
-from .errors import MissingParameterError
 from .qsampler import Z95, QPath, WeightedMean
 
 
@@ -171,24 +170,18 @@ def discrepancy_rate(path: QPath, alpha: float, eps: float, delta: float) -> np.
 class PorosityExtremes:
     """Running extremes of the per-scale ball porosities of one path."""
 
-    eps_grid: Tuple[float, ...]
     set_min: np.ndarray  # (n,) nonincreasing
     set_max: np.ndarray  # (n,) nondecreasing
-    meas_min: np.ndarray  # (n, n_eps)
+    meas_min: np.ndarray  # (n,) + eps shape
     meas_max: np.ndarray
 
-    def for_eps(self, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        for ie, entry in enumerate(self.eps_grid):
-            if abs(entry - eps) <= 1e-12:
-                return self.meas_min[:, ie], self.meas_max[:, ie]
-        raise MissingParameterError(f"eps={eps} is not on the recorded grid {self.eps_grid}")
 
-
-def porosity_extremes(path: QPath) -> PorosityExtremes:
+def porosity_extremes(path: QPath, eps) -> PorosityExtremes:
+    """Running extremes of one path; an eps sequence adds a last axis to the measure's."""
+    set_por, meas_por = path.set_porosity, path.measure_porosity(eps)
     return PorosityExtremes(
-        eps_grid=path.eps_grid,
-        set_min=np.minimum.accumulate(path.set_por),
-        set_max=np.maximum.accumulate(path.set_por),
-        meas_min=np.minimum.accumulate(path.meas_por, axis=0),
-        meas_max=np.maximum.accumulate(path.meas_por, axis=0),
+        set_min=np.minimum.accumulate(set_por),
+        set_max=np.maximum.accumulate(set_por),
+        meas_min=np.minimum.accumulate(meas_por, axis=0),
+        meas_max=np.maximum.accumulate(meas_por, axis=0),
     )

@@ -69,7 +69,7 @@ def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
 
 
 def _path_worker(args) -> QPath:
-    # args: config, n, r, g, eps_grid, replica, max_attempts
+    # args: config, n, r, g, replica, max_attempts
     return sample_qpath(*args)
 
 
@@ -109,14 +109,11 @@ def run_path_batch(
     n: int,
     r: int,
     g: int,
-    eps_grid: Optional[Sequence[float]] = None,
     workers: int = 1,
     max_attempts: int = 1000,
 ) -> List[QPath]:
     """Sample ``paths`` independent mass-biased paths, in replica order."""
-    done, err = run_path_batch_partial(
-        config, paths, n, r, g, eps_grid, workers, max_attempts
-    )
+    done, err = run_path_batch_partial(config, paths, n, r, g, workers, max_attempts)
     if err is not None:
         raise err
     return done
@@ -128,7 +125,6 @@ def run_path_batch_partial(
     n: int,
     r: int,
     g: int,
-    eps_grid: Optional[Sequence[float]] = None,
     workers: int = 1,
     max_attempts: int = 1000,
 ) -> Tuple[List[QPath], Optional[RejectionLimitError]]:
@@ -139,10 +135,7 @@ def run_path_batch_partial(
     replica index precedes the failing one (ordered iteration guarantees
     the prefix is intact).
     """
-    argses = [
-        (config, n, r, g, eps_grid, replica, max_attempts)
-        for replica in range(paths)
-    ]
+    argses = [(config, n, r, g, replica, max_attempts) for replica in range(paths)]
     done: List[QPath] = []
     try:
         for path in _ordered_map(_path_worker, argses, workers):
@@ -210,7 +203,6 @@ def covariance_experiment(
         n=n,
         r=r,
         g=g,
-        eps_grid=(),
         workers=workers,
         max_attempts=max_attempts,
     )

@@ -200,60 +200,41 @@ def ball_box(
     return tuple(lo), tuple(hi)
 
 
-def _gap_porosity(sweep: np.ndarray, limit: float, radius_cells: float) -> float:
+def gap_porosity(sweep, limit, radius_cells: float) -> np.ndarray:
     """(a/2) / radius_cells for the largest side a whose minimum is <= limit.
 
-    A gap of side a contains a sub-ball of radius a/2 cells; capped at 1.
-    Size 0 always qualifies.
+    ``sweep`` holds nondecreasing window minima along its last axis (right
+    padding with larger values changes nothing); it and ``limit`` broadcast
+    over the other axes, with ``limit`` carrying a trailing length-1 axis
+    when it has batch axes of its own.  A gap of side a contains a sub-ball
+    of radius a/2 cells; capped at 1.  Size 0 always qualifies.
     """
-    a = int(np.searchsorted(sweep, limit, side="right")) - 1
-    return min(1.0, 0.5 * a / radius_cells)
+    a = (np.asarray(sweep) <= limit).sum(axis=-1) - 1
+    return np.minimum(1.0, 0.5 * a / radius_cells)
 
 
-def porosity_from_sweep(
-    sweep: np.ndarray, ball_mass: float, eps: float, radius_cells: float
-) -> float:
-    """Measure porosity from a precomputed window sweep.
-
-    The largest window size whose minimal mass is at most eps * ball_mass
-    plays the role of the gap side; size 0 always qualifies, so the result
-    is 0 when no window is light enough.
-    """
-    if ball_mass <= 0.0:
-        raise ZeroMassError("measure porosity is undefined for a massless ball")
-    return _gap_porosity(sweep, eps * ball_mass, radius_cells)
-
-
-def ball_porosities(
-    counts: np.ndarray,
-    center: Sequence[int],
-    eps_values: Sequence[float],
-) -> Tuple[float, np.ndarray]:
-    """Set porosity and measure porosities (one per eps) of one ball.
+def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """Window sweep and retained count of one ball's box, which hold both its porosities.
 
     ``counts`` is a grid of retained counts (mass is proportional to them,
     and a cell is occupied iff its count is positive), so one integer sweep
-    of the ball's box answers both: the set gap is the largest window side
-    whose minimum count is 0, the measure gap the largest whose minimum is
-    at most eps times the box count.  The center cell must have a positive
-    count -- the marked point belongs to the set -- so no forcing is needed.
+    of the ball's box answers both through ``gap_porosity``: the set gap is
+    the largest window side whose minimum count is 0, the measure gap the
+    largest whose minimum is at most eps times the box count.  The center
+    cell must have a positive count -- the marked point belongs to the set
+    -- so no forcing is needed, and the box count is positive.
 
     The radius is a quarter of the grid side: at scale i the grid
     covers a cube of side k^-i, so this is the ball of radius k^-i / 4
     around the marked point.  The ball is not guaranteed to stay inside the
     cube: a center within a quarter side of a face puts part of it outside,
     and that part is clipped away (see ``ball_box``), so both porosities
-    are taken over the ball's intersection with the cube.
+    are taken over the ball's intersection with the cube.  The box is at
+    most side // 2 cells wide, so its sweep has at most side // 2 + 1 entries.
     """
     counts = np.asarray(counts)
-    radius_cells = counts.shape[0] / 4.0
     if not counts[tuple(int(c) for c in center)] > 0:
         raise ValueError(f"center cell {tuple(center)} has no retained count")
-    lo, hi = ball_box(center, counts.shape, radius_cells)
+    lo, hi = ball_box(center, counts.shape, counts.shape[0] / 4.0)
     box = counts[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-    sweep, total = window_min_sweep(box), box.sum()
-    meas = np.array(
-        [porosity_from_sweep(sweep, total, e, radius_cells) for e in eps_values],
-        dtype=np.float64,
-    )
-    return _gap_porosity(sweep, 0, radius_cells), meas
+    return window_min_sweep(box), int(box.sum())

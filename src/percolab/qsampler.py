@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import DeadSubtreeError, RejectionLimitError
 from .holes import (
     ball_porosities,
     cells_threshold,
+    gap_porosity,
     max_empty_block,
     measure_hole_indicators,
     set_hole_indicators,
@@ -49,6 +50,7 @@ from .words import Word, cell_of_digits
 DEFAULT_PROBE_DEPTH = 4
 DEFAULT_ALPHA_GRID: Tuple[float, ...] = tuple(round(0.05 * t, 2) for t in range(1, 20)) + (1.0,)
 DEFAULT_EPS_GRID: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
+_PAD = np.iinfo(np.int64).max  # fills each ball sweep out to side // 2 + 1 entries
 
 _MAX_ATTEMPTS = 1000
 Z95 = 1.96  # two-sided 95% normal quantile
@@ -81,12 +83,12 @@ def sample_step(counts: np.ndarray, u: float) -> int:
 
 @dataclass
 class QPath:
-    """One mass-biased descent with per-scale geometry and porosity records.
+    """One mass-biased descent with per-scale geometry records.
 
-    Arrays are indexed by scale (row j holds scale j+1); ``meas_por`` also
-    by the eps grid the path was sampled with.  The path records geometry
-    only: every hole indicator, for any alpha and eps, is read off the
-    recorded ``a_star`` and minimum-window sweep by the accessors.
+    Arrays are indexed by scale (row j holds scale j+1).  The path records
+    geometry only: every hole indicator and ball porosity, for any alpha
+    and eps, is read off the recorded ``a_star`` and window sweeps by the
+    accessors.
 
     The descent only enters children alive g levels down, so every center
     cell has a positive count and forcing it occupied changes no block:
@@ -101,15 +103,14 @@ class QPath:
     n: int
     r: int
     g: int
-    eps_grid: Tuple[float, ...]
     digits: Tuple[int, ...]  # n + r digits of the descent
     centers: np.ndarray  # (n, m) cell of the path r levels below each scale
     x_hat: np.ndarray  # (n,) martingale estimate at each visited word
     a_star: np.ndarray  # (n,) largest empty block per scale grid
     window_sweep: np.ndarray  # (n, side+1) min window count per size; last = grid count
     total_mass: np.ndarray  # (n,) grid totals
-    set_por: np.ndarray  # (n,) ball porosity of the occupancy pattern
-    meas_por: np.ndarray  # (n, n_eps) ball porosity of the mass pattern
+    ball_sweep: np.ndarray  # (n, side//2 + 1) min window count of the ball's box, padded
+    ball_count: np.ndarray  # (n,) retained count of the ball's box
     weight: float  # root martingale estimate at probe depth g
 
     @property
@@ -133,6 +134,24 @@ class QPath:
         """Measure-hole indicators per scale; an eps sequence adds a last axis."""
         return measure_hole_indicators(self.window_sweep, self._threshold(alpha), eps)
 
+    @property
+    def set_porosity(self) -> np.ndarray:
+        """Ball porosity of the occupancy pattern per scale."""
+        return gap_porosity(self.ball_sweep, 0, self.side / 4.0)
+
+    def measure_porosity(self, eps) -> np.ndarray:
+        """Ball porosity of the mass pattern per scale; an eps sequence adds a last axis.
+
+        No window weighs more than the whole box, so an eps above 1 reads
+        as 1, which keeps every limit below the sweeps' padding.
+        """
+        eps = np.asarray(eps, dtype=np.float64)
+        if not np.all(eps >= 0.0):
+            raise ValueError("eps must be >= 0")
+        limits = np.multiply.outer(self.ball_count, np.minimum(eps, 1.0))
+        sweeps = self.ball_sweep.reshape((self.n,) + (1,) * eps.ndim + (-1,))
+        return gap_porosity(sweeps, limits[..., None], self.side / 4.0)
+
     def discrepancy(self, alpha: float, eps: float, delta: float) -> np.ndarray:
         """Per-scale indicators of measure holes invisible to the set bracket."""
         if not 0.0 < delta < alpha:
@@ -147,7 +166,6 @@ def sample_qpath(
     n: int,
     r: int,
     g: int = DEFAULT_PROBE_DEPTH,
-    eps_grid: Optional[Sequence[float]] = None,
     replica: int = 0,
     max_attempts: int = _MAX_ATTEMPTS,
 ) -> QPath:
@@ -170,7 +188,6 @@ def sample_qpath(
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
-    epss = DEFAULT_EPS_GRID if eps_grid is None else tuple(float(e) for e in eps_grid)
     m, k, fanout = config.m, config.k, config.branching
     side = k ** r
     child_mass = mass_factor(config, g)
@@ -188,8 +205,8 @@ def sample_qpath(
         a_star = np.zeros(n, dtype=np.int64)
         sweeps = np.zeros((n, side + 1), dtype=np.int64)
         totals = np.zeros(n)
-        set_por = np.zeros(n)
-        meas_por = np.zeros((n, len(epss)))
+        ball_sweeps = np.full((n, side // 2 + 1), _PAD)
+        ball_counts = np.zeros(n, dtype=np.int64)
         try:
             with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
                 weight = tree.expand_retained(front, 1 + g)[g] * child_mass
@@ -229,7 +246,8 @@ def sample_qpath(
                     totals[j - 1] = cell_counts.sum() * mass_factor(config, j + r + g)
                     a_star[j - 1] = max_empty_block(grid)
                     sweeps[j - 1] = window_min_sweep(grid)
-                    set_por[j - 1], meas_por[j - 1] = ball_porosities(grid, center, epss)
+                    sweep, ball_counts[j - 1] = ball_porosities(grid, center)
+                    ball_sweeps[j - 1, : sweep.size] = sweep
         except DeadSubtreeError:
             continue
         return QPath(
@@ -240,15 +258,14 @@ def sample_qpath(
             n=n,
             r=r,
             g=g,
-            eps_grid=epss,
             digits=tuple(digits),
             centers=centers,
             x_hat=x_hat,
             a_star=a_star,
             window_sweep=sweeps,
             total_mass=totals,
-            set_por=set_por,
-            meas_por=meas_por,
+            ball_sweep=ball_sweeps,
+            ball_count=ball_counts,
             weight=weight,
         )
     raise RejectionLimitError(

@@ -61,23 +61,44 @@ def hole_bracket(occ: np.ndarray, alpha: float, center=None):
     return int(brute_max_empty_block(forced) >= need), int(brute_max_empty_block(occ) >= need - 1)
 
 
+def _ball_cells(grid: np.ndarray, center, radius_cells: float) -> np.ndarray:
+    """The cells [t, t+1) inside the sup-metric ball of radius ``radius_cells``
+    around the center cell's midpoint, clipped to the grid."""
+    r = radius_cells
+    return grid[
+        tuple(
+            slice(max(0, math.ceil(c + 0.5 - r)), min(n, math.floor(c + 0.5 + r)))
+            for c, n in zip(center, grid.shape)
+        )
+    ]
+
+
 def ball_set_porosity(occ: np.ndarray, center, radius_cells: float) -> float:
     """Set porosity of the ball, its center cell counted as occupied.
 
-    The box holds the cells [t, t+1) inside the sup-metric ball of radius
-    ``radius_cells`` around the center cell's midpoint, clipped to the grid;
-    an empty block of side a in it holds a sub-ball of radius a/2.
+    An empty block of side a in the ball's box holds a sub-ball of radius a/2.
     """
     occ = np.array(occ, dtype=bool)
     occ[tuple(center)] = True
-    r = radius_cells
-    box = occ[
-        tuple(
-            slice(max(0, math.ceil(c + 0.5 - r)), min(n, math.floor(c + 0.5 + r)))
-            for c, n in zip(center, occ.shape)
-        )
-    ]
-    return min(1.0, 0.5 * brute_max_empty_block(box) / r)
+    box = _ball_cells(occ, center, radius_cells)
+    return min(1.0, 0.5 * brute_max_empty_block(box) / radius_cells)
+
+
+def ball_measure_porosity(counts: np.ndarray, center, radius_cells: float, eps: float) -> float:
+    """Measure porosity of the ball: its widest window of at most eps of its mass.
+
+    Every window of every side in the ball's box is summed directly; a
+    window of side a holds a sub-ball of radius a/2.
+    """
+    box = _ball_cells(np.asarray(counts, dtype=np.int64), center, radius_cells)
+    limit = eps * int(box.sum())
+    best = 0
+    for a in range(1, min(box.shape) + 1):
+        windows = sliding_window_view(box, (a,) * box.ndim)
+        sums = windows.reshape(windows.shape[: box.ndim] + (-1,)).sum(axis=-1)
+        if (sums <= limit).any():
+            best = a
+    return min(1.0, 0.5 * best / radius_cells)
 
 
 def pack_all_grids(side: int) -> np.ndarray:

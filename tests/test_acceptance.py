@@ -72,9 +72,7 @@ def cfg08():
 @pytest.fixture(scope="module")
 def paths_main(cfg08):
     """20 mass-biased paths x 100 scales at r=6, g=4: the workhorse batch."""
-    return run_path_batch(
-        cfg08, paths=20, n=100, r=6, g=4, eps_grid=EPS, workers=4
-    )
+    return run_path_batch(cfg08, paths=20, n=100, r=6, g=4, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +89,7 @@ def paths_poro(cfg08):
     every ball holds an empty 2x2 block of cells at every scale, so 11a is
     tested on ``paths_poro99`` instead.
     """
-    return run_path_batch(
-        cfg08, paths=50, n=40, r=6, g=4, eps_grid=(1e-2,), workers=4
-    )
+    return run_path_batch(cfg08, paths=50, n=40, r=6, g=4, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +104,7 @@ def paths_poro99():
     clause at a density where 40 scales can show it.
     """
     cfg = PercolationConfig(2, 2, 0.99, seed=0)
-    return run_path_batch(
-        cfg, paths=20, n=40, r=6, g=4, eps_grid=(1e-2,), workers=4
-    )
+    return run_path_batch(cfg, paths=20, n=40, r=6, g=4, workers=4)
 
 
 # -- 1: box-counting slope ------------------------------------------------------
@@ -373,13 +367,13 @@ def test_criterion_11a_running_min_small(paths_poro99):
     scales).  A factor-2 error in the ball normalization would lift the
     floor to 1/16 and fail the check.
     """
-    run_min = np.array([porosity_extremes(p).set_min[-1] for p in paths_poro99])
+    run_min = np.array([porosity_extremes(p, 1e-2).set_min[-1] for p in paths_poro99])
     assert np.median(run_min) < 0.05
 
 
 def test_criterion_11b_running_max_and_cap(paths_poro):
     cap = 0.5 + 2.0**-6
-    run_max = np.array([porosity_extremes(p).set_max[-1] for p in paths_poro])
+    run_max = np.array([porosity_extremes(p, 1e-2).set_max[-1] for p in paths_poro])
     assert np.all(run_max <= cap + 1e-12)
     assert np.median(run_max) > 0.4
 
@@ -396,7 +390,7 @@ def test_criterion_11c_measure_running_max(paths_poro):
     resolution, so refining r does not help.  Recorded running maxima are
     13/32-16/32.  Kept at its stated threshold, failing.
     """
-    meas_max = np.array([porosity_extremes(p).for_eps(1e-2)[1][-1] for p in paths_poro])
+    meas_max = np.array([porosity_extremes(p, 1e-2).meas_max[-1] for p in paths_poro])
     assert np.median(meas_max) > 0.8
 
 

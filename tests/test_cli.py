@@ -239,6 +239,22 @@ def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["path-series", "porosity-extremes"])
+@pytest.mark.parametrize(
+    "eps", [[float("nan")], [float("inf")], [float("nan"), float("inf")]],
+    ids=["nan", "inf", "nan-inf"],
+)
+def test_main_rejects_nonfinite_eps(tmp_path, capsys, kind, eps):
+    # json writes these as NaN and Infinity, which json.load reads back
+    spec_file = _write_spec(tmp_path, {**TINY, "kind": kind, "eps_grid": eps})
+    out = tmp_path / "o"
+    assert cli.main(["--spec", spec_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid spec:") and "eps_grid" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERCOLAB_MAX_NODES", "100")
     # each replica's 64-cell grid fits; its retained frontier outgrows 100

@@ -26,9 +26,9 @@ def test_running_mean_basics():
     assert running_mean(np.zeros(5)).tolist() == [0] * 5
 
 
-def _paths(n_paths=6, n=8, seed=2, p=0.8, r=4, g=3, epss=(1e-2,)):
+def _paths(n_paths=6, n=8, seed=2, p=0.8, r=4, g=3):
     cfg = PercolationConfig(2, 2, p, seed=seed)
-    return [sample_qpath(cfg, n=n, r=r, g=g, eps_grid=epss, replica=i) for i in range(n_paths)]
+    return [sample_qpath(cfg, n=n, r=r, g=g, replica=i) for i in range(n_paths)]
 
 
 def test_mean_porosity_series_structure():
@@ -102,7 +102,7 @@ def test_path_average_bracket():
 
 
 def test_covariance_lag_zero_is_bernoulli_variance():
-    paths = _paths(n_paths=40, n=2, epss=())
+    paths = _paths(n_paths=40, n=2)
     est = covariance_from_paths(paths, 0.5, 0)
     q = est.mean_first
     assert est.covariance == pytest.approx(q * (1 - q), rel=1e-12)
@@ -110,7 +110,7 @@ def test_covariance_lag_zero_is_bernoulli_variance():
 
 
 def test_covariance_validation():
-    paths = _paths(n_paths=3, n=2, epss=())
+    paths = _paths(n_paths=3, n=2)
     with pytest.raises(ValueError):
         covariance_from_paths(paths, 0.5, -1)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_covariance_probe_end_to_end():
 
 
 def test_discrepancy_rate_running_mean():
-    path = _paths(n_paths=1, epss=(1e-3,))[0]
+    path = _paths(n_paths=1)[0]
     rate = discrepancy_rate(path, 0.3, 1e-3, 0.1)
     assert np.allclose(rate, running_mean(path.discrepancy(0.3, 1e-3, 0.1)))
     assert np.all((0 <= rate) & (rate <= 1))
@@ -134,16 +134,15 @@ def test_discrepancy_rate_running_mean():
 
 def test_porosity_extremes_structure():
     path = _paths(n_paths=1, n=12)[0]
-    ext = porosity_extremes(path)
+    ext = porosity_extremes(path, (1e-2,))
     assert np.all(np.diff(ext.set_min) <= 0)
     assert np.all(np.diff(ext.set_max) >= 0)
     assert np.all(np.diff(ext.meas_max, axis=0) >= 0)
-    assert ext.set_min[-1] == path.set_por.min()
-    assert ext.set_max[-1] == path.set_por.max()
+    assert ext.set_min[-1] == path.set_porosity.min()
+    assert ext.set_max[-1] == path.set_porosity.max()
     # structural cap: a <= R + 1 once the center is forced occupied
     assert np.all(ext.set_max <= 0.5 + 2.0**-path.r + 1e-12)
-    lo, hi = ext.for_eps(1e-2)
-    assert np.array_equal(hi, ext.meas_max[:, 0])
+    assert np.array_equal(porosity_extremes(path, 1e-2).meas_max, ext.meas_max[:, 0])
 
 
 def test_weighted_mean_from_values():

@@ -27,7 +27,8 @@ def _same_paths(a, b):
         assert np.array_equal(pa.x_hat, pb.x_hat)
         assert np.array_equal(pa.a_star, pb.a_star)
         assert np.array_equal(pa.window_sweep, pb.window_sweep)
-        assert np.array_equal(pa.meas_por, pb.meas_por)
+        assert np.array_equal(pa.ball_sweep, pb.ball_sweep)
+        assert np.array_equal(pa.ball_count, pb.ball_count)
 
 
 def test_path_batch_worker_count_invariant():

@@ -49,6 +49,16 @@ SPECS = {
         "kind": "porosity-extremes", "m": 1, "k": 3, "p": 0.8, "replicas": 3,
         "scales": 5, "resolution": 3, "probe_depth": 2,
     },
+    # eps off the default grid, one an integer: path-series writes it as
+    # 1.0, extremes.csv as 1
+    "path-series-eps": {
+        "kind": "path-series", "p": 0.8, "replicas": 3, "scales": 3,
+        "resolution": 3, "probe_depth": 2, "eps_grid": [1, 0.037, 5e-5],
+    },
+    "porosity-extremes-eps": {
+        "kind": "porosity-extremes", "m": 3, "p": 0.5, "replicas": 3,
+        "scales": 5, "resolution": 3, "probe_depth": 2, "eps_grid": [1, 0.037, 5e-5],
+    },
     # survival rejection runs out after a few replicas: exit code 4
     "partial": {
         "kind": "path-series", "p": 0.3, "replicas": 8, "scales": 25,
@@ -140,6 +150,28 @@ DIGESTS = {
     "porosity-extremes-k3-1": {
         "extremes.csv": "9da7ba9ccfe3fa119cca9888ee09df8c81e2a73e40855955d4e49b3eaee3fd20",
         "summary.json": "3462aaa97e37565df0e39f4d086f46f1cb0cfe7938bc86b664d299f488c57cc7",
+    },
+    "path-series-eps-0": {
+        "indicators.csv": "725ba7018f9dd6617c241b203c56f9658c4c0e24e58a7afac2566fc06113e3ec",
+        "path_summary.csv": "65b6cad2d148e931a123c4f066aec5568bc530265c832bb485836cc190d3b566",
+        "porosity.csv": "e5f58a20821c07b909e4c3dc271f4c62d453d4df1ebf752f3027641ec0fa37c7",
+        "scales.csv": "06da5918a5ab9a3fcbc2a3eec34bd11d6c8b231d053ab0aa7850f35198ebe13d",
+        "summary.json": "9118e15c3e768b2921dbd61eea45d18ae7036be0b844e5a51d1cb68415b4dcaf",
+    },
+    "path-series-eps-1": {
+        "indicators.csv": "d522c14e44a0ad65c3209bc814e841daf63484eea8122fd8f7750b032f88d2c4",
+        "path_summary.csv": "6606d5dbf40ace8533b1c4de2f208e3d9f88be511a53f6a30e7d6e833b92339c",
+        "porosity.csv": "fc24006b5b26118818649d9e4340ef54c99fe978e202d7b241042e9b0c866bf9",
+        "scales.csv": "004c45ff2c3f075c66c20a035b0c392d426c7e3e2611453104f9e4659aeec9d0",
+        "summary.json": "4c0f00807e5c69329ea4849606da7687c6f57571f4ab2b0934787d1f75896ad2",
+    },
+    "porosity-extremes-eps-0": {
+        "extremes.csv": "b637b11dd2975a802a1a95f2a55ea90e61b5b4bd7ceaddca64dac7d833f30f37",
+        "summary.json": "8828cd630c5dae4d931e0eec88c48f2027fe744a860e218cdbe445b8e9af741c",
+    },
+    "porosity-extremes-eps-1": {
+        "extremes.csv": "a4c5a0190f9884b58412bd571ace134635f6ced2308ccb1617dc79a48168d336",
+        "summary.json": "8828cd630c5dae4d931e0eec88c48f2027fe744a860e218cdbe445b8e9af741c",
     },
     "partial-2": {
         "indicators.csv": "eb12cae1f77323c57ff16b3ddbd2f7c20940b499683dcd837bbbec0b317cd6ae",

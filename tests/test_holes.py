@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ball_measure_porosity,
     ball_set_porosity,
     brute_empty_block_sides,
     brute_max_empty_block,
@@ -29,9 +30,9 @@ from percolab.holes import (
     ball_porosities,
     cells_threshold,
     empty_block_sides,
+    gap_porosity,
     max_empty_block,
     measure_hole_indicators,
-    porosity_from_sweep,
     restricted_max_empty_block,
     set_hole_indicators,
     window_min_sweep,
@@ -295,7 +296,7 @@ def test_discrepancy_indicator_bounds_measure_minus_upper():
     cfg = PercolationConfig(2, 2, 0.8, seed=29)
     alpha, eps, delta = 0.4, 1e-3, 0.1
     for replica in range(4):
-        path = sample_qpath(cfg, n=25, r=4, g=3, eps_grid=(eps,), replica=replica)
+        path = sample_qpath(cfg, n=25, r=4, g=3, replica=replica)
         v = path.measure_hole(alpha, eps)
         up = path.set_hole_upper(alpha - delta)
         disc = path.discrepancy(alpha, eps, delta)
@@ -305,7 +306,7 @@ def test_discrepancy_indicator_bounds_measure_minus_upper():
 
 def test_discrepancy_indicator_validates_delta():
     cfg = PercolationConfig(2, 2, 0.8, seed=29)
-    path = sample_qpath(cfg, n=2, r=2, g=2, eps_grid=(1e-3,), replica=0)
+    path = sample_qpath(cfg, n=2, r=2, g=2, replica=0)
     with pytest.raises(ValueError):
         path.discrepancy(0.3, 1e-3, 0.3)
     with pytest.raises(ValueError):
@@ -335,7 +336,7 @@ def _set_porosity(occ, center):
     """ball_porosities' set porosity with the center cell forced occupied."""
     counts = np.asarray(occ, dtype=np.int64)
     counts[center] = 1
-    return ball_porosities(counts, center, ())[0]
+    return gap_porosity(ball_porosities(counts, center)[0], 0, counts.shape[0] / 4.0)
 
 
 def test_ball_set_porosity_fixtures():
@@ -367,38 +368,43 @@ def test_ball_measure_porosity_point_mass():
     counts[8, 8] = 1  # all mass on the center cell
     # windows missing the center are massless; the largest such is 3 wide;
     # with eps = 1 every window qualifies, up to the full 7-wide box
-    _, meas = ball_porosities(counts, (8, 8), (0.0, 1.0))
-    assert meas[0] == pytest.approx(0.5 * 3 / 4)
-    assert meas[1] == pytest.approx(0.5 * 7 / 4)
+    sweep, count = ball_porosities(counts, (8, 8))
+    assert gap_porosity(sweep, 0.0 * count, 4.0) == pytest.approx(0.5 * 3 / 4)
+    assert gap_porosity(sweep, 1.0 * count, 4.0) == pytest.approx(0.5 * 7 / 4)
 
 
 def test_ball_measure_porosity_zero_mass_raises():
-    box = np.zeros((16, 16))[5:12, 5:12]  # ball_box((8, 8), (16, 16), 4.0)
-    with pytest.raises(ZeroMassError):
-        porosity_from_sweep(window_min_sweep(box), box.sum(), 0.1, 4.0)
+    # a massless ball has no marked point, so ball_porosities refuses it and
+    # every recorded box count is positive
+    with pytest.raises(ValueError):
+        ball_porosities(np.zeros((16, 16), dtype=np.int64), (8, 8))
 
 
-def test_porosity_from_sweep_threshold_semantics():
+def test_gap_porosity_threshold_semantics():
     sweep = np.array([0.0, 0.0, 0.1, 0.5, 2.0])
-    assert porosity_from_sweep(sweep, 1.0, 0.05, 4.0) == pytest.approx(0.5 * 1 / 4)
-    assert porosity_from_sweep(sweep, 1.0, 0.1, 4.0) == pytest.approx(0.5 * 2 / 4)
-    assert porosity_from_sweep(sweep, 1.0, 3.0, 4.0) == pytest.approx(0.5)
-    with pytest.raises(ZeroMassError):
-        porosity_from_sweep(sweep, 0.0, 0.1, 4.0)
+    assert gap_porosity(sweep, 0.05, 4.0) == pytest.approx(0.5 * 1 / 4)
+    assert gap_porosity(sweep, 0.1, 4.0) == pytest.approx(0.5 * 2 / 4)
+    assert gap_porosity(sweep, 3.0, 4.0) == pytest.approx(0.5)
+    # limits with a trailing length-1 axis read one porosity each
+    limits = np.array([[0.05], [0.1], [3.0]])
+    assert gap_porosity(sweep, limits, 4.0).tolist() == [0.125, 0.25, 0.5]
 
 
 def test_ball_porosities_joint_consistency():
     rng = np.random.default_rng(43)
     counts = rng.integers(1, 60, size=(16, 16)) * (rng.random((16, 16)) < 0.5)
     counts[8, 8] = 30  # the marked point's own cell is retained
-    set_por, meas = ball_porosities(counts, (8, 8), (0.0, 1e-2, 1.0))
+    sweep, count = ball_porosities(counts, (8, 8))
+    set_por = gap_porosity(sweep, 0, 4.0)
+    meas = gap_porosity(sweep, count * np.array([[0.0], [1e-2], [1.0]]), 4.0)
     assert meas.shape == (3,)
     assert np.all(np.diff(meas) >= 0)  # monotone in eps
     assert set_por <= meas[0] + 1e-12  # empty blocks are massless windows
     assert set_por == pytest.approx(ball_set_porosity(counts > 0, (8, 8), 4.0))
     box = counts[5:12, 5:12]  # ball_box((8, 8), (16, 16), 4.0)
-    sweep = window_min_sweep(box)
-    assert meas[1] == pytest.approx(porosity_from_sweep(sweep, box.sum(), 1e-2, 4.0))
+    assert count == box.sum() and np.array_equal(sweep, window_min_sweep(box))
+    assert meas[1] == pytest.approx(gap_porosity(window_min_sweep(box), 1e-2 * box.sum(), 4.0))
+    assert meas[1] == ball_measure_porosity(counts, (8, 8), 4.0, 1e-2)
     counts[8, 8] = 0  # a center without retained lines is not a set point
     with pytest.raises(ValueError):
-        ball_porosities(counts, (8, 8), (1e-2,))
+        ball_porosities(counts, (8, 8))

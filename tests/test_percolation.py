@@ -151,7 +151,7 @@ def _one_shot(t, depth):
 
 def _same_path(a, b):
     assert a.digits == b.digits and a.attempts == b.attempts and a.weight == b.weight
-    for name in ("centers", "x_hat", "a_star", "window_sweep", "total_mass", "set_por", "meas_por"):
+    for name in ("centers", "x_hat", "a_star", "window_sweep", "total_mass", "ball_sweep", "ball_count"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -215,7 +215,7 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
 
     def paths():
         return [
-            sample_qpath(PercolationConfig(dim, 2, 0.8, seed=3), n=3, r=2, g=2, eps_grid=(0.1,))
+            sample_qpath(PercolationConfig(dim, 2, 0.8, seed=3), n=3, r=2, g=2)
             for dim in (m, 5 - m)
         ]
 

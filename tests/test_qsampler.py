@@ -32,7 +32,7 @@ from percolab.qsampler import (
 )
 from percolab.rng import child_key, substream, unit_draw
 
-from helpers import brute_min_window_sum, hole_bracket
+from helpers import ball_measure_porosity, ball_set_porosity, brute_min_window_sum, hole_bracket
 
 
 def test_sample_step_threshold_layout():
@@ -80,7 +80,7 @@ def test_path_walk_replays_by_hand(m, k, r, g):
     """
     cfg = PercolationConfig(m, k, 0.85, seed=33)
     n = 4
-    path = sample_qpath(cfg, n=n, r=r, g=g, eps_grid=(), replica=2)
+    path = sample_qpath(cfg, n=n, r=r, g=g, replica=2)
     tcfg = replica_config(cfg, 2, attempt=path.attempts - 1)
     assert path.tree_config == tcfg
     tree = LazyTree(tcfg)
@@ -134,12 +134,12 @@ def test_paths_past_int64_labels_match_streamed(monkeypatch, m, p, r, g):
     from percolab import qsampler
 
     cfg = PercolationConfig(m, 2, p, seed=9)
-    streamed = [sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(0.1,), replica=i) for i in range(3)]
+    streamed = [sample_qpath(cfg, n=4, r=r, g=g, replica=i) for i in range(3)]
     monkeypatch.setattr(qsampler, "labels_fit", lambda fanout, digits: False)
     for i, path in enumerate(streamed):
-        fresh = sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(0.1,), replica=i)
+        fresh = sample_qpath(cfg, n=4, r=r, g=g, replica=i)
         assert fresh.digits == path.digits and fresh.weight == path.weight
-        for name in ("x_hat", "a_star", "window_sweep", "total_mass", "set_por", "meas_por"):
+        for name in ("x_hat", "a_star", "window_sweep", "total_mass", "ball_sweep", "ball_count"):
             assert np.array_equal(getattr(fresh, name), getattr(path, name)), name
 
 
@@ -158,7 +158,7 @@ def test_a_star_counts_the_empty_window_sizes():
     for m, p, r, g in [(2, 0.8, 4, 2), (2, 0.5, 3, 3), (3, 0.6, 2, 2)]:
         cfg = PercolationConfig(m, 2, p, seed=7)
         for replica in range(3):
-            path = sample_qpath(cfg, n=5, r=r, g=g, eps_grid=(), replica=replica)
+            path = sample_qpath(cfg, n=5, r=r, g=g, replica=replica)
             zeros = np.count_nonzero(path.window_sweep[:, 1:] == 0, axis=1)
             assert path.a_star.tolist() == zeros.tolist()
         views = [ensemble_view(cfg, r, g, i) for i in range(20)]
@@ -175,7 +175,8 @@ def test_sample_qpath_deterministic():
     assert a.digits == b.digits
     assert np.array_equal(a.x_hat, b.x_hat)
     assert np.array_equal(a.a_star, b.a_star)
-    assert np.array_equal(a.meas_por, b.meas_por)
+    assert np.array_equal(a.ball_sweep, b.ball_sweep)
+    assert np.array_equal(a.ball_count, b.ball_count)
     c = sample_qpath(cfg, n=4, r=3, g=3, replica=6)
     assert c.digits != a.digits or not np.array_equal(c.x_hat, a.x_hat)
 
@@ -224,7 +225,7 @@ def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
     """
     cfg = PercolationConfig(m, 2, p, seed=3)
     for replica in range(3):
-        path = sample_qpath(cfg, n=6, r=r, g=g, eps_grid=(), replica=replica)
+        path = sample_qpath(cfg, n=6, r=r, g=g, replica=replica)
         tree = LazyTree(path.tree_config)
         for j in range(path.n):
             counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
@@ -246,13 +247,13 @@ def test_path_weight_is_root_estimate():
 def test_qpath_accessors_match_oracles_off_grid():
     """Any alpha and eps, read off the recorded a* and sweep, match brute force.
 
-    The parameters lie off every grid the path was sampled with, and the
+    The parameters lie off the default grids, and the
     alphas (t + 1/2) / side reach every cell threshold 1..side; the oracles
     see only a fresh count grid of each scale and its center.
     """
     cfg = PercolationConfig(2, 2, 0.8, seed=3)
     r, g = 4, 3
-    path = sample_qpath(cfg, n=4, r=r, g=g, eps_grid=(1e-1,), replica=0)
+    path = sample_qpath(cfg, n=4, r=r, g=g, replica=0)
     tree = LazyTree(path.tree_config)
     grids = [
         grid_from_digit_order(descendant_counts(tree, Word(2, 2, path.digits[:j]), r, g), 2, 2, r)
@@ -279,13 +280,48 @@ def test_qpath_accessors_match_oracles_off_grid():
             path.measure_hole(bad, 1e-2)
 
 
+@pytest.mark.parametrize("m,r,g,p", [(2, 4, 3, 0.8), (3, 3, 2, 0.6)])
+def test_qpath_porosities_match_ball_oracles_off_grid(m, r, g, p):
+    """Both ball porosities, read off the recorded sweeps, match brute force.
+
+    The eps values lie off any grid, one past 1; the oracles see only a
+    fresh count grid of each scale and its center, and some of the balls
+    are clipped by a face of their cube.
+    """
+    cfg = PercolationConfig(m, 2, p, seed=5)
+    side, epss = 2**r, (3.7e-3, 0.05, 0.5, 2.0)
+    radius = side / 4.0
+    clipped = 0
+    for replica in range(2):
+        path = sample_qpath(cfg, n=6, r=r, g=g, replica=replica)
+        tree = LazyTree(path.tree_config)
+        sheet = path.measure_porosity(epss)
+        assert sheet.shape == (path.n, len(epss))
+        for j in range(path.n):
+            counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
+            grid = grid_from_digit_order(counts, m, 2, r)
+            center = tuple(path.centers[j])
+            clipped += any(c + 0.5 - radius < 0 or c + 0.5 + radius > side for c in center)
+            assert path.set_porosity[j] == ball_set_porosity(grid > 0, center, radius)
+            for ie, eps in enumerate(epss):
+                want = ball_measure_porosity(grid, center, radius, eps)
+                assert sheet[j, ie] == want
+                assert path.measure_porosity(eps)[j] == want
+    assert clipped
+    # past 1 every window is light, and no limit reaches the padding
+    assert np.array_equal(path.measure_porosity(1e30), path.measure_porosity(1.0))
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            path.measure_porosity(bad)
+
+
 def test_path_indicator_structure():
     cfg = PercolationConfig(2, 2, 0.8, seed=8)
     alphas = tuple(0.05 * t for t in range(1, 20)) + (1.0,)
-    path = sample_qpath(cfg, n=6, r=4, g=3, eps_grid=(1e-3,), replica=0)
+    path = sample_qpath(cfg, n=6, r=4, g=3, replica=0)
     lower = np.stack([path.set_hole_lower(a) for a in alphas], axis=1)
     upper = np.stack([path.set_hole_upper(a) for a in alphas], axis=1)
-    measure_ind = np.stack([path.measure_hole(a, path.eps_grid) for a in alphas], axis=1)
+    measure_ind = np.stack([path.measure_hole(a, (1e-3,)) for a in alphas], axis=1)
     assert np.all(lower <= upper)
     assert np.all(np.diff(lower.astype(np.int8), axis=1) <= 0)
     assert np.all(np.diff(upper.astype(np.int8), axis=1) <= 0)
@@ -295,13 +331,13 @@ def test_path_indicator_structure():
 
 def test_p_one_walk_visits_uniformly_and_sees_no_holes():
     cfg = PercolationConfig(2, 2, 1.0, seed=0)
-    path = sample_qpath(cfg, n=3, r=4, g=2, eps_grid=(1e-2,), replica=0)
+    path = sample_qpath(cfg, n=3, r=4, g=2, replica=0)
     assert np.array_equal(path.a_star, np.zeros(3, dtype=np.int64))
     for alpha in (0.25, 1.0):
         assert np.all(path.set_hole_lower(alpha) == 0)
         assert np.all(path.set_hole_upper(alpha) == 0)
         assert np.all(path.measure_hole(alpha, 1e-2) == 0)
-    assert np.all(path.set_por == 0.0)
+    assert np.all(path.set_porosity == 0.0)
     assert path.weight == pytest.approx(1.0)
     assert np.allclose(path.x_hat, 1.0)
 
