@@ -40,7 +40,6 @@ from .qsampler import (
 )
 from .estimators import (
     CovarianceEstimate,
-    EnsembleEstimate,
     PorosityExtremes,
     covariance_from_paths,
     discrepancy_rate,
@@ -51,11 +50,8 @@ from .estimators import (
 from .experiments import (
     DimensionSlope,
     SliceDecay,
-    covariance_experiment,
     dimension_slope,
-    ensemble_mean_porosity,
     ensemble_sweep_parallel,
-    run_path_batch,
     run_path_batch_partial,
     slice_decay,
 )
@@ -92,18 +88,14 @@ __all__ = [
     "importance_functional",
     "WeightedMean",
     "running_mean",
-    "EnsembleEstimate",
-    "ensemble_mean_porosity",
     "path_average_bracket",
     "CovarianceEstimate",
     "covariance_from_paths",
     "discrepancy_rate",
     "PorosityExtremes",
     "porosity_extremes",
-    "run_path_batch",
     "run_path_batch_partial",
     "ensemble_sweep_parallel",
-    "covariance_experiment",
     "DimensionSlope",
     "dimension_slope",
     "SliceDecay",

@@ -296,7 +296,7 @@ def _tree_seeds(spec: ExperimentSpec, count: int) -> List[dict]:
     return [{"replica": i, "seed": ensemble_config(config, i).seed} for i in range(count)]
 
 
-def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
+def _bracket_summary(alpha, lower, upper, kind: str, with_se: bool) -> dict:
     """Summary entry of one bracket pair; path-series entries carry the se."""
 
     def side(est) -> dict:
@@ -310,7 +310,7 @@ def _bracket_summary(alpha, lower, upper, with_se: bool) -> dict:
         "lower": side(lower),
         "upper": side(upper),
         "replicas": lower.replicas,
-        "kind": lower.kind,
+        "kind": kind,
     }
 
 
@@ -351,13 +351,13 @@ def _run_path_series(spec: ExperimentSpec):
                     p.tree_config.seed,
                     j + 1,
                     p.x_hat[j],
-                    p.total_mass[j],
+                    mass,
                     p.a_star[j],
                     p.a_star[j],  # restricted_a_star: the center cell is always occupied
                     set_por,
                 )
                 for p in paths
-                for j, set_por in enumerate(p.set_porosity)
+                for j, (mass, set_por) in enumerate(zip(p.total_mass, p.set_porosity))
             ],
         ),
         "indicators.csv": (
@@ -384,7 +384,8 @@ def _run_path_series(spec: ExperimentSpec):
     if len(paths) >= 2:
         for alpha in spec.alpha_grid:
             lower, upper = path_average_bracket(paths, alpha)
-            summary["alphas"].append(_bracket_summary(alpha, lower, upper, with_se=True))
+            entry = _bracket_summary(alpha, lower, upper, "path-average", with_se=True)
+            summary["alphas"].append(entry)
         summary["mean_weight"] = float(np.mean([p.weight for p in paths]))
     return tables, summary, *_path_provenance(paths), err
 
@@ -394,9 +395,9 @@ def _run_ensemble(spec: ExperimentSpec):
     weights, blocks = ensemble_sweep_parallel(
         config, spec.resolution, spec.probe_depth, spec.replicas, spec.workers
     )
-    pairs = ensemble_from_sweep(
-        config, spec.alpha_grid, spec.resolution, spec.probe_depth, weights, blocks
-    )
+    alphas = [float(a) for a in spec.alpha_grid]  # written as floats: 1 as 1.0
+    pairs = ensemble_from_sweep(config, alphas, spec.resolution, weights, blocks)
+    kind = "importance-weighted"
     seeds = _tree_seeds(spec, spec.replicas)
     tables = {
         "ensemble.csv": (
@@ -404,10 +405,10 @@ def _run_ensemble(spec: ExperimentSpec):
             + [f"{side}_{stat}" for side in ("lower", "upper") for stat in _BRACKET_STATS]
             + ["replicas", "r", "g", "kind"],
             [
-                [lo.alpha]
+                [alpha]
                 + [getattr(est, stat) for est in (lo, up) for stat in _BRACKET_STATS]
-                + [lo.replicas, lo.r, lo.g, lo.kind]
-                for lo, up in pairs
+                + [lo.replicas, spec.resolution, spec.probe_depth, kind]
+                for alpha, (lo, up) in zip(alphas, pairs)
             ],
         ),
         "replica_sweep.csv": (
@@ -421,7 +422,10 @@ def _run_ensemble(spec: ExperimentSpec):
     alive_fraction = float((weights > 0).mean())
     summary = {
         "kind": spec.kind,
-        "alphas": [_bracket_summary(lo.alpha, lo, up, with_se=False) for lo, up in pairs],
+        "alphas": [
+            _bracket_summary(alpha, lo, up, kind, with_se=False)
+            for alpha, (lo, up) in zip(alphas, pairs)
+        ],
         "mean_weight": float(weights.mean()),
         "alive_fraction": alive_fraction,
     }

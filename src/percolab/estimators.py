@@ -26,44 +26,6 @@ def running_mean(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / np.arange(1, len(values) + 1)
 
 
-@dataclass
-class EnsembleEstimate:
-    """Point estimate of one indicator mean with a normal 95% interval."""
-
-    alpha: float
-    r: int
-    g: int
-    estimate: float
-    se: float
-    ci_low: float
-    ci_high: float
-    replicas: int
-    kind: str  # "importance-weighted" | "path-average"
-
-
-def _bracket(
-    lower_values: np.ndarray, upper_values: np.ndarray, alpha: float, r: int, g: int, kind: str
-) -> Tuple[EnsembleEstimate, EnsembleEstimate]:
-    """Lower and upper estimates of one alpha from per-replica values."""
-    pair = []
-    for values in (lower_values, upper_values):
-        mean = WeightedMean.from_values(values)
-        pair.append(
-            EnsembleEstimate(
-                alpha=float(alpha),
-                r=r,
-                g=g,
-                estimate=mean.estimate,
-                se=mean.se,
-                ci_low=mean.ci_low,
-                ci_high=mean.ci_high,
-                replicas=mean.replicas,
-                kind=kind,
-            )
-        )
-    return pair[0], pair[1]
-
-
 # -- importance-weighted ensemble estimates ----------------------------------
 
 
@@ -71,11 +33,10 @@ def ensemble_from_sweep(
     config: PercolationConfig,
     alphas: Sequence[float],
     r: int,
-    g: int,
     weights: np.ndarray,
     blocks: np.ndarray,
-) -> List[Tuple[EnsembleEstimate, EnsembleEstimate]]:
-    """Bracket estimates for many alphas from one replica sweep.
+) -> List[Tuple[WeightedMean, WeightedMean]]:
+    """(lower, upper) estimates for many alphas from one replica sweep.
 
     Only alive words carry weight, and every alive word's cell is occupied,
     so forcing any such center leaves the largest empty block unchanged;
@@ -85,9 +46,8 @@ def ensemble_from_sweep(
     side = config.k ** r
     out = []
     for alpha in alphas:
-        thr = cells_threshold(float(alpha), side)
-        lower, upper = set_hole_indicators(blocks, thr)
-        out.append(_bracket(weights * lower, weights * upper, alpha, r, g, "importance-weighted"))
+        pair = set_hole_indicators(blocks, cells_threshold(float(alpha), side))
+        out.append(tuple(WeightedMean.from_values(weights * holes) for holes in pair))
     return out
 
 
@@ -96,7 +56,7 @@ def ensemble_from_sweep(
 
 def path_average_bracket(
     paths: Sequence[QPath], alpha: float
-) -> Tuple[EnsembleEstimate, EnsembleEstimate]:
+) -> Tuple[WeightedMean, WeightedMean]:
     """Across-path mean of the per-path hole frequencies, as a bracket.
 
     Each path contributes its own n-scale average, so the standard error
@@ -105,7 +65,7 @@ def path_average_bracket(
     """
     lower_means = np.array([p.set_hole_lower(alpha).mean() for p in paths])
     upper_means = np.array([p.set_hole_upper(alpha).mean() for p in paths])
-    return _bracket(lower_means, upper_means, alpha, paths[0].r, paths[0].g, "path-average")
+    return WeightedMean.from_values(lower_means), WeightedMean.from_values(upper_means)
 
 
 # -- covariance probe ---------------------------------------------------------

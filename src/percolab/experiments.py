@@ -14,7 +14,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,20 +26,7 @@ from .percolation import (
     descendant_counts,
     grid_from_digit_order,
 )
-from .qsampler import (
-    DEFAULT_PROBE_DEPTH,
-    QPath,
-    WeightedMean,
-    ensemble_config,
-    ensemble_view,
-    sample_qpath,
-)
-from .estimators import (
-    CovarianceEstimate,
-    EnsembleEstimate,
-    covariance_from_paths,
-    ensemble_from_sweep,
-)
+from .qsampler import QPath, WeightedMean, ensemble_config, ensemble_view, sample_qpath
 
 
 @contextmanager
@@ -103,22 +90,6 @@ def _slice_worker(args) -> List[Tuple[int, int]]:
 # -- batch drivers -------------------------------------------------------------
 
 
-def run_path_batch(
-    config: PercolationConfig,
-    paths: int,
-    n: int,
-    r: int,
-    g: int,
-    workers: int = 1,
-    max_attempts: int = 1000,
-) -> List[QPath]:
-    """Sample ``paths`` independent mass-biased paths, in replica order."""
-    done, err = run_path_batch_partial(config, paths, n, r, g, workers, max_attempts)
-    if err is not None:
-        raise err
-    return done
-
-
 def run_path_batch_partial(
     config: PercolationConfig,
     paths: int,
@@ -128,7 +99,7 @@ def run_path_batch_partial(
     workers: int = 1,
     max_attempts: int = 1000,
 ) -> Tuple[List[QPath], Optional[RejectionLimitError]]:
-    """Like run_path_batch, but keeps completed paths when rejection fails.
+    """Sample ``paths`` independent mass-biased paths, in replica order.
 
     Returns (paths, error).  error is None on full success; otherwise it is
     the first RejectionLimitError hit, and the list holds every path whose
@@ -160,53 +131,6 @@ def ensemble_sweep_parallel(
     weights = np.array([w for w, _ in rows])
     blocks = np.array([b for _, b in rows], dtype=np.int64)
     return weights, blocks
-
-
-def ensemble_mean_porosity(
-    config: PercolationConfig,
-    alpha: Union[float, Sequence[float]],
-    r: int,
-    g: int = DEFAULT_PROBE_DEPTH,
-    replicas: int = 1000,
-) -> Union[
-    Tuple[EnsembleEstimate, EnsembleEstimate],
-    List[Tuple[EnsembleEstimate, EnsembleEstimate]],
-]:
-    """Importance-weighted bracket for the scale-0 hole frequency.
-
-    Accepts one alpha or a whole ladder; the ladder reuses a single replica
-    sweep, so asking for twenty alphas costs the same as one.
-    """
-    scalar = np.isscalar(alpha)
-    alphas = [float(alpha)] if scalar else [float(a) for a in alpha]
-    weights, blocks = ensemble_sweep_parallel(config, r, g, replicas)
-    pairs = ensemble_from_sweep(config, alphas, r, g, weights, blocks)
-    return pairs[0] if scalar else pairs
-
-
-def covariance_experiment(
-    config: PercolationConfig,
-    alpha: float,
-    r: int,
-    g: int,
-    lags: Sequence[int],
-    replicas: int,
-    workers: int = 1,
-    max_attempts: int = 1000,
-) -> List[CovarianceEstimate]:
-    """Covariance probes for several lags from one shared path batch."""
-    lags = sorted(set(int(l) for l in lags))
-    n = max(lags) + 1
-    paths = run_path_batch(
-        config,
-        paths=replicas,
-        n=n,
-        r=r,
-        g=g,
-        workers=workers,
-        max_attempts=max_attempts,
-    )
-    return [covariance_from_paths(paths, alpha, lag) for lag in lags]
 
 
 # -- diagnostic fits ------------------------------------------------------------

@@ -108,7 +108,6 @@ class QPath:
     x_hat: np.ndarray  # (n,) martingale estimate at each visited word
     a_star: np.ndarray  # (n,) largest empty block per scale grid
     window_sweep: np.ndarray  # (n, side+1) min window count per size; last = grid count
-    total_mass: np.ndarray  # (n,) grid totals
     ball_sweep: np.ndarray  # (n, side//2 + 1) min window count of the ball's box, padded
     ball_count: np.ndarray  # (n,) retained count of the ball's box
     weight: float  # root martingale estimate at probe depth g
@@ -117,10 +116,24 @@ class QPath:
     def side(self) -> int:
         return self.config.k ** self.r
 
+    @property
+    def total_mass(self) -> np.ndarray:
+        """Mass of each scale's grid: scale j's count times k^-((j + r + g) d)."""
+        depth = self.r + self.g
+        factors = [mass_factor(self.config, j + depth) for j in range(1, self.n + 1)]
+        return self.window_sweep[:, -1] * np.array(factors)
+
     def _threshold(self, alpha: float) -> int:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         return cells_threshold(alpha, self.side)
+
+    @staticmethod
+    def _eps(eps) -> np.ndarray:
+        eps = np.asarray(eps, dtype=np.float64)
+        if not np.all(eps >= 0.0):
+            raise ValueError("eps must be >= 0")
+        return eps
 
     def set_hole_lower(self, alpha: float) -> np.ndarray:
         """Certified set-hole indicators per scale, for any alpha in (0, 1]."""
@@ -131,8 +144,8 @@ class QPath:
         return set_hole_indicators(self.a_star, self._threshold(alpha))[1]
 
     def measure_hole(self, alpha: float, eps) -> np.ndarray:
-        """Measure-hole indicators per scale; an eps sequence adds a last axis."""
-        return measure_hole_indicators(self.window_sweep, self._threshold(alpha), eps)
+        """Measure-hole indicators per scale, for eps >= 0; an eps sequence adds a last axis."""
+        return measure_hole_indicators(self.window_sweep, self._threshold(alpha), self._eps(eps))
 
     @property
     def set_porosity(self) -> np.ndarray:
@@ -145,9 +158,7 @@ class QPath:
         No window weighs more than the whole box, so an eps above 1 reads
         as 1, which keeps every limit below the sweeps' padding.
         """
-        eps = np.asarray(eps, dtype=np.float64)
-        if not np.all(eps >= 0.0):
-            raise ValueError("eps must be >= 0")
+        eps = self._eps(eps)
         limits = np.multiply.outer(self.ball_count, np.minimum(eps, 1.0))
         sweeps = self.ball_sweep.reshape((self.n,) + (1,) * eps.ndim + (-1,))
         return gap_porosity(sweeps, limits[..., None], self.side / 4.0)
@@ -204,7 +215,6 @@ def sample_qpath(
         x_hat = np.zeros(n)
         a_star = np.zeros(n, dtype=np.int64)
         sweeps = np.zeros((n, side + 1), dtype=np.int64)
-        totals = np.zeros(n)
         ball_sweeps = np.full((n, side // 2 + 1), _PAD)
         ball_counts = np.zeros(n, dtype=np.int64)
         try:
@@ -243,7 +253,6 @@ def sample_qpath(
                     grid = grid_from_digit_order(cell_counts, m, k, r)
                     center = cell_of_digits(digits[j:], m, k)
                     centers[j - 1] = center
-                    totals[j - 1] = cell_counts.sum() * mass_factor(config, j + r + g)
                     a_star[j - 1] = max_empty_block(grid)
                     sweeps[j - 1] = window_min_sweep(grid)
                     sweep, ball_counts[j - 1] = ball_porosities(grid, center)
@@ -263,7 +272,6 @@ def sample_qpath(
             x_hat=x_hat,
             a_star=a_star,
             window_sweep=sweeps,
-            total_mass=totals,
             ball_sweep=ball_sweeps,
             ball_count=ball_counts,
             weight=weight,
@@ -307,14 +315,17 @@ class ReplicaView:
 
 @dataclass
 class WeightedMean:
-    """Importance-weighted ensemble estimate with a normal 95% interval."""
+    """Mean of per-replica values with a normal 95% interval.
+
+    The one estimate type: importance-weighted ensembles, path averages and
+    slab fractions all report one.
+    """
 
     estimate: float
     se: float
     ci_low: float
     ci_high: float
     replicas: int
-    values: np.ndarray  # per-replica weighted contributions, replica order
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "WeightedMean":
@@ -328,7 +339,6 @@ class WeightedMean:
             ci_low=est - Z95 * se,
             ci_high=est + Z95 * se,
             replicas=n,
-            values=values,
         )
 
 

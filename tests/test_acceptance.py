@@ -35,18 +35,19 @@ from percolab import (
     LazyTree,
     PercolationConfig,
     Word,
+    covariance_from_paths,
     dimension,
     dimension_slope,
     max_empty_block,
     path_average_bracket,
     porosity_extremes,
-    run_path_batch,
+    run_path_batch_partial,
     slice_decay,
     window_min_sweep,
 )
 from percolab import cli
 from percolab.estimators import discrepancy_rate, ensemble_from_sweep
-from percolab.experiments import covariance_experiment, ensemble_sweep_parallel
+from percolab.experiments import ensemble_sweep_parallel
 from percolab.holes import (
     cells_threshold,
     empty_block_sides,
@@ -64,6 +65,13 @@ EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 D_REF = 1.485427  # m + log p / log k at m=2, k=2, p=0.7
 
 
+def _paths(config, **batch):
+    """A path batch that must complete: no replica may run out of attempts."""
+    paths, err = run_path_batch_partial(config, **batch)
+    assert err is None
+    return paths
+
+
 @pytest.fixture(scope="module")
 def cfg08():
     return PercolationConfig(2, 2, 0.8, seed=0)
@@ -72,7 +80,7 @@ def cfg08():
 @pytest.fixture(scope="module")
 def paths_main(cfg08):
     """20 mass-biased paths x 100 scales at r=6, g=4: the workhorse batch."""
-    return run_path_batch(cfg08, paths=20, n=100, r=6, g=4, workers=4)
+    return _paths(cfg08, paths=20, n=100, r=6, g=4, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +97,7 @@ def paths_poro(cfg08):
     every ball holds an empty 2x2 block of cells at every scale, so 11a is
     tested on ``paths_poro99`` instead.
     """
-    return run_path_batch(cfg08, paths=50, n=40, r=6, g=4, workers=4)
+    return _paths(cfg08, paths=50, n=40, r=6, g=4, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +112,7 @@ def paths_poro99():
     clause at a density where 40 scales can show it.
     """
     cfg = PercolationConfig(2, 2, 0.99, seed=0)
-    return run_path_batch(cfg, paths=20, n=40, r=6, g=4, workers=4)
+    return _paths(cfg, paths=20, n=40, r=6, g=4, workers=4)
 
 
 # -- 1: box-counting slope ------------------------------------------------------
@@ -251,7 +259,7 @@ def test_criterion_5_cross_estimator_overlap(cfg08, paths_main, ensemble_main):
     assert len(weights) == 1000
     for alpha in (0.15, 0.25, 0.4):
         p_lo, p_up = path_average_bracket(paths_main, alpha)
-        e_lo, e_up = ensemble_from_sweep(cfg08, [alpha], 6, 4, weights, blocks)[0]
+        e_lo, e_up = ensemble_from_sweep(cfg08, [alpha], 6, weights, blocks)[0]
         for pa, en in ((p_lo, e_lo), (p_up, e_up)):
             assert pa.ci_low <= en.ci_high and en.ci_low <= pa.ci_high, (
                 f"alpha={alpha}: path [{pa.ci_low:.4f},{pa.ci_high:.4f}] vs "
@@ -273,10 +281,8 @@ def test_criterion_6_lag_independence():
     """
     for p, alpha in ((0.7, 0.3), (0.8, 0.25), (0.9, 0.2)):
         cfg = PercolationConfig(2, 2, p, seed=0)
-        ests = covariance_experiment(
-            cfg, alpha=alpha, r=3, g=0, lags=(0, 3, 6), replicas=800, workers=4
-        )
-        by_lag = {e.lag: e for e in ests}
+        paths = _paths(cfg, paths=800, n=7, r=3, g=0, workers=4)
+        by_lag = {lag: covariance_from_paths(paths, alpha, lag) for lag in (0, 3, 6)}
         assert by_lag[0].se > 0  # the probe is not degenerate
         for lag in (3, 6):
             e = by_lag[lag]
@@ -292,7 +298,7 @@ def test_criterion_6_lag_independence():
 def test_criterion_7_interior_frequencies(cfg08):
     weights, blocks = ensemble_sweep_parallel(cfg08, r=1, g=4, replicas=20000, workers=4)
     alphas = [round(0.1 * t, 1) for t in range(1, 10)]
-    pairs = ensemble_from_sweep(cfg08, alphas, 1, 4, weights, blocks)
+    pairs = ensemble_from_sweep(cfg08, alphas, 1, weights, blocks)
     for alpha, (lo, up) in zip(alphas, pairs):
         assert up.ci_low > 0.0, f"alpha={alpha}: upper ci_low={up.ci_low:.4f}"
         assert lo.ci_high < 1.0, f"alpha={alpha}: lower ci_high={lo.ci_high:.4f}"

@@ -5,6 +5,7 @@ worker-count and rerun determinism of the written artifacts, and the
 documented exit codes (0 ok, 2 bad spec, 3 memory budget, 4 partial).
 """
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -130,6 +131,19 @@ def test_run_each_kind_writes_tables(tmp_path, overrides, files):
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
         assert len(lines) >= 2
         assert lines[0][0].isalpha()
+
+
+def test_covariance_rows_are_sorted_unique_lags(tmp_path):
+    # a repeated lag gets one row, and rows run in increasing lag order
+    payload = {**TINY, "kind": "covariance", "seed": 6, "alpha": 0.5, "replicas": 20}
+    spec = cli.spec_from_dict({**payload, "lags": [2, 0, 2, 1]})
+    cli.run(spec, out_dir=str(tmp_path))
+    with open(tmp_path / "covariance.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["lag"] for row in rows] == ["0", "1", "2"]
+    assert all(row["replicas"] == "20" for row in rows)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert [entry["lag"] for entry in summary["lags"]] == [0, 1, 2]
 
 
 def test_run_is_deterministic_per_spec(tmp_path):

@@ -7,12 +7,11 @@ import pytest
 
 from percolab import (
     PercolationConfig,
-    covariance_experiment,
     covariance_from_paths,
     discrepancy_rate,
-    ensemble_mean_porosity,
     path_average_bracket,
     porosity_extremes,
+    run_path_batch_partial,
     running_mean,
     sample_qpath,
 )
@@ -50,20 +49,24 @@ def test_series_values_are_frequencies():
         assert np.all((0 <= s) & (s <= 1))
 
 
+def _ensemble(cfg, alphas, r, g, replicas):
+    """(lower, upper) per alpha from one replica sweep."""
+    weights, blocks = ensemble_sweep_parallel(cfg, r=r, g=g, replicas=replicas)
+    return ensemble_from_sweep(cfg, alphas, r, weights, blocks)
+
+
 def test_ensemble_bracket_order_and_interval():
     cfg = PercolationConfig(2, 2, 0.8, seed=5)
-    lower, upper = ensemble_mean_porosity(cfg, 0.5, r=4, g=3, replicas=300)
+    ((lower, upper),) = _ensemble(cfg, (0.5,), r=4, g=3, replicas=300)
     assert lower.estimate <= upper.estimate + 1e-12
-    assert lower.kind == upper.kind == "importance-weighted"
     assert lower.replicas == 300
     assert lower.ci_low <= upper.ci_high
 
 
 def test_ensemble_shared_sweep_consistency():
     cfg = PercolationConfig(2, 2, 0.8, seed=5)
-    weights, blocks = ensemble_sweep_parallel(cfg, r=4, g=3, replicas=100)
-    pairs = ensemble_from_sweep(cfg, (0.25, 0.5, 1.0), 4, 3, weights, blocks)
-    single = ensemble_mean_porosity(cfg, 0.5, r=4, g=3, replicas=100)
+    pairs = _ensemble(cfg, (0.25, 0.5, 1.0), r=4, g=3, replicas=100)
+    (single,) = _ensemble(cfg, (0.5,), r=4, g=3, replicas=100)
     assert pairs[1][0].estimate == pytest.approx(single[0].estimate)
     assert pairs[1][1].estimate == pytest.approx(single[1].estimate)
     # alpha = 1 lower estimate collapses to exactly zero: a full-side empty
@@ -73,9 +76,8 @@ def test_ensemble_shared_sweep_consistency():
 
 def test_ensemble_estimates_monotone_in_alpha():
     cfg = PercolationConfig(2, 2, 0.8, seed=9)
-    weights, blocks = ensemble_sweep_parallel(cfg, r=4, g=3, replicas=200)
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
-    pairs = ensemble_from_sweep(cfg, alphas, 4, 3, weights, blocks)
+    pairs = _ensemble(cfg, alphas, r=4, g=3, replicas=200)
     lows = [lo.estimate for lo, _ in pairs]
     ups = [up.estimate for _, up in pairs]
     assert all(a >= b - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -87,14 +89,13 @@ def test_ensemble_estimates_monotone_in_alpha():
 
 def test_p_one_ensemble_all_zero_above_one_cell():
     cfg = PercolationConfig(2, 2, 1.0, seed=0)
-    lower, upper = ensemble_mean_porosity(cfg, 0.25, r=4, g=2, replicas=50)
+    ((lower, upper),) = _ensemble(cfg, (0.25,), r=4, g=2, replicas=50)
     assert lower.estimate == 0.0 and upper.estimate == 0.0
 
 
 def test_path_average_bracket():
     paths = _paths()
     lower, upper = path_average_bracket(paths, 0.25)
-    assert lower.kind == upper.kind == "path-average"
     assert lower.estimate <= upper.estimate + 1e-12
     assert lower.replicas == len(paths)
     finals = [running_mean(p.set_hole_lower(0.25))[-1] for p in paths]
@@ -119,7 +120,9 @@ def test_covariance_validation():
 
 def test_covariance_probe_end_to_end():
     cfg = PercolationConfig(2, 2, 0.8, seed=77)
-    (est,) = covariance_experiment(cfg, alpha=0.5, r=3, g=3, lags=(1,), replicas=30)
+    paths, err = run_path_batch_partial(cfg, paths=30, n=2, r=3, g=3)
+    assert err is None
+    est = covariance_from_paths(paths, 0.5, 1)
     assert est.replicas == 30
     assert est.lag == 1 and est.r == 3
     assert est.ci_low <= est.covariance <= est.ci_high

@@ -11,11 +11,11 @@ from percolab import (
     RejectionLimitError,
     dimension,
     dimension_slope,
-    run_path_batch,
     run_path_batch_partial,
+    sample_qpath,
     slice_decay,
 )
-from percolab.experiments import covariance_experiment, ensemble_sweep_parallel
+from percolab.experiments import ensemble_sweep_parallel
 from percolab.qsampler import ensemble_view
 
 
@@ -33,8 +33,9 @@ def _same_paths(a, b):
 
 def test_path_batch_worker_count_invariant():
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
-    serial = run_path_batch(cfg, paths=6, n=3, r=3, g=2, workers=1)
-    pooled = run_path_batch(cfg, paths=6, n=3, r=3, g=2, workers=3)
+    serial, err1 = run_path_batch_partial(cfg, paths=6, n=3, r=3, g=2, workers=1)
+    pooled, err3 = run_path_batch_partial(cfg, paths=6, n=3, r=3, g=2, workers=3)
+    assert err1 is None and err3 is None
     _same_paths(serial, pooled)
     assert [p.replica for p in serial] == list(range(6))
 
@@ -67,7 +68,7 @@ def test_pool_never_outnumbers_the_tasks(monkeypatch):
 
 def test_path_batch_partial_success_is_complete():
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
-    full = run_path_batch(cfg, paths=5, n=2, r=3, g=2)
+    full = [sample_qpath(cfg, n=2, r=3, g=2, replica=i) for i in range(5)]
     partial, err = run_path_batch_partial(cfg, paths=5, n=2, r=3, g=2)
     assert err is None
     _same_paths(full, partial)
@@ -91,15 +92,6 @@ def test_ensemble_sweep_parallel_matches_serial():
     w2, b2 = ensemble_sweep_parallel(cfg, r=3, g=3, replicas=40, workers=3)
     assert np.array_equal(w1, w2)
     assert np.array_equal(b1, b2)
-
-
-def test_covariance_experiment_orders_lags():
-    cfg = PercolationConfig(2, 2, 0.8, seed=6)
-    ests = covariance_experiment(
-        cfg, alpha=0.5, r=3, g=2, lags=(2, 0, 2, 1), replicas=20, workers=1
-    )
-    assert [e.lag for e in ests] == [0, 1, 2]
-    assert all(e.replicas == 20 for e in ests)
 
 
 def test_dimension_slope_deterministic_across_workers():

@@ -59,6 +59,20 @@ SPECS = {
         "kind": "porosity-extremes", "m": 3, "p": 0.5, "replicas": 3,
         "scales": 5, "resolution": 3, "probe_depth": 2, "eps_grid": [1, 0.037, 5e-5],
     },
+    # an integer alpha: ensemble.csv and the ensemble summary write it as
+    # 1.0, the path-series summary as 1, covariance.csv as 1.0
+    "ensemble-alpha": {
+        "kind": "ensemble", "p": 0.8, "replicas": 20, "resolution": 3,
+        "probe_depth": 2, "alpha_grid": [1, 0.25],
+    },
+    "path-series-alpha": {
+        "kind": "path-series", "p": 0.8, "replicas": 3, "scales": 3,
+        "resolution": 3, "probe_depth": 2, "alpha_grid": [1, 0.25],
+    },
+    "covariance-alpha": {
+        "kind": "covariance", "p": 0.8, "replicas": 12, "lags": [2, 0, 1],
+        "alpha": 1, "resolution": 3, "probe_depth": 2,
+    },
     # survival rejection runs out after a few replicas: exit code 4
     "partial": {
         "kind": "path-series", "p": 0.3, "replicas": 8, "scales": 25,
@@ -172,6 +186,38 @@ DIGESTS = {
     "porosity-extremes-eps-1": {
         "extremes.csv": "a4c5a0190f9884b58412bd571ace134635f6ced2308ccb1617dc79a48168d336",
         "summary.json": "8828cd630c5dae4d931e0eec88c48f2027fe744a860e218cdbe445b8e9af741c",
+    },
+    "ensemble-alpha-0": {
+        "ensemble.csv": "8cb7fe2d35cf51955a18b15529c07d61a2682777bbe5c51c817a2123dca3faf9",
+        "replica_sweep.csv": "71cb58e2713ecec994922dc05e51b3b18c43f09e3fcaa3b57c2a05a59d66d8b6",
+        "summary.json": "25a02e184991c7a04bfedda81df426b5912327da3a2b08d9af1187f04f39a471",
+    },
+    "ensemble-alpha-1": {
+        "ensemble.csv": "a916cbc517a4ed5eb66537a39de7d789f8734e83ce23c9116e96971e65cdb4ab",
+        "replica_sweep.csv": "54f3a4502332a1b20eca4c7f556b3e16f1835b674dd88a53e4f409c78ce6d16f",
+        "summary.json": "d84c98fb389a641ea6c85b6418da2aef3a403fccbf9969c6e1655171d2067084",
+    },
+    "path-series-alpha-0": {
+        "indicators.csv": "adb7f5b8fdcbb032d0032ab701fdb1fa01b6954d7c3ad8a0e45f2cce7a7e77a5",
+        "path_summary.csv": "65b6cad2d148e931a123c4f066aec5568bc530265c832bb485836cc190d3b566",
+        "porosity.csv": "a54750001040df6486ba2305d164698c678dc273df7c494e1ce1da19610e08f4",
+        "scales.csv": "06da5918a5ab9a3fcbc2a3eec34bd11d6c8b231d053ab0aa7850f35198ebe13d",
+        "summary.json": "c65da21bc070d6124b57877cf11f875b7f73b3996565682f49784f6ae1fea20f",
+    },
+    "path-series-alpha-1": {
+        "indicators.csv": "c4d2945a616cca98f11801f0e18ea470e5401e37c94b98d10a8559a2d7fe8cb6",
+        "path_summary.csv": "6606d5dbf40ace8533b1c4de2f208e3d9f88be511a53f6a30e7d6e833b92339c",
+        "porosity.csv": "a18b9fc6d90987f937bf52091a5184b06d78640d83fef42d7034539122c4f840",
+        "scales.csv": "004c45ff2c3f075c66c20a035b0c392d426c7e3e2611453104f9e4659aeec9d0",
+        "summary.json": "f8cd1ef9ce96f1b08b353f61cbefb452213c68babd828b0548076a0a0e7f7128",
+    },
+    "covariance-alpha-0": {
+        "covariance.csv": "4d7d6ae42d88547e61b81737b92a48bc744e2273fcbb64d44c367eccbc6e85ff",
+        "summary.json": "1bb83a8a1fac5c40a60230e54fa6848d6cf6fef3679c316f167eee368e689047",
+    },
+    "covariance-alpha-1": {
+        "covariance.csv": "4d7d6ae42d88547e61b81737b92a48bc744e2273fcbb64d44c367eccbc6e85ff",
+        "summary.json": "1bb83a8a1fac5c40a60230e54fa6848d6cf6fef3679c316f167eee368e689047",
     },
     "partial-2": {
         "indicators.csv": "eb12cae1f77323c57ff16b3ddbd2f7c20940b499683dcd837bbbec0b317cd6ae",

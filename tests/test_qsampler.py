@@ -313,6 +313,8 @@ def test_qpath_porosities_match_ball_oracles_off_grid(m, r, g, p):
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             path.measure_porosity(bad)
+        with pytest.raises(ValueError):
+            path.measure_hole(0.05, bad)
 
 
 def test_path_indicator_structure():

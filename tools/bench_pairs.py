@@ -15,9 +15,10 @@ Every ``--set`` (default ``all:0:10``) runs PAIRS pairs of
 ``--trace 1`` when the set ends in ``:trace``.  The pairs alternate ABBA:
 parent then change, change then parent, and so on, so that a drift of the
 machine falls on both sides alike.  For each set the output holds the order,
-every run's metrics and failures, and, per workload and metric, both sides'
-median and quartiles over the pairs and the number of pairs in which the
-change was better (the direction comes from BENCHMARK.json).
+every run's metrics and failures, each side's failed runs per workload, and,
+per workload and metric, both sides' median and quartiles and the number of
+pairs in which each side was better (the direction comes from
+BENCHMARK.json).  Pairs in which either side failed are left out of those.
 
 One resource probe per side runs the dimension-sparse spec at seed 0 as one
 CLI process and records its wall time,
@@ -116,26 +117,37 @@ def _quartiles(values: List[float]) -> List[float]:
 
 
 def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles over the
-    pairs, and the pairs in which the change was better."""
+    """Per workload: each side's failed runs over all pairs and, per metric,
+    each side's median and quartiles over the clean pairs, and the clean
+    pairs in which either side was better (a tie counts for neither).
+
+    A pair is clean when neither side's run of the workload failed.  A side
+    whose every timed run fails reports 0.0 for wall_s, throughput and
+    peak_rss_mb, which would read as a win on the lower-is-better metrics.
+    A metric missing from any clean pair is left out.
+    """
     summary: Dict[str, dict] = {}
     for workload in pairs[0]["parent"]:
+        runs = [{side: p[side][workload] for side in SIDES} for p in pairs]
+        entry = summary[workload] = {
+            "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES}
+        }
+        clean = [run for run in runs if not any(run[side]["failed"] for side in SIDES)]
         for metric, direction in better.items():
-            values = {side: [p[side][workload]["metrics"].get(metric) for p in pairs]
+            values = {side: [run[side]["metrics"].get(metric) for run in clean]
                       for side in SIDES}
-            if None in values["parent"] + values["change"]:
+            if not clean or None in values["parent"] + values["change"]:
                 continue
-            wins = sum(
-                (c < p) if direction == "lower" else (c > p)
-                for p, c in zip(values["parent"], values["change"])
-            )
-            summary.setdefault(workload, {})[metric] = {
+            sign = 1 if direction == "lower" else -1
+            gaps = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+            entry[metric] = {
                 "parent_median": statistics.median(values["parent"]),
                 "parent_q1_q3": _quartiles(values["parent"]),
                 "change_median": statistics.median(values["change"]),
                 "change_q1_q3": _quartiles(values["change"]),
-                "change_better_pairs": wins,
-                "pairs": len(pairs),
+                "change_better_pairs": sum(gap > 0 for gap in gaps),
+                "parent_better_pairs": sum(gap < 0 for gap in gaps),
+                "pairs": len(clean),
             }
     return summary
 
