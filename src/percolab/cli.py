@@ -142,12 +142,12 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("ensemble needs replicas >= 2 for a confidence interval")
     if spec.workers < 1:
         errors.append("workers must be >= 1")
-    if any(not 0.0 < a <= 1.0 for a in spec.alpha_grid):
-        errors.append("alpha_grid entries must lie in (0, 1]")
+    if any(not 0.0 < a <= 1.0 for a in spec.alpha_grid) or not spec.alpha_grid:
+        errors.append("alpha_grid must be a nonempty list of entries in (0, 1]")
     if not 0.0 < spec.alpha <= 1.0:
         errors.append("alpha must lie in (0, 1]")
-    if any(not 0.0 < e < math.inf for e in spec.eps_grid):
-        errors.append("eps_grid entries must be finite and > 0")
+    if any(not 0.0 < e < math.inf for e in spec.eps_grid) or not spec.eps_grid:
+        errors.append("eps_grid must be a nonempty list of finite entries > 0")
     if any(l < 0 for l in spec.lags) or not spec.lags:
         errors.append("lags must be a nonempty list of integers >= 0")
     if any(j < 1 for j in spec.depths) or not spec.depths:

@@ -170,15 +170,19 @@ def _workspace(fanout: int) -> _Workspace:
 
 
 class Frontier:
-    """The retained nodes at one depth below a word, in digit-path order.
+    """Retained nodes at one depth below a word, in digit-path order.
 
-    ``keys`` holds their stream keys.  ``labels`` (None when ``label_depth``
-    is 0) holds each node's first ``label_depth`` digits below the word as
-    one base-k^m integer, so the labels are sorted; a node at most
-    ``label_depth`` levels down is labelled with its whole digit path below
-    the word.  Both are views into buffers the frontier holds until the
-    ``with`` block of ``LazyTree.frontier`` ends: read them inside it and
-    copy what must outlive it.
+    The frontier holds every retained node at its depth, except after a
+    counted level (``LazyTree.expand_retained`` with ``cells``), where it
+    holds only the nodes under the word's children that the expansion
+    kept: at most the nodes under one child once a walk knows its next
+    digit.  ``keys`` holds their stream keys.  ``labels`` (None when
+    ``label_depth`` is 0) holds each node's first ``label_depth`` digits
+    below the word as one base-k^m integer, so the labels are sorted; a
+    node at most ``label_depth`` levels down is labelled with its whole
+    digit path below the word.  Both are views into buffers the frontier
+    holds until the ``with`` block of ``LazyTree.frontier`` ends: read them
+    inside it and copy what must outlive it.
     """
 
     def __init__(self, fanout: int, key: Optional[int], label_depth: int, levels: List[_Level]):
@@ -208,15 +212,24 @@ class Frontier:
         self.depth += 1
         self._show(size)
 
+    def _under(self, digits: range) -> Tuple[int, int]:
+        """Index range of the nodes under the word's children ``digits``."""
+        if not digits:
+            return 0, 0
+        if digits == range(self.fanout):
+            return 0, self.size
+        if not 0 < self.depth <= self.label_depth:
+            raise ValueError("selecting by digit needs a labelled frontier below its word")
+        unit = self.fanout ** (self.depth - 1)
+        lo, hi = np.searchsorted(self.labels, (digits.start * unit, digits.stop * unit))
+        return int(lo), int(hi)
+
     def descend(self, digit: int):
         """Keep the nodes under child ``digit`` of the word; that child becomes the word."""
-        if not 0 < self.depth <= self.label_depth:
-            raise ValueError("descend needs a labelled frontier below its word")
-        unit = self.fanout ** (self.depth - 1)
-        lo, hi = np.searchsorted(self.labels, (digit * unit, (digit + 1) * unit))
+        lo, hi = self._under(range(digit, digit + 1))
         self.keys = self.keys[lo:hi]
         self.labels = self.labels[lo:hi]
-        self.labels -= digit * unit
+        self.labels -= digit * self.fanout ** (self.depth - 1)
         self.depth -= 1
 
 
@@ -284,11 +297,15 @@ class LazyTree:
             workspace.spares.extend(levels)
 
     def expand_retained(
-        self, frontier: Frontier, levels: int, cells: Optional[np.ndarray] = None
+        self,
+        frontier: Frontier,
+        levels: int,
+        cells: Optional[np.ndarray] = None,
+        keep: range = range(0),
     ) -> List[int]:
         """Hash ``levels`` more levels below ``frontier``, in place.
 
-        Returns the frontier's retained counts before and after each level,
+        Returns the retained counts before and after each level,
         ``levels + 1`` ints.  Only the children of retained nodes are hashed,
         so memory tracks the surviving population rather than the
         (k^m)^depth lattice; once the frontier is empty, hashing stops and
@@ -297,9 +314,15 @@ class LazyTree:
         of its alive children straight into the frontier's spare level
         buffer, which changes no key, draw, node or label.
 
-        With ``cells`` (int64), the deepest level is counted, not stored:
-        each of its nodes adds one to ``cells`` at its label (at 0 in an
-        unlabelled frontier), and the frontier stays one level above it.
+        With ``cells`` (int64, (k^m)^c entries), the deepest level is
+        counted as it is hashed: each of its nodes adds one to ``cells`` at
+        its label truncated to its first c digits (at 0 in an unlabelled
+        frontier).  Of that level only the nodes under the word's children
+        ``keep`` are stored, and they become the frontier: the children of
+        the one contiguous range of parents under them, found by
+        ``searchsorted`` on the parents' labels.  With nothing to keep (the
+        default), the frontier stays one level above the counted level.
+        The deepest count returned is the counted total.
         """
         fanout, p = self.config.branching, self.config.p
         workspace = _workspace(fanout)
@@ -309,8 +332,10 @@ class LazyTree:
             counted = cells is not None and len(sizes) == levels
             keys, labels = frontier.keys, frontier.labels
             extend = frontier.depth < frontier.label_depth
+            digits = min(frontier.depth, frontier.label_depth)  # of each parent's label
+            lo, hi = frontier._under(keep) if counted else (0, keys.size)  # parents stored
             out = frontier._levels[1]
-            filled = 0
+            filled = hashed = 0
             for start in range(0, keys.size, _CHUNK):
                 part = keys[start : start + _CHUNK]
                 children, bits, draws, alive = workspace.slice(part.size)
@@ -318,23 +343,28 @@ class LazyTree:
                 np.less(unit_draws(children, draws, bits), p, out=alive)
                 parent = None if labels is None else labels[start : start + _CHUNK]
                 if counted:
-                    filled += _count_level(alive.reshape(-1, fanout), parent, extend, cells)
+                    hashed += _count_level(alive.reshape(-1, fanout), parent, digits, cells)
+                a, b = max(lo - start, 0), min(hi - start, part.size)  # stored, within the slice
+                if a >= b:
                     continue
-                nz = np.flatnonzero(alive)
+                nz = np.flatnonzero(alive[a * fanout : b * fanout])
                 count = nz.size
                 out.reserve(filled + count, filled, labels is not None)
-                np.take(children, nz, mode="clip", out=out.keys[filled : filled + count])
+                stored = out.keys[filled : filled + count]
+                np.take(children[a * fanout :], nz, mode="clip", out=stored)
                 if parent is not None:
                     child_labels = out.labels[filled : filled + count]
-                    owner = nz // fanout  # each child's parent, within the slice
-                    np.take(parent, owner, mode="clip", out=child_labels)
+                    owner = nz // fanout  # each child's parent, counted from parent a
+                    np.take(parent[a:], owner, mode="clip", out=child_labels)
                     if extend:  # append the child's digit nz - owner * fanout
                         child_labels -= owner
                         child_labels *= fanout
                         child_labels += nz
                 filled += count
-            sizes.append(filled)
+            sizes.append(hashed if counted else filled)
             if counted:
+                if keep:
+                    frontier._swap(filled)
                 break
             frontier._swap(filled)
         sizes.extend([0] * (levels + 1 - len(sizes)))
@@ -350,20 +380,27 @@ class LazyTree:
 
 
 def _count_level(
-    alive: np.ndarray, parent: Optional[np.ndarray], extend: bool, cells: np.ndarray
+    alive: np.ndarray, parent: Optional[np.ndarray], digits: int, cells: np.ndarray
 ) -> int:
     """Add each alive child of an (parents, fanout) mask to ``cells`` at its
-    label, where ``parent`` holds the parents' labels (None: all in cell 0);
-    returns the number of alive children."""
+    label truncated to the grid's digits; returns the number of alive children.
+
+    ``parent`` holds the parents' labels, of ``digits`` digits each (None:
+    every child goes to cell 0).  A child's label is its parent's, with the
+    child's digit appended when the frontier labels that deep.  A grid of
+    (k^m)^c cells with c > ``digits`` resolves that digit; a coarser one
+    puts each child in its parent's cell, the parent's label cut to c digits.
+    """
     count = int(np.count_nonzero(alive))
     fanout = alive.shape[1]
     if parent is None:
         cells[0] += count
-    elif extend:  # a child's label is its parent's with its digit appended
+    elif fanout**digits < cells.size:  # cells at full labels: the parent's, then the digit
         cells.reshape(-1, fanout)[parent] += alive
-    else:  # a child's label is its parent's: weigh each parent by its alive children
+    else:  # a child lies in its parent's cell: weigh each parent by its alive children
+        unit = fanout**digits // cells.size  # parent labels per cell
         per_parent = alive.view(np.uint8) @ np.ones(fanout, np.uint8 if fanout < 256 else np.int64)
-        added = np.bincount(parent, weights=per_parent)  # exact: each sum is below 2^53
+        added = np.bincount(parent // unit, weights=per_parent)  # exact: each sum is below 2^53
         np.add(cells[: added.size], added, out=cells[: added.size], casting="unsafe")
     return count
 

@@ -190,19 +190,23 @@ def sample_qpath(
     step, until they lie r + g levels below it.  From there each step
     keeps the nodes under the next digit of the scale's word and hashes one
     more level.  Step s picks among the children of word_s, whose counts
-    are read off the frontier's cells; from step r on, that cell grid is
-    the record of scale s - r + 1.  Where the r + g digit labels would
+    are cells of the grid that its hashing counts each new child into; from
+    step r on, that cell grid is the record of scale s - r + 1.  A step
+    stores only the new children that the next step keeps: once the next
+    step's digit is chosen (r >= 2, from step r on), those under it; none
+    on the last step; all of them otherwise.  So a stored level holds at
+    most the nodes under the next word.  Where the r + g digit labels would
     overflow int64, each step counts its word's cells afresh instead.
-    Whenever the walk hits a word with no alive children, the whole attempt -- tree and path stream both -- is
-    thrown away and redrawn from the next attempt substream, which keeps
-    the accepted sample a pure function of (seed, replica).
+    Whenever the walk hits a word with no alive children, the whole
+    attempt -- tree and path stream both -- is thrown away and redrawn
+    from the next attempt substream, which keeps the accepted sample a pure
+    function of (seed, replica).
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
     m, k, fanout = config.m, config.k, config.branching
     side = k ** r
     child_mass = mass_factor(config, g)
-    cell_unit = fanout ** g  # label // cell_unit drops a node's g probe digits
     # past int64 labels, each step counts its word's cells afresh instead
     streamed = labels_fit(fanout, r + g)
     for attempt in range(max_attempts):
@@ -219,7 +223,10 @@ def sample_qpath(
         ball_counts = np.zeros(n, dtype=np.int64)
         try:
             with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
-                weight = tree.expand_retained(front, 1 + g)[g] * child_mass
+                # step 0's cells: the root's children, counted g levels down
+                cell_counts = np.zeros(fanout, dtype=np.int64)
+                sizes = tree.expand_retained(front, 1 + g, cell_counts, range(fanout))
+                weight = sizes[g] * child_mass
                 word = 0  # the frontier lies below word_{word}
                 for step in range(n + r):
                     # the word trails the step by r - 1 digits, and never
@@ -235,11 +242,18 @@ def sample_qpath(
                         cell_counts = descendant_counts(
                             tree, Word(m, k, tuple(digits[:word])), cells, g
                         )
-                    else:
-                        if step:
-                            tree.expand_retained(front, 1)
-                        bounds = np.arange(fanout ** cells + 1) * cell_unit
-                        cell_counts = np.diff(np.searchsorted(front.labels, bounds))
+                    elif step:
+                        # store what the next step keeps: it descends into
+                        # digits[word] when word < step + 2 - r, and that
+                        # digit is chosen when word < step
+                        if step == n + r - 1:
+                            keep = range(0)
+                        elif word < min(step, step + 2 - r):
+                            keep = range(digits[word], digits[word] + 1)
+                        else:
+                            keep = range(fanout)
+                        cell_counts = np.zeros(fanout**cells, dtype=np.int64)
+                        tree.expand_retained(front, 1, cell_counts, keep)
                     counts = cell_counts.reshape((fanout,) * cells)[tuple(digits[word:])]
                     digit = sample_step(counts, unit_draw(child_key(path_key, step)))
                     digits.append(digit)

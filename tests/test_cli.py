@@ -239,9 +239,11 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
         {"seed": "5"},
         {"lags": 2},
         {"alpha_grid": [0.25, None]},
+        {"alpha_grid": []},
+        {"eps_grid": []},
     ],
     ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
-         "scalar-list", "null-in-list"],
+         "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid"],
 )
 def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     spec_file = _write_spec(tmp_path, {**TINY, **bad})

@@ -283,6 +283,34 @@ def test_deepest_counted_level_is_never_stored(monkeypatch, chunk):
         asked.clear()
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_path_stores_only_the_next_word(monkeypatch, chunk):
+    # the root's g + 1 levels and word_1's deepening store everything; from
+    # step r on, a step stores only the nodes under the digit that the next
+    # step descends into, and the last step stores nothing, so its frontier
+    # stays where it was
+    from percolab import percolation
+
+    if chunk:
+        monkeypatch.setattr(percolation, "_CHUNK", chunk)
+    stored = []
+    swap = percolation.Frontier._swap
+
+    def recorded(front, size):
+        swap(front, size)
+        stored.append((front.depth, front.labels // front.fanout ** (front.depth - 1)))
+
+    monkeypatch.setattr(percolation.Frontier, "_swap", recorded)
+    n, r, g = 6, 3, 2
+    path = sample_qpath(PercolationConfig(2, 2, 0.8, seed=5), n=n, r=r, g=g)
+    assert path.attempts == 1
+    steady = stored[g + r :]  # after step r - 1
+    assert len(steady) == n - 1
+    for j, (depth, first) in enumerate(steady, start=1):
+        assert depth == r + g and first.size
+        assert set(first.tolist()) == {path.digits[j]}
+
+
 def test_count_profile_matches_expand():
     t = tree(p=0.7, seed=11)
     root = Word.root(2, 2)

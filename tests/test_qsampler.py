@@ -13,7 +13,12 @@ from percolab import (
     dimension,
     x_estimate,
 )
-from percolab.holes import restricted_max_empty_block, window_min_sweep
+from percolab.holes import (
+    ball_porosities,
+    max_empty_block,
+    restricted_max_empty_block,
+    window_min_sweep,
+)
 from percolab.percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
@@ -31,6 +36,7 @@ from percolab.qsampler import (
     sample_step,
 )
 from percolab.rng import child_key, substream, unit_draw
+from percolab.words import cell_of_digits
 
 from helpers import ball_measure_porosity, ball_set_porosity, brute_min_window_sum, hole_bracket
 
@@ -68,15 +74,36 @@ def test_sample_step_uses_descendant_counts():
         assert sample_step(counts, float(u)) == c
 
 
+def _assert_records_match_fresh(path):
+    """Every scale record of ``path`` equals the one read off a fresh
+    ``descendant_counts`` grid of that scale's word."""
+    m, k, r, g = path.config.m, path.config.k, path.r, path.g
+    tree = LazyTree(path.tree_config)
+    for j in range(1, path.n + 1):
+        cells = descendant_counts(tree, Word(m, k, path.digits[:j]), r, g)
+        grid = grid_from_digit_order(cells, m, k, r)
+        center = cell_of_digits(path.digits[j : j + r], m, k)
+        sweep, count = ball_porosities(grid, center)
+        assert path.centers[j - 1].tolist() == list(center)
+        assert path.a_star[j - 1] == max_empty_block(grid)
+        assert path.window_sweep[j - 1].tolist() == window_min_sweep(grid).tolist()
+        assert path.ball_sweep[j - 1, : sweep.size].tolist() == sweep.tolist()
+        assert path.ball_count[j - 1] == count
+
+
 @pytest.mark.parametrize(
     "m,k,r,g",
-    [(2, 2, 2, 3), (2, 2, 1, 0), (2, 2, 1, 3), (1, 3, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1)],
+    [(2, 2, 2, 3), (2, 2, 1, 0), (2, 2, 1, 3), (1, 3, 3, 2), (2, 3, 1, 2), (3, 2, 2, 1),
+     (2, 2, 3, 0)],
 )
 def test_path_walk_replays_by_hand(m, k, r, g):
     """Reconstruct the digits with raw RNG primitives and a per-word walk.
 
     The oracle expands every visited word on its own, one level plus the
-    probe below it; the sampler reads the same counts off its scale grids.
+    probe below it; the sampler reads the same counts off its scale grids,
+    and every scale's records match a fresh count grid of its word.  The
+    cases cover r = 1, where a step stores all it hashes, g = 0, where the
+    cells sit at full labels, m = 3 and k = 3.
     """
     cfg = PercolationConfig(m, k, 0.85, seed=33)
     n = 4
@@ -95,6 +122,7 @@ def test_path_walk_replays_by_hand(m, k, r, g):
     assert tuple(digits) == path.digits
     for j in range(1, n + 1):
         assert path.x_hat[j - 1] == x_estimate(tree, Word(m, k, path.digits[:j]), g)
+    _assert_records_match_fresh(path)
 
 
 def test_accepted_path_expands_each_word_once(monkeypatch):
@@ -215,23 +243,31 @@ def test_recorded_grids_match_fresh_expansion():
         assert np.array_equal(path.window_sweep[j - 1], window_min_sweep(counts))
 
 
-@pytest.mark.parametrize("m,p,r,g", [(2, 0.8, 3, 0), (2, 0.6, 4, 2), (3, 0.5, 2, 1)])
+@pytest.mark.parametrize(
+    "m,p,r,g", [(2, 0.8, 3, 0), (2, 0.6, 4, 2), (3, 0.5, 2, 1), (2, 0.45, 3, 2)]
+)
 def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
     """Every recorded center cell is occupied, so forcing it changes no block.
 
     The descent only enters children alive g levels down, so the path's own
     cell is never empty; the recorded a_star, which the certified lower
     indicator reads, must match the forced-center reference on every scale.
+    Every record matches a fresh count grid, also on a path accepted after
+    rejected attempts (p = 0.45, replica 0).
     """
     cfg = PercolationConfig(m, 2, p, seed=3)
+    attempts = []
     for replica in range(3):
         path = sample_qpath(cfg, n=6, r=r, g=g, replica=replica)
+        attempts.append(path.attempts)
+        _assert_records_match_fresh(path)
         tree = LazyTree(path.tree_config)
         for j in range(path.n):
             counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
             occ = grid_from_digit_order(counts, m, 2, r) > 0
             reference = restricted_max_empty_block(occ, path.centers[j])
             assert path.a_star[j] == reference
+    assert (max(attempts) > 1) == (p == 0.45)
 
 
 def test_path_weight_is_root_estimate():
