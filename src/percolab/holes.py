@@ -1,12 +1,18 @@
 """Exact grid kernels for holes, window masses, and ball porosities.
 
 Everything here is deterministic geometry on dense grids, and every window
-sum is read off one summed-area table per grid (Crow, SIGGRAPH 1984; exact
-int64 for integer and boolean grids):
+sum is read off a summed-area table (Crow, SIGGRAPH 1984; exact integers
+for integer and boolean grids):
 
 * largest empty axis-aligned blocks (windows of sum 0, any dimension),
 * minimum window sums of a count or mass grid, for every window side,
 * porosities of k-adic balls around a marked center cell.
+
+A path stacks its scales' count grids along a leading axis, and
+``stack_geometry`` sweeps the whole stack off one table: one pass over the
+window sides gives every grid's window sweep and every ball box's sweep.
+``window_min_sweep`` and ``ball_porosities`` are that sweep on a stack of
+one grid.
 
 Conventions.  A "block" of side a is a cube of a^m cells.  A cell with no
 retained count is conclusively dead (pruning is hereditary), so an empty
@@ -23,32 +29,48 @@ import numpy as np
 
 from .errors import ZeroMassError
 
+_PAD = np.iinfo(np.int64).max  # fills each ball sweep past its box's width
+
 # -- summed-area table -------------------------------------------------------
 
 
-def _summed_table(cells: np.ndarray, spatial: int) -> np.ndarray:
-    """The grid zero-padded on its low side, cumsummed over ``spatial`` axes.
+def _summed_table(cells: np.ndarray, axes: range) -> np.ndarray:
+    """The grid zero-padded on its low side, cumsummed over the spatial ``axes``.
 
-    Entry [i, j, ...] is the sum of cells[:i, :j, ...]; axes beyond
-    ``spatial`` are batch axes.  int64 for boolean or integer cells.
+    Entry [i, j, ...] of the spatial axes is the sum of cells[:i, :j, ...];
+    every other axis is a batch axis.  Boolean or integer cells give exact
+    integers in the narrowest of int16, int32 and int64 that holds a grid's
+    cell count times its largest absolute cell: no entry and no window sum
+    can then overflow, and a narrower table means less memory for every
+    window sum to read.  Anything else gives float64.
     """
-    shape = tuple(n + 1 for n in cells.shape[:spatial]) + cells.shape[spatial:]
-    table = np.zeros(shape, dtype=np.int64 if cells.dtype.kind in "biu" else np.float64)
-    table[(slice(1, None),) * spatial] = cells
-    for axis in range(spatial):
+    pad = tuple(slice(1, None) if axis in axes else slice(None) for axis in range(cells.ndim))
+    shape = tuple(n + (axis in axes) for axis, n in enumerate(cells.shape))
+    dtype = np.float64
+    if cells.dtype.kind in "biu":
+        reach = max(int(cells.max(initial=0)), -int(cells.min(initial=0)))
+        bound = reach * math.prod(cells.shape[axis] for axis in axes)
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    table = np.zeros(shape, dtype=dtype)
+    table[pad] = cells
+    for axis in axes:
         np.add.accumulate(table, axis=axis, out=table)  # in-place cumsum
     return table
 
 
-def _window_sums(table: np.ndarray, a: int, spatial: int) -> np.ndarray:
+def _window_sums(table: np.ndarray, a: int, axes: range, scratch) -> np.ndarray:
     """Sums over every side-``a`` window, entry [i, j, ...] at its lowest cell.
 
-    Differencing the table at lag a along one axis at a time is the
-    inclusion-exclusion formula over the window's 2^spatial corners.
+    Differencing the table at lag a along one spatial axis at a time is the
+    inclusion-exclusion formula over the window's 2^m corners.  The
+    differences alternate between the two rows of ``scratch`` (2 x the
+    table's size, of its dtype), so a sweep over every side allocates
+    nothing; the result is a view into one of them.
     """
-    for axis in range(spatial):
+    for i, axis in enumerate(axes):
         lead = (slice(None),) * axis
-        table = table[lead + (slice(a, None),)] - table[lead + (slice(None, -a),)]
+        high, low = table[lead + (slice(a, None),)], table[lead + (slice(None, -a),)]
+        table = np.subtract(high, low, out=scratch[i % 2][: high.size].reshape(high.shape))
     return table
 
 
@@ -63,21 +85,24 @@ def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np
     problems.  An empty block contains the empty block of every smaller side
     ending at the same cell, so counting the empty windows of side 1, 2, ...
     that end at a cell gives its side; the count stops at the first side
-    with no empty window anywhere.
+    with no empty window anywhere.  The count runs in the narrowest
+    unsigned type that holds the smallest extent; the map is int64.
     """
     occ = np.asarray(occupied, dtype=bool)
     if spatial is None:
         spatial = occ.ndim
     if spatial < 1 or spatial > occ.ndim:
         raise ValueError(f"spatial axis count {spatial} out of range")
-    sides = np.zeros(occ.shape, dtype=np.int64)
-    table = _summed_table(occ, spatial)
-    for a in range(1, min(occ.shape[:spatial]) + 1):
-        empty = _window_sums(table, a, spatial) == 0
+    width = min(occ.shape[:spatial])
+    sides = np.zeros(occ.shape, dtype=np.min_scalar_type(width))
+    table = _summed_table(occ, range(spatial))
+    scratch = np.empty((2, table.size), table.dtype)
+    for a in range(1, width + 1):
+        empty = _window_sums(table, a, range(spatial), scratch) == 0
         if not empty.any():
             break
         sides[(slice(a - 1, None),) * spatial] += empty
-    return sides
+    return sides.astype(np.int64)
 
 
 def max_empty_block(occupied, spatial: Optional[int] = None):
@@ -116,15 +141,64 @@ def window_min_sweep(cells) -> np.ndarray:
     Entry [a] is the minimum over windows of side a, for a up to the
     smallest grid extent; entry [0] is 0 (the empty window).  The sequence
     is nondecreasing, since every window contains one of each smaller size.
-    Integer cells give exact int64 sums, anything else float64.
+    Integer cells give exact int64 sums, anything else float64.  This is
+    ``stack_geometry``'s sweep on a stack of one grid.
     """
-    arr = np.asarray(cells)
-    table = _summed_table(arr, arr.ndim)
-    width = min(arr.shape)
-    out = np.zeros(width + 1, dtype=table.dtype)
+    return _stack_sweeps(np.asarray(cells)[None])[0][0]
+
+
+def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray, ...]:
+    """Window sweeps of a stack of grids, and of the ball box in each, off one table.
+
+    ``stack`` holds its grids along axis 0, and ``centers`` is empty or
+    holds one center cell per grid.  Returns each grid's window sweep (as
+    ``window_min_sweep``), each ball box's sweep, padded with ``_PAD`` past
+    the box's narrowest extent to min(width, side // 2) + 1 entries, and
+    each box's count (see ``ball_porosities``).  One loop over the window
+    side a serves them all: a box's side-a windows are the grid's side-a
+    windows whose lowest cell lies in lo .. hi - a (hi exclusive), and a
+    box's count is read off the table at its 2^m corners.  The stack axis
+    comes first, so each grid's minimum reduces one contiguous run.
+    """
+    n, shape = stack.shape[0], stack.shape[1:]
+    axes = range(1, stack.ndim)
+    table = _summed_table(stack, axes)
+    scratch = np.empty((2, table.size), table.dtype)
+    width = min(shape)
+    boxes = []  # (lo, hi) per axis, hi exclusive; an empty box has no window
+    for center in np.asarray(centers).tolist():
+        lo, hi = ball_box(center, shape, shape[0] / 4.0)
+        boxes.append([(l, max(l, h + 1)) for l, h in zip(lo, hi)])
+    extents = [min(h - l for l, h in box) for box in boxes]
+    dtype = np.float64 if table.dtype.kind == "f" else np.int64
+    sweeps = np.zeros((n, width + 1), dtype=dtype)
+    balls = np.full((len(boxes), min(width, shape[0] // 2) + 1), _PAD, dtype=dtype)
+    balls[:, 0] = 0
     for a in range(1, width + 1):
-        out[a] = _window_sums(table, a, arr.ndim).min()
-    return out
+        sums = _window_sums(table, a, axes, scratch)
+        sweeps[:, a] = sums.reshape(n, -1).min(axis=1)
+        for j, (box, extent) in enumerate(zip(boxes, extents)):
+            if extent >= a:
+                balls[j, a] = sums[(j,) + tuple(slice(l, h + 1 - a) for l, h in box)].min()
+    counts = np.zeros(len(boxes), dtype=dtype)
+    for j, box in enumerate(boxes):
+        corners = table[j][np.ix_(*box)]  # the table at lo or hi on each axis
+        for _ in box:  # differencing one axis at a time is inclusion-exclusion again
+            corners = corners[1] - corners[0]
+        counts[j] = corners
+    return sweeps, balls, counts
+
+
+def stack_geometry(stack: np.ndarray, centers) -> Tuple[np.ndarray, ...]:
+    """Every per-scale geometry record of a stack of cube count grids.
+
+    ``stack`` holds n count grids along axis 0 and ``centers`` (n, m) their
+    marked cells.  Returns, per grid, the largest empty block (from one
+    ``max_empty_block`` call on the stack), the window sweep, and the ball
+    box's sweep, padded with ``_PAD`` to side // 2 + 1 entries, and count.
+    """
+    a_star = max_empty_block(np.moveaxis(stack, 0, -1), stack.ndim - 1)
+    return (a_star,) + _stack_sweeps(stack, centers)
 
 
 # -- hole certificates -------------------------------------------------------
@@ -230,11 +304,13 @@ def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarr
     cube: a center within a quarter side of a face puts part of it outside,
     and that part is clipped away (see ``ball_box``), so both porosities
     are taken over the ball's intersection with the cube.  The box is at
-    most side // 2 cells wide, so its sweep has at most side // 2 + 1 entries.
+    most side // 2 cells wide, so its sweep has at most side // 2 + 1
+    entries: one per side up to the box's narrowest extent.  This is
+    ``stack_geometry``'s ball sweep on a stack of one grid.
     """
     counts = np.asarray(counts)
     if not counts[tuple(int(c) for c in center)] > 0:
         raise ValueError(f"center cell {tuple(center)} has no retained count")
     lo, hi = ball_box(center, counts.shape, counts.shape[0] / 4.0)
-    box = counts[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-    return window_min_sweep(box), int(box.sum())
+    _, balls, total = _stack_sweeps(counts[None], [center])
+    return balls[0, : max(0, min(h + 1 - l for l, h in zip(lo, hi))) + 1], int(total[0])

@@ -379,6 +379,11 @@ class LazyTree:
             return self.expand_retained(front, depth, np.zeros(1, dtype=np.int64))
 
 
+# The unsigned word one alive row fills, one byte per child, at the fanouts
+# that have one; other fanouts weigh their rows by a product instead.
+_ROW_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def _count_level(
     alive: np.ndarray, parent: Optional[np.ndarray], digits: int, cells: np.ndarray
 ) -> int:
@@ -399,7 +404,13 @@ def _count_level(
         cells.reshape(-1, fanout)[parent] += alive
     else:  # a child lies in its parent's cell: weigh each parent by its alive children
         unit = fanout**digits // cells.size  # parent labels per cell
-        per_parent = alive.view(np.uint8) @ np.ones(fanout, np.uint8 if fanout < 256 else np.int64)
+        word = _ROW_WORDS.get(fanout)
+        if word is None:
+            ones = np.ones(fanout, np.uint8 if fanout < 256 else np.int64)
+            per_parent = alive.view(np.uint8) @ ones
+        else:  # times 0x01..01, the row's top byte sums its 0/1 bytes with no carry
+            ones = word(int.from_bytes(b"\x01" * fanout, "little"))
+            per_parent = (alive.view(word)[:, 0] * ones) >> word(8 * (fanout - 1))
         added = np.bincount(parent // unit, weights=per_parent)  # exact: each sum is below 2^53
         np.add(cells[: added.size], added, out=cells[: added.size], casting="unsafe")
     return count

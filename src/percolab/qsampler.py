@@ -25,13 +25,12 @@ import numpy as np
 
 from .errors import DeadSubtreeError, RejectionLimitError
 from .holes import (
-    ball_porosities,
     cells_threshold,
     gap_porosity,
     max_empty_block,
     measure_hole_indicators,
     set_hole_indicators,
-    window_min_sweep,
+    stack_geometry,
 )
 from .measure import mass_factor, x_estimate
 from .percolation import (
@@ -50,7 +49,12 @@ from .words import Word, cell_of_digits
 DEFAULT_PROBE_DEPTH = 4
 DEFAULT_ALPHA_GRID: Tuple[float, ...] = tuple(round(0.05 * t, 2) for t in range(1, 20)) + (1.0,)
 DEFAULT_EPS_GRID: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
-_PAD = np.iinfo(np.int64).max  # fills each ball sweep out to side // 2 + 1 entries
+
+# Grid cells a path stacks before it sweeps them: its geometry costs one
+# summed-area table and one loop over window sides per stack, not per scale.
+# A sweep holds about 20 bytes per stacked cell at once, so 1 << 15 cells
+# (8 scales of a 64 x 64 or a 16^3 grid) take under 1 MB.
+_STACK_CELLS = 1 << 15
 
 _MAX_ATTEMPTS = 1000
 Z95 = 1.96  # two-sided 95% normal quantile
@@ -197,10 +201,15 @@ def sample_qpath(
     on the last step; all of them otherwise.  So a stored level holds at
     most the nodes under the next word.  Where the r + g digit labels would
     overflow int64, each step counts its word's cells afresh instead.
-    Whenever the walk hits a word with no alive children, the whole
-    attempt -- tree and path stream both -- is thrown away and redrawn
-    from the next attempt substream, which keeps the accepted sample a pure
-    function of (seed, replica).
+    Each scale's count grid goes into a stack of at most ``_STACK_CELLS``
+    cells (at least one grid) as soon as its center is known, and
+    ``stack_geometry`` sweeps the stack when it is full or the path ends:
+    one summed-area table and one loop over window sides give every
+    scale's window sweep, ball sweep and box count, and one
+    ``max_empty_block`` call its ``a_star``.  Whenever the walk hits a word
+    with no alive children, the whole attempt -- tree and path stream
+    both -- is thrown away and redrawn from the next attempt substream,
+    which keeps the accepted sample a pure function of (seed, replica).
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
@@ -209,17 +218,21 @@ def sample_qpath(
     child_mass = mass_factor(config, g)
     # past int64 labels, each step counts its word's cells afresh instead
     streamed = labels_fit(fanout, r + g)
+    # a cell counts at most fanout^g nodes, so a stack that holds every
+    # scale's grid until its sweep can be of the narrowest type that fits
+    stack_type = np.min_scalar_type(min(fanout**g, 1 << 63))
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)
         tree._budget(fanout ** min(r, tree.max_nodes.bit_length()))
+        stack = np.empty((min(n, max(1, _STACK_CELLS // side**m)),) + (side,) * m, stack_type)
         path_key = substream(tree_cfg.seed, STREAM_PATH)
         digits: List[int] = []
         centers = np.zeros((n, m), dtype=np.int64)
         x_hat = np.zeros(n)
         a_star = np.zeros(n, dtype=np.int64)
         sweeps = np.zeros((n, side + 1), dtype=np.int64)
-        ball_sweeps = np.full((n, side // 2 + 1), _PAD)
+        ball_sweeps = np.zeros((n, side // 2 + 1), dtype=np.int64)
         ball_counts = np.zeros(n, dtype=np.int64)
         try:
             with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
@@ -264,13 +277,19 @@ def sample_qpath(
                     if j < 1:
                         continue
                     # from step r on, word == j and cell_counts is scale j's grid
-                    grid = grid_from_digit_order(cell_counts, m, k, r)
-                    center = cell_of_digits(digits[j:], m, k)
-                    centers[j - 1] = center
-                    a_star[j - 1] = max_empty_block(grid)
-                    sweeps[j - 1] = window_min_sweep(grid)
-                    sweep, ball_counts[j - 1] = ball_porosities(grid, center)
-                    ball_sweeps[j - 1, : sweep.size] = sweep
+                    slot = (j - 1) % stack.shape[0]
+                    stack[slot] = grid_from_digit_order(cell_counts, m, k, r)
+                    centers[j - 1] = cell_of_digits(digits[j:], m, k)
+                    if slot + 1 < stack.shape[0] and j < n:
+                        continue
+                    # the stack is full or the path ends: sweep scales first .. j
+                    first = j - 1 - slot
+                    (
+                        a_star[first:j],
+                        sweeps[first:j],
+                        ball_sweeps[first:j],
+                        ball_counts[first:j],
+                    ) = stack_geometry(stack[: slot + 1], centers[first:j])
         except DeadSubtreeError:
             continue
         return QPath(

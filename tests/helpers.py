@@ -73,6 +73,19 @@ def _ball_cells(grid: np.ndarray, center, radius_cells: float) -> np.ndarray:
     ]
 
 
+def ball_box_sweep(counts: np.ndarray, center):
+    """The ball box's minimum window count for every side, and its count.
+
+    The box is sliced out of the grid (radius a quarter of the grid's first
+    extent) and every window of every side in it is summed directly; entry
+    0 of the sweep is 0 and the sweep runs to the box's narrowest extent.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    box = _ball_cells(counts, center, counts.shape[0] / 4.0)
+    sweep = [0] + [int(brute_min_window_sum(box, a)) for a in range(1, min(box.shape) + 1)]
+    return np.array(sweep, dtype=np.int64), int(box.sum())
+
+
 def ball_set_porosity(occ: np.ndarray, center, radius_cells: float) -> float:
     """Set porosity of the ball, its center cell counted as occupied.
 

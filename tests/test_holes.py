@@ -9,12 +9,15 @@ a* = 0 and one has a* = 4, and inclusion-exclusion over the four 3x3
 placements gives 447 grids with a* >= 3).
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ball_box_sweep,
     ball_measure_porosity,
     ball_set_porosity,
     brute_empty_block_sides,
@@ -35,6 +38,7 @@ from percolab.holes import (
     measure_hole_indicators,
     restricted_max_empty_block,
     set_hole_indicators,
+    stack_geometry,
     window_min_sweep,
 )
 from percolab.qsampler import sample_qpath
@@ -126,6 +130,19 @@ def test_window_sums_match_brute():
         for a in range(1, min(shape) + 1):
             assert sweep[a] == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
             assert exact[a] == brute_min_window_sum(counts, a)
+
+
+def test_window_sums_stay_exact_past_int32():
+    """Sums of 2^31 and more are exact: the table widens before it could wrap."""
+    unit = 1 << 26
+    big = np.full((8, 8), unit, dtype=np.int64)  # the grid total is 2^32
+    assert window_min_sweep(big).tolist() == [a * a * unit for a in range(9)]
+    assert window_min_sweep(-big)[8] == -64 * unit
+    stack = np.stack([np.ones((8, 8), dtype=np.int64), big])
+    _, sweeps, balls, counts = stack_geometry(stack, [(0, 0), (4, 4)])
+    assert sweeps[:, 8].tolist() == [64, 64 * unit]
+    assert counts.tolist() == [4, 9 * unit]  # boxes 0..1 and 3..5 on each axis
+    assert balls[1, :4].tolist() == [0, unit, 4 * unit, 9 * unit]
 
 
 def test_min_window_sum_values_and_range():
@@ -388,6 +405,32 @@ def test_gap_porosity_threshold_semantics():
     # limits with a trailing length-1 axis read one porosity each
     limits = np.array([[0.05], [0.1], [3.0]])
     assert gap_porosity(sweep, limits, 4.0).tolist() == [0.125, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("m,side", [(1, 7), (2, 4), (2, 6), (2, 9), (3, 4), (3, 5)])
+def test_stack_geometry_matches_one_grid_kernels_and_box_oracle(m, side):
+    """One sweep of a stack equals the one-grid kernels and the sliced box.
+
+    Every center sits at a corner, on an edge or face, or in the middle
+    (each coordinate 0, side // 2 or side - 1), so the boxes are clipped on
+    no side, one side or both, and most of them are not cubes.
+    """
+    rng = np.random.default_rng(side + 10 * m)
+    centers = np.array(list(product((0, side // 2, side - 1), repeat=m)))
+    stack = rng.integers(0, 9, size=(len(centers),) + (side,) * m)
+    stack *= rng.random(stack.shape) < rng.uniform(0.2, 0.8, size=(len(centers),) + (1,) * m)
+    stack[(np.arange(len(centers)),) + tuple(centers.T)] += 1  # each center holds the set
+    a_star, sweeps, balls, counts = stack_geometry(stack, centers)
+    assert balls.shape == (len(centers), side // 2 + 1)
+    for grid, center, a, sweep, ball, count in zip(stack, centers, a_star, sweeps, balls, counts):
+        assert a == max_empty_block(grid) == brute_max_empty_block(grid > 0)
+        assert sweep.tolist() == window_min_sweep(grid).tolist()
+        oracle, total = ball_box_sweep(grid, center)
+        assert count == total
+        assert ball[: oracle.size].tolist() == oracle.tolist()
+        assert np.all(ball[oracle.size :] == np.iinfo(np.int64).max)
+        one_sweep, one_count = ball_porosities(grid, center)
+        assert one_sweep.tolist() == oracle.tolist() and one_count == total
 
 
 def test_ball_porosities_joint_consistency():

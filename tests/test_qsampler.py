@@ -13,8 +13,8 @@ from percolab import (
     dimension,
     x_estimate,
 )
+from percolab import qsampler
 from percolab.holes import (
-    ball_porosities,
     max_empty_block,
     restricted_max_empty_block,
     window_min_sweep,
@@ -38,7 +38,13 @@ from percolab.qsampler import (
 from percolab.rng import child_key, substream, unit_draw
 from percolab.words import cell_of_digits
 
-from helpers import ball_measure_porosity, ball_set_porosity, brute_min_window_sum, hole_bracket
+from helpers import (
+    ball_box_sweep,
+    ball_measure_porosity,
+    ball_set_porosity,
+    brute_min_window_sum,
+    hole_bracket,
+)
 
 
 def test_sample_step_threshold_layout():
@@ -76,19 +82,51 @@ def test_sample_step_uses_descendant_counts():
 
 def _assert_records_match_fresh(path):
     """Every scale record of ``path`` equals the one read off a fresh
-    ``descendant_counts`` grid of that scale's word."""
+    ``descendant_counts`` grid of that scale's word, one grid at a time: the
+    path sweeps its scales in stacks, the check sweeps each grid alone and
+    slices each ball's box out of it."""
     m, k, r, g = path.config.m, path.config.k, path.r, path.g
     tree = LazyTree(path.tree_config)
     for j in range(1, path.n + 1):
         cells = descendant_counts(tree, Word(m, k, path.digits[:j]), r, g)
         grid = grid_from_digit_order(cells, m, k, r)
         center = cell_of_digits(path.digits[j : j + r], m, k)
-        sweep, count = ball_porosities(grid, center)
+        sweep, count = ball_box_sweep(grid, center)
         assert path.centers[j - 1].tolist() == list(center)
         assert path.a_star[j - 1] == max_empty_block(grid)
         assert path.window_sweep[j - 1].tolist() == window_min_sweep(grid).tolist()
         assert path.ball_sweep[j - 1, : sweep.size].tolist() == sweep.tolist()
+        assert np.all(path.ball_sweep[j - 1, sweep.size :] == np.iinfo(np.int64).max)
         assert path.ball_count[j - 1] == count
+
+
+@pytest.mark.parametrize("scales", [1, 2, 3])
+@pytest.mark.parametrize("m,r", [(2, 3), (3, 2)])
+def test_stacked_scales_match_fresh(monkeypatch, m, r, scales):
+    """Stacks of 1, 2 and 3 scales end mid-path, and the last one of a
+    7-scale path is partial unless it holds one scale; every record still
+    matches its scale's fresh grid."""
+    monkeypatch.setattr(qsampler, "_STACK_CELLS", scales * 2 ** (m * r))
+    path = sample_qpath(PercolationConfig(m, 2, 0.75, seed=21), n=7, r=r, g=2, replica=1)
+    _assert_records_match_fresh(path)
+
+
+def test_full_cells_fit_the_stack():
+    """At p = 1 every cell holds fanout^g = 256 nodes, one past uint8."""
+    path = sample_qpath(PercolationConfig(2, 2, 1.0, seed=4), n=3, r=2, g=4)
+    _assert_records_match_fresh(path)
+    assert path.window_sweep[:, -1].tolist() == [16 * 256] * 3
+
+
+def test_one_cell_ball_boxes_match_fresh():
+    """At r = 1 the grid side is 2 and each ball's box is its center cell."""
+    path = sample_qpath(PercolationConfig(2, 2, 0.8, seed=8), n=7, r=1, g=3, replica=0)
+    _assert_records_match_fresh(path)
+    assert path.ball_sweep.shape == (7, 2)
+    tree = LazyTree(path.tree_config)
+    for j in range(path.n):
+        cell = Word(2, 2, path.digits[: j + 2])
+        assert path.ball_count[j] == path.ball_sweep[j, 1] == tree.count_profile(cell, 3)[3]
 
 
 @pytest.mark.parametrize(
