@@ -146,7 +146,8 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("alpha_grid must be a nonempty list of entries in (0, 1]")
     if not 0.0 < spec.alpha <= 1.0:
         errors.append("alpha must lie in (0, 1]")
-    if any(not 0.0 < e < math.inf for e in spec.eps_grid) or not spec.eps_grid:
+    # a float's range, not just finiteness: an integer entry past it cannot be written
+    if any(not 0.0 < e <= sys.float_info.max for e in spec.eps_grid) or not spec.eps_grid:
         errors.append("eps_grid must be a nonempty list of finite entries > 0")
     if any(l < 0 for l in spec.lags) or not spec.lags:
         errors.append("lags must be a nonempty list of integers >= 0")
@@ -317,15 +318,14 @@ def _bracket_summary(alpha, lower, upper, kind: str, with_se: bool) -> dict:
 def _hole_sheets(p, alphas, epss) -> List[tuple]:
     """(alpha, lower, upper, measure) of one path per alpha; measure is (n, n_eps)."""
     return [
-        (float(a), p.set_hole_lower(a), p.set_hole_upper(a), p.measure_hole(a, epss))
+        (a, p.set_hole_lower(a), p.set_hole_upper(a), p.measure_hole(a, epss))
         for a in alphas
     ]
 
 
 def _run_path_series(spec: ExperimentSpec):
     paths, err = _sample_paths(spec, spec.scales)
-    epss = tuple(float(e) for e in spec.eps_grid)  # written as floats: 1 as 1.0
-    sheets = [_hole_sheets(p, spec.alpha_grid, epss) for p in paths]
+    sheets = [_hole_sheets(p, spec.alpha_grid, spec.eps_grid) for p in paths]
     tables = {
         "path_summary.csv": (
             ["replica", "seed", "attempts", "weight", "scales", "resolution", "probe_depth"],
@@ -367,7 +367,7 @@ def _run_path_series(spec: ExperimentSpec):
                 for p, sheet in zip(paths, sheets)
                 for j in range(p.n)
                 for alpha, lower, upper, measure in sheet
-                for ie, eps in enumerate(epss)
+                for ie, eps in enumerate(spec.eps_grid)
             ],
         ),
         "porosity.csv": (
@@ -375,8 +375,8 @@ def _run_path_series(spec: ExperimentSpec):
             [
                 (p.replica, j + 1, eps, value)
                 for p in paths
-                for j, row in enumerate(p.measure_porosity(epss))
-                for eps, value in zip(epss, row)
+                for j, row in enumerate(p.measure_porosity(spec.eps_grid))
+                for eps, value in zip(spec.eps_grid, row)
             ],
         ),
     }
@@ -395,8 +395,7 @@ def _run_ensemble(spec: ExperimentSpec):
     weights, blocks = ensemble_sweep_parallel(
         config, spec.resolution, spec.probe_depth, spec.replicas, spec.workers
     )
-    alphas = [float(a) for a in spec.alpha_grid]  # written as floats: 1 as 1.0
-    pairs = ensemble_from_sweep(config, alphas, spec.resolution, weights, blocks)
+    pairs = ensemble_from_sweep(config, spec.alpha_grid, spec.resolution, weights, blocks)
     kind = "importance-weighted"
     seeds = _tree_seeds(spec, spec.replicas)
     tables = {
@@ -408,7 +407,7 @@ def _run_ensemble(spec: ExperimentSpec):
                 [alpha]
                 + [getattr(est, stat) for est in (lo, up) for stat in _BRACKET_STATS]
                 + [lo.replicas, spec.resolution, spec.probe_depth, kind]
-                for alpha, (lo, up) in zip(alphas, pairs)
+                for alpha, (lo, up) in zip(spec.alpha_grid, pairs)
             ],
         ),
         "replica_sweep.csv": (
@@ -424,7 +423,7 @@ def _run_ensemble(spec: ExperimentSpec):
         "kind": spec.kind,
         "alphas": [
             _bracket_summary(alpha, lo, up, kind, with_se=False)
-            for alpha, (lo, up) in zip(alphas, pairs)
+            for alpha, (lo, up) in zip(spec.alpha_grid, pairs)
         ],
         "mean_weight": float(weights.mean()),
         "alive_fraction": alive_fraction,
@@ -488,7 +487,7 @@ def _run_porosity_extremes(spec: ExperimentSpec):
                 "median_set_min": _median([e.set_min[-1] for e in extremes]),
                 "median_set_max": _median([e.set_max[-1] for e in extremes]),
                 "median_meas_max": {
-                    repr(float(eps)): _median([e.meas_max[-1, ie] for e in extremes])
+                    repr(eps): _median([e.meas_max[-1, ie] for e in extremes])
                     for ie, eps in enumerate(spec.eps_grid)
                 },
                 "paths": len(paths),
@@ -567,6 +566,9 @@ def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
     errors = spec_errors(spec)
     if errors:
         raise ValueError("; ".join(errors))
+    # every alpha and eps is written as a float: 1 as 1.0
+    grids = {name: tuple(map(float, getattr(spec, name))) for name in ("alpha_grid", "eps_grid")}
+    spec = replace(spec, alpha=float(spec.alpha), **grids)
     started = time.time()
     tables, summary, survival, seeds, err = _RUNNERS[spec.kind](spec)
     # made only now, so a run that raises (exit 3 or 4) leaves no directory

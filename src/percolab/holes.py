@@ -111,11 +111,8 @@ def max_empty_block(occupied, spatial: Optional[int] = None):
     With batch axes present, returns one maximum per batch element;
     otherwise a plain int.
     """
-    occ = np.asarray(occupied, dtype=bool)
-    if spatial is None:
-        spatial = occ.ndim
-    sides = empty_block_sides(occ, spatial)
-    if spatial == occ.ndim:
+    sides = empty_block_sides(occupied, spatial)
+    if spatial in (None, sides.ndim):
         return int(sides.max()) if sides.size else 0
     return sides.max(axis=tuple(range(spatial)))
 
@@ -157,8 +154,9 @@ def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray
     each box's count (see ``ball_porosities``).  One loop over the window
     side a serves them all: a box's side-a windows are the grid's side-a
     windows whose lowest cell lies in lo .. hi - a (hi exclusive), and a
-    box's count is read off the table at its 2^m corners.  The stack axis
-    comes first, so each grid's minimum reduces one contiguous run.
+    box's count is the sum of the box sliced out of the stack, exact for
+    integer stacks.  The stack axis comes first, so each grid's minimum
+    reduces one contiguous run.
     """
     n, shape = stack.shape[0], stack.shape[1:]
     axes = range(1, stack.ndim)
@@ -180,12 +178,8 @@ def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray
         for j, (box, extent) in enumerate(zip(boxes, extents)):
             if extent >= a:
                 balls[j, a] = sums[(j,) + tuple(slice(l, h + 1 - a) for l, h in box)].min()
-    counts = np.zeros(len(boxes), dtype=dtype)
-    for j, box in enumerate(boxes):
-        corners = table[j][np.ix_(*box)]  # the table at lo or hi on each axis
-        for _ in box:  # differencing one axis at a time is inclusion-exclusion again
-            corners = corners[1] - corners[0]
-        counts[j] = corners
+    boxed = [grid[tuple(slice(l, h) for l, h in box)] for grid, box in zip(stack, boxes)]
+    counts = np.array([cells.sum() for cells in boxed], dtype=dtype)
     return sweeps, balls, counts
 
 
@@ -311,6 +305,5 @@ def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarr
     counts = np.asarray(counts)
     if not counts[tuple(int(c) for c in center)] > 0:
         raise ValueError(f"center cell {tuple(center)} has no retained count")
-    lo, hi = ball_box(center, counts.shape, counts.shape[0] / 4.0)
     _, balls, total = _stack_sweeps(counts[None], [center])
-    return balls[0, : max(0, min(h + 1 - l for l, h in zip(lo, hi))) + 1], int(total[0])
+    return balls[0][balls[0] != _PAD], int(total[0])

@@ -362,11 +362,8 @@ class LazyTree:
                         child_labels += nz
                 filled += count
             sizes.append(hashed if counted else filled)
-            if counted:
-                if keep:
-                    frontier._swap(filled)
-                break
-            frontier._swap(filled)
+            if keep or not counted:
+                frontier._swap(filled)
         sizes.extend([0] * (levels + 1 - len(sizes)))
         return sizes
 

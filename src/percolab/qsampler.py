@@ -189,27 +189,28 @@ def sample_qpath(
     The descent needs n + r digits (scale j's records are centered on the
     path's cell r levels below scale j).  It is one walk through one
     labelled frontier that hashes every retained node's children at most
-    once.  The root is expanded g + 1 levels for the first step; the walk
-    then keeps only the nodes under word_1 and deepens them one level per
-    step, until they lie r + g levels below it.  From there each step
-    keeps the nodes under the next digit of the scale's word and hashes one
-    more level.  Step s picks among the children of word_s, whose counts
-    are cells of the grid that its hashing counts each new child into; from
-    step r on, that cell grid is the record of scale s - r + 1.  A step
-    stores only the new children that the next step keeps: once the next
-    step's digit is chosen (r >= 2, from step r on), those under it; none
-    on the last step; all of them otherwise.  So a stored level holds at
-    most the nodes under the next word.  Where the r + g digit labels would
-    overflow int64, each step counts its word's cells afresh instead.
-    Each scale's count grid goes into a stack of at most ``_STACK_CELLS``
-    cells (at least one grid) as soon as its center is known, and
-    ``stack_geometry`` sweeps the stack when it is full or the path ends:
-    one summed-area table and one loop over window sides give every
-    scale's window sweep, ball sweep and box count, and one
-    ``max_empty_block`` call its ``a_star``.  Whenever the walk hits a word
-    with no alive children, the whole attempt -- tree and path stream
-    both -- is thrown away and redrawn from the next attempt substream,
-    which keeps the accepted sample a pure function of (seed, replica).
+    once.  The root's g levels are hashed first (their last count is the
+    path's weight); then every step hashes one more level.  The walk keeps
+    only the nodes under word_1 after step 0 and deepens them one level per
+    step, until they lie r + g levels below it; from there each step keeps
+    the nodes under the next digit of the scale's word.  Step s picks among
+    the children of word_s, whose counts are cells of the grid that its
+    hashing counts each new child into; from step r on, that cell grid is
+    the record of scale s - r + 1.  A step stores only the new children that
+    the next step keeps: once the next step's digit is chosen (r >= 2, from
+    step r on), those under it; none on the last step; all of them
+    otherwise.  So a stored level holds at most the nodes under the next
+    word.  Where the r + g digit labels would overflow int64, each step
+    counts its word's cells afresh instead.  Each scale's count grid goes
+    into a stack of at most ``_STACK_CELLS`` cells (at least one grid) as
+    soon as its center is known, and ``stack_geometry`` sweeps the stack
+    when it is full or the path ends: one summed-area table and one loop
+    over window sides give every scale's window sweep, ball sweep and box
+    count, and one ``max_empty_block`` call its ``a_star``.  Each stack's
+    records are appended as it is swept.  Whenever the walk hits a word with
+    no alive children, the whole attempt -- tree and path stream both -- is
+    thrown away and redrawn from the next attempt substream, which keeps the
+    accepted sample a pure function of (seed, replica).
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
@@ -221,25 +222,19 @@ def sample_qpath(
     # a cell counts at most fanout^g nodes, so a stack that holds every
     # scale's grid until its sweep can be of the narrowest type that fits
     stack_type = np.min_scalar_type(min(fanout**g, 1 << 63))
+    stack = np.empty((min(n, max(1, _STACK_CELLS // side**m)),) + (side,) * m, stack_type)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)
         tree._budget(fanout ** min(r, tree.max_nodes.bit_length()))
-        stack = np.empty((min(n, max(1, _STACK_CELLS // side**m)),) + (side,) * m, stack_type)
         path_key = substream(tree_cfg.seed, STREAM_PATH)
         digits: List[int] = []
         centers = np.zeros((n, m), dtype=np.int64)
         x_hat = np.zeros(n)
-        a_star = np.zeros(n, dtype=np.int64)
-        sweeps = np.zeros((n, side + 1), dtype=np.int64)
-        ball_sweeps = np.zeros((n, side // 2 + 1), dtype=np.int64)
-        ball_counts = np.zeros(n, dtype=np.int64)
+        records = []  # stack_geometry's records of each swept stack, in scale order
         try:
             with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
-                # step 0's cells: the root's children, counted g levels down
-                cell_counts = np.zeros(fanout, dtype=np.int64)
-                sizes = tree.expand_retained(front, 1 + g, cell_counts, range(fanout))
-                weight = sizes[g] * child_mass
+                weight = tree.expand_retained(front, g)[g] * child_mass
                 word = 0  # the frontier lies below word_{word}
                 for step in range(n + r):
                     # the word trails the step by r - 1 digits, and never
@@ -255,7 +250,7 @@ def sample_qpath(
                         cell_counts = descendant_counts(
                             tree, Word(m, k, tuple(digits[:word])), cells, g
                         )
-                    elif step:
+                    else:
                         # store what the next step keeps: it descends into
                         # digits[word] when word < step + 2 - r, and that
                         # digit is chosen when word < step
@@ -282,16 +277,11 @@ def sample_qpath(
                     centers[j - 1] = cell_of_digits(digits[j:], m, k)
                     if slot + 1 < stack.shape[0] and j < n:
                         continue
-                    # the stack is full or the path ends: sweep scales first .. j
-                    first = j - 1 - slot
-                    (
-                        a_star[first:j],
-                        sweeps[first:j],
-                        ball_sweeps[first:j],
-                        ball_counts[first:j],
-                    ) = stack_geometry(stack[: slot + 1], centers[first:j])
+                    # the stack is full or the path ends: sweep scales j - slot .. j
+                    records.append(stack_geometry(stack[: slot + 1], centers[j - 1 - slot : j]))
         except DeadSubtreeError:
             continue
+        a_star, sweeps, ball_sweeps, ball_counts = map(np.concatenate, zip(*records))
         return QPath(
             config=config,
             tree_config=tree_cfg,

@@ -241,9 +241,27 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
         {"alpha_grid": [0.25, None]},
         {"alpha_grid": []},
         {"eps_grid": []},
+        # one case per range bound of spec_errors
+        {"scales": 0},
+        {"resolution": 0},
+        {"probe_depth": -1},
+        {"workers": 0},
+        {"lags": [0, -1]},
+        {"lags": []},
+        {"depths": [0, 4]},
+        {"depths": []},
+        {"resolutions": [4, 0]},
+        {"resolutions": []},
+        {"slab_axis": 2},
+        {"slab_position": 16},  # the coarsest default slice grid has 2^4 cells
+        {"max_attempts": 0},
     ],
     ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
-         "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid"],
+         "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid",
+         "zero-scales", "zero-resolution", "negative-probe-depth", "zero-workers",
+         "negative-lag", "empty-lags", "zero-depth", "empty-depths", "zero-resolutions",
+         "empty-resolutions", "slab-axis-past-m", "slab-position-past-grid",
+         "zero-max-attempts"],
 )
 def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     spec_file = _write_spec(tmp_path, {**TINY, **bad})
@@ -251,17 +269,36 @@ def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     assert cli.main(["--spec", spec_file, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid spec:")
+    assert all(name in err for name in bad if name != "kind")  # the field's own check
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
+def test_main_rejects_a_spec_file_that_is_not_an_object(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps([TINY]), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["--spec", str(spec_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: spec file must hold a JSON object\n"
+    assert not out.exists()
+
+
+def test_run_refuses_an_invalid_spec(tmp_path):
+    # the library entry point checks the spec itself, as main does
+    spec = cli.spec_from_dict({**TINY, "scales": 0, "workers": 0})
+    with pytest.raises(ValueError, match="scales must be >= 1; workers must be >= 1"):
+        cli.run(spec, out_dir=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ["path-series", "porosity-extremes"])
 @pytest.mark.parametrize(
-    "eps", [[float("nan")], [float("inf")], [float("nan"), float("inf")]],
-    ids=["nan", "inf", "nan-inf"],
+    "eps", [[float("nan")], [float("inf")], [float("nan"), float("inf")], [0.1, 10**400]],
+    ids=["nan", "inf", "nan-inf", "past-float"],
 )
 def test_main_rejects_nonfinite_eps(tmp_path, capsys, kind, eps):
-    # json writes these as NaN and Infinity, which json.load reads back
+    # json writes these as NaN and Infinity, which json.load reads back; an
+    # integer past the float range is finite but has no float to write
     spec_file = _write_spec(tmp_path, {**TINY, "kind": kind, "eps_grid": eps})
     out = tmp_path / "o"
     assert cli.main(["--spec", spec_file, "--out", str(out)]) == 2

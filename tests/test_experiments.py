@@ -106,6 +106,11 @@ def test_dimension_slope_deterministic_across_workers():
     assert abs(a.slope - a.dimension_value) < 0.3
 
 
+def test_dimension_slope_refuses_depth_below_one():
+    with pytest.raises(ValueError, match="depths must be >= 1"):
+        dimension_slope(PercolationConfig(2, 2, 0.7), depths=(3, 0), trees=2)
+
+
 def test_dimension_slope_computes_no_unread_profile(monkeypatch):
     from percolab import experiments
 

@@ -49,8 +49,8 @@ SPECS = {
         "kind": "porosity-extremes", "m": 1, "k": 3, "p": 0.8, "replicas": 3,
         "scales": 5, "resolution": 3, "probe_depth": 2,
     },
-    # eps off the default grid, one an integer: path-series writes it as
-    # 1.0, extremes.csv as 1
+    # eps off the default grid, one an integer: every table and summary
+    # writes it as 1.0
     "path-series-eps": {
         "kind": "path-series", "p": 0.8, "replicas": 3, "scales": 3,
         "resolution": 3, "probe_depth": 2, "eps_grid": [1, 0.037, 5e-5],
@@ -59,8 +59,7 @@ SPECS = {
         "kind": "porosity-extremes", "m": 3, "p": 0.5, "replicas": 3,
         "scales": 5, "resolution": 3, "probe_depth": 2, "eps_grid": [1, 0.037, 5e-5],
     },
-    # an integer alpha: ensemble.csv and the ensemble summary write it as
-    # 1.0, the path-series summary as 1, covariance.csv as 1.0
+    # an integer alpha: every table and summary writes it as 1.0
     "ensemble-alpha": {
         "kind": "ensemble", "p": 0.8, "replicas": 20, "resolution": 3,
         "probe_depth": 2, "alpha_grid": [1, 0.25],
@@ -180,11 +179,11 @@ DIGESTS = {
         "summary.json": "4c0f00807e5c69329ea4849606da7687c6f57571f4ab2b0934787d1f75896ad2",
     },
     "porosity-extremes-eps-0": {
-        "extremes.csv": "b637b11dd2975a802a1a95f2a55ea90e61b5b4bd7ceaddca64dac7d833f30f37",
+        "extremes.csv": "10056e6b4a482b43834227653fcc5202e20269ca9138d03dedd4381b550aca5d",
         "summary.json": "8828cd630c5dae4d931e0eec88c48f2027fe744a860e218cdbe445b8e9af741c",
     },
     "porosity-extremes-eps-1": {
-        "extremes.csv": "a4c5a0190f9884b58412bd571ace134635f6ced2308ccb1617dc79a48168d336",
+        "extremes.csv": "18313316641a70f58682fc67ab773ecf0691c7816966fc1aed766998254b7927",
         "summary.json": "8828cd630c5dae4d931e0eec88c48f2027fe744a860e218cdbe445b8e9af741c",
     },
     "ensemble-alpha-0": {
@@ -202,22 +201,22 @@ DIGESTS = {
         "path_summary.csv": "65b6cad2d148e931a123c4f066aec5568bc530265c832bb485836cc190d3b566",
         "porosity.csv": "a54750001040df6486ba2305d164698c678dc273df7c494e1ce1da19610e08f4",
         "scales.csv": "06da5918a5ab9a3fcbc2a3eec34bd11d6c8b231d053ab0aa7850f35198ebe13d",
-        "summary.json": "c65da21bc070d6124b57877cf11f875b7f73b3996565682f49784f6ae1fea20f",
+        "summary.json": "4e96f8d5ce0ca868c267297324de3f7df73c976cce0f1f22fb69d27b8135a195",
     },
     "path-series-alpha-1": {
         "indicators.csv": "c4d2945a616cca98f11801f0e18ea470e5401e37c94b98d10a8559a2d7fe8cb6",
         "path_summary.csv": "6606d5dbf40ace8533b1c4de2f208e3d9f88be511a53f6a30e7d6e833b92339c",
         "porosity.csv": "a18b9fc6d90987f937bf52091a5184b06d78640d83fef42d7034539122c4f840",
         "scales.csv": "004c45ff2c3f075c66c20a035b0c392d426c7e3e2611453104f9e4659aeec9d0",
-        "summary.json": "f8cd1ef9ce96f1b08b353f61cbefb452213c68babd828b0548076a0a0e7f7128",
+        "summary.json": "baed87d12576d2d6c7bd446ca2a4ddd619ed4ff16cb1d13f3a79f48062e7d287",
     },
     "covariance-alpha-0": {
         "covariance.csv": "4d7d6ae42d88547e61b81737b92a48bc744e2273fcbb64d44c367eccbc6e85ff",
-        "summary.json": "1bb83a8a1fac5c40a60230e54fa6848d6cf6fef3679c316f167eee368e689047",
+        "summary.json": "6c4e2225850984750013a4965b4705d545e231cc0e79fee8960ec5edfa881107",
     },
     "covariance-alpha-1": {
         "covariance.csv": "4d7d6ae42d88547e61b81737b92a48bc744e2273fcbb64d44c367eccbc6e85ff",
-        "summary.json": "1bb83a8a1fac5c40a60230e54fa6848d6cf6fef3679c316f167eee368e689047",
+        "summary.json": "6c4e2225850984750013a4965b4705d545e231cc0e79fee8960ec5edfa881107",
     },
     "partial-2": {
         "indicators.csv": "eb12cae1f77323c57ff16b3ddbd2f7c20940b499683dcd837bbbec0b317cd6ae",

@@ -75,6 +75,14 @@ def test_dp_sides_match_brute_on_random_grids():
         assert np.array_equal(empty_block_sides(occ), brute_empty_block_sides(occ))
 
 
+@pytest.mark.parametrize("spatial", [0, 3])
+def test_empty_block_sides_refuses_spatial_out_of_range(spatial):
+    with pytest.raises(ValueError, match="out of range"):
+        empty_block_sides(np.zeros((4, 4), dtype=bool), spatial)
+    with pytest.raises(ValueError, match="out of range"):
+        max_empty_block(np.zeros((4, 4), dtype=bool), spatial)
+
+
 def test_max_empty_block_edge_cases():
     assert max_empty_block(np.zeros((5, 5), dtype=bool)) == 5
     assert max_empty_block(np.ones((5, 5), dtype=bool)) == 0

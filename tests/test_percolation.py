@@ -371,6 +371,13 @@ def test_memory_budget_enforced():
         descendant_counts(t, Word.root(2, 2), 10**8, 0)
 
 
+def test_non_integer_max_nodes_warns_and_keeps_the_default(monkeypatch):
+    monkeypatch.setenv("PERCOLAB_MAX_NODES", "lots")
+    with pytest.warns(UserWarning, match="non-integer PERCOLAB_MAX_NODES='lots'"):
+        t = LazyTree(PercolationConfig(2, 2, 0.8))
+    assert t.max_nodes == 1 << 24
+
+
 def test_word_geometry_must_match_tree():
     t = tree()
     with pytest.raises(ValueError):

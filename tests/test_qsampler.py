@@ -164,7 +164,7 @@ def test_path_walk_replays_by_hand(m, k, r, g):
 
 
 def test_accepted_path_expands_each_word_once(monkeypatch):
-    # The root's first g + 1 levels, word_1's levels g .. r + g - 1, then one
+    # The root's g levels and step 0's, word_1's levels g .. r + g - 1, then one
     # level per later scale: those parents' children, in that order, are
     # every key an accepted attempt hashes, and no parent is hashed twice.
     from percolab import percolation
@@ -245,6 +245,12 @@ def test_sample_qpath_deterministic():
     assert np.array_equal(a.ball_count, b.ball_count)
     c = sample_qpath(cfg, n=4, r=3, g=3, replica=6)
     assert c.digits != a.digits or not np.array_equal(c.x_hat, a.x_hat)
+
+
+@pytest.mark.parametrize("n,r,g", [(0, 3, 2), (4, 0, 2), (4, 3, -1)])
+def test_sample_qpath_refuses_a_bad_shape(n, r, g):
+    with pytest.raises(ValueError, match="need n >= 1, r >= 1, g >= 0"):
+        sample_qpath(PercolationConfig(2, 2, 0.8), n=n, r=r, g=g)
 
 
 def test_rejection_limit_raises_with_stats():
