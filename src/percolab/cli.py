@@ -205,14 +205,6 @@ def validate(spec: ExperimentSpec) -> List[str]:
 # -- output helpers ------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _median(values) -> float:
     """``np.median`` of a nonempty list of floats, read off one sort.
 
@@ -230,8 +222,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _json_default(obj):

@@ -46,12 +46,6 @@ def _mapper(workers: int, tasks: int) -> Iterator[Callable]:
         yield functools.partial(pool.imap, chunksize=1)
 
 
-def _ordered_map(fn, argses: Sequence, workers: int) -> Iterator:
-    """Yield fn(args) in input order, in this process or over a pool of its own."""
-    with _mapper(workers, len(argses)) as map_:
-        yield from map_(fn, argses)
-
-
 # -- worker functions (top level for pickling) --------------------------------
 
 
@@ -109,8 +103,9 @@ def run_path_batch_partial(
     argses = [(config, n, r, g, replica, max_attempts) for replica in range(paths)]
     done: List[QPath] = []
     try:
-        for path in _ordered_map(_path_worker, argses, workers):
-            done.append(path)
+        with _mapper(workers, paths) as map_:
+            for path in map_(_path_worker, argses):
+                done.append(path)
     except RejectionLimitError as exc:
         return done, exc
     return done, None
@@ -127,7 +122,8 @@ def ensemble_sweep_parallel(
     arithmetic on these two arrays.
     """
     argses = [(config, r, g, i) for i in range(replicas)]
-    rows = list(_ordered_map(_sweep_worker, argses, workers))
+    with _mapper(workers, replicas) as map_:
+        rows = list(map_(_sweep_worker, argses))
     weights = np.array([w for w, _ in rows])
     blocks = np.array([b for _, b in rows], dtype=np.int64)
     return weights, blocks
@@ -239,21 +235,13 @@ def slice_decay(
         raise ValueError(f"axis {axis} out of range")
     if not 0 <= position < config.k ** resolutions[0]:
         raise ValueError("slab position outside the coarsest grid")
-    argses = [
-        (config, resolutions, g, axis, position, i) for i in range(trees)
-    ]
-    rows = list(_ordered_map(_slice_worker, argses, workers))
-    fractions: List[np.ndarray] = []
-    surviving = []
-    for ri in range(len(resolutions)):
-        vals = []
-        for per_tree in rows:
-            total, slab = per_tree[ri]
-            if total > 0:
-                vals.append(slab / total)
-        fractions.append(np.array(vals))
-        surviving.append(len(vals))
-    stats = [WeightedMean.from_values(v) for v in fractions]
+    argses = [(config, resolutions, g, axis, position, i) for i in range(trees)]
+    with _mapper(workers, trees) as map_:
+        rows = list(map_(_slice_worker, argses))
+    # (trees, resolutions, 2) -> one (resolutions, trees) array each
+    totals, slabs = np.array(rows, dtype=np.int64).reshape(trees, len(resolutions), 2).T
+    alive = totals > 0
+    stats = [WeightedMean.from_values(s[a] / t[a]) for s, t, a in zip(slabs, totals, alive)]
     mean_fraction = np.array([s.estimate for s in stats])
     se = np.array([s.se for s in stats])
     d = dimension(config)
@@ -268,7 +256,7 @@ def slice_decay(
         axis=axis,
         position=position,
         trees=trees,
-        surviving=tuple(surviving),
+        surviving=tuple(alive.sum(axis=1).tolist()),
         mean_fraction=mean_fraction,
         se=se,
         observed_ratios=np.array(observed),

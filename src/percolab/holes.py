@@ -281,7 +281,7 @@ def gap_porosity(sweep, limit, radius_cells: float) -> np.ndarray:
     return np.minimum(1.0, 0.5 * a / radius_cells)
 
 
-def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarray, int]:
+def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarray, float]:
     """Window sweep and retained count of one ball's box, which hold both its porosities.
 
     ``counts`` is a grid of retained counts (mass is proportional to them,
@@ -300,10 +300,11 @@ def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarr
     are taken over the ball's intersection with the cube.  The box is at
     most side // 2 cells wide, so its sweep has at most side // 2 + 1
     entries: one per side up to the box's narrowest extent.  This is
-    ``stack_geometry``'s ball sweep on a stack of one grid.
+    ``stack_geometry``'s ball sweep on a stack of one grid.  The box count
+    keeps the grid's kind: an int for integer cells, a float for mass cells.
     """
     counts = np.asarray(counts)
     if not counts[tuple(int(c) for c in center)] > 0:
         raise ValueError(f"center cell {tuple(center)} has no retained count")
     _, balls, total = _stack_sweeps(counts[None], [center])
-    return balls[0][balls[0] != _PAD], int(total[0])
+    return balls[0][balls[0] != _PAD], total[0].item()

@@ -241,13 +241,13 @@ class LazyTree:
     whose work and level buffers each process keeps per fanout, for every
     tree; both hash the same counter-based keys, so they always agree.
     ``max_nodes`` caps the children one frontier level or count grid may
-    hold; it defaults to the ``PERCOLAB_MAX_NODES`` environment variable,
+    hold; it is read from the ``PERCOLAB_MAX_NODES`` environment variable,
     else 2^24.
     """
 
-    def __init__(self, config: PercolationConfig, max_nodes: Optional[int] = None):
+    def __init__(self, config: PercolationConfig):
         self.config = config
-        self.max_nodes = int(max_nodes) if max_nodes else _max_nodes_default()
+        self.max_nodes = _max_nodes_default()
         self._root_key = substream(config.seed, STREAM_RETENTION)
 
     # -- scalar queries ---------------------------------------------------

@@ -64,15 +64,6 @@ def _mix64_inplace(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.nd
     return x
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer on a uint64 array; ``x`` is untouched.
-
-    Overflow wraps silently for arrays (unlike numpy scalars), which is the
-    behaviour we want here.
-    """
-    return _mix64_inplace(x.astype(np.uint64, copy=True))
-
-
 def seed_key(seed: int) -> int:
     """Root key for a user seed.
 

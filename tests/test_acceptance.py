@@ -49,6 +49,7 @@ from percolab import cli
 from percolab.estimators import discrepancy_rate, ensemble_from_sweep
 from percolab.experiments import ensemble_sweep_parallel
 from percolab.holes import (
+    _stack_sweeps,
     cells_threshold,
     empty_block_sides,
     measure_hole_indicators,
@@ -184,6 +185,10 @@ def test_criterion_3a_exhaustive_4x4_grids():
     assert np.array_equal(dp_best, brute_best)
     sweeps = np.stack([window_min_sweep(stack[:, :, i]) for i in range(n)], axis=1)
     assert np.array_equal(sweeps, brute_min)
+    # the stacked kernels a path runs: the stack axis first, as sample_qpath stacks its scales
+    assert np.array_equal(max_empty_block(stack, spatial=2), brute_best)
+    stacked = _stack_sweeps(np.moveaxis(stack, -1, 0))[0]
+    assert np.array_equal(stacked.T, brute_min)
 
 
 def test_criterion_3b_random_3d_grids():

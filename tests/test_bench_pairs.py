@@ -1,9 +1,17 @@
-"""tools/bench_pairs.summarize: medians, quartiles and pair wins of a BENCH file."""
+"""tools/bench_pairs: medians, quartiles and pair wins of a BENCH file, and stopping a run."""
 
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
 
@@ -72,3 +80,65 @@ def test_a_metric_missing_on_one_side_is_left_out():
     summary = bench_pairs.summarize(pairs, BETTER)["w"]
     assert "throughput" not in summary
     assert summary["wall_s"]["change_better_pairs"] == 2
+
+
+# a benchmarks/run.py that starts a child in its own process group, writes
+# both pids and sleeps until it is stopped
+STUB_RUN = """\
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+path = os.environ["STUB_PIDS"]
+with open(path + ".part", "w") as fh:
+    fh.write(f"{os.getpid()} {child.pid}")
+os.replace(path + ".part", path)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_a_stop_signal_ends_the_current_run_and_removes_the_scratch(tmp_path, signum):
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "benchmarks").mkdir()
+    shutil.copy(ROOT / "tools" / "bench_pairs.py", repo / "tools")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / "benchmarks" / "run.py").write_text(STUB_RUN)
+    git = ["git", "-C", str(repo), "-c", "user.name=stub", "-c", "user.email=stub@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, check=True)
+    scratch, pids, out = tmp_path / "tmp", tmp_path / "pids", tmp_path / "out.json"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch), STUB_PIDS=str(pids))
+    cmd = [sys.executable, str(repo / "tools" / "bench_pairs.py"),
+           "--parent", "HEAD", "--change", "HEAD", "--out", str(out)]
+    proc = subprocess.Popen(cmd, env=env, stderr=subprocess.DEVNULL)
+    stub_pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        stub_pids = [int(pid) for pid in pids.read_text().split()]
+        assert all(_running(pid) for pid in stub_pids)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == 1
+        # the stub itself was waited for; its child exits on the same signal
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in stub_pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in stub_pids)
+        assert list(scratch.iterdir()) == [] and not out.exists()
+    finally:  # a failing run leaves nothing behind either
+        for pid in [proc.pid] * (proc.poll() is None) + stub_pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _ball_cells,
     ball_box_sweep,
     ball_measure_porosity,
     ball_set_porosity,
@@ -459,3 +460,12 @@ def test_ball_porosities_joint_consistency():
     counts[8, 8] = 0  # a center without retained lines is not a set point
     with pytest.raises(ValueError):
         ball_porosities(counts, (8, 8))
+
+
+def test_ball_porosities_keeps_a_float_box_count():
+    # a mass grid's box count is its cells' float sum, not truncated to an int
+    grid = np.random.default_rng(0).random((16, 16))
+    sweep, count = ball_porosities(grid, (3, 3))
+    box = _ball_cells(grid, (3, 3), 4.0)
+    assert isinstance(count, float) and count == box.sum()
+    assert sweep == pytest.approx(window_min_sweep(box), abs=1e-12)

@@ -12,8 +12,8 @@ from percolab.rng import child_keys, substream, unit_draws
 from percolab.words import cell_of_digits
 
 
-def tree(p=0.8, seed=0, m=2, k=2, **kw):
-    return LazyTree(PercolationConfig(m=m, k=k, p=p, seed=seed), **kw)
+def tree(p=0.8, seed=0, m=2, k=2):
+    return LazyTree(PercolationConfig(m=m, k=k, p=p, seed=seed))
 
 
 def test_config_validation():
@@ -360,8 +360,9 @@ def test_retention_frequency_matches_p():
     assert abs(hits / total - p) < 4 * se
 
 
-def test_memory_budget_enforced():
-    t = tree(p=0.9, seed=0, max_nodes=1000)
+def test_memory_budget_enforced(monkeypatch):
+    monkeypatch.setenv("PERCOLAB_MAX_NODES", "1000")
+    t = tree(p=0.9, seed=0)
     with pytest.raises(MemoryBudgetError):
         t.count_profile(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
     # the budget bounds the retained frontier's children, not the 4**depth lattice

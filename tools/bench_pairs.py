@@ -23,6 +23,10 @@ BENCHMARK.json).  Pairs in which either side failed are left out of those.
 One resource probe per side runs the dimension-sparse spec at seed 0 as one
 CLI process and records its wall time,
 max RSS, minor page faults and user and system CPU from ``getrusage``.
+
+Each run starts in a session of its own.  On SIGTERM or SIGINT the current
+run's process group gets SIGTERM and is waited for, the scratch directory
+is removed, nothing is written and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import suppress
 from importlib import metadata
 from pathlib import Path
 from typing import Dict, List
@@ -60,13 +66,34 @@ def unpack(rev: str, dest: Path) -> str:
     return commit
 
 
+def run_in_session(cmd: List[str], **kwargs):
+    """Run ``cmd`` in a session of its own; returns its exit code and rusage.
+
+    If waiting is interrupted (a stop signal raises KeyboardInterrupt), the
+    child's process group gets SIGTERM and is waited for before the
+    exception goes on.
+    """
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, start_new_session=True, **kwargs)
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGTERM)
+        proc.wait()
+        raise
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One run of the side's benchmarks/run.py; returns its --out result."""
     out = tree / "bench-result.json"
     try:
         cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(int(trace)), "--out", str(out)]
-        subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL, check=True)
+        code, _ = run_in_session(cmd, cwd=tree)
+        if code:
+            raise subprocess.CalledProcessError(code, cmd)
         result = json.loads(out.read_text(encoding="utf-8"))
     finally:
         out.unlink(missing_ok=True)
@@ -94,15 +121,14 @@ def probe(tree: Path, workload: str) -> dict:
         env.pop("PERCOLAB_MAX_NODES", None)
         code = "import sys; from percolab import cli; sys.exit(cli.main(sys.argv[1:]))"
         start = time.monotonic()
-        proc = subprocess.Popen(
+        exit_code, usage = run_in_session(
             [sys.executable, "-c", code, "--spec", str(spec_path), "--out", str(Path(work) / "out")],
-            env=env, stdout=subprocess.DEVNULL,
+            env=env,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.monotonic() - start
     return {
         "workload": workload,
-        "exit": os.waitstatus_to_exitcode(status),
+        "exit": exit_code,
         "wall_s": wall,
         "max_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_page_faults": usage.ru_minflt,
@@ -152,21 +178,11 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
     return summary
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--change", required=True, help="git revision of the change")
-    parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
-    parser.add_argument("--set", action="append", dest="sets",
-                        help="WORKLOAD:SEED:PAIRS[:trace]; default all:0:10")
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--note", default="")
-    args = parser.parse_args(argv)
+def measure(args, better: Dict[str, str]):
+    """Every set's pairs and both probes, from the sides unpacked in a scratch directory.
 
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        declared = json.load(fh)
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-
+    Returns (commits, sets, probes).
+    """
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees = {side: Path(scratch) / side for side in SIDES}
         commits = {side: unpack(getattr(args, side), trees[side]) for side in SIDES}
@@ -190,6 +206,34 @@ def main(argv=None) -> int:
                 "pairs": pairs,
             })
         probes = {side: probe(trees[side], PROBE) for side in SIDES}
+    return commits, sets, probes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", required=True, help="git revision of the change")
+    parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    parser.add_argument("--set", action="append", dest="sets",
+                        help="WORKLOAD:SEED:PAIRS[:trace]; default all:0:10")
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--note", default="")
+    args = parser.parse_args(argv)
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = json.load(fh)
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+    # both stop signals unwind as Ctrl-C does (even where SIGINT was ignored
+    # at start): the current run's group is stopped and waited for, and the
+    # scratch directory is removed
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.default_int_handler)
+    try:
+        commits, sets, probes = measure(args, better)
+    except KeyboardInterrupt:
+        print("stopped: no report written", file=sys.stderr)
+        return 1
 
     try:
         numpy_version = metadata.version("numpy")
