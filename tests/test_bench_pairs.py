@@ -82,8 +82,8 @@ def test_a_metric_missing_on_one_side_is_left_out():
     assert summary["wall_s"]["change_better_pairs"] == 2
 
 
-# a benchmarks/run.py that starts a child in its own process group, writes
-# both pids and sleeps until it is stopped
+# a benchmarks/run.py that starts a child in its process group, writes both
+# pids and sleeps until it is stopped
 STUB_RUN = """\
 import os, subprocess, sys, time
 child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
@@ -138,7 +138,9 @@ def test_a_stop_signal_ends_the_current_run_and_removes_the_scratch(tmp_path, si
         assert not any(_running(pid) for pid in stub_pids)
         assert list(scratch.iterdir()) == [] and not out.exists()
     finally:  # a failing run leaves nothing behind either
-        for pid in [proc.pid] * (proc.poll() is None) + stub_pids:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in stub_pids:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
-        proc.wait()
