@@ -195,3 +195,25 @@ def test_errors_survive_a_pickle_round_trip(error):
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error)
     assert str(back) == str(error) and vars(back) == vars(error)
+
+
+@pytest.mark.parametrize("m,axis,position", [(2, 1, 3), (3, 2, 1), (3, 1, 2)])
+def test_slice_worker_reads_the_slab_on_its_axis(m, axis, position):
+    # each slab count is the sum of the grid cells whose coordinate on
+    # ``axis`` is ``position``, found cell by cell rather than by slicing
+    from percolab import LazyTree
+    from percolab.experiments import _slice_worker
+    from percolab.percolation import descendant_counts, grid_from_digit_order
+    from percolab.qsampler import ensemble_config
+
+    cfg = PercolationConfig(m, 2, 0.8, seed=5)
+    resolutions, g = (2, 3), 1
+    for replica in range(4):
+        rows = _slice_worker((cfg, resolutions, g, axis, position, replica))
+        tree = LazyTree(ensemble_config(cfg, replica))
+        for r, (total, slab) in zip(resolutions, rows):
+            counts = descendant_counts(tree, cfg.root_word(), r, g)
+            grid = grid_from_digit_order(counts, m, 2, r)
+            on_slab = np.indices(grid.shape)[axis] == position
+            assert total == counts.sum()
+            assert slab == grid[on_slab].sum()
