@@ -41,7 +41,7 @@ from .experiments import (
     slice_decay,
 )
 from .percolation import PercolationConfig, _max_nodes_default
-from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, ensemble_config
+from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, DEFAULT_PROBE_DEPTH, ensemble_config
 from . import __version__
 
 _SCHEMA_VERSION = 1
@@ -58,7 +58,7 @@ class ExperimentSpec:
     seed: int = 0
     scales: int = 100  # path length (scales visited per path)
     resolution: int = 6  # r: grid refinement depth per scale
-    probe_depth: int = 4  # g: extra generations deciding alive cells
+    probe_depth: int = DEFAULT_PROBE_DEPTH  # g: extra generations deciding alive cells
     alpha_grid: Tuple[float, ...] = DEFAULT_ALPHA_GRID
     eps_grid: Tuple[float, ...] = DEFAULT_EPS_GRID
     replicas: int = 20  # paths / ensemble replicas / trees, per kind
@@ -170,10 +170,11 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
 def validate(spec: ExperimentSpec) -> List[str]:
     """Advisory report: conditions worth a warning but not a refusal."""
     warnings = []
-    if spec.p <= float(spec.k) ** (-spec.m):
+    critical = spec.config().critical_probability
+    if spec.p <= critical:
         warnings.append(
             f"p={spec.p} is at or below the critical value k^-m="
-            f"{float(spec.k) ** (-spec.m):g}: the process dies out almost "
+            f"{critical:g}: the process dies out almost "
             f"surely and survival rejection will be slow or hopeless"
         )
     # dimension-slope walks profiles only and builds no count grid
@@ -506,8 +507,7 @@ def _run_slice_decay(spec: ExperimentSpec):
             ],
         )
     }
-    summary = {"kind": spec.kind, **asdict(res)}  # every SliceDecay field but the slab
-    del summary["axis"], summary["position"]
+    summary = {"kind": spec.kind, **asdict(res)}
     survival = {"trees": res.trees, "surviving": list(res.surviving)}
     return tables, summary, survival, _tree_seeds(spec, spec.replicas), None
 
@@ -552,7 +552,7 @@ _RUNNERS = {
 KINDS = tuple(_RUNNERS)
 
 
-def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
+def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment and persist tables, summary, and manifest."""
     errors = spec_errors(spec)
     if errors:
@@ -563,7 +563,7 @@ def run(spec: ExperimentSpec, out_dir: Optional[str] = None) -> dict:
     started = time.time()
     tables, summary, survival, seeds, err = _RUNNERS[spec.kind](spec)
     # made only now, so a run that raises (exit 3 or 4) leaves no directory
-    out = Path(out_dir if out_dir is not None else spec.out_dir)
+    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
@@ -616,7 +616,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not isinstance(data, dict):
             print("error: spec file must hold a JSON object", file=sys.stderr)
             return 2
-    flags = {"kind": args.kind, "seed": args.seed, "workers": args.workers}
+    flags = {"kind": args.kind, "seed": args.seed, "workers": args.workers, "out_dir": args.out}
     overrides = {name: value for name, value in flags.items() if value is not None}
 
     try:
@@ -633,7 +633,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"warning: {line}", file=sys.stderr)
 
     try:
-        manifest = run(spec, out_dir=args.out)
+        manifest = run(spec)
     except MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -641,8 +641,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
-    out = args.out if args.out is not None else spec.out_dir
-    print(f"wrote {', '.join(manifest['outputs'])} to {out}")
+    print(f"wrote {', '.join(manifest['outputs'])} to {spec.out_dir}")
     if manifest["partial"]:
         print(
             "warning: survival rejection exhausted; results are partial",

@@ -75,9 +75,7 @@ def _slice_worker(args) -> List[Tuple[int, int]]:
     for r in resolutions:
         counts = descendant_counts(tree, cfg.root_word(), r, g)
         grid = grid_from_digit_order(counts, cfg.m, cfg.k, r)
-        index = [slice(None)] * cfg.m
-        index[axis] = slice(position, position + 1)
-        out.append((int(counts.sum()), int(grid[tuple(index)].sum())))
+        out.append((int(counts.sum()), int(np.take(grid, position, axis).sum())))
     return out
 
 
@@ -205,8 +203,6 @@ class SliceDecay:
     """Mass caught by a one-cell slab, across resolutions."""
 
     resolutions: Tuple[int, ...]
-    axis: int
-    position: int
     trees: int
     surviving: Tuple[int, ...]  # trees with any retained nodes, per resolution
     mean_fraction: np.ndarray  # mean slab/total over surviving trees
@@ -228,7 +224,8 @@ def slice_decay(
 
     The slab fraction is a counts ratio (the common mass rescale cancels),
     evaluated at a fixed slab position; positions are exchangeable under
-    relabeling of subcubes, so any fixed choice is representative.
+    relabeling of subcubes, so any fixed choice is representative.  A
+    resolution at which no tree survives raises RejectionLimitError.
     """
     resolutions = tuple(sorted(int(r) for r in resolutions))
     if not 0 <= axis < config.m:
@@ -241,6 +238,9 @@ def slice_decay(
     # (trees, resolutions, 2) -> one (resolutions, trees) array each
     totals, slabs = np.array(rows, dtype=np.int64).reshape(trees, len(resolutions), 2).T
     alive = totals > 0
+    for r, survived in zip(resolutions, alive):  # coarsest first
+        if not survived.any():
+            raise RejectionLimitError(trees, f"no tree of {trees} survived at resolution {r}")
     stats = [WeightedMean.from_values(s[a] / t[a]) for s, t, a in zip(slabs, totals, alive)]
     mean_fraction = np.array([s.estimate for s in stats])
     se = np.array([s.se for s in stats])
@@ -253,8 +253,6 @@ def slice_decay(
         theory.append(float(config.k) ** ((r2 - r1) * (d - (config.m - 1))))
     return SliceDecay(
         resolutions=resolutions,
-        axis=axis,
-        position=position,
         trees=trees,
         surviving=tuple(alive.sum(axis=1).tolist()),
         mean_fraction=mean_fraction,

@@ -8,10 +8,10 @@ descendant count at the probe depth.  Chains of those ratios telescope into
 cylinder-mass ratios, so the walk follows the natural measure as far as a
 finite probe can see it.
 
-What this leaves out is the mass-biasing of the tree itself; that part is
-restored by the importance weight (the root's martingale estimate) carried
-by every path and used by ``importance_functional``, which turns plain
-ensemble averages into size-biased expectations.
+What this leaves out is the mass-biasing of the tree itself.  Ensembles
+restore it through ``importance_functional``, which weighs every word of a
+plain replica by its depth-(r+g) mass and so turns plain ensemble averages
+into size-biased expectations.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .holes import (
     set_hole_indicators,
     stack_geometry,
 )
-from .measure import mass_factor, x_estimate
+from .measure import mass_factor
 from .percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
@@ -327,11 +327,6 @@ class ReplicaView:
         self.word_weights = self.counts * mass_factor(self.config, r + g)
 
     @cached_property
-    def weight(self) -> float:
-        """Root martingale estimate at probe depth g."""
-        return x_estimate(self.tree, self.config.root_word(), self.g)
-
-    @cached_property
     def a_star(self) -> int:
         return max_empty_block(self.grid)
 
@@ -376,32 +371,27 @@ def importance_functional(
     g: int,
     replicas: int,
     f: Callable[[ReplicaView], object],
-    mode: str = "word",
 ) -> WeightedMean:
     """Size-biased mean of a depth-r functional, by importance reweighting.
 
-    mode="global": f(view) returns one number per configuration; each
-    replica contributes weight * f, the root-level transfer identity.
-    mode="word": f(view) returns one number per depth-r word (digit order,
-    length (k^m)^r); each replica contributes the word-weighted sum.  Dead
-    replicas carry zero weight and drag the estimate toward its honest
-    unconditioned value -- no survival rejection happens here.
+    f(view) returns one number per depth-r word (digit order, length
+    (k^m)^r), or one number for the whole configuration, which stands for
+    every word.  Each replica contributes the word-weighted sum, so a
+    single number is weighed by the word-weight total, the root estimate at
+    depth r + g.  Dead replicas carry zero weight and drag the estimate
+    toward its honest unconditioned value -- no survival rejection happens
+    here.
     """
-    if mode not in ("global", "word"):
-        raise ValueError(f"unknown mode {mode!r}")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for an interval")
     values = np.zeros(replicas)
     for i in range(replicas):
         view = ensemble_view(config, r, g, i)
-        if mode == "global":
-            values[i] = view.weight * float(f(view))
-        else:
-            arr = np.asarray(f(view), dtype=np.float64)
-            if arr.shape != view.word_weights.shape:
-                raise ValueError(
-                    f"word-mode functional returned shape {arr.shape}, "
-                    f"expected {view.word_weights.shape}"
-                )
-            values[i] = float(view.word_weights @ arr)
+        arr = np.asarray(f(view), dtype=np.float64)
+        if arr.shape not in ((), view.word_weights.shape):
+            raise ValueError(
+                f"functional returned shape {arr.shape}, expected () or "
+                f"{view.word_weights.shape}"
+            )
+        values[i] = float(view.word_weights @ np.broadcast_to(arr, view.word_weights.shape))
     return WeightedMean.from_values(values)

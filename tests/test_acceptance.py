@@ -435,8 +435,8 @@ def test_criterion_13_worker_determinism(tmp_path):
     digests = []
     for workers in (1, 8):
         out = tmp_path / f"w{workers}"
-        spec = cli.spec_from_dict({**base, "workers": workers})
-        manifest = cli.run(spec, out_dir=str(out))
+        spec = cli.spec_from_dict({**base, "workers": workers, "out_dir": str(out)})
+        manifest = cli.run(spec)
         assert manifest["partial"] is False
         digests.append(
             {

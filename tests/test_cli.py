@@ -97,6 +97,17 @@ def test_validate_warns_subcritical_and_budget():
         assert any("budget" in w for w in cli.validate(cli.spec_from_dict(big)))
 
 
+def test_validate_warns_of_a_large_resident_set(monkeypatch):
+    # about 1.5e7 expected frontier nodes fit the 2^24 budget, and five
+    # workers hold more than four budgets of them at once
+    monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
+    spec = cli.spec_from_dict({"kind": "dimension-slope", "depths": [14], "workers": 5})
+    warnings = cli.validate(spec)
+    assert len(warnings) == 1
+    assert warnings[0].startswith("5 workers x ") and "large resident set" in warnings[0]
+    assert cli.validate(dataclasses.replace(spec, workers=4)) == []
+
+
 # -- every kind runs and writes its tables --------------------------------------
 
 
@@ -118,8 +129,8 @@ def test_validate_warns_subcritical_and_budget():
     ],
 )
 def test_run_each_kind_writes_tables(tmp_path, overrides, files):
-    spec = cli.spec_from_dict({**TINY, **overrides})
-    manifest = cli.run(spec, out_dir=str(tmp_path))
+    spec = cli.spec_from_dict({**TINY, **overrides, "out_dir": str(tmp_path)})
+    manifest = cli.run(spec)
     for name in files + ["summary.json"]:
         assert (tmp_path / name).exists(), name
         assert name in manifest["outputs"]
@@ -136,8 +147,8 @@ def test_run_each_kind_writes_tables(tmp_path, overrides, files):
 def test_covariance_rows_are_sorted_unique_lags(tmp_path):
     # a repeated lag gets one row, and rows run in increasing lag order
     payload = {**TINY, "kind": "covariance", "seed": 6, "alpha": 0.5, "replicas": 20}
-    spec = cli.spec_from_dict({**payload, "lags": [2, 0, 2, 1]})
-    cli.run(spec, out_dir=str(tmp_path))
+    spec = cli.spec_from_dict({**payload, "lags": [2, 0, 2, 1], "out_dir": str(tmp_path)})
+    cli.run(spec)
     with open(tmp_path / "covariance.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["lag"] for row in rows] == ["0", "1", "2"]
@@ -148,16 +159,16 @@ def test_covariance_rows_are_sorted_unique_lags(tmp_path):
 
 def test_run_is_deterministic_per_spec(tmp_path):
     spec = cli.spec_from_dict(TINY)
-    cli.run(spec, out_dir=str(tmp_path / "a"))
-    cli.run(spec, out_dir=str(tmp_path / "b"))
+    cli.run(dataclasses.replace(spec, out_dir=str(tmp_path / "a")))
+    cli.run(dataclasses.replace(spec, out_dir=str(tmp_path / "b")))
     assert _read_outputs(tmp_path / "a") == _read_outputs(tmp_path / "b")
 
 
 def test_run_worker_count_does_not_change_artifacts(tmp_path):
     serial = cli.spec_from_dict(TINY)
     pooled = cli.spec_from_dict({**TINY, "workers": 2})
-    cli.run(serial, out_dir=str(tmp_path / "s"))
-    cli.run(pooled, out_dir=str(tmp_path / "p"))
+    cli.run(dataclasses.replace(serial, out_dir=str(tmp_path / "s")))
+    cli.run(dataclasses.replace(pooled, out_dir=str(tmp_path / "p")))
     assert _read_outputs(tmp_path / "s") == _read_outputs(tmp_path / "p")
 
 
@@ -181,11 +192,14 @@ def test_main_ok_and_manifest_rerun(tmp_path, capsys):
 
 
 def test_main_flag_overrides_beat_spec(tmp_path):
-    spec_file = _write_spec(tmp_path, TINY)
+    spec_file = _write_spec(tmp_path, {**TINY, "out_dir": str(tmp_path / "unused")})
     out = tmp_path / "o"
     assert cli.main(["--spec", spec_file, "--seed", "9", "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["spec"]["seed"] == 9
+    # the manifest names the directory that was written
+    assert manifest["spec"]["out_dir"] == str(out)
+    assert not (tmp_path / "unused").exists()
 
 
 def test_main_rejects_bad_json(tmp_path, capsys):
@@ -285,9 +299,9 @@ def test_main_rejects_a_spec_file_that_is_not_an_object(tmp_path, capsys):
 
 def test_run_refuses_an_invalid_spec(tmp_path):
     # the library entry point checks the spec itself, as main does
-    spec = cli.spec_from_dict({**TINY, "scales": 0, "workers": 0})
+    spec = cli.spec_from_dict({**TINY, "scales": 0, "workers": 0, "out_dir": str(tmp_path / "o")})
     with pytest.raises(ValueError, match="scales must be >= 1; workers must be >= 1"):
-        cli.run(spec, out_dir=str(tmp_path / "o"))
+        cli.run(spec)
     assert not (tmp_path / "o").exists()
 
 
@@ -367,6 +381,18 @@ def test_main_dimension_slope_without_survivors_exits_4(tmp_path, capsys):
     assert len(warnings) == 1 and "critical" in warnings[0]
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: only 0 of 2 trees survived to depth 20 within 40 candidates"]
+    assert not out.exists()
+
+
+def test_main_slice_decay_without_survivors_exits_4(tmp_path, capsys):
+    # no tree survives at the coarsest resolution: nothing is written, no
+    # NaN reaches summary.json and numpy warns of no empty mean
+    payload = {"kind": "slice-decay", "p": 0.2, "replicas": 2, "resolutions": [2, 4]}
+    out = tmp_path / "o"
+    assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("warning:") and "critical" in lines[0]
+    assert lines[1] == "error: no tree of 2 survived at resolution 2"
     assert not out.exists()
 
 

@@ -187,6 +187,13 @@ def test_slice_decay_position_and_axis_checked():
         slice_decay(cfg, resolutions=(2, 3), trees=10, position=100)
 
 
+def test_slice_decay_without_survivors_raises():
+    # no tree survives past depth 6 here: every slab fraction would be 0/0
+    cfg = PercolationConfig(2, 2, 0.2, seed=0)
+    with pytest.raises(RejectionLimitError, match="no tree of 2 survived at resolution 2$"):
+        slice_decay(cfg, resolutions=(2, 4), trees=2, g=4)
+
+
 @pytest.mark.parametrize(
     "error", [RejectionLimitError(2, "no luck"), RejectionLimitError(7), MemoryBudgetError(10, 5)]
 )

@@ -435,3 +435,11 @@ def test_grid_from_digit_order_layout():
 def test_different_seeds_differ():
     a, b = (descendant_counts(tree(seed=s), Word.root(2, 2), 4, 0) for s in (0, 1))
     assert not np.array_equal(a, b)
+
+
+def test_descend_needs_a_labelled_frontier():
+    tree = LazyTree(PercolationConfig(2, 2, 0.8, seed=1))
+    with tree.frontier(tree.config.root_word()) as front:
+        tree.expand_retained(front, 2)
+        with pytest.raises(ValueError, match="needs a labelled frontier"):
+            front.descend(1)

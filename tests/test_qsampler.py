@@ -14,7 +14,10 @@ from percolab import (
     x_estimate,
 )
 from percolab import qsampler
+from percolab.estimators import ensemble_from_sweep
+from percolab.experiments import ensemble_sweep_parallel
 from percolab.holes import (
+    cells_threshold,
     max_empty_block,
     restricted_max_empty_block,
     window_min_sweep,
@@ -458,23 +461,36 @@ def _perm_inv(r):
 
 def test_importance_functional_unit_mean():
     cfg = PercolationConfig(2, 2, 0.8, seed=101)
-    est_word = importance_functional(
-        cfg, r=3, g=3, replicas=400, f=lambda v: np.ones(64), mode="word"
-    )
+    est_word = importance_functional(cfg, r=3, g=3, replicas=400, f=lambda v: np.ones(64))
     assert abs(est_word.estimate - 1.0) < 4 * est_word.se
-    est_global = importance_functional(
-        cfg, r=3, g=3, replicas=400, f=lambda v: 1.0, mode="global"
-    )
+    est_global = importance_functional(cfg, r=3, g=3, replicas=400, f=lambda v: 1.0)
     assert abs(est_global.estimate - 1.0) < 4 * est_global.se
 
 
 def test_importance_functional_validates():
     cfg = PercolationConfig(2, 2, 0.8, seed=0)
     with pytest.raises(ValueError):
-        importance_functional(cfg, 2, 2, replicas=1, f=lambda v: 1.0, mode="global")
-    with pytest.raises(ValueError):
-        importance_functional(cfg, 2, 2, replicas=4, f=lambda v: 1.0, mode="nope")
-    with pytest.raises(ValueError):
-        importance_functional(
-            cfg, 2, 2, replicas=4, f=lambda v: np.ones(3), mode="word"
-        )
+        importance_functional(cfg, 2, 2, replicas=1, f=lambda v: 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        importance_functional(cfg, 2, 2, replicas=4, f=lambda v: np.ones(3))
+
+
+def test_one_number_is_weighed_by_the_word_weights():
+    # a replica with any word weight survives, so the survival indicator
+    # and the constant 1 must give the same estimate, replica for replica
+    cfg = PercolationConfig(2, 2, 0.35, seed=3)
+    alive = importance_functional(cfg, 3, 1, 200, f=lambda v: float(v.counts.sum() > 0))
+    ones = importance_functional(cfg, 3, 1, 200, f=lambda v: 1.0)
+    assert alive == ones
+
+
+def test_ensemble_driver_is_the_importance_functional_of_its_hole_indicator():
+    cfg = PercolationConfig(2, 2, 0.8, seed=0)
+    r, g, replicas, alpha = 3, 2, 100, 0.25
+    weights, blocks = ensemble_sweep_parallel(cfg, r, g, replicas)
+    lower, _ = ensemble_from_sweep(cfg, [alpha], r, weights, blocks)[0]
+    threshold = cells_threshold(alpha, 2**r)
+    direct = importance_functional(cfg, r, g, replicas, f=lambda v: float(v.a_star >= threshold))
+    assert 0 < lower.estimate
+    assert direct.estimate == pytest.approx(lower.estimate, rel=1e-12)
+    assert direct.se == pytest.approx(lower.se, rel=1e-12)
