@@ -385,8 +385,8 @@ def test_main_dimension_slope_without_survivors_exits_4(tmp_path, capsys):
 
 
 def test_main_slice_decay_without_survivors_exits_4(tmp_path, capsys):
-    # no tree survives at the coarsest resolution: nothing is written, no
-    # NaN reaches summary.json and numpy warns of no empty mean
+    # no tree survives at the coarsest resolution: the run stops with one
+    # error line, before any 0/0 fraction is averaged, and writes nothing
     payload = {"kind": "slice-decay", "p": 0.2, "replicas": 2, "resolutions": [2, 4]}
     out = tmp_path / "o"
     assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 4

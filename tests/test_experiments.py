@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from percolab import (
+    LazyTree,
     MemoryBudgetError,
     PercolationConfig,
     RejectionLimitError,
@@ -15,8 +16,9 @@ from percolab import (
     sample_qpath,
     slice_decay,
 )
-from percolab.experiments import ensemble_sweep_parallel
-from percolab.qsampler import ensemble_view
+from percolab.experiments import _slice_worker, ensemble_sweep_parallel
+from percolab.percolation import descendant_counts, grid_from_digit_order
+from percolab.qsampler import ensemble_config, ensemble_view
 
 
 def _same_paths(a, b):
@@ -208,11 +210,6 @@ def test_errors_survive_a_pickle_round_trip(error):
 def test_slice_worker_reads_the_slab_on_its_axis(m, axis, position):
     # each slab count is the sum of the grid cells whose coordinate on
     # ``axis`` is ``position``, found cell by cell rather than by slicing
-    from percolab import LazyTree
-    from percolab.experiments import _slice_worker
-    from percolab.percolation import descendant_counts, grid_from_digit_order
-    from percolab.qsampler import ensemble_config
-
     cfg = PercolationConfig(m, 2, 0.8, seed=5)
     resolutions, g = (2, 3), 1
     for replica in range(4):

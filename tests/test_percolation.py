@@ -438,8 +438,8 @@ def test_different_seeds_differ():
 
 
 def test_descend_needs_a_labelled_frontier():
-    tree = LazyTree(PercolationConfig(2, 2, 0.8, seed=1))
-    with tree.frontier(tree.config.root_word()) as front:
-        tree.expand_retained(front, 2)
+    t = tree(p=0.8, seed=1)
+    with t.frontier(Word.root(2, 2)) as front:
+        t.expand_retained(front, 2)
         with pytest.raises(ValueError, match="needs a labelled frontier"):
             front.descend(1)

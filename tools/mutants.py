@@ -126,7 +126,7 @@ def main(argv=None) -> int:
             return 1
         results = check(tree, mutants, args.timeout)
     for result in results:
-        print(f"{result['status']:<10} {result['seconds']:>6.1f}s  {result['name']}")
+        print(f"{result['seconds']:>6.1f}s  {result['name']}: {result['status']}")
     killed = sum(r["status"].startswith("killed") for r in results)
     print(f"mutants {len(results)}, killed {killed}, "
           f"seconds {time.monotonic() - start:.0f}")
