@@ -49,6 +49,19 @@ def test_each_mutant_is_applied_alone_and_restored(tmp_path):
     assert (tree / "src" / "toy.py").read_text() == TOY
 
 
+def test_same_size_mutants_back_to_back_leave_no_bytecode(tmp_path, monkeypatch):
+    # a cached .pyc is checked only against its source's size and whole-second
+    # mtime, so a stale one could hide the next same-size mutant or the original;
+    # the caller's environment must not be what keeps bytecode off
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    tree = _toy(tmp_path / "tree")
+    listed = [_mutant("minus", "a + b", "a - b"), _mutant("swapped", "a + b", "b + a"),
+              _mutant("minus again", "a + b", "a - b")]
+    results = mutants.check(tree, listed, timeout=60)
+    assert [r["status"] for r in results] == ["killed", "survived", "killed"]
+    assert not list(tree.rglob("*.pyc"))
+
+
 def test_a_run_past_its_timeout_is_killed(tmp_path):
     tree = _toy(tmp_path / "tree")
     hang = _mutant("hang", "return a + b", "while True:\n        pass")
@@ -76,7 +89,8 @@ def test_main_exits_nonzero_when_a_mutant_survives(tmp_path, monkeypatch, capsys
         return "0" * 40
 
     monkeypatch.setattr(mutants, "unpack", unpack)
-    assert mutants.main(["--mutants", str(path)]) == code
+    monkeypatch.setattr(mutants, "MUTANTS", path)
+    assert mutants.main([]) == code
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"mutants 1, killed {1 - code}")
 
 

@@ -1,20 +1,20 @@
 """Scoped mutation checks: each listed mutant must make its named tests fail.
 
 Usage:
-    python3 tools/mutants.py [--rev REV] [--mutants FILE] [--only NAME ...]
-        [--timeout S]
+    python3 tools/mutants.py [--rev REV]
 
 ``git archive`` unpacks REV (default HEAD) of this repository into a
 temporary directory, as ``tools/bench_pairs.py`` does, so only committed
-files are mutated.  The mutants file (default ``tools/mutants.json``) is a
-JSON list of objects with a ``name``, a ``file`` relative to the repository
+files are mutated.  The mutants file ``tools/mutants.json`` is a JSON list of objects with a ``name``, a ``file`` relative to the repository
 root, an ``old`` text that must occur exactly once in it, the ``new`` text
 that replaces it, and the ``tests`` (pytest ids) expected to fail.
 
 The named tests of every mutant first run once on the unmutated tree, and
 must pass there.  Then each mutant is applied alone, its tests run with
-``python -m pytest -x`` under ``PYTHONPATH=src`` and a timeout, and the file
-is restored.  A mutant is killed when its tests fail or time out, and
+``python -m pytest -x`` under ``PYTHONPATH=src`` and a 300 s timeout, and the
+file is restored.  No run writes bytecode: a cached ``.pyc`` is checked only
+against its source's size and whole-second mtime, so a same-size mutant
+written and restored within a second would otherwise leak into later runs.  A mutant is killed when its tests fail or time out, and
 survives when they pass; a missing or repeated old text, or a pytest run
 that collects no test, is an error.  Every pytest run starts in a session of
 its own, and a timed-out run's whole process group is killed.
@@ -44,6 +44,8 @@ FIELDS = ("name", "file", "old", "new", "tests")
 # them); 3 internal error, 4 usage error and 5 no test collected are errors
 FAILED = (1, 2)
 STATUS = {"failed": "killed", "timeout": "killed (timeout)", "passed": "survived"}
+MUTANTS = ROOT / "tools" / "mutants.json"
+TIMEOUT = 300.0  # seconds per pytest run
 
 
 def load(path: Path) -> List[dict]:
@@ -57,7 +59,7 @@ def load(path: Path) -> List[dict]:
 
 def run_tests(tree: Path, tests: Sequence[str], timeout: float) -> str:
     """'passed', 'failed', 'timeout' or 'error: ...' for one pytest run in ``tree``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
@@ -104,27 +106,19 @@ def check(tree: Path, mutants: Sequence[dict], timeout: float) -> List[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to mutate (default HEAD)")
-    parser.add_argument("--mutants", default=str(ROOT / "tools" / "mutants.json"))
-    parser.add_argument("--only", nargs="+", help="run only the mutants of these names")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
 
-    mutants = load(Path(args.mutants))
-    if args.only:
-        unknown = set(args.only) - {m["name"] for m in mutants}
-        if unknown:
-            parser.error(f"no mutant named {sorted(unknown)}")
-        mutants = [m for m in mutants if m["name"] in args.only]
+    mutants = load(MUTANTS)
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch) / "tree"
         commit = unpack(args.rev, tree)
         tests = sorted({test for m in mutants for test in m["tests"]})
-        baseline = run_tests(tree, tests, args.timeout)
+        baseline = run_tests(tree, tests, TIMEOUT)
         print(f"{commit[:12]}: baseline of {len(tests)} test ids {baseline}")
         if baseline != "passed":
             return 1
-        results = check(tree, mutants, args.timeout)
+        results = check(tree, mutants, TIMEOUT)
     for result in results:
         print(f"{result['seconds']:>6.1f}s  {result['name']}: {result['status']}")
     killed = sum(r["status"].startswith("killed") for r in results)
