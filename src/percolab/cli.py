@@ -240,7 +240,7 @@ def _json_default(obj):
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
         fh.write("\n")
 
 
@@ -508,6 +508,15 @@ def _run_slice_decay(spec: ExperimentSpec):
         )
     }
     summary = {"kind": spec.kind, **asdict(res)}
+    # a ratio onto a resolution whose mean slab fraction is 0 is nan: null
+    ratios = res.observed_ratios.tolist()
+    summary["observed_ratios"] = [None if math.isnan(x) else x for x in ratios]
+    zeros = [r for r, x in zip(res.resolutions[1:], ratios) if math.isnan(x)]
+    if zeros:
+        summary["null_ratio_reason"] = (
+            f"mean slab fraction 0 at resolution {', '.join(map(str, zeros))}: "
+            "no surviving tree has mass in the slab there"
+        )
     survival = {"trees": res.trees, "surviving": list(res.surviving)}
     return tables, summary, survival, _tree_seeds(spec, spec.replicas), None
 

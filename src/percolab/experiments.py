@@ -1,10 +1,12 @@
 """Experiment drivers: replica sweeps, parallel maps, diagnostic fits.
 
-Parallelism contract: replicas are mapped over a process pool in replica
+Parallelism contract: tasks are mapped over a process pool in replica
 order with chunk size 1 and merged by index, and every replica's randomness
 comes from its own substream, so results are identical for any worker
-count.  Worker functions take one picklable argument tuple and live at
-module top level.
+count.  A task is one replica, except in the ensemble sweep, where it is a
+stack of consecutive replicas whose grids share one empty-block pass.
+Worker functions take one picklable argument tuple and live at module top
+level.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RejectionLimitError
+from .holes import max_empty_block
 from .measure import dimension
 from .percolation import (
     LazyTree,
@@ -26,7 +29,14 @@ from .percolation import (
     descendant_counts,
     grid_from_digit_order,
 )
-from .qsampler import QPath, WeightedMean, ensemble_config, ensemble_view, sample_qpath
+from .qsampler import (
+    _STACK_CELLS,
+    QPath,
+    WeightedMean,
+    ensemble_config,
+    ensemble_view,
+    sample_qpath,
+)
 
 
 @contextmanager
@@ -54,10 +64,16 @@ def _path_worker(args) -> QPath:
     return sample_qpath(*args)
 
 
-def _sweep_worker(args) -> Tuple[float, int]:
-    config, r, g, replica = args
-    view = ensemble_view(config, r, g, replica)
-    return float(view.word_weights.sum()), int(view.a_star)
+def _sweep_worker(args) -> List[Tuple[float, int]]:
+    # one stack of consecutive replicas: start .. stop - 1
+    config, r, g, start, stop = args
+    weights, grids = [], []
+    for replica in range(start, stop):
+        view = ensemble_view(config, r, g, replica)
+        weights.append(float(view.word_weights.sum()))
+        grids.append(view.grid)
+    blocks = max_empty_block(np.stack(grids, axis=-1), config.m)
+    return list(zip(weights, blocks.tolist()))
 
 
 def _profile_worker(args) -> List[int]:
@@ -117,11 +133,14 @@ def ensemble_sweep_parallel(
     One depth-(r+g) expansion per replica yields both the total word weight
     (the root martingale estimate at depth r+g) and the geometry needed for
     every alpha at once; hole indicators at any threshold are then pure
-    arithmetic on these two arrays.
+    arithmetic on these two arrays.  Consecutive replicas go to one task in
+    stacks of as many grids as fit in ``_STACK_CELLS`` cells (at least one),
+    and one ``max_empty_block`` call reads every ``a_star`` of a stack.
     """
-    argses = [(config, r, g, i) for i in range(replicas)]
-    with _mapper(workers, replicas) as map_:
-        rows = list(map_(_sweep_worker, argses))
+    size = max(1, _STACK_CELLS // (config.k**r) ** config.m)
+    argses = [(config, r, g, i, min(i + size, replicas)) for i in range(0, replicas, size)]
+    with _mapper(workers, len(argses)) as map_:
+        rows = [row for stack in map_(_sweep_worker, argses) for row in stack]
     weights = np.array([w for w, _ in rows])
     blocks = np.array([b for _, b in rows], dtype=np.int64)
     return weights, blocks
@@ -207,7 +226,7 @@ class SliceDecay:
     surviving: Tuple[int, ...]  # trees with any retained nodes, per resolution
     mean_fraction: np.ndarray  # mean slab/total over surviving trees
     se: np.ndarray
-    observed_ratios: np.ndarray  # consecutive-mean ratios, coarse over fine
+    observed_ratios: np.ndarray  # consecutive-mean ratios, coarse over fine; nan where fine is 0
     theory_ratios: np.ndarray  # k^((r2-r1)(d-(m-1))) per consecutive pair
 
 
@@ -249,7 +268,7 @@ def slice_decay(
     for (r1, f1), (r2, f2) in zip(
         zip(resolutions, mean_fraction), zip(resolutions[1:], mean_fraction[1:])
     ):
-        observed.append(f1 / f2 if f2 > 0 else math.inf)
+        observed.append(f1 / f2 if f2 > 0 else math.nan)
         theory.append(float(config.k) ** ((r2 - r1) * (d - (config.m - 1))))
     return SliceDecay(
         resolutions=resolutions,

@@ -328,7 +328,9 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
     ensemble = {**TINY, "kind": "ensemble", "replicas": 5}
     specs = [
         {**ensemble, "workers": 1},
-        {**ensemble, "workers": 2},  # a pool worker's error must reach the parent
+        # 9 replicas of 64 x 64 grids make two stacks, so the sweep runs on a
+        # pool, and a pool worker's error must reach the parent
+        {**ensemble, "workers": 2, "resolution": 6, "replicas": 9},
         # deep specs: node counts past 4300 digits stay out of every message
         {"kind": "dimension-slope", "depths": [8000]},
         {"kind": "ensemble", "resolution": 8000},
@@ -394,6 +396,26 @@ def test_main_slice_decay_without_survivors_exits_4(tmp_path, capsys):
     assert len(lines) == 2 and lines[0].startswith("warning:") and "critical" in lines[0]
     assert lines[1] == "error: no tree of 2 survived at resolution 2"
     assert not out.exists()
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_main_slice_decay_zero_fine_fraction_writes_null(tmp_path, capsys, seed):
+    # trees survive, but at resolution 4 no slab holds mass: the ratio onto
+    # it has no value, and summary.json stays standard JSON
+    payload = {"kind": "slice-decay", "p": 0.3, "replicas": 3, "resolutions": [2, 4]}
+    out = tmp_path / "o"
+    spec_file = _write_spec(tmp_path, payload)
+    assert cli.main(["--spec", spec_file, "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=_refuse)
+    assert summary["surviving"][1] > 0 and summary["mean_fraction"][1] == 0.0
+    assert summary["observed_ratios"] == [None]
+    assert "resolution 4" in summary["null_ratio_reason"]
 
 
 def test_main_resolution_one_path_series(tmp_path, capsys):

@@ -58,12 +58,16 @@ def test_pool_never_outnumbers_the_tasks(monkeypatch):
             return False
 
         def imap(self, fn, argses, chunksize=1):
+            stacks.extend(args[3:] for args in argses)
             return map(fn, argses)
 
+    stacks = []
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
-    serial = ensemble_sweep_parallel(cfg, r=2, g=1, replicas=3, workers=1)
+    serial = ensemble_sweep_parallel(cfg, r=6, g=1, replicas=20, workers=1)
     monkeypatch.setattr(experiments, "Pool", SerialPool)
-    pooled = ensemble_sweep_parallel(cfg, r=2, g=1, replicas=3, workers=64)
+    pooled = ensemble_sweep_parallel(cfg, r=6, g=1, replicas=20, workers=64)
+    # 64 x 64 grids stack 8 to a task: 20 replicas make 3 tasks, the last partial
+    assert stacks == [(0, 8), (8, 16), (16, 20)]
     assert requested == [3]
     assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
 
@@ -94,6 +98,18 @@ def test_ensemble_sweep_parallel_matches_serial():
     w2, b2 = ensemble_sweep_parallel(cfg, r=3, g=3, replicas=40, workers=3)
     assert np.array_equal(w1, w2)
     assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_sweep_stacks_match_views(workers):
+    # 20 replicas of 64 x 64 grids make stacks of 8, 8 and 4
+    cfg = PercolationConfig(2, 2, 0.8, seed=6)
+    views = [ensemble_view(cfg, 6, 2, i) for i in range(20)]
+    weights, blocks = ensemble_sweep_parallel(cfg, r=6, g=2, replicas=20, workers=workers)
+    assert np.array_equal(weights, [float(v.word_weights.sum()) for v in views])
+    assert np.array_equal(blocks, [v.a_star for v in views])
+    assert blocks.dtype == np.int64
+    assert len(set(blocks.tolist())) > 1  # the blocks tell the replicas apart
 
 
 def test_dimension_slope_deterministic_across_workers():
