@@ -30,12 +30,12 @@ from .percolation import (
     grid_from_digit_order,
 )
 from .qsampler import (
-    _STACK_CELLS,
     QPath,
     WeightedMean,
     ensemble_config,
     ensemble_view,
     sample_qpath,
+    stack_size,
 )
 
 
@@ -134,10 +134,11 @@ def ensemble_sweep_parallel(
     (the root martingale estimate at depth r+g) and the geometry needed for
     every alpha at once; hole indicators at any threshold are then pure
     arithmetic on these two arrays.  Consecutive replicas go to one task in
-    stacks of as many grids as fit in ``_STACK_CELLS`` cells (at least one),
-    and one ``max_empty_block`` call reads every ``a_star`` of a stack.
+    stacks of at most ``stack_size(config, r)`` grids and at most a
+    ``workers``-th of the replicas, so no worker is left idle, and one
+    ``max_empty_block`` call reads every ``a_star`` of a stack.
     """
-    size = max(1, _STACK_CELLS // (config.k**r) ** config.m)
+    size = max(1, min(stack_size(config, r), -(-replicas // max(1, workers))))
     argses = [(config, r, g, i, min(i + size, replicas)) for i in range(0, replicas, size)]
     with _mapper(workers, len(argses)) as map_:
         rows = [row for stack in map_(_sweep_worker, argses) for row in stack]

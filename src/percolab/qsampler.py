@@ -60,6 +60,13 @@ _MAX_ATTEMPTS = 1000
 Z95 = 1.96  # two-sided 95% normal quantile
 
 
+def stack_size(config: PercolationConfig, r: int) -> int:
+    """Grids of side k^r that one stack holds: as many as fit in ``_STACK_CELLS`` cells, at least one."""
+    # k^(m r) >= 2^r passes the bound once r reaches its bit length, so the
+    # exponent stops there and a deep grid's cell count is never built
+    return max(1, _STACK_CELLS // config.k ** (config.m * min(r, _STACK_CELLS.bit_length())))
+
+
 def replica_config(config: PercolationConfig, replica: int, attempt: int = 0) -> PercolationConfig:
     """Config for one independent replica (and rejection attempt) of a run."""
     return replace(config, seed=substream(config.seed, STREAM_REPLICA, replica, attempt))
@@ -222,7 +229,7 @@ def sample_qpath(
     # a cell counts at most fanout^g nodes, so a stack that holds every
     # scale's grid until its sweep can be of the narrowest type that fits
     stack_type = np.min_scalar_type(min(fanout**g, 1 << 63))
-    stack = np.empty((min(n, max(1, _STACK_CELLS // side**m)),) + (side,) * m, stack_type)
+    stack = np.empty((min(n, stack_size(config, r)),) + (side,) * m, stack_type)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)

@@ -328,12 +328,12 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
     ensemble = {**TINY, "kind": "ensemble", "replicas": 5}
     specs = [
         {**ensemble, "workers": 1},
-        # 9 replicas of 64 x 64 grids make two stacks, so the sweep runs on a
-        # pool, and a pool worker's error must reach the parent
-        {**ensemble, "workers": 2, "resolution": 6, "replicas": 9},
+        {**ensemble, "workers": 2},  # a pool worker's error must reach the parent
         # deep specs: node counts past 4300 digits stay out of every message
         {"kind": "dimension-slope", "depths": [8000]},
         {"kind": "ensemble", "resolution": 8000},
+        {"kind": "ensemble", "resolution": 10**8},
+        {"kind": "ensemble", "m": 3, "k": 3, "resolution": 10**8},
         {"kind": "path-series", "resolution": 3, "probe_depth": 8000},
         {"kind": "slice-decay", "resolutions": [10**8]},
     ]

@@ -63,13 +63,22 @@ def test_pool_never_outnumbers_the_tasks(monkeypatch):
 
     stacks = []
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
-    serial = ensemble_sweep_parallel(cfg, r=6, g=1, replicas=20, workers=1)
     monkeypatch.setattr(experiments, "Pool", SerialPool)
-    pooled = ensemble_sweep_parallel(cfg, r=6, g=1, replicas=20, workers=64)
-    # 64 x 64 grids stack 8 to a task: 20 replicas make 3 tasks, the last partial
-    assert stacks == [(0, 8), (8, 16), (16, 20)]
-    assert requested == [3]
-    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+    # (r, workers, stacks): 64 x 64 grids stack at most 8 to a task, and a
+    # stack holds at most a workers-th of the replicas, so at small r or many
+    # workers every worker still gets a task
+    cases = [
+        (6, 2, [(0, 8), (8, 16), (16, 20)]),
+        (6, 64, [(i, i + 1) for i in range(20)]),
+        (2, 3, [(0, 7), (7, 14), (14, 20)]),
+    ]
+    for r, workers, expected in cases:
+        serial = ensemble_sweep_parallel(cfg, r=r, g=1, replicas=20, workers=1)
+        stacks.clear()
+        pooled = ensemble_sweep_parallel(cfg, r=r, g=1, replicas=20, workers=workers)
+        assert stacks == expected
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+    assert requested == [2, 20, 3]
 
 
 def test_path_batch_partial_success_is_complete():
@@ -91,25 +100,17 @@ def test_path_batch_partial_keeps_prefix_on_failure():
 
 
 def test_ensemble_sweep_parallel_matches_serial():
-    cfg = PercolationConfig(2, 2, 0.8, seed=2)
-    views = [ensemble_view(cfg, 3, 3, i) for i in range(40)]
-    w1 = np.array([float(v.word_weights.sum()) for v in views])
-    b1 = np.array([v.a_star for v in views], dtype=np.int64)
-    w2, b2 = ensemble_sweep_parallel(cfg, r=3, g=3, replicas=40, workers=3)
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(b1, b2)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ensemble_sweep_stacks_match_views(workers):
-    # 20 replicas of 64 x 64 grids make stacks of 8, 8 and 4
-    cfg = PercolationConfig(2, 2, 0.8, seed=6)
-    views = [ensemble_view(cfg, 6, 2, i) for i in range(20)]
-    weights, blocks = ensemble_sweep_parallel(cfg, r=6, g=2, replicas=20, workers=workers)
-    assert np.array_equal(weights, [float(v.word_weights.sum()) for v in views])
-    assert np.array_equal(blocks, [v.a_star for v in views])
-    assert blocks.dtype == np.int64
-    assert len(set(blocks.tolist())) > 1  # the blocks tell the replicas apart
+    # (seed, r, g, replicas, workers): 40 replicas of 8 x 8 grids make three
+    # stacks on three workers; 20 replicas of 64 x 64 grids make stacks of
+    # 8, 8 and 4, the last partial, in process and on a pool
+    for seed, r, g, replicas, workers in [(2, 3, 3, 40, 3), (6, 6, 2, 20, 1), (6, 6, 2, 20, 2)]:
+        cfg = PercolationConfig(2, 2, 0.8, seed=seed)
+        views = [ensemble_view(cfg, r, g, i) for i in range(replicas)]
+        weights, blocks = ensemble_sweep_parallel(cfg, r=r, g=g, replicas=replicas, workers=workers)
+        assert np.array_equal(weights, [float(v.word_weights.sum()) for v in views])
+        assert np.array_equal(blocks, [v.a_star for v in views])
+        assert blocks.dtype == np.int64
+        assert len(set(blocks.tolist())) > 1  # the blocks tell the replicas apart
 
 
 def test_dimension_slope_deterministic_across_workers():
