@@ -151,8 +151,8 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("eps_grid must be a nonempty list of finite entries > 0")
     if any(l < 0 for l in spec.lags) or not spec.lags:
         errors.append("lags must be a nonempty list of integers >= 0")
-    if any(j < 1 for j in spec.depths) or not spec.depths:
-        errors.append("depths must be a nonempty list of integers >= 1")
+    if any(j < 1 for j in spec.depths) or len(set(spec.depths)) < 2:
+        errors.append("depths must be a list of integers >= 1 with two or more distinct values")
     if any(r < 1 for r in spec.resolutions) or not spec.resolutions:
         errors.append("resolutions must be a nonempty list of integers >= 1")
     if not 0 <= spec.slab_axis < spec.m:

@@ -23,12 +23,7 @@ import numpy as np
 from .errors import RejectionLimitError
 from .holes import max_empty_block
 from .measure import dimension
-from .percolation import (
-    LazyTree,
-    PercolationConfig,
-    descendant_counts,
-    grid_from_digit_order,
-)
+from .percolation import LazyTree, PercolationConfig
 from .qsampler import (
     QPath,
     WeightedMean,
@@ -72,7 +67,7 @@ def _sweep_worker(args) -> List[Tuple[float, int]]:
         view = ensemble_view(config, r, g, replica)
         weights.append(float(view.word_weights.sum()))
         grids.append(view.grid)
-    blocks = max_empty_block(np.stack(grids, axis=-1), config.m)
+    blocks = max_empty_block(np.stack(grids), config.m)
     return list(zip(weights, blocks.tolist()))
 
 
@@ -85,13 +80,10 @@ def _profile_worker(args) -> List[int]:
 
 def _slice_worker(args) -> List[Tuple[int, int]]:
     config, resolutions, g, axis, position, replica = args
-    cfg = ensemble_config(config, replica)
-    tree = LazyTree(cfg)
     out = []
     for r in resolutions:
-        counts = descendant_counts(tree, cfg.root_word(), r, g)
-        grid = grid_from_digit_order(counts, cfg.m, cfg.k, r)
-        out.append((int(counts.sum()), int(np.take(grid, position, axis).sum())))
+        grid = ensemble_view(config, r, g, replica).grid
+        out.append((int(grid.sum()), int(np.take(grid, position, axis).sum())))
     return out
 
 
@@ -174,7 +166,8 @@ def dimension_slope(
     The mean retained count at depth j grows like k^(j d), so the base-k
     log of the survivor-conditioned means against j has slope close to d
     (conditioning on survival to the deepest queried level biases means by
-    a depth-independent factor at these sizes).  Candidates are consumed in
+    a depth-independent factor at these sizes); the fit needs two or more
+    distinct depths.  Candidates are consumed in
     replica order until ``trees`` survivors are found, which keeps the
     selected set independent of the worker count; at most 20 * ``trees``
     candidates are inspected.  Each block of candidates is no larger than
@@ -182,6 +175,8 @@ def dimension_slope(
     survivor needed is computed, and every block runs on one pool.
     """
     depths = tuple(sorted(int(j) for j in depths))
+    if len(set(depths)) < 2:
+        raise ValueError("a slope needs two or more distinct depths")
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
     max_depth = depths[-1]

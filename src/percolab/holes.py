@@ -8,7 +8,9 @@ for integer and boolean grids):
 * minimum window sums of a count or mass grid, for every window side,
 * porosities of k-adic balls around a marked center cell.
 
-A path stacks its scales' count grids along a leading axis, and
+Batch axes lead.  Every kernel reads a grid's spatial axes last and any
+axes before them as a batch of independent grids, so a batch is
+``np.stack(grids)``.  A path stacks its scales' count grids that way and
 ``stack_geometry`` sweeps the whole stack off one table: one pass over the
 window sides gives every grid's window sweep and every ball box's sweep.
 ``window_min_sweep`` and ``ball_porosities`` are that sweep on a stack of
@@ -81,40 +83,42 @@ def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np
     """Per-cell map: side of the largest empty block ending at each cell.
 
     "Ending at" means the cell is the block's highest corner along every
-    spatial axis.  Trailing axes beyond ``spatial`` are independent batch
-    problems.  An empty block contains the empty block of every smaller side
-    ending at the same cell, so counting the empty windows of side 1, 2, ...
-    that end at a cell gives its side; the count stops at the first side
-    with no empty window anywhere.  The count runs in the narrowest
-    unsigned type that holds the smallest extent; the map is int64.
+    spatial axis.  The last ``spatial`` axes are spatial and any leading
+    axes are independent batch problems.  An empty block contains the empty
+    block of every smaller side ending at the same cell, so counting the
+    empty windows of side 1, 2, ... that end at a cell gives its side; the
+    count stops at the first side with no empty window anywhere.  The count
+    runs in the narrowest unsigned type that holds the smallest extent; the
+    map is int64.
     """
     occ = np.asarray(occupied, dtype=bool)
     if spatial is None:
         spatial = occ.ndim
     if spatial < 1 or spatial > occ.ndim:
         raise ValueError(f"spatial axis count {spatial} out of range")
-    width = min(occ.shape[:spatial])
+    axes = range(occ.ndim - spatial, occ.ndim)
+    width = min(occ.shape[axes.start :])
     sides = np.zeros(occ.shape, dtype=np.min_scalar_type(width))
-    table = _summed_table(occ, range(spatial))
+    table = _summed_table(occ, axes)
     scratch = np.empty((2, table.size), table.dtype)
     for a in range(1, width + 1):
-        empty = _window_sums(table, a, range(spatial), scratch) == 0
+        empty = _window_sums(table, a, axes, scratch) == 0
         if not empty.any():
             break
-        sides[(slice(a - 1, None),) * spatial] += empty
+        sides[(Ellipsis,) + (slice(a - 1, None),) * spatial] += empty
     return sides.astype(np.int64)
 
 
 def max_empty_block(occupied, spatial: Optional[int] = None):
     """Side of the largest fully empty block in the grid.
 
-    With batch axes present, returns one maximum per batch element;
-    otherwise a plain int.
+    With leading batch axes before the last ``spatial`` axes, returns one
+    maximum per batch element; otherwise a plain int.
     """
     sides = empty_block_sides(occupied, spatial)
     if spatial in (None, sides.ndim):
         return int(sides.max()) if sides.size else 0
-    return sides.max(axis=tuple(range(spatial)))
+    return sides.max(axis=tuple(range(sides.ndim - spatial, sides.ndim)))
 
 
 def restricted_max_empty_block(occupied, center: Sequence[int]) -> int:
@@ -191,8 +195,7 @@ def stack_geometry(stack: np.ndarray, centers) -> Tuple[np.ndarray, ...]:
     ``max_empty_block`` call on the stack), the window sweep, and the ball
     box's sweep, padded with ``_PAD`` to side // 2 + 1 entries, and count.
     """
-    a_star = max_empty_block(np.moveaxis(stack, 0, -1), stack.ndim - 1)
-    return (a_star,) + _stack_sweeps(stack, centers)
+    return (max_empty_block(stack, stack.ndim - 1),) + _stack_sweeps(stack, centers)
 
 
 # -- hole certificates -------------------------------------------------------

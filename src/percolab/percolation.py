@@ -10,6 +10,9 @@ A ``LazyTree`` materializes retention decisions on demand.  Each node's
 decision is a pure function of (seed, digit path) through a keyed hash, so
 any two expansions of overlapping regions agree exactly, regardless of the
 order in which they were asked for.
+
+Counts come out in digit-path order; ``grid_from_digit_order`` reshapes
+them into the spatial grid that the ``holes`` kernels read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import MemoryBudgetError
 from .rng import child_key, child_keys, substream, unit_draw, unit_draws
-from .words import Word, _offset_table
+from .words import Word
 
 _DEFAULT_MAX_NODES = 1 << 24
 
@@ -91,27 +94,16 @@ def _max_nodes_default() -> int:
     return _DEFAULT_MAX_NODES
 
 
-@lru_cache(maxsize=None)
-def _cell_perm(m: int, k: int, r: int) -> np.ndarray:
-    """Flat C-order grid index of each depth-r digit path, in path order."""
-    fanout = k ** m
-    n = fanout ** r
-    idx = np.arange(n)
-    table = _offset_table(m, k)
-    coords = np.zeros((n, m), dtype=np.int64)
-    for i in range(r):
-        digit = (idx // fanout ** (r - 1 - i)) % fanout
-        coords = coords * k + table[digit]
-    side = k ** r
-    return np.ravel_multi_index(tuple(coords.T), (side,) * m)
-
-
 def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndarray:
-    """Rearrange a length-(k^m)^r digit-order vector into a (side,)*m grid."""
-    side = k ** r
-    out = np.empty(side ** m, dtype=values.dtype)
-    out[_cell_perm(m, k, r)] = values
-    return out.reshape((side,) * m)
+    """Rearrange a length-(k^m)^r digit-order vector into a (side,)*m grid.
+
+    Digit i holds one base-k offset per axis (see ``words``), so the vector
+    is m * r base-k axes in (level, axis) order; one transpose to (axis,
+    level) order gives the grid.  The dtype is kept; where m = 1 or r <= 1
+    nothing moves and the grid is a view of ``values``.
+    """
+    order = [i * m + a for a in range(m) for i in range(r)]
+    return values.reshape((k,) * (m * r)).transpose(order).reshape((k**r,) * m)
 
 
 def labels_fit(fanout: int, digits: int) -> bool:
@@ -279,6 +271,12 @@ class LazyTree:
         if n_nodes > self.max_nodes:
             raise MemoryBudgetError(n_nodes, self.max_nodes)
 
+    def _budget_grid(self, r: int):
+        """Check a count grid of (k^m)^r cells, r levels below a word, against the budget."""
+        # past the budget's bit length the grid is over budget for any fanout,
+        # so the check caps the exponent there and never builds a huge k^(m r)
+        self._budget(self.config.branching ** min(r, self.max_nodes.bit_length()))
+
     @contextmanager
     def frontier(self, word: Word, label_depth: int = 0) -> Iterator[Frontier]:
         """A frontier holding ``word`` alone (none if it is pruned), for one ``with`` block.
@@ -422,11 +420,8 @@ def descendant_counts(
     their depth-resolution cell, and the deepest level is counted into the
     cells without being stored.
     """
-    fanout = tree.config.branching
-    # past the budget's bit length the grid is over budget for any fanout,
-    # so the check caps the exponent there and never builds a huge k^(m r)
-    tree._budget(fanout ** min(resolution, tree.max_nodes.bit_length()))
-    cells = np.zeros(fanout ** resolution, dtype=np.int64)
+    tree._budget_grid(resolution)
+    cells = np.zeros(tree.config.branching**resolution, dtype=np.int64)
     with tree.frontier(root, resolution) as front:
         tree.expand_retained(front, resolution + probe_depth, cells)
         if resolution + probe_depth == 0:  # no level below: the word is its own cell

@@ -222,18 +222,18 @@ def sample_qpath(
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
     m, k, fanout = config.m, config.k, config.branching
-    side = k ** r
     child_mass = mass_factor(config, g)
     # past int64 labels, each step counts its word's cells afresh instead
     streamed = labels_fit(fanout, r + g)
     # a cell counts at most fanout^g nodes, so a stack that holds every
-    # scale's grid until its sweep can be of the narrowest type that fits
+    # scale's grid until its sweep can be of the narrowest type that fits;
+    # one scale's grid must fit the node budget before the stack is made
     stack_type = np.min_scalar_type(min(fanout**g, 1 << 63))
-    stack = np.empty((min(n, stack_size(config, r)),) + (side,) * m, stack_type)
+    LazyTree(config)._budget_grid(r)
+    stack = np.empty((min(n, stack_size(config, r)),) + (k**r,) * m, stack_type)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)
-        tree._budget(fanout ** min(r, tree.max_nodes.bit_length()))
         path_key = substream(tree_cfg.seed, STREAM_PATH)
         digits: List[int] = []
         centers = np.zeros((n, m), dtype=np.int64)

@@ -11,15 +11,7 @@ offsets in mixed radix with axis 0 most significant:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
-
-import numpy as np
-
-
-def digit_offsets(digit: int, m: int, k: int) -> Tuple[int, ...]:
-    """Per-axis offsets in {0, ..., k-1} encoded by one digit."""
-    return tuple((digit // k ** (m - 1 - a)) % k for a in range(m))
 
 
 def cell_of_digits(digits: Tuple[int, ...], m: int, k: int) -> Tuple[int, ...]:
@@ -34,15 +26,6 @@ def cell_of_digits(digits: Tuple[int, ...], m: int, k: int) -> Tuple[int, ...]:
         for a in range(m):
             coords[a] = coords[a] * k + (d // k ** (m - 1 - a)) % k
     return tuple(coords)
-
-
-@lru_cache(maxsize=None)
-def _offset_table(m: int, k: int) -> np.ndarray:
-    """(k^m, m) table mapping digit -> per-axis offsets."""
-    table = np.empty((k ** m, m), dtype=np.int64)
-    for d in range(k ** m):
-        table[d] = digit_offsets(d, m, k)
-    return table
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,14 @@ def ball_measure_porosity(counts: np.ndarray, center, radius_cells: float, eps: 
 
 
 def pack_all_grids(side: int) -> np.ndarray:
-    """All 2^(side*side) binary side x side grids, batch axis last."""
+    """All 2^(side*side) binary side x side grids, batch axis first.
+
+    Grid i holds bit j of i at cell divmod(j, side).
+    """
     n = side * side
     codes = np.arange(1 << n, dtype=np.uint32)
-    bits = (codes[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
-    return bits.reshape(side, side, 1 << n).astype(bool)
+    bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
+    return bits.reshape(1 << n, side, side).astype(bool)
 
 
 def unmix64(y: int) -> int:

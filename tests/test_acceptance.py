@@ -170,25 +170,23 @@ def test_criterion_2b_ensemble_mean_one():
 
 
 def test_criterion_3a_exhaustive_4x4_grids():
-    stack = pack_all_grids(4)  # (4, 4, 65536)
-    n = stack.shape[-1]
+    stack = pack_all_grids(4)  # (65536, 4, 4)
+    n = stack.shape[0]
     # batched brute force straight from the window definition
     brute_best = np.zeros(n, dtype=np.int64)
-    brute_min = np.zeros((5, n))
-    brute_min[0] = 0.0
+    brute_min = np.zeros((n, 5))
     for a in range(1, 5):
-        wins = sliding_window_view(stack, (a, a), axis=(0, 1))
-        flat = wins.reshape(wins.shape[0] * wins.shape[1], n, a * a)
-        brute_best = np.where((~flat.any(axis=-1)).any(axis=0), a, brute_best)
-        brute_min[a] = flat.sum(axis=-1).min(axis=0)
-    dp_best = empty_block_sides(stack, spatial=2).max(axis=(0, 1))
+        wins = sliding_window_view(stack, (a, a), axis=(1, 2))
+        flat = wins.reshape(n, wins.shape[1] * wins.shape[2], a * a)
+        brute_best = np.where((~flat.any(axis=-1)).any(axis=1), a, brute_best)
+        brute_min[:, a] = flat.sum(axis=-1).min(axis=1)
+    dp_best = empty_block_sides(stack, spatial=2).max(axis=(1, 2))
     assert np.array_equal(dp_best, brute_best)
-    sweeps = np.stack([window_min_sweep(stack[:, :, i]) for i in range(n)], axis=1)
+    sweeps = np.stack([window_min_sweep(grid) for grid in stack])
     assert np.array_equal(sweeps, brute_min)
     # the stacked kernels a path runs: the stack axis first, as sample_qpath stacks its scales
     assert np.array_equal(max_empty_block(stack, spatial=2), brute_best)
-    stacked = _stack_sweeps(np.moveaxis(stack, -1, 0))[0]
-    assert np.array_equal(stacked.T, brute_min)
+    assert np.array_equal(_stack_sweeps(stack)[0], brute_min)
 
 
 def test_criterion_3b_random_3d_grids():

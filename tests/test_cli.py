@@ -5,12 +5,18 @@ worker-count and rerun determinism of the written artifacts, and the
 documented exit codes (0 ok, 2 bad spec, 3 memory budget, 4 partial).
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from percolab import cli
 
@@ -92,7 +98,7 @@ def test_validate_warns_subcritical_and_budget():
         {"kind": "ensemble", "resolution": 12, "probe_depth": 4},
         {"kind": "dimension-slope", "depths": [4, 30]},  # expected frontier only
         {"kind": "ensemble", "m": 3, "k": 3, "resolution": 300},  # past float range
-        {"kind": "dimension-slope", "depths": [8000]},  # 4**8000 has 4817 digits
+        {"kind": "dimension-slope", "depths": [4, 8000]},  # 4**8000 has 4817 digits
     ]:
         assert any("budget" in w for w in cli.validate(cli.spec_from_dict(big)))
 
@@ -101,7 +107,7 @@ def test_validate_warns_of_a_large_resident_set(monkeypatch):
     # about 1.5e7 expected frontier nodes fit the 2^24 budget, and five
     # workers hold more than four budgets of them at once
     monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
-    spec = cli.spec_from_dict({"kind": "dimension-slope", "depths": [14], "workers": 5})
+    spec = cli.spec_from_dict({"kind": "dimension-slope", "depths": [4, 14], "workers": 5})
     warnings = cli.validate(spec)
     assert len(warnings) == 1
     assert warnings[0].startswith("5 workers x ") and "large resident set" in warnings[0]
@@ -330,19 +336,28 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
         {**ensemble, "workers": 1},
         {**ensemble, "workers": 2},  # a pool worker's error must reach the parent
         # deep specs: node counts past 4300 digits stay out of every message
-        {"kind": "dimension-slope", "depths": [8000]},
+        {"kind": "dimension-slope", "depths": [4, 8000]},
         {"kind": "ensemble", "resolution": 8000},
         {"kind": "ensemble", "resolution": 10**8},
         {"kind": "ensemble", "m": 3, "k": 3, "resolution": 10**8},
         {"kind": "path-series", "resolution": 3, "probe_depth": 8000},
         {"kind": "slice-decay", "resolutions": [10**8]},
+        # path kinds budget one scale's grid before they stack any: 2^80
+        # cells cannot even be allocated, 2^32 and 2^33 only as 8-16 GiB
+        {"kind": "path-series", "resolution": 40, "replicas": 1, "scales": 2},
+        {"kind": "path-series", "resolution": 16, "replicas": 1, "scales": 2},
+        {"kind": "path-series", "m": 3, "resolution": 11, "replicas": 1, "scales": 2},
+        {"kind": "covariance", "resolution": 16, "replicas": 2, "lags": [0, 1]},
+        {"kind": "porosity-extremes", "resolution": 16, "replicas": 1, "scales": 2},
     ]
     for i, spec in enumerate(specs):
         spec_file = _write_spec(tmp_path, spec)
         out = tmp_path / f"o{i}"
-        assert cli.main(["--spec", spec_file, "--out", str(out)]) == 3
+        assert cli.main(["--spec", spec_file, "--out", str(out)]) == 3, spec
         err = capsys.readouterr().err
         assert "budget" in err and "Traceback" not in err
+        lines = err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
         # the advice names only what a CLI run can change
         assert "PERCOLAB_MAX_NODES" in err and "pass max_nodes" not in err
         assert all(len(line) < 200 for line in err.splitlines())
@@ -370,10 +385,21 @@ def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):
     assert (out / "path_summary.csv").exists()
 
 
+@pytest.mark.parametrize("depths", [[1], [5, 5]], ids=["one-depth", "repeated-depth"])
+def test_main_refuses_a_slope_over_one_depth(tmp_path, capsys, depths):
+    payload = {"kind": "dimension-slope", "m": 1, "k": 2, "p": 0.6, "depths": depths, "replicas": 2}
+    out = tmp_path / "o"
+    assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid spec: depths must be") and "distinct" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_main_dimension_slope_without_survivors_exits_4(tmp_path, capsys):
     # subcritical trees all die before depth 20: survival rejection is
     # exhausted, and this kind has no completed prefix to write
-    payload = {"kind": "dimension-slope", "p": 0.1, "replicas": 2, "depths": [20]}
+    payload = {"kind": "dimension-slope", "p": 0.1, "replicas": 2, "depths": [4, 20]}
     out = tmp_path / "o"
     assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -444,3 +470,100 @@ def test_median_matches_numpy(size):
     for sample in (values, sorted(values), [1e-300, 0.3, 0.7, 1.0][: size + 1]):
         assert repr(cli._median(sample)) == repr(float(np.median(sample)))
     assert np.isnan(cli._median(values + [float("nan")]))
+
+
+# -- the exit contract as a whole -------------------------------------------------
+
+# one field at or just past a spec_errors bound, or past the node budget
+_EDGES = [
+    {"scales": 0},
+    {"resolution": 0},
+    {"resolution": 40},  # past the budget for any m and k
+    {"probe_depth": -1},
+    {"replicas": 1},  # too few for an ensemble's interval
+    {"p": 0.0},
+    {"p": 1.0},
+    {"p": 0.2},  # subcritical at every m and k drawn: rejections
+    {"max_attempts": 0},
+    {"max_attempts": 1},
+    {"alpha_grid": [1.0]},
+    {"alpha_grid": [0.0]},
+    {"eps_grid": [0.0]},
+    {"eps_grid": [10.0]},
+    {"lags": [-1]},
+    {"lags": [3, 0, 3]},
+    {"depths": [3]},  # one depth fits no slope
+    {"depths": [3, 3]},
+    {"depths": [0, 2]},
+    {"resolutions": [0, 2]},
+    {"resolutions": [1, 40]},
+    {"slab_axis": 3},
+    {"slab_position": 2},
+]
+
+
+# a small spec; one edge at most replaces a field
+_BASES = st.fixed_dictionaries(
+    {
+        "m": st.integers(1, 2),
+        "k": st.integers(2, 3),
+        "p": st.sampled_from([0.4, 0.7, 0.9]),
+        "seed": st.integers(0, 3),
+        "scales": st.integers(1, 3),
+        "resolution": st.integers(1, 3),
+        "probe_depth": st.integers(0, 2),
+        "replicas": st.integers(2, 3),
+        "max_attempts": st.sampled_from([2, 20]),
+        "lags": st.just([0, 1]),
+        "depths": st.integers(3, 5).map(lambda j: [2, j]),
+        "resolutions": st.integers(2, 3).map(lambda r: [1, r]),
+        "alpha_grid": st.just([0.25, 0.5]),
+        "eps_grid": st.just([0.01]),
+    }
+)
+_BASE = {
+    "m": 2, "k": 2, "p": 0.7, "scales": 2, "resolution": 2, "probe_depth": 1, "replicas": 2,
+    "lags": [0, 1], "depths": [2, 3], "resolutions": [1, 2],
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(base=_BASES, edge=st.sampled_from([{}] + _EDGES))
+@example(base=_BASE, edge={"resolution": 40})
+@example(base=_BASE, edge={"resolutions": [1, 40]})
+@example(base=_BASE, edge={"depths": [3]})
+def test_main_keeps_its_exit_contract(monkeypatch, kind, base, edge):
+    # 6 kinds x 63 specs run in about 3 s on 2 CPUs: exit 0 or 4 with
+    # tables, or exit 2, 3 or 4 with one error line and no output directory
+    monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
+    spec = {**base, "kind": kind, **edge}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_file = _write_spec(Path(tmp), spec)
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--spec", spec_file, "--out", str(out), "--workers", "1"])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4)
+        assert [str(w.message) for w in caught] == []
+        if out.exists():
+            assert code in (0, 4)
+            assert not any(line.startswith("error:") for line in lines)
+            text = (out / "summary.json").read_text(encoding="utf-8")
+            json.loads(text, parse_constant=_no_constant)
+        else:
+            assert code != 0
+            assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+            assert all(line.startswith("warning:") for line in lines[:-1])

@@ -125,6 +125,12 @@ def test_dimension_slope_deterministic_across_workers():
     assert abs(a.slope - a.dimension_value) < 0.3
 
 
+@pytest.mark.parametrize("depths", [(), (5,), (5, 5)])
+def test_dimension_slope_refuses_fewer_than_two_depths(depths):
+    with pytest.raises(ValueError, match="two or more distinct depths"):
+        dimension_slope(PercolationConfig(1, 2, 0.6), depths=depths, trees=2)
+
+
 def test_dimension_slope_refuses_depth_below_one():
     with pytest.raises(ValueError, match="depths must be >= 1"):
         dimension_slope(PercolationConfig(2, 2, 0.7), depths=(3, 0), trees=2)

@@ -64,7 +64,7 @@ def test_exhaustive_4x4_against_brute_subsample():
     vals = max_empty_block(grids, spatial=2)
     rng = np.random.default_rng(123)
     for i in rng.choice(65536, 1000, replace=False):
-        assert vals[i] == brute_max_empty_block(grids[:, :, i])
+        assert vals[i] == brute_max_empty_block(grids[i])
 
 
 def test_dp_sides_match_brute_on_random_grids():
@@ -96,11 +96,11 @@ def test_max_empty_block_edge_cases():
 
 def test_batch_axis_gives_per_batch_maxima():
     rng = np.random.default_rng(11)
-    batch = rng.random((6, 6, 40)) < 0.4
+    batch = rng.random((40, 6, 6)) < 0.4
     vals = max_empty_block(batch, spatial=2)
     assert vals.shape == (40,)
     for i in range(40):
-        assert vals[i] == brute_max_empty_block(batch[:, :, i])
+        assert vals[i] == brute_max_empty_block(batch[i])
 
 
 def test_restricted_forces_center():

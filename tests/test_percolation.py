@@ -421,15 +421,18 @@ def test_descendant_counts_match_pointwise_oracle(m, k, p):
         assert descendant_counts(t, start, r, g).tolist() == oracle
 
 
-def test_grid_from_digit_order_layout():
-    # digit order flat -> spatial grid: digit offsets compose positionally
-    values = np.arange(16)
-    grid = grid_from_digit_order(values, 2, 2, 2)
-    assert grid.shape == (4, 4)
-    # flat index 0b0110 = digits (1, 2): offsets (0,1) then (1,0) -> cell (1, 2)
-    assert grid[1, 2] == 0b0110
-    assert grid[0, 0] == 0
-    assert grid[3, 3] == 15
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("m,k,r", [(1, 2, 5), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 1)])
+def test_grid_from_digit_order_layout(m, k, r, dtype):
+    # digit order flat -> spatial grid: every digit string's entry lands on
+    # the cell its digits address, offsets composing positionally
+    fanout = k**m
+    values = np.arange(fanout**r, dtype=dtype)  # at most 81 distinct entries
+    grid = grid_from_digit_order(values, m, k, r)
+    assert grid.shape == (k**r,) * m
+    assert grid.dtype == dtype and grid.flags.c_contiguous
+    for i, digits in enumerate(itertools.product(range(fanout), repeat=r)):
+        assert grid[cell_of_digits(digits, m, k)] == values[i]
 
 
 def test_different_seeds_differ():

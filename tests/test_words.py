@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from percolab.words import Word, cell_of_digits, digit_offsets
+from percolab.words import Word, cell_of_digits
 
 
 def test_digit_offsets_enumerate_the_grid():
     # m=2, k=2: digits 0..3 map to the four unit offsets, axis 0 first
-    offs = [digit_offsets(d, 2, 2) for d in range(4)]
+    offs = [cell_of_digits((d,), 2, 2) for d in range(4)]
     assert offs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_digit_offsets_m3():
-    offs = {digit_offsets(d, 3, 2) for d in range(8)}
+    offs = {cell_of_digits((d,), 3, 2) for d in range(8)}
     assert offs == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
 
 
