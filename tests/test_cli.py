@@ -270,6 +270,9 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
         {"lags": []},
         {"depths": [0, 4]},
         {"depths": []},
+        # a slope needs two distinct depths
+        {"kind": "dimension-slope", "depths": [1]},
+        {"kind": "dimension-slope", "depths": [5, 5]},
         {"resolutions": [4, 0]},
         {"resolutions": []},
         {"slab_axis": 2},
@@ -279,7 +282,8 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
     ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
          "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid",
          "zero-scales", "zero-resolution", "negative-probe-depth", "zero-workers",
-         "negative-lag", "empty-lags", "zero-depth", "empty-depths", "zero-resolutions",
+         "negative-lag", "empty-lags", "zero-depth", "empty-depths", "one-depth",
+         "repeated-depth", "zero-resolutions",
          "empty-resolutions", "slab-axis-past-m", "slab-position-past-grid",
          "zero-max-attempts"],
 )
@@ -383,17 +387,6 @@ def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):
     assert "rejection_error" in manifest
     assert 0 < len(manifest["replica_seeds"]) < 8
     assert (out / "path_summary.csv").exists()
-
-
-@pytest.mark.parametrize("depths", [[1], [5, 5]], ids=["one-depth", "repeated-depth"])
-def test_main_refuses_a_slope_over_one_depth(tmp_path, capsys, depths):
-    payload = {"kind": "dimension-slope", "m": 1, "k": 2, "p": 0.6, "depths": depths, "replicas": 2}
-    out = tmp_path / "o"
-    assert cli.main(["--spec", _write_spec(tmp_path, payload), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid spec: depths must be") and "distinct" in err
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
 
 
 def test_main_dimension_slope_without_survivors_exits_4(tmp_path, capsys):
