@@ -167,10 +167,9 @@ def dimension_slope(
     log of the survivor-conditioned means against j has slope close to d
     (conditioning on survival to the deepest queried level biases means by
     a depth-independent factor at these sizes); the fit needs two or more
-    distinct depths.  Candidates are consumed in
-    replica order until ``trees`` survivors are found, which keeps the
-    selected set independent of the worker count; at most 20 * ``trees``
-    candidates are inspected.  Each block of candidates is no larger than
+    distinct depths.  Candidates are consumed in replica order until
+    ``trees`` survivors are found, which keeps the selected set independent
+    of the worker count; at most 20 * ``trees`` candidates are inspected.  Each block of candidates is no larger than
     the number of survivors still missing, so no candidate past the last
     survivor needed is computed, and every block runs on one pool.
     """
