@@ -40,8 +40,10 @@ from .experiments import (
     run_path_batch_partial,
     slice_decay,
 )
-from .percolation import PercolationConfig, _max_nodes_default
-from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, DEFAULT_PROBE_DEPTH, ensemble_config
+from .measure import mass_factor
+from .percolation import _DEFAULT_MAX_NODES, PercolationConfig, _max_nodes_default, capped_power
+from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, DEFAULT_MAX_ATTEMPTS, DEFAULT_PROBE_DEPTH
+from .qsampler import ensemble_config
 from . import __version__
 
 _SCHEMA_VERSION = 1
@@ -70,7 +72,7 @@ class ExperimentSpec:
     resolutions: Tuple[int, ...] = (4, 8)
     slab_axis: int = 0
     slab_position: int = 0
-    max_attempts: int = 1000
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def config(self) -> PercolationConfig:
         return PercolationConfig(m=self.m, k=self.k, p=self.p, seed=self.seed)
@@ -119,6 +121,12 @@ def _type_errors(spec: ExperimentSpec) -> List[str]:
     return errors
 
 
+def _depths(spec: ExperimentSpec) -> Tuple[int, int]:
+    """A run's count-grid resolution and deepest level; dimension-slope builds no grid."""
+    r = {"slice-decay": max(spec.resolutions), "dimension-slope": 0}.get(spec.kind, spec.resolution)
+    return r, max(spec.depths) if spec.kind == "dimension-slope" else r + spec.probe_depth
+
+
 def spec_errors(spec: ExperimentSpec) -> List[str]:
     """Hard bound violations; any entry makes the spec unusable."""
     errors = _type_errors(spec)
@@ -157,13 +165,19 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         errors.append("resolutions must be a nonempty list of integers >= 1")
     if not 0 <= spec.slab_axis < spec.m:
         errors.append("slab_axis out of range")
-    # past the position's bit length, k^r >= 2^r exceeds it; capping r there
-    # keeps the test exact and never builds the huge k^r of a deep resolution
-    bits = spec.slab_position.bit_length()
-    if spec.resolutions and not 0 <= spec.slab_position < spec.k ** min(*spec.resolutions, bits):
-        errors.append("slab_position outside the coarsest slice grid")
+    if spec.resolutions:
+        side = capped_power(spec.k, min(spec.resolutions), spec.slab_position)
+        if not 0 <= spec.slab_position < side:
+            errors.append("slab_position outside the coarsest slice grid")
     if spec.max_attempts < 1:
         errors.append("max_attempts must be >= 1")
+    if not errors and spec.kind != "dimension-slope":  # dimension-slope weighs no mass
+        try:  # k^(-depth d) grows with depth below the critical p
+            finite = math.isfinite(mass_factor(spec.config(), _depths(spec)[1]))
+        except OverflowError:
+            finite = False
+        if not finite:
+            errors.append(f"resolution + probe_depth too deep at p={spec.p}: k^(-depth d) overflows")
     return errors
 
 
@@ -177,14 +191,12 @@ def validate(spec: ExperimentSpec) -> List[str]:
             f"{critical:g}: the process dies out almost "
             f"surely and survival rejection will be slow or hopeless"
         )
-    # dimension-slope walks profiles only and builds no count grid
-    r = {"slice-decay": max(spec.resolutions), "dimension-slope": 0}.get(spec.kind, spec.resolution)
-    depth = max(spec.depths) if spec.kind == "dimension-slope" else r + spec.probe_depth
+    r, depth = _depths(spec)
     # the count grid or the expected deepest frontier, whichever is larger,
     # in floats: an exact k^(m r) of a deep spec is a huge integer
-    fanout = spec.k ** spec.m
     try:
-        nodes = max(float(fanout) ** r, fanout * (spec.p * fanout) ** (depth - 1))
+        fanout = float(spec.k) ** spec.m
+        nodes = max(fanout ** r, fanout * (spec.p * fanout) ** (depth - 1))
     except OverflowError:  # past float range, so far past any budget
         nodes = math.inf
     budget = _max_nodes_default()
@@ -603,8 +615,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "subdivision sets, their natural mass, and multi-scale holes."
         ),
         epilog=(
-            "The expansion node budget defaults to 2^24 and can be "
-            "raised via the PERCOLAB_MAX_NODES environment variable."
+            f"The expansion node budget defaults to {_DEFAULT_MAX_NODES} nodes and "
+            "can be raised via the PERCOLAB_MAX_NODES environment variable."
         ),
     )
     parser.add_argument("--spec", help="path to a JSON spec (or a prior run manifest)")

@@ -23,8 +23,9 @@ import numpy as np
 from .errors import RejectionLimitError
 from .holes import max_empty_block
 from .measure import dimension
-from .percolation import LazyTree, PercolationConfig
+from .percolation import LazyTree, PercolationConfig, capped_power
 from .qsampler import (
+    DEFAULT_MAX_ATTEMPTS,
     QPath,
     WeightedMean,
     ensemble_config,
@@ -97,7 +98,7 @@ def run_path_batch_partial(
     r: int,
     g: int,
     workers: int = 1,
-    max_attempts: int = 1000,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> Tuple[List[QPath], Optional[RejectionLimitError]]:
     """Sample ``paths`` independent mass-biased paths, in replica order.
 
@@ -157,7 +158,7 @@ class DimensionSlope:
 
 def dimension_slope(
     config: PercolationConfig,
-    depths: Sequence[int] = tuple(range(4, 13)),
+    depths: Sequence[int],
     trees: int = 200,
     workers: int = 1,
 ) -> DimensionSlope:
@@ -227,7 +228,7 @@ class SliceDecay:
 
 def slice_decay(
     config: PercolationConfig,
-    resolutions: Sequence[int] = (4, 8),
+    resolutions: Sequence[int],
     trees: int = 1000,
     g: int = 2,
     axis: int = 0,
@@ -244,7 +245,7 @@ def slice_decay(
     resolutions = tuple(sorted(int(r) for r in resolutions))
     if not 0 <= axis < config.m:
         raise ValueError(f"axis {axis} out of range")
-    if not 0 <= position < config.k ** resolutions[0]:
+    if not 0 <= position < capped_power(config.k, resolutions[0], position):
         raise ValueError("slab position outside the coarsest grid")
     argses = [(config, resolutions, g, axis, position, i) for i in range(trees)]
     with _mapper(workers, trees) as map_:

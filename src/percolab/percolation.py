@@ -106,10 +106,17 @@ def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndar
     return values.reshape((k,) * (m * r)).transpose(order).reshape((k**r,) * m)
 
 
+def capped_power(base: int, exp: int, bound: int) -> int:
+    """``base ** exp`` if at most ``bound``, else ``bound + 1``, for a spec's sizes: a base
+    >= 2 passes the bound once ``exp`` reaches the bound's bit length, so the exponent stops
+    there and no integer much wider than the bound is built, however deep the spec."""
+    return min(base ** min(exp, bound.bit_length()), bound + 1)
+
+
 def labels_fit(fanout: int, digits: int) -> bool:
     """Whether base-``fanout`` labels of ``digits`` digits, and fanout^digits
     itself, fit int64."""
-    return digits < 63 and fanout ** digits < 1 << 63
+    return capped_power(fanout, digits, 1 << 63) < 1 << 63
 
 
 class _Level:
@@ -233,8 +240,8 @@ class LazyTree:
     whose work and level buffers each process keeps per fanout, for every
     tree; both hash the same counter-based keys, so they always agree.
     ``max_nodes`` caps the children one frontier level or count grid may
-    hold; it is read from the ``PERCOLAB_MAX_NODES`` environment variable,
-    else 2^24.
+    hold, and the counts one expansion returns; it is read from the
+    ``PERCOLAB_MAX_NODES`` environment variable, else 2^24.
     """
 
     def __init__(self, config: PercolationConfig):
@@ -273,9 +280,7 @@ class LazyTree:
 
     def _budget_grid(self, r: int):
         """Check a count grid of (k^m)^r cells, r levels below a word, against the budget."""
-        # past the budget's bit length the grid is over budget for any fanout,
-        # so the check caps the exponent there and never builds a huge k^(m r)
-        self._budget(self.config.branching ** min(r, self.max_nodes.bit_length()))
+        self._budget(capped_power(self.config.k, self.config.m * r, 1 << 63))
 
     @contextmanager
     def frontier(self, word: Word, label_depth: int = 0) -> Iterator[Frontier]:
@@ -284,6 +289,7 @@ class LazyTree:
         ``label_depth`` must pass ``labels_fit``.
         """
         self._check_word(word)
+        self._budget_grid(1)  # one level of children
         fanout = self.config.branching
         if not labels_fit(fanout, label_depth):
             raise ValueError(f"{label_depth}-digit labels overflow int64 at fanout {fanout}")
@@ -322,6 +328,7 @@ class LazyTree:
         default), the frontier stays one level above the counted level.
         The deepest count returned is the counted total.
         """
+        self._budget(levels + 1)  # the counts returned, 0 once the frontier dies
         fanout, p = self.config.branching, self.config.p
         workspace = _workspace(fanout)
         sizes = [frontier.size]

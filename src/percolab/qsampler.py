@@ -39,6 +39,7 @@ from .percolation import (
     STREAM_REPLICA,
     LazyTree,
     PercolationConfig,
+    capped_power,
     descendant_counts,
     grid_from_digit_order,
     labels_fit,
@@ -56,15 +57,13 @@ DEFAULT_EPS_GRID: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
 # (8 scales of a 64 x 64 or a 16^3 grid) take under 1 MB.
 _STACK_CELLS = 1 << 15
 
-_MAX_ATTEMPTS = 1000
+DEFAULT_MAX_ATTEMPTS = 1000
 Z95 = 1.96  # two-sided 95% normal quantile
 
 
 def stack_size(config: PercolationConfig, r: int) -> int:
     """Grids of side k^r that one stack holds: as many as fit in ``_STACK_CELLS`` cells, at least one."""
-    # k^(m r) >= 2^r passes the bound once r reaches its bit length, so the
-    # exponent stops there and a deep grid's cell count is never built
-    return max(1, _STACK_CELLS // config.k ** (config.m * min(r, _STACK_CELLS.bit_length())))
+    return max(1, _STACK_CELLS // capped_power(config.k, config.m * r, _STACK_CELLS))
 
 
 def replica_config(config: PercolationConfig, replica: int, attempt: int = 0) -> PercolationConfig:
@@ -189,7 +188,7 @@ def sample_qpath(
     r: int,
     g: int = DEFAULT_PROBE_DEPTH,
     replica: int = 0,
-    max_attempts: int = _MAX_ATTEMPTS,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> QPath:
     """Sample one surviving mass-biased path and fill its scale records.
 
@@ -221,15 +220,14 @@ def sample_qpath(
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
+    LazyTree(config)._budget_grid(r)  # one scale's grid, before any k^m is built
     m, k, fanout = config.m, config.k, config.branching
     child_mass = mass_factor(config, g)
     # past int64 labels, each step counts its word's cells afresh instead
     streamed = labels_fit(fanout, r + g)
     # a cell counts at most fanout^g nodes, so a stack that holds every
-    # scale's grid until its sweep can be of the narrowest type that fits;
-    # one scale's grid must fit the node budget before the stack is made
-    stack_type = np.min_scalar_type(min(fanout**g, 1 << 63))
-    LazyTree(config)._budget_grid(r)
+    # scale's grid until its sweep can be of the narrowest type that fits
+    stack_type = np.min_scalar_type(capped_power(k, m * g, 1 << 63))
     stack = np.empty((min(n, stack_size(config, r)),) + (k**r,) * m, stack_type)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)

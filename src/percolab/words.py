@@ -41,7 +41,7 @@ class Word:
             raise ValueError("m must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        fanout = self.k ** self.m
+        fanout = self.k ** self.m if self.digits else 0  # a root word checks no digit
         for d in self.digits:
             if not 0 <= d < fanout:
                 raise ValueError(f"digit {d} out of range [0, {fanout})")

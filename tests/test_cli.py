@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -278,6 +279,8 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
         {"slab_axis": 2},
         {"slab_position": 16},  # the coarsest default slice grid has 2^4 cells
         {"max_attempts": 0},
+        # below the critical p the mass factor k^(-depth d) grows with depth
+        {"p": 0.2, "probe_depth": 5000},
     ],
     ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
          "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid",
@@ -285,7 +288,7 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
          "negative-lag", "empty-lags", "zero-depth", "empty-depths", "one-depth",
          "repeated-depth", "zero-resolutions",
          "empty-resolutions", "slab-axis-past-m", "slab-position-past-grid",
-         "zero-max-attempts"],
+         "zero-max-attempts", "mass-factor-overflow"],
 )
 def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     spec_file = _write_spec(tmp_path, {**TINY, **bad})
@@ -366,6 +369,62 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
         assert "PERCOLAB_MAX_NODES" in err and "pass max_nodes" not in err
         assert all(len(line) < 200 for line in err.splitlines())
         assert not out.exists()
+
+
+# specs whose sizes are far past any budget: each is refused before a
+# k^m, a k^(m r) grid count or a depth-long profile is built
+FAR_PAST_BOUND = {
+    "deep-probe-path": (
+        {"kind": "path-series", "m": 1, "k": 3, "resolution": 2, "probe_depth": 10**8,
+         "replicas": 1, "scales": 2},
+        3,
+    ),
+    "deep-slice-k3": ({"kind": "slice-decay", "k": 3, "resolutions": [10**8], "replicas": 2}, 3),
+    "deep-slice-k2": ({"kind": "slice-decay", "k": 2, "resolutions": [10**9], "replicas": 2}, 3),
+    "m-1e7-ensemble": ({"kind": "ensemble", "m": 10**7, "k": 3, "replicas": 2}, 3),
+    "m-1e6-ensemble": ({"kind": "ensemble", "m": 10**6, "k": 3, "replicas": 2}, 3),
+    "m-1e6-dimension": ({"kind": "dimension-slope", "m": 10**6, "k": 3, "replicas": 2}, 3),
+    "deep-dimension": (
+        {"kind": "dimension-slope", "p": 0.3, "depths": [2, 10**8], "replicas": 2},
+        3,
+    ),
+    "subcritical-deep-probe": (
+        {"kind": "path-series", "p": 0.2, "probe_depth": 5000, "replicas": 1, "scales": 2,
+         "max_attempts": 5},
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAR_PAST_BOUND))
+def test_main_refuses_specs_far_past_a_bound_at_once(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
+    spec, code = FAR_PAST_BOUND[name]
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert cli.main(["--spec", _write_spec(tmp_path, spec), "--out", str(out)]) == code
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert all(len(line) < 200 for line in lines)  # no count of thousands of digits
+    assert not out.exists()
+
+
+def test_spec_errors_weighs_mass_at_the_deepest_level_read():
+    # resolution + probe_depth for grid kinds, the finest resolution for
+    # slice-decay; dimension-slope counts nodes and weighs no mass
+    deep = {"p": 0.2, "resolution": 3, "resolutions": [2, 3]}
+    for kind in cli.KINDS:
+        if kind == "dimension-slope":
+            continue
+        fits = cli.spec_from_dict({**deep, "kind": kind, "probe_depth": 2000})
+        assert cli.spec_errors(fits) == []
+        over = cli.spec_from_dict({**deep, "kind": kind, "probe_depth": 5000})
+        assert "probe_depth" in "; ".join(cli.spec_errors(over))
+    slope = cli.spec_from_dict({**deep, "kind": "dimension-slope", "probe_depth": 5000})
+    assert cli.spec_errors(slope) == []
 
 
 def test_main_partial_run_exits_4_but_keeps_prefix(tmp_path, capsys):
@@ -492,6 +551,11 @@ _EDGES = [
     {"resolutions": [1, 40]},
     {"slab_axis": 3},
     {"slab_position": 2},
+    # far past any bound: refused before the size is built
+    {"probe_depth": 10**8},
+    {"m": 10**7},
+    {"resolution": 10**8},
+    {"resolutions": [10**8]},
 ]
 
 
@@ -535,8 +599,13 @@ def _no_constant(name):
 @example(base=_BASE, edge={"resolution": 40})
 @example(base=_BASE, edge={"resolutions": [1, 40]})
 @example(base=_BASE, edge={"depths": [3]})
+@example(base={"m": 1, "k": 3, "resolution": 2, "replicas": 1, "scales": 2},
+         edge={"probe_depth": 10**8})
+@example(base={"k": 3, "replicas": 2}, edge={"m": 10**6})
+@example(base={"p": 0.2, "replicas": 1, "scales": 2, "max_attempts": 5},
+         edge={"probe_depth": 5000})
 def test_main_keeps_its_exit_contract(monkeypatch, kind, base, edge):
-    # 6 kinds x 63 specs run in about 3 s on 2 CPUs: exit 0 or 4 with
+    # 6 kinds x 66 specs run in about 2.5 s on 2 CPUs: exit 0 or 4 with
     # tables, or exit 2, 3 or 4 with one error line and no output directory
     monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
     spec = {**base, "kind": kind, **edge}

@@ -1,12 +1,18 @@
 """Lazy tree: determinism, hereditary pruning, budgets, retention law."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word, x_estimate
-from percolab.percolation import STREAM_RETENTION, descendant_counts, grid_from_digit_order
+from percolab.percolation import (
+    STREAM_RETENTION,
+    capped_power,
+    descendant_counts,
+    grid_from_digit_order,
+)
 from percolab.qsampler import sample_qpath
 from percolab.rng import child_keys, substream, unit_draws
 from percolab.words import cell_of_digits
@@ -370,6 +376,39 @@ def test_memory_budget_enforced(monkeypatch):
     # a count grid past the budget fails before 4**resolution is ever built
     with pytest.raises(MemoryBudgetError):
         descendant_counts(t, Word.root(2, 2), 10**8, 0)
+
+
+def test_grid_budget_counts_the_cells_of_every_axis(monkeypatch):
+    monkeypatch.setenv("PERCOLAB_MAX_NODES", "100")
+    t = tree(p=0.3, seed=0)  # a sparse tree: no frontier level comes near 100 children
+    assert descendant_counts(t, Word.root(2, 2), 3, 0).size == 64
+    with pytest.raises(MemoryBudgetError, match="needs at least 256 nodes"):
+        descendant_counts(t, Word.root(2, 2), 4, 0)  # 2^(2 * 4) cells, not 2^4
+
+
+def test_count_profile_budgets_its_counts_before_hashing(monkeypatch):
+    # a pruned word's frontier is empty at once, so only the depth + 1
+    # counts of the profile stand between the call and a 2^24-entry list
+    monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
+    sparse = tree(p=0.4, seed=2)
+    pruned = next(w for w in (Word(2, 2, (d,)) for d in range(4)) if not sparse.is_retained(w))
+    assert sparse.count_profile(pruned, 3) == [0, 0, 0, 0]
+    start = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match="needs at least 16777217 nodes"):
+        sparse.count_profile(pruned, 1 << 24)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_capped_power_is_exact_up_to_its_bound():
+    assert capped_power(3, 5, 243) == 243  # at the bound
+    assert capped_power(3, 5, 242) == 243  # just past it: bound + 1
+    assert capped_power(2, 63, 1 << 63) == 1 << 63
+    assert capped_power(2, 64, 1 << 63) == (1 << 63) + 1
+    assert capped_power(5, 0, 0) == 1
+    start = time.perf_counter()
+    for base in (2, 3, 10**6):  # 3^(10^9) alone would take hours to build
+        assert capped_power(base, 10**9, 1 << 63) == (1 << 63) + 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_non_integer_max_nodes_warns_and_keeps_the_default(monkeypatch):
