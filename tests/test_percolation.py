@@ -376,14 +376,9 @@ def test_memory_budget_enforced(monkeypatch):
     # a count grid past the budget fails before 4**resolution is ever built
     with pytest.raises(MemoryBudgetError):
         descendant_counts(t, Word.root(2, 2), 10**8, 0)
-
-
-def test_grid_budget_counts_the_cells_of_every_axis(monkeypatch):
-    monkeypatch.setenv("PERCOLAB_MAX_NODES", "100")
-    t = tree(p=0.3, seed=0)  # a sparse tree: no frontier level comes near 100 children
-    assert descendant_counts(t, Word.root(2, 2), 3, 0).size == 64
-    with pytest.raises(MemoryBudgetError, match="needs at least 256 nodes"):
-        descendant_counts(t, Word.root(2, 2), 4, 0)  # 2^(2 * 4) cells, not 2^4
+    # its 2^(2 * 5) cells count on both axes, though no frontier reaches 1000
+    with pytest.raises(MemoryBudgetError, match="needs at least 1024 nodes"):
+        descendant_counts(t, Word.root(2, 2), 5, 0)
 
 
 def test_count_profile_budgets_its_counts_before_hashing(monkeypatch):
