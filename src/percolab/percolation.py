@@ -107,9 +107,13 @@ def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndar
 
 
 def capped_power(base: int, exp: int, bound: int) -> int:
-    """``base ** exp`` if at most ``bound``, else ``bound + 1``, for a spec's sizes: a base
-    >= 2 passes the bound once ``exp`` reaches the bound's bit length, so the exponent stops
-    there and no integer much wider than the bound is built, however deep the spec."""
+    """``base ** exp`` when that is at most ``bound``, else ``bound + 1``.
+
+    Every size a spec implies (k^m, a grid's k^(m r) cells, fanout^g) is
+    checked through it before it is built: a base >= 2 passes the bound
+    once the exponent reaches the bound's bit length, so the exponent stops
+    there and no integer much wider than the bound is made.
+    """
     return min(base ** min(exp, bound.bit_length()), bound + 1)
 
 
