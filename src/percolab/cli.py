@@ -44,6 +44,7 @@ from .measure import mass_factor
 from .percolation import _DEFAULT_MAX_NODES, PercolationConfig, _max_nodes_default, capped_power
 from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, DEFAULT_MAX_ATTEMPTS, DEFAULT_PROBE_DEPTH
 from .qsampler import ensemble_config
+from .rng import hash_kernel
 from . import __version__
 
 _SCHEMA_VERSION = 1
@@ -138,6 +139,8 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
         spec.config()
     except ValueError as exc:  # m, k and p
         errors.append(str(exc))
+    if spec.k > sys.float_info.max:  # every kind reads k as a float
+        errors.append(f"k must be at most {sys.float_info.max:.4g}, the largest float")
     if spec.scales < 1:
         errors.append("scales must be >= 1")
     if spec.resolution < 1:
@@ -600,6 +603,7 @@ def run(spec: ExperimentSpec) -> dict:
         "survival": survival,
         "replica_seeds": seeds,
         "partial": err is not None,
+        "hash_kernel": hash_kernel(),
     }
     if err is not None:
         manifest["rejection_error"] = str(err)

@@ -220,7 +220,9 @@ def sample_qpath(
     """
     if n < 1 or r < 1 or g < 0:
         raise ValueError("need n >= 1, r >= 1, g >= 0")
-    LazyTree(config)._budget_grid(r)  # one scale's grid, before any k^m is built
+    sizes = LazyTree(config)  # the node budget, checked before anything is built
+    sizes._budget(n)  # n scale records
+    sizes._budget_grid(r)  # one scale's grid, before any k^m is built
     m, k, fanout = config.m, config.k, config.branching
     child_mass = mass_factor(config, g)
     # past int64 labels, each step counts its word's cells afresh instead

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from percolab import cli
+from percolab import cli, rng
 
 
 TINY = {
@@ -179,6 +179,20 @@ def test_run_worker_count_does_not_change_artifacts(tmp_path):
     assert _read_outputs(tmp_path / "s") == _read_outputs(tmp_path / "p")
 
 
+def test_manifest_names_the_hash_body(tmp_path, monkeypatch):
+    spec = cli.spec_from_dict({**TINY, "kind": "ensemble", "replicas": 4})
+    kernels = [
+        cli.run(dataclasses.replace(spec, workers=w, out_dir=str(tmp_path / str(w))))["hash_kernel"]
+        for w in (1, 2)
+    ]
+    assert kernels == [rng.hash_kernel()] * 2
+    assert kernels[0] in ("native", "numpy")
+    monkeypatch.setattr(rng, "_loops", lambda: None)  # the compiled body off
+    off = cli.run(dataclasses.replace(spec, out_dir=str(tmp_path / "off")))
+    assert off["hash_kernel"] == "numpy"
+    assert _read_outputs(tmp_path / "off") == _read_outputs(tmp_path / "1")
+
+
 # -- entry point and exit codes --------------------------------------------------
 
 
@@ -281,6 +295,9 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
         {"max_attempts": 0},
         # below the critical p the mass factor k^(-depth d) grows with depth
         {"p": 0.2, "probe_depth": 5000},
+        # every kind reads k as a float
+        {"k": 10**400},
+        {"kind": "dimension-slope", "k": 10**400},
     ],
     ids=["float-int", "float-m", "bool-int", "one-replica-ensemble", "str-int",
          "scalar-list", "null-in-list", "empty-alpha-grid", "empty-eps-grid",
@@ -288,7 +305,8 @@ def test_main_kind_flag_fills_and_overrides_kind(tmp_path, capsys):
          "negative-lag", "empty-lags", "zero-depth", "empty-depths", "one-depth",
          "repeated-depth", "zero-resolutions",
          "empty-resolutions", "slab-axis-past-m", "slab-position-past-grid",
-         "zero-max-attempts", "mass-factor-overflow"],
+         "zero-max-attempts", "mass-factor-overflow", "k-past-float-range",
+         "slope-k-past-float-range"],
 )
 def test_main_rejects_badly_typed_spec(tmp_path, capsys, bad):
     spec_file = _write_spec(tmp_path, {**TINY, **bad})
@@ -366,6 +384,11 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
         {"kind": "ensemble", "m": 10**6, "k": 3, "replicas": 2},
         {"kind": "dimension-slope", "m": 10**6, "k": 3, "replicas": 2},
         {"kind": "dimension-slope", "p": 0.3, "depths": [2, 10**8], "replicas": 2},
+        # n scale records are budgeted before any is allocated
+        {"kind": "path-series", "scales": 10**13, "replicas": 1, "resolution": 2,
+         "probe_depth": 1},
+        {"kind": "covariance", "lags": [0, 10**13], "replicas": 2, "resolution": 2,
+         "probe_depth": 1},
     ]
     for i, spec in enumerate(specs):
         spec_file = _write_spec(tmp_path, spec)
@@ -527,6 +550,9 @@ _EDGES = [
     {"m": 10**7},
     {"resolution": 10**8},
     {"resolutions": [10**8]},
+    {"scales": 10**13},
+    {"lags": [0, 10**13]},
+    {"k": 10**400},
 ]
 
 
@@ -575,8 +601,11 @@ def _no_constant(name):
 @example(base={"k": 3, "replicas": 2}, edge={"m": 10**6})
 @example(base={"p": 0.2, "replicas": 1, "scales": 2, "max_attempts": 5},
          edge={"probe_depth": 5000})
+@example(base=_BASE, edge={"scales": 10**13})
+@example(base=_BASE, edge={"lags": [0, 10**13]})
+@example(base=_BASE, edge={"k": 10**400})
 def test_main_keeps_its_exit_contract(monkeypatch, kind, base, edge):
-    # 6 kinds x 66 specs run in about 2.5 s on 2 CPUs: exit 0 or 4 with
+    # 6 kinds x 69 specs run in about 2.5 s on 2 CPUs: exit 0 or 4 with
     # tables, or exit 2, 3 or 4 with one error line and no output directory
     monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
     spec = {**base, "kind": kind, **edge}

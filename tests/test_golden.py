@@ -6,7 +6,9 @@ value; a digest that moves means the program's numbers changed.
 run_manifest.json holds timestamps and wall times, so it is never
 digested.  Unlike check 13, which compares worker counts against each
 other, these digests catch a refactor that changes every number the same
-way.
+way.  The cases run under the compiled hash body where it builds, and once
+more under the numpy body, which every failure to build or load it falls
+back to.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import json
 
 import pytest
 
-from percolab import cli
+from percolab import cli, rng
 
 SPECS = {
     "path-series": {
@@ -245,3 +247,57 @@ def test_golden_digests(tmp_path, capsys, name, seed, workers):
     capsys.readouterr()
     assert code == (4 if name == "partial" else 0)
     assert got == DIGESTS[f"{name}-{seed}"]
+
+
+@pytest.mark.parametrize("name,seed,workers", CASES, ids=IDS)
+def test_golden_digests_under_the_numpy_body(tmp_path, capsys, numpy_body, name, seed, workers):
+    test_golden_digests(tmp_path, capsys, name, seed, workers)
+
+
+def _no_compiler(cache, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+
+
+def _unwritable_cache(cache, monkeypatch):
+    cache.write_bytes(b"")  # a file where the cache directory should be
+
+
+def _failed_build(cache, monkeypatch):
+    source = cache.parent / "_splitmix.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(rng, "_SOURCE", source)
+
+
+def _corrupt_object(cache, monkeypatch):
+    cache.mkdir()
+    rng._object(cache).write_bytes(b"not a shared object")
+
+
+def _unreadable_object(cache, monkeypatch):
+    rng._object(cache).mkdir(parents=True)  # a directory where the object should be
+
+
+def _check_mismatch(cache, monkeypatch):
+    source = cache.parent / "_splitmix.c"
+    source.write_text(rng._SOURCE.read_text().replace(">> 11", ">> 12"))
+    monkeypatch.setattr(rng, "_SOURCE", source)
+
+
+@pytest.mark.parametrize("failure", [
+    _no_compiler, _unwritable_cache, _failed_build, _corrupt_object, _unreadable_object,
+    _check_mismatch,
+], ids=lambda f: f.__name__.strip("_"))
+def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypatch, failure):
+    # filterwarnings = error::UserWarning: a warning would fail the run
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(rng, "_CACHE", cache)
+    failure(cache, monkeypatch)
+    rng._loops.cache_clear()
+    try:
+        code, got = run_digests(tmp_path, "path-series", 0)
+    finally:
+        rng._loops.cache_clear()  # the next caller loads from the package's cache
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert (code, manifest["hash_kernel"], err) == (0, "numpy", "")
+    assert got == DIGESTS["path-series-0"]

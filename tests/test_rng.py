@@ -6,10 +6,17 @@ silent change to the hashing breaks every stored manifest.  These literals
 were computed once from the reference definitions and must never drift.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import unmix64
+from percolab import rng
 from percolab.rng import (
     _DRAW_SALT,
     _mix64_inplace,
@@ -60,7 +67,7 @@ def test_scalar_and_vector_mixers_agree():
         assert mix64(int(x)) == int(v)
 
 
-def test_scalar_and_vector_children_agree():
+def test_scalar_and_vector_children_agree(hash_body):
     key = seed_key(42)
     table = child_keys(np.array([key], dtype=np.uint64), 4)
     assert table.shape == (1, 4)
@@ -71,7 +78,7 @@ def test_scalar_and_vector_children_agree():
         assert float(draws[i]) == unit_draw(child_key(key, i))
 
 
-def test_draws_are_unit_interval():
+def test_draws_are_unit_interval(hash_body):
     keys = np.array([substream(9, i) for i in range(1000)], dtype=np.uint64)
     draws = unit_draws(keys)
     assert np.all(draws >= 0.0) and np.all(draws < 1.0)
@@ -90,7 +97,7 @@ def test_child_keys_match_nested_substreams():
     assert substream(5, 2, 7) == child_key(child_key(seed_key(5), 2), 7)
 
 
-def test_vector_kernels_leave_input_untouched():
+def test_vector_kernels_leave_input_untouched(hash_body):
     keys = np.array([substream(9, i) for i in range(50)] + [0, 2**64 - 1], dtype=np.uint64)
     before = keys.tobytes()
     children = child_keys(keys, 3)
@@ -103,7 +110,7 @@ def test_vector_kernels_leave_input_untouched():
         assert int(mixed[i]) == mix64(key)
 
 
-def test_unit_draws_at_the_edges_of_the_range():
+def test_unit_draws_at_the_edges_of_the_range(hash_body):
     # keys crafted so that their salted hash is each edge of the 64-bit range:
     # the low 11 bits are dropped, the top bit must not read as a sign, and
     # the largest draw is (2^53 - 1) / 2^53
@@ -125,3 +132,53 @@ def test_unit_draws_at_the_edges_of_the_range():
 def test_unmix64_inverts_the_finalizer():
     for x in (0, 1, 12345, 2**63, 2**64 - 1, substream(9, 4)):
         assert unmix64(mix64(x)) == x and mix64(unmix64(x)) == x
+
+
+def test_strided_and_foreign_buffers_take_the_numpy_body(hash_body):
+    # the compiled loops read and write only contiguous arrays of their dtype
+    keys = np.array([substream(4, i) for i in range(12)], dtype=np.uint64)
+    strided = keys[::3]
+    children = np.empty((3, strided.size), dtype=np.uint64).T  # a transposed out
+    got = child_keys(strided, 3, children)
+    assert got is children
+    assert got.tolist() == [[child_key(key, j) for j in range(3)] for key in strided.tolist()]
+    draws = unit_draws(strided)
+    assert draws.tolist() == [unit_draw(key) for key in strided.tolist()]
+    with pytest.raises(TypeError):  # the numpy body refuses an integer out
+        unit_draws(keys, np.empty(keys.size, dtype=np.int64))
+
+
+def _compiler():
+    if shutil.which(rng._COMPILE[0]) is None:
+        pytest.skip("no C compiler: the compiled body cannot be built")
+
+
+def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):
+    _compiler()
+    cache = tmp_path / "cache"
+    assert rng._load(cache) is not None
+    # published whole by os.replace: the object and nothing else
+    assert [p.name for p in cache.iterdir()] == [rng._object(cache).name]
+
+    def no_compiling(*args, **kwargs):
+        raise AssertionError("a cache hit compiles nothing")
+
+    monkeypatch.setattr(subprocess, "run", no_compiling)
+    assert rng._load(cache) is not None
+    # another source is another object, never a stale one
+    source = tmp_path / "_splitmix.c"
+    source.write_text(rng._SOURCE.read_text() + "/* edited */\n")
+    before = rng._object(cache)
+    monkeypatch.setattr(rng, "_SOURCE", source)
+    assert rng._object(cache) != before
+    assert rng._load(cache) is None  # the edited source would need a build
+
+
+def test_a_cache_hit_imports_no_subprocess():
+    _compiler()
+    assert rng._loops() is not None  # the package's cache is warm from here on
+    code = "import sys; from percolab import rng; print(rng.hash_kernel(), 'subprocess' in sys.modules)"
+    src = str(Path(rng.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["native", "False"]
