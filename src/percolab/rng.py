@@ -218,7 +218,10 @@ def _object(directory: Path) -> Path:
 
 
 def _build(path: Path) -> None:
-    """Compile ``_SOURCE`` to ``path``, published whole by one ``os.replace``."""
+    """Compile ``_SOURCE`` to ``path``, published whole by one ``os.replace``.
+
+    Raises OSError on any failure, a missing compiler among them.
+    """
     import subprocess
     import tempfile
 
@@ -231,6 +234,8 @@ def _build(path: Path) -> None:
             check=True, stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
         )
         os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:  # a failed or hung compile
+        raise OSError(f"cannot build {path.name}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -240,8 +245,9 @@ def _load(directory: Path):
     """The compiled loops ``(child_keys, unit_draws)`` cached in ``directory``, or None.
 
     The object is built on a cache miss.  Any failure (no compiler, an
-    unwritable directory, a failed build or load, a check that disagrees
-    with the numpy body) returns None, so the numpy body runs.
+    unwritable directory, a failed build or load, a missing loop, a check
+    that disagrees with the numpy body) returns None, so the numpy body
+    runs.
     """
     try:
         path = _object(directory)
@@ -262,7 +268,7 @@ def _load(directory: Path):
         agree = np.array_equal(got, want) and np.array_equal(
             drawn.view(np.uint64), _numpy_unit_draws(both, np.empty(both.size)).view(np.uint64)
         )
-    except Exception:  # every failure leaves the numpy body in use
+    except (OSError, AttributeError):  # AttributeError: a loop missing from the object
         return None
     return (child, draws) if agree else None
 

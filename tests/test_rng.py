@@ -118,6 +118,7 @@ def test_unit_draws_at_the_edges_of_the_range(hash_body):
     keys = [unmix64(bits) ^ _DRAW_SALT for bits in edges]
     for key, bits in zip(keys, edges):
         assert mix64(key ^ _DRAW_SALT) == bits
+    assert set(keys) <= set(rng._CHECK_KEYS)  # a compiled body is checked on them first
     expected = list(edges.values())
     assert [unit_draw(key) for key in keys] == expected
     assert unit_draws(np.array(keys, dtype=np.uint64)).tolist() == expected
@@ -160,18 +161,21 @@ def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypat
     # published whole by os.replace: the object and nothing else
     assert [p.name for p in cache.iterdir()] == [rng._object(cache).name]
 
-    def no_compiling(*args, **kwargs):
-        raise AssertionError("a cache hit compiles nothing")
+    builds = []
 
-    monkeypatch.setattr(subprocess, "run", no_compiling)
-    assert rng._load(cache) is not None
+    def failing_build(cmd, **kwargs):
+        builds.append(cmd)
+        raise subprocess.CalledProcessError(1, cmd)
+
+    monkeypatch.setattr(subprocess, "run", failing_build)
+    assert rng._load(cache) is not None and builds == []  # a cache hit compiles nothing
     # another source is another object, never a stale one
     source = tmp_path / "_splitmix.c"
     source.write_text(rng._SOURCE.read_text() + "/* edited */\n")
     before = rng._object(cache)
     monkeypatch.setattr(rng, "_SOURCE", source)
     assert rng._object(cache) != before
-    assert rng._load(cache) is None  # the edited source would need a build
+    assert rng._load(cache) is None and len(builds) == 1  # a miss builds, and this build fails
 
 
 def test_a_cache_hit_imports_no_subprocess():
