@@ -7,7 +7,6 @@ sub-checks passes only if all of them do.
 """
 
 import re
-import shutil
 import sys
 from collections import defaultdict
 
@@ -62,31 +61,3 @@ def base_config():
     from percolab import PercolationConfig
 
     return PercolationConfig(m=2, k=2, p=0.8, seed=7)
-
-
-@pytest.fixture
-def numpy_body(monkeypatch):
-    """Hash with the numpy body: the compiled loops are forced off."""
-    from percolab import rng
-
-    monkeypatch.setattr(rng, "_loops", lambda: None)
-
-
-@pytest.fixture(params=["numpy", "native"])
-def hash_body(request, monkeypatch, tmp_path):
-    """Each body of ``child_keys`` and ``unit_draws`` in turn.
-
-    The compiled body must build, load and pass its check wherever a C
-    compiler is on the PATH, so that a broken ``_splitmix.c`` fails here
-    instead of falling back to numpy; without a compiler it is skipped.
-    """
-    from percolab import rng
-
-    loops = None
-    if request.param == "native":
-        loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
-        if loops is None and shutil.which(rng._COMPILE[0]) is None:
-            pytest.skip("no C compiler: the compiled body cannot be built")
-        assert loops is not None, "the compiled body did not build, load or pass its check"
-    monkeypatch.setattr(rng, "_loops", lambda: loops)
-    return request.param

@@ -42,6 +42,29 @@ GOLDEN = {
 }
 
 
+def _compiler():
+    if shutil.which(rng._COMPILE[0]) is None:
+        pytest.skip("no C compiler: the compiled body cannot be built")
+
+
+@pytest.fixture(params=["numpy", "native"])
+def hash_body(request, monkeypatch, tmp_path):
+    """Each body of ``child_keys`` and ``unit_draws`` in turn.
+
+    The compiled body must build, load and pass its check wherever a C
+    compiler is on the PATH, so that a broken ``_splitmix.c`` fails here
+    instead of falling back to numpy; without a compiler it is skipped.
+    """
+    loops = None
+    if request.param == "native":
+        loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
+        if loops is None:
+            _compiler()
+        assert loops is not None, "the compiled body did not build, load or pass its check"
+    monkeypatch.setattr(rng, "_loops", lambda: loops)
+    return request.param
+
+
 def test_mixer_golden_values():
     assert mix64(0) == GOLDEN["mix64_0"]
     assert mix64(1) == GOLDEN["mix64_1"]
@@ -147,11 +170,6 @@ def test_strided_and_foreign_buffers_take_the_numpy_body(hash_body):
     assert draws.tolist() == [unit_draw(key) for key in strided.tolist()]
     with pytest.raises(TypeError):  # the numpy body refuses an integer out
         unit_draws(keys, np.empty(keys.size, dtype=np.int64))
-
-
-def _compiler():
-    if shutil.which(rng._COMPILE[0]) is None:
-        pytest.skip("no C compiler: the compiled body cannot be built")
 
 
 def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):
