@@ -15,8 +15,7 @@ from .errors import (
     ZeroMassError,
 )
 from .words import Word
-from .percolation import LazyTree, PercolationConfig, descendant_counts
-from .measure import dimension, x_estimate
+from .percolation import LazyTree, PercolationConfig, descendant_counts, dimension
 from .holes import (
     ball_box,
     ball_porosities,
@@ -42,10 +41,8 @@ from .estimators import (
     CovarianceEstimate,
     PorosityExtremes,
     covariance_from_paths,
-    discrepancy_rate,
     path_average_bracket,
     porosity_extremes,
-    running_mean,
 )
 from .experiments import (
     DimensionSlope,
@@ -69,7 +66,6 @@ __all__ = [
     "LazyTree",
     "descendant_counts",
     "dimension",
-    "x_estimate",
     "empty_block_sides",
     "max_empty_block",
     "restricted_max_empty_block",
@@ -87,11 +83,9 @@ __all__ = [
     "ensemble_view",
     "importance_functional",
     "WeightedMean",
-    "running_mean",
     "path_average_bracket",
     "CovarianceEstimate",
     "covariance_from_paths",
-    "discrepancy_rate",
     "PorosityExtremes",
     "porosity_extremes",
     "run_path_batch_partial",

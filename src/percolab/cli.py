@@ -40,8 +40,8 @@ from .experiments import (
     run_path_batch_partial,
     slice_decay,
 )
-from .measure import mass_factor
-from .percolation import _DEFAULT_MAX_NODES, PercolationConfig, _max_nodes_default, capped_power
+from .percolation import _DEFAULT_MAX_NODES, PercolationConfig, _max_nodes_default
+from .percolation import capped_power, mass_factor
 from .qsampler import DEFAULT_ALPHA_GRID, DEFAULT_EPS_GRID, DEFAULT_MAX_ATTEMPTS, DEFAULT_PROBE_DEPTH
 from .qsampler import ensemble_config
 from .rng import hash_kernel
@@ -187,11 +187,11 @@ def spec_errors(spec: ExperimentSpec) -> List[str]:
 def validate(spec: ExperimentSpec) -> List[str]:
     """Advisory report: conditions worth a warning but not a refusal."""
     warnings = []
-    critical = spec.config().critical_probability
-    if spec.p <= critical:
+    config = spec.config()
+    if not config.supercritical:
         warnings.append(
             f"p={spec.p} is at or below the critical value k^-m="
-            f"{critical:g}: the process dies out almost "
+            f"{config.critical_probability:g}: the process dies out almost "
             f"surely and survival rejection will be slow or hopeless"
         )
     r, depth = _depths(spec)
@@ -584,6 +584,9 @@ def run(spec: ExperimentSpec) -> dict:
     # every alpha and eps is written as a float: 1 as 1.0
     grids = {name: tuple(map(float, getattr(spec, name))) for name in ("alpha_grid", "eps_grid")}
     spec = replace(spec, alpha=float(spec.alpha), **grids)
+    budget = _max_nodes_default()
+    if spec.replicas > budget:  # every kind lists one task per replica before any runs
+        raise MemoryBudgetError(spec.replicas, budget)
     started = time.time()
     tables, summary, survival, seeds, err = _RUNNERS[spec.kind](spec)
     # made only now, so a run that raises (exit 3 or 4) leaves no directory

@@ -21,11 +21,6 @@ from .percolation import PercolationConfig
 from .qsampler import Z95, QPath, WeightedMean
 
 
-def running_mean(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    return np.cumsum(values) / np.arange(1, len(values) + 1)
-
-
 # -- importance-weighted ensemble estimates ----------------------------------
 
 
@@ -118,12 +113,7 @@ def covariance_from_paths(
     )
 
 
-# -- per-path diagnostics ------------------------------------------------------
-
-
-def discrepancy_rate(path: QPath, alpha: float, eps: float, delta: float) -> np.ndarray:
-    """Running rate of measure holes the set bracket cannot account for."""
-    return running_mean(path.discrepancy(alpha, eps, delta))
+# -- porosity extremes --------------------------------------------------------
 
 
 @dataclass

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import RejectionLimitError
 from .holes import max_empty_block
-from .measure import dimension
-from .percolation import LazyTree, PercolationConfig, capped_power
+from .percolation import LazyTree, PercolationConfig, capped_power, dimension
 from .qsampler import (
     DEFAULT_MAX_ATTEMPTS,
     QPath,
@@ -33,6 +32,7 @@ from .qsampler import (
     sample_qpath,
     stack_size,
 )
+from .rng import hash_kernel
 
 
 @contextmanager
@@ -48,6 +48,7 @@ def _mapper(workers: int, tasks: int) -> Iterator[Callable]:
     if workers <= 1 or tasks <= 1:
         yield map
         return
+    hash_kernel()  # resolve the hashing loops here, so that forked workers inherit them
     with Pool(processes=min(workers, tasks)) as pool:
         yield functools.partial(pool.imap, chunksize=1)
 

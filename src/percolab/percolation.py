@@ -17,6 +17,7 @@ them into the spatial grid that the ``holes`` kernels read.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -75,11 +76,28 @@ class PercolationConfig:
 
     @property
     def supercritical(self) -> bool:
-        """True when the mean offspring count p k^m exceeds one."""
-        return self.p * self.branching > 1.0
+        """True when the mean offspring count p k^m exceeds one, read as
+        p > k^-m: a huge k^m is slow to build and past the float range."""
+        return self.p > self.critical_probability
 
     def root_word(self) -> Word:
         return Word.root(self.m, self.k)
+
+
+def dimension(config: PercolationConfig) -> float:
+    """Almost-sure dimension of the limit set given survival."""
+    return config.m + math.log(config.p) / math.log(config.k)
+
+
+def mass_factor(config: PercolationConfig, level: int) -> float:
+    """k^(-level d), the mass each retained node at depth ``level`` carries.
+
+    A retained depth-j cube carries mass k^(-j d) X, where X is its
+    martingale limit.  Its retained count g levels below has mean
+    (p k^m)^g = k^(g d) and sums over its children as X does, so that count
+    times k^(-g d) estimates X, and a count times this factor is a mass.
+    """
+    return float(config.k) ** (-level * dimension(config))
 
 
 def _max_nodes_default() -> int:

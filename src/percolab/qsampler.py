@@ -32,7 +32,6 @@ from .holes import (
     set_hole_indicators,
     stack_geometry,
 )
-from .measure import mass_factor
 from .percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
@@ -43,6 +42,7 @@ from .percolation import (
     descendant_counts,
     grid_from_digit_order,
     labels_fit,
+    mass_factor,
 )
 from .rng import child_key, substream, unit_draw
 from .words import Word, cell_of_digits
@@ -173,14 +173,6 @@ class QPath:
         sweeps = self.ball_sweep.reshape((self.n,) + (1,) * eps.ndim + (-1,))
         return gap_porosity(sweeps, limits[..., None], self.side / 4.0)
 
-    def discrepancy(self, alpha: float, eps: float, delta: float) -> np.ndarray:
-        """Per-scale indicators of measure holes invisible to the set bracket."""
-        if not 0.0 < delta < alpha:
-            raise ValueError("delta must lie strictly between 0 and alpha")
-        v = self.measure_hole(alpha, eps)
-        up = self.set_hole_upper(alpha - delta)
-        return (v & (1 - up)).astype(np.int8)
-
 
 def sample_qpath(
     config: PercolationConfig,
@@ -273,7 +265,8 @@ def sample_qpath(
                     digit = sample_step(counts, unit_draw(child_key(path_key, step)))
                     digits.append(digit)
                     if step < n:
-                        # the chosen child's count is x_estimate(word_{step+1}, g)'s
+                        # the chosen child's count is count_profile(word_{step+1}, g)[g],
+                        # which mass_factor(config, g) turns into a mass
                         x_hat[step] = counts[digit] * child_mass
                     j = step - r + 1
                     if j < 1:

@@ -16,7 +16,9 @@ The numpy body is the reference.  The compiled body runs the two loops of
 package's ``__pycache__`` under a name hashed from the source, the compile
 command and the platform.  It is loaded with ``ctypes`` and checked against
 the numpy body before first use.  Without a compiler, or on any failure to
-build, load or pass that check, the numpy body runs.
+build, load or pass that check, the numpy body runs.  A compiler that runs
+and fails leaves a marker of the same name beside the object, so each
+source is built at most once however many processes find no object.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import os
 import platform
 import sys
 import zlib
+from contextlib import contextmanager, suppress
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -217,34 +220,53 @@ def _object(directory: Path) -> Path:
     return directory / f"_splitmix-{tag:08x}.so"
 
 
-def _build(path: Path) -> None:
-    """Compile ``_SOURCE`` to ``path``, published whole by one ``os.replace``.
+def _failed(path: Path) -> Path:
+    """The marker a failed build of the object at ``path`` leaves beside it."""
+    return path.with_suffix(".failed")
 
-    Raises OSError on any failure, a missing compiler among them.
-    """
-    import subprocess
+
+@contextmanager
+def _published(path: Path) -> Iterator[str]:
+    """A temporary file beside ``path``, moved onto it by one ``os.replace``
+    when the block succeeds, and removed in any case."""
     import tempfile
 
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name, dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run(
-            [*_COMPILE, "-o", tmp, str(_SOURCE)],
-            check=True, stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
-        )
+        yield tmp
         os.replace(tmp, path)
-    except subprocess.SubprocessError as exc:  # a failed or hung compile
-        raise OSError(f"cannot build {path.name}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _build(path: Path) -> None:
+    """Compile ``_SOURCE`` to ``path``, published whole by one ``os.replace``.
+
+    Raises OSError on any failure, a missing compiler among them.  A
+    compile that fails or hangs also publishes the ``_failed`` marker.
+    """
+    import subprocess
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _published(path) as tmp:
+        try:
+            subprocess.run(
+                [*_COMPILE, "-o", tmp, str(_SOURCE)],
+                check=True, stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+            )
+        except subprocess.SubprocessError as exc:  # a failed or hung compile
+            with suppress(OSError), _published(_failed(path)) as marker:
+                Path(marker).write_text(f"{exc}\n", encoding="utf-8")
+            raise OSError(f"cannot build {path.name}: {exc}") from exc
+
+
 def _load(directory: Path):
     """The compiled loops ``(child_keys, unit_draws)`` cached in ``directory``, or None.
 
-    The object is built on a cache miss.  Any failure (no compiler, an
+    The object is built on a cache miss, unless an earlier build of the
+    same source left its ``_failed`` marker.  Any failure (no compiler, an
     unwritable directory, a failed build or load, a missing loop, a check
     that disagrees with the numpy body) returns None, so the numpy body
     runs.
@@ -252,6 +274,8 @@ def _load(directory: Path):
     try:
         path = _object(directory)
         if not path.exists():
+            if _failed(path).exists():
+                return None
             _build(path)
         lib = ctypes.CDLL(str(path))
         child, draws = lib.splitmix_child_keys, lib.splitmix_unit_draws

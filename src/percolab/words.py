@@ -56,7 +56,3 @@ class Word:
 
     def child(self, digit: int) -> "Word":
         return Word(self.m, self.k, self.digits + (int(digit),))
-
-    def __str__(self) -> str:
-        body = ".".join(str(d) for d in self.digits) if self.digits else "()"
-        return f"Word(m={self.m}, k={self.k}, {body})"

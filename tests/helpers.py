@@ -1,13 +1,18 @@
-"""Independent brute-force oracles used to pin the fast kernels.
+"""Brute-force oracles that pin the fast kernels, and test-side statistics.
 
-Everything here is written directly from the definitions (enumerate all
+The oracles are written directly from the definitions (enumerate all
 windows / blocks), deliberately sharing no code with the package kernels.
+The statistics at the end (a cube's mass estimate, running means, the
+discrepancy indicators) are composed from the package's public pieces;
+only tests read them.
 """
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from percolab.percolation import mass_factor
 
 
 def brute_max_empty_block(occ: np.ndarray) -> int:
@@ -145,3 +150,35 @@ def unmix64(y: int) -> int:
     y = unshift(y, 27)
     y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
     return unshift(y, 30)
+
+
+# -- test-side statistics --------------------------------------------------------
+
+
+def x_estimate(tree, word, probe_depth: int) -> float:
+    """Depth-``probe_depth`` martingale estimate at ``word``: its retained
+    count ``probe_depth`` levels below, times ``mass_factor``.
+
+    Raises ValueError on a pruned word: a discarded cube carries no mass and
+    has no martingale to estimate.
+    """
+    profile = tree.count_profile(word, probe_depth)
+    if profile[0] == 0:
+        raise ValueError(f"{word} is pruned; x_estimate needs a retained word")
+    return profile[probe_depth] * mass_factor(tree.config, probe_depth)
+
+
+def running_mean(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.cumsum(values) / np.arange(1, len(values) + 1)
+
+
+def discrepancy(path, alpha: float, eps: float, delta: float) -> np.ndarray:
+    """Per-scale indicators of measure holes invisible to the set bracket:
+    a measure hole at alpha where no set hole at alpha - delta is unrefuted.
+    """
+    if not 0.0 < delta < alpha:
+        raise ValueError("delta must lie strictly between 0 and alpha")
+    v = path.measure_hole(alpha, eps)
+    up = path.set_hole_upper(alpha - delta)
+    return (v & (1 - up)).astype(np.int8)

@@ -46,7 +46,7 @@ from percolab import (
     window_min_sweep,
 )
 from percolab import cli
-from percolab.estimators import discrepancy_rate, ensemble_from_sweep
+from percolab.estimators import ensemble_from_sweep
 from percolab.experiments import ensemble_sweep_parallel
 from percolab.holes import (
     _stack_sweeps,
@@ -56,10 +56,16 @@ from percolab.holes import (
     restricted_max_empty_block,
     set_hole_indicators,
 )
-from percolab.measure import x_estimate
 from percolab.qsampler import ReplicaView, ensemble_view, replica_config
 
-from helpers import brute_max_empty_block, brute_min_window_sum, pack_all_grids
+from helpers import (
+    brute_max_empty_block,
+    brute_min_window_sum,
+    discrepancy,
+    pack_all_grids,
+    running_mean,
+    x_estimate,
+)
 
 ALPHAS = (0.005,) + tuple(round(0.05 * t, 2) for t in range(1, 20)) + (1.0,)
 EPS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -335,7 +341,7 @@ def test_criterion_9a_measure_between_set_brackets(paths_main):
     for p in paths_main:
         lo = p.set_hole_lower(alpha).mean()
         up = p.set_hole_upper(alpha - delta).mean()
-        disc = p.discrepancy(alpha, eps, delta).mean()
+        disc = discrepancy(p, alpha, eps, delta).mean()
         mv = p.measure_hole(alpha, eps).mean()
         ok += lo <= mv <= up + disc
     assert ok >= 18  # >= 90% of 20 paths
@@ -358,7 +364,7 @@ def test_criterion_9b_gap_shrinks_with_eps(paths_main):
 
 def test_criterion_10_discrepancy_rate_bound(paths_main):
     alpha, delta = 0.3, 0.1
-    rates = np.array([discrepancy_rate(p, alpha, EPS[-1], delta)[-1] for p in paths_main])
+    rates = np.array([running_mean(discrepancy(p, alpha, EPS[-1], delta))[-1] for p in paths_main])
     half_width = 1.96 * rates.std(ddof=1) / np.sqrt(len(rates))
     assert rates.mean() <= delta + half_width
 

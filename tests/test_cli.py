@@ -406,6 +406,21 @@ def test_main_memory_budget_exit(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_replica_records_are_budgeted_before_any_task_is_listed(tmp_path, capsys, monkeypatch):
+    # every kind lists one task per replica before any runs: the count is
+    # checked against the node budget as a path's scale records are
+    monkeypatch.setenv("PERCOLAB_MAX_NODES", "8")
+    spec = {"kind": "ensemble", "m": 1, "k": 2, "resolution": 1, "probe_depth": 1}
+    for replicas, code in ((9, 3), (8, 0)):
+        out = tmp_path / f"o{replicas}"
+        spec_file = _write_spec(tmp_path, {**spec, "replicas": replicas})
+        assert cli.main(["--spec", spec_file, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: expansion needs at least 9 nodes, budget is 8 "
+                       "(raise PERCOLAB_MAX_NODES)\n" if code else "")
+        assert out.exists() == (code == 0)
+
+
 def test_spec_errors_weighs_mass_at_the_deepest_level_read():
     # resolution + probe_depth for grid kinds, the finest resolution for
     # slice-decay; dimension-slope counts nodes and weighs no mass
@@ -552,6 +567,7 @@ _EDGES = [
     {"resolutions": [10**8]},
     {"scales": 10**13},
     {"lags": [0, 10**13]},
+    {"replicas": 10**13},
     {"k": 10**400},
 ]
 
@@ -603,9 +619,10 @@ def _no_constant(name):
          edge={"probe_depth": 5000})
 @example(base=_BASE, edge={"scales": 10**13})
 @example(base=_BASE, edge={"lags": [0, 10**13]})
+@example(base=_BASE, edge={"replicas": 10**13})
 @example(base=_BASE, edge={"k": 10**400})
 def test_main_keeps_its_exit_contract(monkeypatch, kind, base, edge):
-    # 6 kinds x 69 specs run in about 2.5 s on 2 CPUs: exit 0 or 4 with
+    # 6 kinds x 70 specs run in about 2.5 s on 2 CPUs: exit 0 or 4 with
     # tables, or exit 2, 3 or 4 with one error line and no output directory
     monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
     spec = {**base, "kind": kind, **edge}

@@ -8,13 +8,12 @@ import pytest
 from percolab import (
     PercolationConfig,
     covariance_from_paths,
-    discrepancy_rate,
     path_average_bracket,
     porosity_extremes,
     run_path_batch_partial,
-    running_mean,
     sample_qpath,
 )
+from helpers import running_mean
 from percolab.estimators import ensemble_from_sweep
 from percolab.experiments import ensemble_sweep_parallel
 from percolab.qsampler import WeightedMean
@@ -126,13 +125,6 @@ def test_covariance_probe_end_to_end():
     assert est.replicas == 30
     assert est.lag == 1 and est.r == 3
     assert est.ci_low <= est.covariance <= est.ci_high
-
-
-def test_discrepancy_rate_running_mean():
-    path = _paths(n_paths=1)[0]
-    rate = discrepancy_rate(path, 0.3, 1e-3, 0.1)
-    assert np.allclose(rate, running_mean(path.discrepancy(0.3, 1e-3, 0.1)))
-    assert np.all((0 <= rate) & (rate <= 1))
 
 
 def test_porosity_extremes_structure():

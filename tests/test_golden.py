@@ -13,6 +13,7 @@ back to.
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -302,3 +303,27 @@ def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypat
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
     assert (code, manifest["hash_kernel"], err) == (0, "numpy", "")
     assert got == DIGESTS["path-series-0"]
+
+
+def test_a_failed_build_is_tried_once_per_source(tmp_path, capsys, monkeypatch):
+    # a stand-in cc that counts its calls and fails slowly enough that two
+    # pool workers resolving the loops themselves would both call it
+    calls = tmp_path / "calls"
+    stand_in = tmp_path / "bin" / "cc"
+    stand_in.parent.mkdir()
+    stand_in.write_text(f"#!/bin/sh\necho cc >> '{calls}'\nsleep 0.3\nexit 1\n")
+    stand_in.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{stand_in.parent}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(rng, "_CACHE", tmp_path / "cache")
+    try:
+        for run in ("first", "second"):
+            rng._loops.cache_clear()  # each run resolves the loops afresh, as a new process does
+            (tmp_path / run).mkdir()
+            code, got = run_digests(tmp_path / run, "path-series", 0, workers=2)
+            assert (code, got) == (0, DIGESTS["path-series-0"])
+            assert rng.hash_kernel() == "numpy"
+    finally:
+        rng._loops.cache_clear()  # the next caller loads from the package's cache
+    assert capsys.readouterr().err == ""
+    assert calls.read_text().splitlines() == ["cc"]
+    assert rng._failed(rng._object(tmp_path / "cache")).exists()

@@ -24,6 +24,7 @@ from helpers import (
     brute_empty_block_sides,
     brute_max_empty_block,
     brute_min_window_sum,
+    discrepancy,
     hole_bracket,
     pack_all_grids,
 )
@@ -325,7 +326,7 @@ def test_discrepancy_indicator_bounds_measure_minus_upper():
         path = sample_qpath(cfg, n=25, r=4, g=3, replica=replica)
         v = path.measure_hole(alpha, eps)
         up = path.set_hole_upper(alpha - delta)
-        disc = path.discrepancy(alpha, eps, delta)
+        disc = discrepancy(path, alpha, eps, delta)
         assert set(disc.tolist()) <= {0, 1}
         assert np.all(v <= up + disc)  # the pointwise sandwich the rate bound relies on
 
@@ -334,9 +335,9 @@ def test_discrepancy_indicator_validates_delta():
     cfg = PercolationConfig(2, 2, 0.8, seed=29)
     path = sample_qpath(cfg, n=2, r=2, g=2, replica=0)
     with pytest.raises(ValueError):
-        path.discrepancy(0.3, 1e-3, 0.3)
+        discrepancy(path, 0.3, 1e-3, 0.3)
     with pytest.raises(ValueError):
-        path.discrepancy(0.3, 1e-3, 0.0)
+        discrepancy(path, 0.3, 1e-3, 0.0)
 
 
 # -- ball porosities -----------------------------------------------------------

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
-from percolab import LazyTree, PercolationConfig, Word, dimension, x_estimate
+from helpers import x_estimate
+from percolab import LazyTree, PercolationConfig, Word, dimension
 from percolab.experiments import _slice_worker
-from percolab.measure import mass_factor
-from percolab.percolation import descendant_counts, grid_from_digit_order
+from percolab.percolation import descendant_counts, grid_from_digit_order, mass_factor
 from percolab.words import cell_of_digits
 
 

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word, x_estimate
+from helpers import x_estimate
+from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
 from percolab.percolation import (
     STREAM_RETENTION,
     capped_power,

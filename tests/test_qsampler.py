@@ -5,13 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import x_estimate
 from percolab import (
     LazyTree,
     PercolationConfig,
     RejectionLimitError,
     Word,
     dimension,
-    x_estimate,
 )
 from percolab import qsampler
 from percolab.estimators import ensemble_from_sweep

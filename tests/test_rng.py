@@ -194,6 +194,9 @@ def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypat
     monkeypatch.setattr(rng, "_SOURCE", source)
     assert rng._object(cache) != before
     assert rng._load(cache) is None and len(builds) == 1  # a miss builds, and this build fails
+    # the failure is marked beside the object it would have been, and not retried
+    assert rng._failed(rng._object(cache)).exists()
+    assert rng._load(cache) is None and len(builds) == 1
 
 
 def test_a_cache_hit_imports_no_subprocess():
