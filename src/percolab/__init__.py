@@ -14,7 +14,6 @@ from .errors import (
     RejectionLimitError,
     ZeroMassError,
 )
-from .words import Word
 from .percolation import LazyTree, PercolationConfig, descendant_counts, dimension
 from .holes import (
     ball_box,
@@ -61,7 +60,6 @@ __all__ = [
     "DeadSubtreeError",
     "RejectionLimitError",
     "ZeroMassError",
-    "Word",
     "PercolationConfig",
     "LazyTree",
     "descendant_counts",

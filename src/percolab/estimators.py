@@ -94,8 +94,9 @@ def covariance_from_paths(
         raise ValueError("lag must be >= 0")
     if any(p.n < lag + 1 for p in paths):
         raise ValueError(f"paths must record at least {lag + 1} scales")
-    a = np.array([float(p.set_hole_lower(alpha)[0]) for p in paths])
-    b = np.array([float(p.set_hole_lower(alpha)[lag]) for p in paths])
+    lower = [p.set_hole_lower(alpha) for p in paths]
+    a = np.array([float(h[0]) for h in lower])
+    b = np.array([float(h[lag]) for h in lower])
     cov = float((a * b).mean() - a.mean() * b.mean())
     se = WeightedMean.from_values((a - a.mean()) * (b - b.mean())).se
     return CovarianceEstimate(

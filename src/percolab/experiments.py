@@ -75,9 +75,7 @@ def _sweep_worker(args) -> List[Tuple[float, int]]:
 
 def _profile_worker(args) -> List[int]:
     config, depth, replica = args
-    cfg = ensemble_config(config, replica)
-    tree = LazyTree(cfg)
-    return tree.count_profile(cfg.root_word(), depth)
+    return LazyTree(ensemble_config(config, replica)).count_profile((), depth)
 
 
 def _slice_worker(args) -> List[Tuple[int, int]]:
@@ -171,15 +169,18 @@ def dimension_slope(
     a depth-independent factor at these sizes); the fit needs two or more
     distinct depths.  Candidates are consumed in replica order until
     ``trees`` survivors are found, which keeps the selected set independent
-    of the worker count; at most 20 * ``trees`` candidates are inspected.  Each block of candidates is no larger than
-    the number of survivors still missing, so no candidate past the last
-    survivor needed is computed, and every block runs on one pool.
+    of the worker count; at most 20 * ``trees`` candidates are inspected.
+    Each block of candidates is no larger than the number of survivors
+    still missing, so no candidate past the last survivor needed is
+    computed, and every block runs on one pool.
     """
     depths = tuple(sorted(int(j) for j in depths))
     if len(set(depths)) < 2:
         raise ValueError("a slope needs two or more distinct depths")
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
+    if trees < 1:
+        raise ValueError("trees must be >= 1")
     max_depth = depths[-1]
     cap = 20 * trees
     profiles: List[List[int]] = []

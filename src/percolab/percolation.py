@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import MemoryBudgetError
 from .rng import child_key, child_keys, substream, unit_draw, unit_draws
-from .words import Word
 
 _DEFAULT_MAX_NODES = 1 << 24
 
@@ -80,9 +79,6 @@ class PercolationConfig:
         p > k^-m: a huge k^m is slow to build and past the float range."""
         return self.p > self.critical_probability
 
-    def root_word(self) -> Word:
-        return Word.root(self.m, self.k)
-
 
 def dimension(config: PercolationConfig) -> float:
     """Almost-sure dimension of the limit set given survival."""
@@ -112,13 +108,34 @@ def _max_nodes_default() -> int:
     return _DEFAULT_MAX_NODES
 
 
+def cell_of_digits(digits: Tuple[int, ...], m: int, k: int) -> Tuple[int, ...]:
+    """Integer coordinates of the cell a digit tuple addresses.
+
+    A cell is the tuple of its digits in {0, ..., k^m - 1}, one per level
+    below the root ``()``: each digit picks one of the k^m subcubes of the
+    current cube, and holds one base-k offset per axis in mixed radix with
+    axis 0 most significant,
+
+        offset along axis a  =  (digit // k**(m - 1 - a)) % k.
+
+    The result lives on the side-``k**len(digits)`` grid; coordinate ``a``
+    is the base-k number whose digits are the axis-``a`` offsets, most
+    significant first.
+    """
+    coords = [0] * m
+    for d in digits:
+        for a in range(m):
+            coords[a] = coords[a] * k + (d // k ** (m - 1 - a)) % k
+    return tuple(coords)
+
+
 def grid_from_digit_order(values: np.ndarray, m: int, k: int, r: int) -> np.ndarray:
     """Rearrange a length-(k^m)^r digit-order vector into a (side,)*m grid.
 
-    Digit i holds one base-k offset per axis (see ``words``), so the vector
-    is m * r base-k axes in (level, axis) order; one transpose to (axis,
-    level) order gives the grid.  The dtype is kept; where m = 1 or r <= 1
-    nothing moves and the grid is a view of ``values``.
+    Digit i holds one base-k offset per axis (see ``cell_of_digits``), so
+    the vector is m * r base-k axes in (level, axis) order; one transpose to
+    (axis, level) order gives the grid.  The dtype is kept; where m = 1 or
+    r <= 1 nothing moves and the grid is a view of ``values``.
     """
     order = [i * m + a for a in range(m) for i in range(r)]
     return values.reshape((k,) * (m * r)).transpose(order).reshape((k**r,) * m)
@@ -274,7 +291,14 @@ class LazyTree:
     # -- scalar queries ---------------------------------------------------
 
     def _lookup(self, digits: Tuple[int, ...]) -> Optional[int]:
-        """Stream key of the node at ``digits``, or None if it is pruned."""
+        """Stream key of the node at ``digits``, or None if it is pruned.
+
+        Raises ValueError on a digit outside [0, k^m).
+        """
+        fanout = self.config.branching if digits else 0  # the root reads no digit
+        for digit in digits:
+            if not 0 <= digit < fanout:
+                raise ValueError(f"digit {digit} out of range [0, {fanout})")
         key = self._root_key
         p = self.config.p
         for digit in digits:
@@ -283,16 +307,8 @@ class LazyTree:
                 return None  # hereditary: the rest of the path is dead too
         return key
 
-    def _check_word(self, word: Word):
-        if word.m != self.config.m or word.k != self.config.k:
-            raise ValueError(
-                f"word geometry (m={word.m}, k={word.k}) does not match the "
-                f"tree (m={self.config.m}, k={self.config.k})"
-            )
-
-    def is_retained(self, word: Word) -> bool:
-        self._check_word(word)
-        return self._lookup(word.digits) is not None
+    def is_retained(self, digits: Tuple[int, ...]) -> bool:
+        return self._lookup(digits) is not None
 
     # -- bulk expansion ---------------------------------------------------
 
@@ -305,12 +321,12 @@ class LazyTree:
         self._budget(capped_power(self.config.k, self.config.m * r, 1 << 63))
 
     @contextmanager
-    def frontier(self, word: Word, label_depth: int = 0) -> Iterator[Frontier]:
-        """A frontier holding ``word`` alone (none if it is pruned), for one ``with`` block.
+    def frontier(self, digits: Tuple[int, ...], label_depth: int = 0) -> Iterator[Frontier]:
+        """A frontier holding the cell at ``digits`` alone (none if it is
+        pruned), for one ``with`` block.
 
         ``label_depth`` must pass ``labels_fit``.
         """
-        self._check_word(word)
         self._budget_grid(1)  # one level of children
         fanout = self.config.branching
         if not labels_fit(fanout, label_depth):
@@ -318,7 +334,7 @@ class LazyTree:
         workspace = _workspace(fanout)
         levels = [workspace.spares.pop() if workspace.spares else _Level() for _ in range(2)]
         try:
-            yield Frontier(fanout, self._lookup(word.digits), label_depth, levels)
+            yield Frontier(fanout, self._lookup(digits), label_depth, levels)
         finally:
             workspace.spares.extend(levels)
 
@@ -394,12 +410,13 @@ class LazyTree:
         sizes.extend([0] * (levels + 1 - len(sizes)))
         return sizes
 
-    def count_profile(self, word: Word, depth: int) -> List[int]:
-        """Retained descendant counts at every relative depth 0..depth.
+    def count_profile(self, digits: Tuple[int, ...], depth: int) -> List[int]:
+        """Retained descendant counts of the cell at ``digits``, at every
+        relative depth 0..depth.
 
         The deepest level is counted, not stored.
         """
-        with self.frontier(word) as front:
+        with self.frontier(digits) as front:
             return self.expand_retained(front, depth, np.zeros(1, dtype=np.int64))
 
 
@@ -441,7 +458,7 @@ def _count_level(
 
 
 def descendant_counts(
-    tree: LazyTree, root: Word, resolution: int, probe_depth: int
+    tree: LazyTree, digits: Tuple[int, ...], resolution: int, probe_depth: int
 ) -> np.ndarray:
     """Retained descendant counts, probe_depth below each depth-resolution cell.
 
@@ -451,7 +468,7 @@ def descendant_counts(
     """
     tree._budget_grid(resolution)
     cells = np.zeros(tree.config.branching**resolution, dtype=np.int64)
-    with tree.frontier(root, resolution) as front:
+    with tree.frontier(digits, resolution) as front:
         tree.expand_retained(front, resolution + probe_depth, cells)
         if resolution + probe_depth == 0:  # no level below: the word is its own cell
             cells[0] = front.size

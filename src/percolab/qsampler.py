@@ -39,13 +39,13 @@ from .percolation import (
     LazyTree,
     PercolationConfig,
     capped_power,
+    cell_of_digits,
     descendant_counts,
     grid_from_digit_order,
     labels_fit,
     mass_factor,
 )
 from .rng import child_key, substream, unit_draw
-from .words import Word, cell_of_digits
 
 DEFAULT_PROBE_DEPTH = 4
 DEFAULT_ALPHA_GRID: Tuple[float, ...] = tuple(round(0.05 * t, 2) for t in range(1, 20)) + (1.0,)
@@ -232,7 +232,7 @@ def sample_qpath(
         x_hat = np.zeros(n)
         records = []  # stack_geometry's records of each swept stack, in scale order
         try:
-            with tree.frontier(config.root_word(), r + g if streamed else 0) as front:
+            with tree.frontier((), r + g if streamed else 0) as front:
                 weight = tree.expand_retained(front, g)[g] * child_mass
                 word = 0  # the frontier lies below word_{word}
                 for step in range(n + r):
@@ -246,9 +246,7 @@ def sample_qpath(
                     # `cells` digits below word_{word}, under digits[word:]
                     cells = step - word + 1
                     if not streamed:
-                        cell_counts = descendant_counts(
-                            tree, Word(m, k, tuple(digits[:word])), cells, g
-                        )
+                        cell_counts = descendant_counts(tree, tuple(digits[:word]), cells, g)
                     else:
                         # store what the next step keeps: it descends into
                         # digits[word] when word < step + 2 - r, and that
@@ -322,7 +320,7 @@ class ReplicaView:
         self.config = tree.config
         self.r = r
         self.g = g
-        self.counts = descendant_counts(tree, self.config.root_word(), r, g)
+        self.counts = descendant_counts(tree, (), r, g)
         self.grid = grid_from_digit_order(self.counts, self.config.m, self.config.k, r)
         self.word_weights = self.counts * mass_factor(self.config, r + g)
 

@@ -155,16 +155,16 @@ def unmix64(y: int) -> int:
 # -- test-side statistics --------------------------------------------------------
 
 
-def x_estimate(tree, word, probe_depth: int) -> float:
-    """Depth-``probe_depth`` martingale estimate at ``word``: its retained
-    count ``probe_depth`` levels below, times ``mass_factor``.
+def x_estimate(tree, digits, probe_depth: int) -> float:
+    """Depth-``probe_depth`` martingale estimate at the cell at ``digits``:
+    its retained count ``probe_depth`` levels below, times ``mass_factor``.
 
-    Raises ValueError on a pruned word: a discarded cube carries no mass and
+    Raises ValueError on a pruned cell: a discarded cube carries no mass and
     has no martingale to estimate.
     """
-    profile = tree.count_profile(word, probe_depth)
+    profile = tree.count_profile(digits, probe_depth)
     if profile[0] == 0:
-        raise ValueError(f"{word} is pruned; x_estimate needs a retained word")
+        raise ValueError(f"cell {digits} is pruned; x_estimate needs a retained cell")
     return profile[probe_depth] * mass_factor(tree.config, probe_depth)
 
 

@@ -34,7 +34,6 @@ import pytest
 from percolab import (
     LazyTree,
     PercolationConfig,
-    Word,
     covariance_from_paths,
     dimension,
     dimension_slope,
@@ -144,14 +143,14 @@ def test_criterion_2a_recursion_residuals():
         cfg = PercolationConfig(2, 2, 0.8, seed=1000 + i)
         tree = LazyTree(cfg)
         d = dimension(cfg)
-        level = [Word.root(2, 2)]
+        level = [()]
         for _ in range(3):  # levels 0..2, probe depth 3 at the parent
             nxt = []
             for w in level:
                 lhs = x_estimate(tree, w, 3)
                 rhs = 0.0
                 for digit in range(cfg.branching):
-                    c = Word(cfg.m, cfg.k, w.digits + (digit,))
+                    c = w + (digit,)
                     if tree.is_retained(c):
                         rhs += cfg.k ** -d * x_estimate(tree, c, 2)
                         nxt.append(c)
@@ -164,9 +163,8 @@ def test_criterion_2a_recursion_residuals():
 
 def test_criterion_2b_ensemble_mean_one():
     base = PercolationConfig(2, 2, 0.8, seed=1)
-    root = Word.root(2, 2)
     vals = np.array(
-        [x_estimate(LazyTree(replica_config(base, i)), root, 5) for i in range(10000)]
+        [x_estimate(LazyTree(replica_config(base, i)), (), 5) for i in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) < 4 * se

@@ -136,6 +136,13 @@ def test_dimension_slope_refuses_depth_below_one():
         dimension_slope(PercolationConfig(2, 2, 0.7), depths=(3, 0), trees=2)
 
 
+@pytest.mark.parametrize("trees", [0, -1])
+def test_dimension_slope_refuses_fewer_than_one_tree(trees):
+    # refused before any profile: no mean of an empty slice, no failed fit
+    with pytest.raises(ValueError, match="trees must be >= 1"):
+        dimension_slope(PercolationConfig(2, 2, 0.7), depths=(2, 3), trees=trees, workers=2)
+
+
 def test_dimension_slope_computes_no_unread_profile(monkeypatch):
     from percolab import experiments
 
@@ -239,7 +246,7 @@ def test_slice_worker_reads_the_slab_on_its_axis(m, axis, position):
         rows = _slice_worker((cfg, resolutions, g, axis, position, replica))
         tree = LazyTree(ensemble_config(cfg, replica))
         for r, (total, slab) in zip(resolutions, rows):
-            counts = descendant_counts(tree, cfg.root_word(), r, g)
+            counts = descendant_counts(tree, (), r, g)
             grid = grid_from_digit_order(counts, m, 2, r)
             on_slab = np.indices(grid.shape)[axis] == position
             assert total == counts.sum()

@@ -6,10 +6,14 @@ import math
 import pytest
 
 from helpers import x_estimate
-from percolab import LazyTree, PercolationConfig, Word, dimension
+from percolab import LazyTree, PercolationConfig, dimension
 from percolab.experiments import _slice_worker
-from percolab.percolation import descendant_counts, grid_from_digit_order, mass_factor
-from percolab.words import cell_of_digits
+from percolab.percolation import (
+    cell_of_digits,
+    descendant_counts,
+    grid_from_digit_order,
+    mass_factor,
+)
 
 
 def test_dimension_reference_values():
@@ -24,17 +28,15 @@ def test_dimension_reference_values():
 def test_x_estimate_mean_one_shape():
     cfg = PercolationConfig(2, 2, 0.8, seed=4)
     t = LazyTree(cfg)
-    est = x_estimate(t, Word.root(2, 2), 5)
+    est = x_estimate(t, (), 5)
     d = dimension(cfg)
-    count = t.count_profile(Word.root(2, 2), 5)[5]
+    count = t.count_profile((), 5)[5]
     assert est == pytest.approx(count * 2.0 ** (-5 * d))
 
 
 def test_x_estimate_rejects_pruned_word():
     t = LazyTree(PercolationConfig(2, 2, 0.4, seed=2))
-    pruned = next(
-        Word(2, 2, (a,)) for a in range(4) if not t.is_retained(Word(2, 2, (a,)))
-    )
+    pruned = next((a,) for a in range(4) if not t.is_retained((a,)))
     with pytest.raises(ValueError):
         x_estimate(t, pruned, 3)
 
@@ -51,14 +53,13 @@ def test_martingale_recursion_is_exact():
         t = LazyTree(cfg)
         d = dimension(cfg)
         factor = 2.0 ** (-d)
-        for digits in [(), (0,), (3,), (1, 2)]:
-            w = Word(2, 2, digits)
+        for w in [(), (0,), (3,), (1, 2)]:
             if not t.is_retained(w):
                 continue
             parent = x_estimate(t, w, 4)
             kids = 0.0
             for c in range(4):
-                child = w.child(c)
+                child = w + (c,)
                 if t.is_retained(child):
                     kids += factor * x_estimate(t, child, 3)
             worst = max(worst, abs(parent - kids))
@@ -69,14 +70,14 @@ def _mass_grid(tree, root, r, g):
     """Per-cell mass estimates under ``root`` and their total."""
     cfg = tree.config
     counts = descendant_counts(tree, root, r, g)
-    factor = mass_factor(cfg, root.level + r + g)
+    factor = mass_factor(cfg, len(root) + r + g)
     return grid_from_digit_order(counts, cfg.m, cfg.k, r) * factor, counts.sum() * factor
 
 
 def test_mass_grid_total_matches_root_estimate():
     cfg = PercolationConfig(2, 2, 0.8, seed=6)
     t = LazyTree(cfg)
-    root = Word.root(2, 2)
+    root = ()
     cells, total = _mass_grid(t, root, 4, 3)
     # total = X estimate at depth r+g, scaled to the root cube
     est = x_estimate(t, root, 7)
@@ -88,20 +89,18 @@ def test_mass_grid_total_matches_root_estimate():
 def test_mass_cells_support_equals_occupancy():
     cfg = PercolationConfig(2, 2, 0.7, seed=9)
     t = LazyTree(cfg)
-    root = Word.root(2, 2)
+    root = ()
     cells, _ = _mass_grid(t, root, 4, 2)
     # a cell carries mass iff some line survives 2 levels below its word
     for digits in itertools.product(range(4), repeat=4):
-        alive = t.count_profile(Word(2, 2, digits), 2)[2] > 0
+        alive = t.count_profile(digits, 2)[2] > 0
         assert (cells[cell_of_digits(digits, 2, 2)] > 0) == alive
 
 
 def test_mass_grid_below_subword_scales_by_level():
     cfg = PercolationConfig(2, 2, 0.9, seed=3)
     t = LazyTree(cfg)
-    w = next(
-        Word(2, 2, (a,)) for a in range(4) if t.count_profile(Word(2, 2, (a,)), 5)[5]
-    )
+    w = next((a,) for a in range(4) if t.count_profile((a,), 5)[5])
     _, total = _mass_grid(t, w, 3, 2)
     d = dimension(cfg)
     # each cell is count * k^-(level + r + g) d

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import x_estimate
-from percolab import LazyTree, MemoryBudgetError, PercolationConfig, Word
+from percolab import LazyTree, MemoryBudgetError, PercolationConfig
 from percolab.percolation import (
     STREAM_RETENTION,
     capped_power,
+    cell_of_digits,
     descendant_counts,
     grid_from_digit_order,
 )
 from percolab.qsampler import sample_qpath
 from percolab.rng import child_keys, substream, unit_draws
-from percolab.words import cell_of_digits
 
 
 def tree(p=0.8, seed=0, m=2, k=2):
@@ -44,12 +44,12 @@ def test_config_derived_quantities():
 
 def test_root_always_retained():
     for seed in range(20):
-        assert tree(seed=seed).is_retained(Word.root(2, 2))
+        assert tree(seed=seed).is_retained(())
 
 
 def test_retention_is_deterministic_and_order_free():
     t1, t2 = tree(seed=3), tree(seed=3)
-    words = [Word(2, 2, tuple(d)) for d in [(0,), (3, 2), (1, 1, 1), (2,), (0, 0)]]
+    words = [(0,), (3, 2), (1, 1, 1), (2,), (0, 0)]
     # query in different orders; the answers must not depend on it
     a = [t1.is_retained(w) for w in words]
     b = [t2.is_retained(w) for w in reversed(words)][::-1]
@@ -62,9 +62,8 @@ def test_pruning_is_hereditary():
     dead_children = 0
     for _ in range(300):
         digits = tuple(int(d) for d in rng.integers(0, 4, size=4))
-        w = Word(2, 2, digits)
-        if not t.is_retained(w):
-            child = w.child(int(rng.integers(0, 4)))
+        if not t.is_retained(digits):
+            child = digits + (int(rng.integers(0, 4)),)
             assert not t.is_retained(child)
             dead_children += 1
     assert dead_children > 10  # the sample actually exercised dead nodes
@@ -75,7 +74,7 @@ def _retained_paths(t, start, depth):
     fanout = t.config.branching
     found = []
     for tail in itertools.product(range(fanout), repeat=depth):
-        key = t._lookup(start.digits + tail)
+        key = t._lookup(start + tail)
         if key is not None:
             found.append((tail, key))
     return found
@@ -90,7 +89,7 @@ def _label(digits, fanout):
 
 def test_expand_matches_pointwise_queries():
     t = tree(p=0.7, seed=5)
-    for start in (Word.root(2, 2), Word(2, 2, (2, 3))):
+    for start in ((), (2, 3)):
         assert t.is_retained(start)
         with t.frontier(start, 3) as front:
             profile = t.expand_retained(front, 3)
@@ -104,12 +103,7 @@ def test_expand_matches_pointwise_queries():
 
 def test_expand_below_pruned_word_is_all_dead():
     t = tree(p=0.4, seed=2)
-    pruned = next(
-        Word(2, 2, (a, b))
-        for a in range(4)
-        for b in range(4)
-        if not t.is_retained(Word(2, 2, (a, b)))
-    )
+    pruned = next(w for w in itertools.product(range(4), repeat=2) if not t.is_retained(w))
     with t.frontier(pruned, 2) as front:
         assert t.expand_retained(front, 2) == [0, 0, 0]
         assert front.keys.size == 0 and front.labels.size == 0
@@ -127,12 +121,12 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
 
     monkeypatch.setattr(percolation, "child_keys", counted)
     t = tree(p=0.4, seed=2)
-    pruned = next(Word(2, 2, (a,)) for a in range(4) if not t.is_retained(Word(2, 2, (a,))))
+    pruned = next((a,) for a in range(4) if not t.is_retained((a,)))
     with t.frontier(pruned) as front:
         assert t.expand_retained(front, 8000) == [0] * 8001
     assert hashed == []
     # a root whose line dies at depth 7 hashes the seven levels that had nodes
-    prof = tree(p=0.6, seed=5, m=1).count_profile(Word.root(1, 2), 40)
+    prof = tree(p=0.6, seed=5, m=1).count_profile((), 40)
     assert prof[:8] == [1, 1, 2, 2, 3, 1, 1, 0] and prof[8:] == [0] * 33
     assert hashed == [1, 1, 2, 2, 3, 1, 1]
 
@@ -187,10 +181,10 @@ def _counted_cases(m):
     word, and a tree that dies exactly at the counted level."""
     r = 3 if m == 2 else 2
     live = tree(p=0.8, seed=3, m=m)
-    root = Word.root(m, 2)
+    root = ()
     cases = [(live, root, r, g) for g in (0, 1, 3)] + [(live, root, 0, 0), (live, root, 0, 2)]
     sparse = tree(p=0.4, seed=2, m=m)
-    pruned = next(w for w in (Word(m, 2, (d,)) for d in range(2**m)) if not sparse.is_retained(w))
+    pruned = next(w for w in ((d,) for d in range(2**m)) if not sparse.is_retained(w))
     cases.append((sparse, pruned, r, 1))
     for seed in range(500):
         dying = tree(p=0.3 if m == 2 else 0.15, seed=seed, m=m)
@@ -214,7 +208,7 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
     trees = [tree(p=0.8, seed=3, m=dim) for dim in (m, 5 - m)]
 
     def expansions(t):
-        root = Word.root(t.config.m, 2)
+        root = ()
         with t.frontier(root, 6) as front:
             profile = t.expand_retained(front, 6)
             keys, labels = front.keys.copy(), front.labels.copy()
@@ -227,7 +221,7 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
         ]
 
     expected = [expansions(t) for t in trees]
-    weights = [x_estimate(t, Word.root(t.config.m, 2), 3) for t in trees]
+    weights = [x_estimate(t, (), 3) for t in trees]
     for t, (profile, keys, labels, counts, cells) in zip(trees, expected):
         fanout = t.config.branching
         one_shot = _one_shot(t, 6)
@@ -242,7 +236,7 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
 
     def interleaved(counts, u):
         for t, weight in zip(trees, weights):
-            assert x_estimate(t, Word.root(t.config.m, 2), 3) == weight
+            assert x_estimate(t, (), 3) == weight
         return step(counts, u)
 
     monkeypatch.setattr(qsampler, "sample_step", interleaved)
@@ -278,7 +272,7 @@ def test_deepest_counted_level_is_never_stored(monkeypatch, chunk):
 
     monkeypatch.setattr(percolation._Level, "reserve", recorded)
     t = tree(p=0.8, seed=3)
-    root = Word.root(2, 2)
+    root = ()
     profile = t.count_profile(root, 6)
     assert profile[6] > profile[5] > 5  # the deepest level is the largest
     assert asked and max(asked) <= profile[5]
@@ -320,7 +314,7 @@ def test_path_stores_only_the_next_word(monkeypatch, chunk):
 
 def test_count_profile_matches_expand():
     t = tree(p=0.7, seed=11)
-    root = Word.root(2, 2)
+    root = ()
     prof = t.count_profile(root, 6)
     with t.frontier(root, 6) as front:
         assert t.expand_retained(front, 6) == prof
@@ -330,17 +324,17 @@ def test_count_profile_matches_expand():
 def test_count_profile_deep_3d_matches_pointwise_walk():
     # 8^25 overflows int64: the frontier must not index the full lattice
     t = tree(p=0.15, seed=6, m=3, k=2)
-    prof = t.count_profile(Word.root(3, 2), 25)
-    alive, walked = [Word.root(3, 2)], [1]
+    prof = t.count_profile((), 25)
+    alive, walked = [()], [1]
     for _ in range(25):
-        alive = [w.child(d) for w in alive for d in range(8) if t.is_retained(w.child(d))]
+        alive = [w + (d,) for w in alive for d in range(8) if t.is_retained(w + (d,))]
         walked.append(len(alive))
     assert prof == walked and prof[25] > 0
 
 
 def test_count_profile_zero_fills_after_extinction():
     t = tree(p=0.26, seed=1, m=1, k=2)
-    prof = t.count_profile(Word.root(1, 2), 40)
+    prof = t.count_profile((), 40)
     assert len(prof) == 41
     died = [i for i, c in enumerate(prof) if c == 0]
     if died:
@@ -349,8 +343,8 @@ def test_count_profile_zero_fills_after_extinction():
 
 def test_p_one_retains_everything():
     t = tree(p=1.0, seed=0)
-    assert t.count_profile(Word.root(2, 2), 5)[5] == 4**5
-    counts = descendant_counts(t, Word.root(2, 2), 3, 2)
+    assert t.count_profile((), 5)[5] == 4**5
+    counts = descendant_counts(t, (), 3, 2)
     assert (grid_from_digit_order(counts, 2, 2, 3) > 0).all()
 
 
@@ -361,7 +355,7 @@ def test_retention_frequency_matches_p():
     for seed in range(2500):
         t = tree(p=p, seed=seed)
         for digit in range(4):
-            hits += t.is_retained(Word(2, 2, (digit,)))
+            hits += t.is_retained((digit,))
             total += 1
     se = np.sqrt(p * (1 - p) / total)
     assert abs(hits / total - p) < 4 * se
@@ -371,15 +365,15 @@ def test_memory_budget_enforced(monkeypatch):
     monkeypatch.setenv("PERCOLAB_MAX_NODES", "1000")
     t = tree(p=0.9, seed=0)
     with pytest.raises(MemoryBudgetError):
-        t.count_profile(Word.root(2, 2), 6)  # 387 nodes at depth 5 have 1548 children
+        t.count_profile((), 6)  # 387 nodes at depth 5 have 1548 children
     # the budget bounds the retained frontier's children, not the 4**depth lattice
-    assert len(t.count_profile(Word.root(2, 2), 3)) == 4
+    assert len(t.count_profile((), 3)) == 4
     # a count grid past the budget fails before 4**resolution is ever built
     with pytest.raises(MemoryBudgetError):
-        descendant_counts(t, Word.root(2, 2), 10**8, 0)
+        descendant_counts(t, (), 10**8, 0)
     # its 2^(2 * 5) cells count on both axes, though no frontier reaches 1000
     with pytest.raises(MemoryBudgetError, match="needs at least 1024 nodes"):
-        descendant_counts(t, Word.root(2, 2), 5, 0)
+        descendant_counts(t, (), 5, 0)
 
 
 def test_count_profile_budgets_its_counts_before_hashing(monkeypatch):
@@ -387,7 +381,7 @@ def test_count_profile_budgets_its_counts_before_hashing(monkeypatch):
     # counts of the profile stand between the call and a 2^24-entry list
     monkeypatch.delenv("PERCOLAB_MAX_NODES", raising=False)
     sparse = tree(p=0.4, seed=2)
-    pruned = next(w for w in (Word(2, 2, (d,)) for d in range(4)) if not sparse.is_retained(w))
+    pruned = next(w for w in ((d,) for d in range(4)) if not sparse.is_retained(w))
     assert sparse.count_profile(pruned, 3) == [0, 0, 0, 0]
     start = time.perf_counter()
     with pytest.raises(MemoryBudgetError, match="needs at least 16777217 nodes"):
@@ -414,24 +408,39 @@ def test_non_integer_max_nodes_warns_and_keeps_the_default(monkeypatch):
     assert t.max_nodes == 1 << 24
 
 
-def test_word_geometry_must_match_tree():
-    t = tree()
-    with pytest.raises(ValueError):
-        t.is_retained(Word(3, 2, ()))
-    with pytest.raises(ValueError):
-        t.is_retained(Word(2, 3, ()))
+@pytest.mark.parametrize("digit", [-1, 4])
+def test_digits_outside_the_fanout_are_refused(digit):
+    # every entry point checks every digit, also past a pruned one, where
+    # the walk down the keys stops
+    t = tree(p=0.4, seed=2)
+    assert not t.is_retained((0,)) and t.is_retained((1,))
+
+    def open_frontier(digits):
+        with t.frontier(digits, 1):
+            pass
+
+    entries = (
+        t.is_retained,
+        open_frontier,
+        lambda digits: t.count_profile(digits, 2),
+        lambda digits: descendant_counts(t, digits, 1, 1),
+    )
+    for digits in ((digit,), (0, digit), (1, 2, digit)):
+        for entry in entries:
+            with pytest.raises(ValueError, match=rf"digit {digit} out of range \[0, 4\)"):
+                entry(digits)
 
 
 def test_descendant_counts_and_occupancy_agree():
     t = tree(p=0.75, seed=8)
-    root = Word.root(2, 2)
+    root = ()
     counts = descendant_counts(t, root, resolution=3, probe_depth=2)
     assert counts.shape == (64,)
     occ = grid_from_digit_order(counts, 2, 2, 3) > 0
     assert occ.shape == (8, 8)
     # a cell is occupied iff some line survives 2 levels below its word
     for digits in itertools.product(range(4), repeat=3):
-        alive = t.count_profile(Word(2, 2, digits), 2)[2] > 0
+        alive = t.count_profile(digits, 2)[2] > 0
         assert occ[cell_of_digits(digits, 2, 2)] == alive
 
 
@@ -441,14 +450,14 @@ def test_descendant_counts_match_pointwise_oracle(m, k, p):
     t = tree(p=p, seed=4, m=m, k=k)
     fanout = k**m
     r, g = (2, 1) if fanout > 4 else (2, 2)
-    starts = [Word.root(m, k), Word(m, k, (1,))]
-    dead = [Word(m, k, (d,)) for d in range(fanout) if not t.is_retained(Word(m, k, (d,)))]
+    starts = [(), (1,)]
+    dead = [(d,) for d in range(fanout) if not t.is_retained((d,))]
     starts += dead[:1]
     assert bool(dead) == (p < 1)
     for start in starts:
         oracle = [
             sum(
-                t.is_retained(Word(m, k, start.digits + cell + probe))
+                t.is_retained(start + cell + probe)
                 for probe in itertools.product(range(fanout), repeat=g)
             )
             for cell in itertools.product(range(fanout), repeat=r)
@@ -471,13 +480,13 @@ def test_grid_from_digit_order_layout(m, k, r, dtype):
 
 
 def test_different_seeds_differ():
-    a, b = (descendant_counts(tree(seed=s), Word.root(2, 2), 4, 0) for s in (0, 1))
+    a, b = (descendant_counts(tree(seed=s), (), 4, 0) for s in (0, 1))
     assert not np.array_equal(a, b)
 
 
 def test_descend_needs_a_labelled_frontier():
     t = tree(p=0.8, seed=1)
-    with t.frontier(Word.root(2, 2)) as front:
+    with t.frontier(()) as front:
         t.expand_retained(front, 2)
         with pytest.raises(ValueError, match="needs a labelled frontier"):
             front.descend(1)

@@ -10,7 +10,6 @@ from percolab import (
     LazyTree,
     PercolationConfig,
     RejectionLimitError,
-    Word,
     dimension,
 )
 from percolab import qsampler
@@ -25,6 +24,7 @@ from percolab.holes import (
 from percolab.percolation import (
     STREAM_ENSEMBLE,
     STREAM_PATH,
+    cell_of_digits,
     descendant_counts,
     grid_from_digit_order,
     labels_fit,
@@ -39,7 +39,6 @@ from percolab.qsampler import (
     sample_step,
 )
 from percolab.rng import child_key, substream, unit_draw
-from percolab.words import cell_of_digits
 
 from helpers import (
     ball_box_sweep,
@@ -70,9 +69,8 @@ def test_sample_step_dead_total_raises():
 def test_sample_step_uses_descendant_counts():
     cfg = PercolationConfig(2, 2, 0.8, seed=15)
     t = LazyTree(cfg)
-    root = Word.root(2, 2)
-    counts = descendant_counts(t, root, 1, 3)
-    assert counts.tolist() == [t.count_profile(root.child(c), 3)[3] for c in range(4)]
+    counts = descendant_counts(t, (), 1, 3)
+    assert counts.tolist() == [t.count_profile((c,), 3)[3] for c in range(4)]
     total = counts.sum()
     # u placed in the middle of child c's band must select c
     cum = np.cumsum(counts)
@@ -91,7 +89,7 @@ def _assert_records_match_fresh(path):
     m, k, r, g = path.config.m, path.config.k, path.r, path.g
     tree = LazyTree(path.tree_config)
     for j in range(1, path.n + 1):
-        cells = descendant_counts(tree, Word(m, k, path.digits[:j]), r, g)
+        cells = descendant_counts(tree, path.digits[:j], r, g)
         grid = grid_from_digit_order(cells, m, k, r)
         center = cell_of_digits(path.digits[j : j + r], m, k)
         sweep, count = ball_box_sweep(grid, center)
@@ -128,7 +126,7 @@ def test_one_cell_ball_boxes_match_fresh():
     assert path.ball_sweep.shape == (7, 2)
     tree = LazyTree(path.tree_config)
     for j in range(path.n):
-        cell = Word(2, 2, path.digits[: j + 2])
+        cell = path.digits[: j + 2]
         assert path.ball_count[j] == path.ball_sweep[j, 1] == tree.count_profile(cell, 3)[3]
 
 
@@ -153,16 +151,13 @@ def test_path_walk_replays_by_hand(m, k, r, g):
     assert path.tree_config == tcfg
     tree = LazyTree(tcfg)
     key = substream(tcfg.seed, STREAM_PATH)
-    word = Word.root(m, k)
-    digits = []
+    word = ()
     for step in range(n + r):
         u = unit_draw(child_key(key, step))
-        digit = sample_step(descendant_counts(tree, word, 1, g), u)
-        digits.append(digit)
-        word = word.child(digit)
-    assert tuple(digits) == path.digits
+        word += (sample_step(descendant_counts(tree, word, 1, g), u),)
+    assert word == path.digits
     for j in range(1, n + 1):
-        assert path.x_hat[j - 1] == x_estimate(tree, Word(m, k, path.digits[:j]), g)
+        assert path.x_hat[j - 1] == x_estimate(tree, path.digits[:j], g)
     _assert_records_match_fresh(path)
 
 
@@ -217,7 +212,7 @@ def test_labels_fit_int64():
     assert not (labels_fit(8, 21) or labels_fit(2, 63) or labels_fit(27, 14))
     tree = LazyTree(PercolationConfig(3, 2, 0.5))
     with pytest.raises(ValueError):
-        with tree.frontier(Word.root(3, 2), 21):
+        with tree.frontier((), 21):
             pass
 
 
@@ -271,7 +266,7 @@ def test_recorded_grids_match_fresh_expansion():
     d = dimension(cfg)
     side = 2**r
     for j in range(1, n + 1):
-        word = Word(2, 2, path.digits[:j])
+        word = path.digits[:j]
         counts = grid_from_digit_order(descendant_counts(tree, word, r, g), 2, 2, r)
         occ = counts > 0
         # center cell is the path's continuation and must be alive
@@ -310,7 +305,7 @@ def test_recorded_restricted_block_needs_no_forcing(m, p, r, g):
         _assert_records_match_fresh(path)
         tree = LazyTree(path.tree_config)
         for j in range(path.n):
-            counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
+            counts = descendant_counts(tree, path.digits[: j + 1], r, g)
             occ = grid_from_digit_order(counts, m, 2, r) > 0
             reference = restricted_max_empty_block(occ, path.centers[j])
             assert path.a_star[j] == reference
@@ -323,7 +318,7 @@ def test_path_weight_is_root_estimate():
     path = sample_qpath(cfg, n=3, r=3, g=g, replica=1)
     tree = LazyTree(path.tree_config)
     d = dimension(cfg)
-    count = tree.count_profile(Word.root(2, 2), g)[g]
+    count = tree.count_profile((), g)[g]
     assert path.weight == pytest.approx(count * 2.0 ** (-g * d), rel=1e-12)
 
 
@@ -339,7 +334,7 @@ def test_qpath_accessors_match_oracles_off_grid():
     path = sample_qpath(cfg, n=4, r=r, g=g, replica=0)
     tree = LazyTree(path.tree_config)
     grids = [
-        grid_from_digit_order(descendant_counts(tree, Word(2, 2, path.digits[:j]), r, g), 2, 2, r)
+        grid_from_digit_order(descendant_counts(tree, path.digits[:j], r, g), 2, 2, r)
         for j in range(1, path.n + 1)
     ]
     for alpha in (0.33,) + tuple((t + 0.5) / 2**r for t in range(2**r)):
@@ -381,7 +376,7 @@ def test_qpath_porosities_match_ball_oracles_off_grid(m, r, g, p):
         sheet = path.measure_porosity(epss)
         assert sheet.shape == (path.n, len(epss))
         for j in range(path.n):
-            counts = descendant_counts(tree, Word(m, 2, path.digits[: j + 1]), r, g)
+            counts = descendant_counts(tree, path.digits[: j + 1], r, g)
             grid = grid_from_digit_order(counts, m, 2, r)
             center = tuple(path.centers[j])
             clipped += any(c + 0.5 - radius < 0 or c + 0.5 + radius > side for c in center)

@@ -1,9 +1,8 @@
-"""Tree-address arithmetic: digits <-> cells, levels, prefixes."""
+"""Tree-address arithmetic: a digit tuple <-> the grid cell it addresses."""
 
 import numpy as np
-import pytest
 
-from percolab.words import Word, cell_of_digits
+from percolab.percolation import cell_of_digits
 
 
 def test_digit_offsets_enumerate_the_grid():
@@ -42,26 +41,3 @@ def test_cell_of_digits_roundtrip():
                 digit = digit * k + offset[axis]
             decoded.append(digit)
         assert tuple(decoded) == digits
-
-
-def test_word_basic_properties():
-    w = Word(2, 2, (1, 2, 3))
-    assert w.level == 3
-    assert w.child(0).digits == (1, 2, 3, 0)
-    assert Word.root(2, 2).digits == ()
-    assert Word.root(2, 2).level == 0
-
-
-def test_word_validates_digits():
-    with pytest.raises(ValueError):
-        Word(2, 2, (4,))
-    with pytest.raises(ValueError):
-        Word(2, 2, (-1,))
-    with pytest.raises(ValueError):
-        Word(0, 2, ())
-    with pytest.raises(ValueError):
-        Word(2, 1, ())
-
-
-def test_word_str_is_digit_string():
-    assert str(Word(2, 2, (0, 3, 1))) != ""
