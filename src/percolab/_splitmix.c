@@ -6,6 +6,17 @@
  * scaled by 2^-53.  rng.py builds this file with the platform C compiler,
  * checks the object against the numpy body, and falls back to numpy on
  * any failure.
+ *
+ * The finalizer is two 64-bit multiplies, which plain x86-64 cannot do in
+ * a vector register, so the loops are also built for x86-64-v4, whose
+ * AVX-512DQ has a 64-bit vector multiply (vpmullq) and a 64-bit integer to
+ * double conversion.  GCC's target_clones builds the loops once per target
+ * and glibc's ifunc resolver picks one for the CPU when the object loads,
+ * so the object is built without -march=native and runs on every x86-64
+ * CPU.  An x86-64-v3 (AVX2) clone, with the multiply emulated, measured no
+ * faster than the plain loops, so there is none.  Any other compiler or
+ * platform builds the plain loops, which write the same bits.  The loops
+ * take arrays that do not overlap.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -14,6 +25,13 @@
 #define MIX1 0xBF58476D1CE4E5B9ULL
 #define MIX2 0x94D049BB133111EBULL
 #define DRAW_SALT 0x5851F42D4C957F2DULL
+
+/* glibc's stdint.h defines __GLIBC__; clang defines __GNUC__ as 4 */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define CLONES
+#endif
 
 static inline uint64_t mix(uint64_t x)
 {
@@ -25,16 +43,31 @@ static inline uint64_t mix(uint64_t x)
     return x;
 }
 
-/* out[i * fanout + j] = key j of keys[i]'s children, for n keys */
-void splitmix_child_keys(const uint64_t *keys, size_t n, size_t fanout, uint64_t *out)
+/* out[i * fanout + j] = key j of keys[i]'s children, for n keys; inlined
+ * with a constant fanout, the loop over j unrolls and the loop over i
+ * vectorises */
+static inline void children(const uint64_t *restrict keys, size_t n, size_t fanout,
+                            uint64_t *restrict out)
 {
     for (size_t i = 0; i < n; i++)
         for (size_t j = 0; j < fanout; j++)
             out[i * fanout + j] = mix(keys[i] + GOLDEN * (j + 1));
 }
 
+CLONES
+void splitmix_child_keys(const uint64_t *keys, size_t n, size_t fanout, uint64_t *out)
+{
+    switch (fanout) {
+    case 2: children(keys, n, 2, out); break;
+    case 4: children(keys, n, 4, out); break;
+    case 8: children(keys, n, 8, out); break;
+    default: children(keys, n, fanout, out);
+    }
+}
+
 /* out[i] = the uniform draw in [0, 1) of keys[i]: 53 bits < 2^53 convert exactly */
-void splitmix_unit_draws(const uint64_t *keys, size_t n, double *out)
+CLONES
+void splitmix_unit_draws(const uint64_t *restrict keys, size_t n, double *restrict out)
 {
     for (size_t i = 0; i < n; i++)
         out[i] = (double)(int64_t)(mix(keys[i] ^ DRAW_SALT) >> 11) * 0x1p-53;

@@ -14,8 +14,13 @@ sampled tree, so they must stay fixed across versions.
 The numpy body is the reference.  The compiled body runs the two loops of
 ``_splitmix.c``, built once with the platform C compiler and cached in the
 package's ``__pycache__`` under a name hashed from the source, the compile
-command and the platform.  It is loaded with ``ctypes`` and checked against
-the numpy body before first use.  Without a compiler, or on any failure to
+command and the platform.  GCC 11 or later on x86-64 glibc builds each loop
+twice, plain and as an AVX-512 (x86-64-v4) clone, and the CPU picks one
+when the object loads, so the object is built without ``-march=native``;
+any other compiler builds the plain loops.  The
+object is loaded with ``ctypes`` and checked against the numpy body before
+first use, at every fanout the compiled ``child_keys`` specialises and one
+it does not.  Without a compiler, or on any failure to
 build, load or pass that check, the numpy body runs.  A compiler that runs
 and fails leaves a marker of the same name beside the object, so each
 source is built at most once however many processes find no object.
@@ -187,18 +192,22 @@ _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
 # Keys whose salted hashes are 0, 2^11 - 1, 2^63 and 2^64 - 1, the edges of
 # the draw range, then ordinary keys: a compiled object must hash them, and
-# their children at an odd fanout, to the numpy body's bits before it is used.
+# their children at each check fanout, to the numpy body's bits before it is
+# used.  The fanouts are every one the compiled child_keys specialises and
+# one it does not.  9 keys and their 153 children are odd counts, so every
+# vector loop ends in a partial vector.
 _CHECK_KEYS = (
     0x5851F42D4C957F2D, 0x7309F50F5A733562, 0x96749F8401F2AE77, 0x97CBF082B6FED2ED,
     0, 1, 12345, 1 << 63, MASK64,
 )
-_CHECK_FANOUT = 3
+_CHECK_FANOUTS = (2, 4, 8, 3)
 
 
 def _direct(keys: np.ndarray, out: np.ndarray, shape: Tuple[int, ...], dtype) -> bool:
     """Whether a compiled loop may read ``keys`` and write ``out`` in place:
     contiguous uint64 keys, and a writable contiguous ``out`` of ``shape``
-    and ``dtype``.
+    and ``dtype`` that shares no memory with them (the loops take
+    ``restrict`` pointers; numpy buffers an overlapping operand).
     """
     return (
         keys.dtype == np.uint64
@@ -207,6 +216,7 @@ def _direct(keys: np.ndarray, out: np.ndarray, shape: Tuple[int, ...], dtype) ->
         and out.dtype == dtype
         and out.flags.c_contiguous
         and out.flags.writeable
+        and not np.may_share_memory(keys, out)
     )
 
 
@@ -282,19 +292,29 @@ def _load(directory: Path):
         child.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p)
         draws.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
         child.restype = draws.restype = None
-        keys = np.array(_CHECK_KEYS, dtype=np.uint64)
-        got = np.empty((keys.size, _CHECK_FANOUT), np.uint64)
-        want = _numpy_child_keys(keys, _CHECK_FANOUT, np.empty_like(got), None)
-        child(keys.ctypes.data, keys.size, _CHECK_FANOUT, got.ctypes.data)
-        both = np.concatenate([keys, want.ravel()])
-        drawn = np.empty(both.size)
-        draws(both.ctypes.data, both.size, drawn.ctypes.data)
-        agree = np.array_equal(got, want) and np.array_equal(
-            drawn.view(np.uint64), _numpy_unit_draws(both, np.empty(both.size)).view(np.uint64)
-        )
     except (OSError, AttributeError):  # AttributeError: a loop missing from the object
         return None
-    return (child, draws) if agree else None
+    return (child, draws) if _agrees(child, draws) else None
+
+
+def _agrees(child, draws) -> bool:
+    """Whether compiled loops write the numpy body's bits for ``_CHECK_KEYS``:
+    their children at each of ``_CHECK_FANOUTS``, and the draws of the keys
+    and of all those children."""
+    keys = np.array(_CHECK_KEYS, dtype=np.uint64)
+    agree, children = True, []
+    for fanout in _CHECK_FANOUTS:
+        got = np.empty((keys.size, fanout), np.uint64)
+        child(keys.ctypes.data, keys.size, fanout, got.ctypes.data)
+        want = _numpy_child_keys(keys, fanout, np.empty_like(got), None)
+        agree &= np.array_equal(got, want)
+        children.append(want.ravel())
+    for batch in (keys, np.concatenate(children)):
+        drawn = np.empty(batch.size)
+        draws(batch.ctypes.data, batch.size, drawn.ctypes.data)
+        want = _numpy_unit_draws(batch, np.empty(batch.size))
+        agree &= np.array_equal(drawn.view(np.uint64), want.view(np.uint64))
+    return bool(agree)
 
 
 @lru_cache(maxsize=None)

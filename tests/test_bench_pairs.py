@@ -82,6 +82,26 @@ def test_a_metric_missing_on_one_side_is_left_out():
     assert summary["wall_s"]["change_better_pairs"] == 2
 
 
+def test_unpack_takes_a_commit_or_a_staged_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=stub", "-c", "user.email=stub@localhost"]
+    (repo / "f.txt").write_text("committed\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, check=True)
+    (repo / "f.txt").write_text("staged\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    tree = subprocess.run(git + ["write-tree"], capture_output=True, text=True, check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    assert bench_pairs.unpack("HEAD", tmp_path / "commit") == head.stdout.strip()
+    assert (tmp_path / "commit" / "f.txt").read_text() == "committed\n"
+    assert bench_pairs.unpack(tree.stdout.strip(), tmp_path / "tree") is None
+    assert (tmp_path / "tree" / "f.txt").read_text() == "staged\n"
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.unpack("no-such-rev", tmp_path / "missing")
+
+
 # a benchmarks/run.py that starts a child in its process group, writes both
 # pids and sleeps until it is stopped
 STUB_RUN = """\

@@ -285,9 +285,18 @@ def _check_mismatch(cache, monkeypatch):
     monkeypatch.setattr(rng, "_SOURCE", source)
 
 
+def _fanout_mismatch(cache, monkeypatch):
+    # only the fanout-4 case is wrong: it hashes its keys' children at fanout 2
+    source = cache.parent / "_splitmix.c"
+    text = rng._SOURCE.read_text()
+    assert text.count("children(keys, n, 4, out)") == 1
+    source.write_text(text.replace("children(keys, n, 4, out)", "children(keys, n, 2, out)"))
+    monkeypatch.setattr(rng, "_SOURCE", source)
+
+
 @pytest.mark.parametrize("failure", [
     _no_compiler, _unwritable_cache, _failed_build, _corrupt_object, _unreadable_object,
-    _check_mismatch,
+    _check_mismatch, _fanout_mismatch,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypatch, failure):
     # filterwarnings = error::UserWarning: a warning would fail the run

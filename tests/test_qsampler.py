@@ -30,7 +30,6 @@ from percolab.percolation import (
     labels_fit,
 )
 from percolab.qsampler import (
-    ReplicaView,
     ensemble_config,
     ensemble_view,
     importance_functional,

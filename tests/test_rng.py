@@ -47,20 +47,22 @@ def _compiler():
         pytest.skip("no C compiler: the compiled body cannot be built")
 
 
+def _native(tmp_path):
+    """The compiled loops, which must build, load and pass their check
+    wherever a C compiler is on the PATH, so that a broken ``_splitmix.c``
+    fails here instead of falling back to numpy; without a compiler the
+    test is skipped."""
+    loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
+    if loops is None:
+        _compiler()
+    assert loops is not None, "the compiled body did not build, load or pass its check"
+    return loops
+
+
 @pytest.fixture(params=["numpy", "native"])
 def hash_body(request, monkeypatch, tmp_path):
-    """Each body of ``child_keys`` and ``unit_draws`` in turn.
-
-    The compiled body must build, load and pass its check wherever a C
-    compiler is on the PATH, so that a broken ``_splitmix.c`` fails here
-    instead of falling back to numpy; without a compiler it is skipped.
-    """
-    loops = None
-    if request.param == "native":
-        loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
-        if loops is None:
-            _compiler()
-        assert loops is not None, "the compiled body did not build, load or pass its check"
+    """Each body of ``child_keys`` and ``unit_draws`` in turn."""
+    loops = _native(tmp_path) if request.param == "native" else None
     monkeypatch.setattr(rng, "_loops", lambda: loops)
     return request.param
 
@@ -170,6 +172,52 @@ def test_strided_and_foreign_buffers_take_the_numpy_body(hash_body):
     assert draws.tolist() == [unit_draw(key) for key in strided.tolist()]
     with pytest.raises(TypeError):  # the numpy body refuses an integer out
         unit_draws(keys, np.empty(keys.size, dtype=np.int64))
+    # draws written one element past their keys: a loop in order would read
+    # a draw it wrote as the next key
+    buffer = np.append(keys, np.uint64(0))
+    assert unit_draws(buffer[:-1], buffer[1:].view(np.float64)).tolist() == [
+        unit_draw(key) for key in keys.tolist()
+    ]
+
+
+def _guarded(shape, offset, dtype):
+    """A contiguous array of ``shape`` that starts ``offset`` + 1 elements
+    into a buffer of 7s, and a test that the elements on each side of it
+    are still 7."""
+    size = int(np.prod(shape))
+    buffer = np.full(size + offset + 2, 7, dtype=dtype)
+    return buffer[offset + 1 : -1].reshape(shape), lambda: buffer[offset] == buffer[-1] == 7
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("build", ["dispatched", "plain"])
+def test_compiled_loops_match_the_numpy_body(tmp_path, monkeypatch, build, fanout):
+    # the specialised fanouts 2, 4 and 8 and the generic loop, at every
+    # count 0..33 of keys and at views one element apart, so that vector
+    # loops run with no, part and whole vectors at either alignment; the
+    # element on each side of every output stays untouched.  "plain" is the
+    # build a compiler that fails the vector clones' guard makes.
+    if build == "plain":
+        monkeypatch.setattr(rng, "_COMPILE", (*rng._COMPILE, "-D__clang__"))
+        _compiler()
+        loops = rng._load(tmp_path)
+        assert loops is not None, "the plain loops did not build, load or pass their check"
+    else:
+        loops = _native(tmp_path)
+    monkeypatch.setattr(rng, "_loops", lambda: loops)
+    pool = np.array([substream(6, i) for i in range(35)], dtype=np.uint64)
+    for n in range(34):
+        for offset in (0, 1):
+            keys = pool[offset : offset + n]
+            want = rng._numpy_child_keys(keys, fanout, np.empty((n, fanout), np.uint64), None)
+            out, untouched = _guarded((n, fanout), offset, np.uint64)
+            assert child_keys(keys, fanout, out) is out
+            assert np.array_equal(out, want) and untouched(), (n, offset)
+            for batch in (keys, want.ravel()):
+                bits = rng._numpy_unit_draws(batch, np.empty(batch.size)).view(np.uint64)
+                drawn, untouched = _guarded(batch.shape, offset, np.float64)
+                assert unit_draws(batch, drawn) is drawn
+                assert np.array_equal(drawn.view(np.uint64), bits) and untouched(), (n, offset)
 
 
 def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):

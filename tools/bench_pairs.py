@@ -5,10 +5,11 @@ Usage:
         [--set WORKLOAD:SEED:PAIRS[:trace] ...] [--seconds S]
         [--note TEXT]
 
-Each side is a git revision of this repository; ``git archive`` unpacks it
-into a fresh directory, so each side runs its own committed benchmark and
-sources.  To measure uncommitted work, stage it and pass ``$(git stash
-create)`` as the revision.
+Each side is a git revision of this repository, a commit or a tree;
+``git archive`` unpacks it into a fresh directory, so each side runs its own
+committed benchmark and sources.  To measure uncommitted work, stage it and
+pass ``$(git write-tree)`` as the revision; the report's ``commits`` then
+holds null for that side.
 
 Every ``--set`` (default ``all:0:10``) runs PAIRS pairs of
 ``benchmarks/run.py --workload WORKLOAD --seed SEED --seconds S``, adding
@@ -44,21 +45,22 @@ import time
 from contextlib import suppress
 from importlib import metadata
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PROBE = "dimension-sparse"  # the workload whose memory the probe reads
 
 
-def unpack(rev: str, dest: Path) -> str:
-    """Unpack ``rev`` of this repository into ``dest``; returns its commit."""
+def unpack(rev: str, dest: Path) -> Optional[str]:
+    """Unpack the tree-ish ``rev`` of this repository into ``dest``; returns
+    its commit, or None when ``rev`` names a tree and no commit."""
     commit = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", rev + "^{commit}"],
+        capture_output=True, text=True,
+    ).stdout.strip() or None
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit or rev],
         capture_output=True, check=True,
     ).stdout
     dest.mkdir(parents=True)

@@ -3,9 +3,10 @@
 Usage:
     python3 tools/mutants.py [--rev REV]
 
-``git archive`` unpacks REV (default HEAD) of this repository into a
-temporary directory, as ``tools/bench_pairs.py`` does, so only committed
-files are mutated.  The mutants file ``tools/mutants.json`` is a JSON list of objects with a ``name``, a ``file`` relative to the repository
+``git archive`` unpacks REV (default HEAD), a commit or a tree of this
+repository, into a temporary directory, as ``tools/bench_pairs.py`` does, so
+only committed or staged files are mutated: ``--rev $(git write-tree)``
+mutates the staged tree.  The mutants file ``tools/mutants.json`` is a JSON list of objects with a ``name``, a ``file`` relative to the repository
 root, an ``old`` text that must occur exactly once in it, the ``new`` text
 that replaces it, and the ``tests`` (pytest ids) expected to fail.
 
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
         commit = unpack(args.rev, tree)
         tests = sorted({test for m in mutants for test in m["tests"]})
         baseline = run_tests(tree, tests, TIMEOUT)
-        print(f"{commit[:12]}: baseline of {len(tests)} test ids {baseline}")
+        print(f"{(commit or args.rev)[:12]}: baseline of {len(tests)} test ids {baseline}")
         if baseline != "passed":
             return 1
         results = check(tree, mutants, TIMEOUT)
