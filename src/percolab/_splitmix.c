@@ -14,9 +14,10 @@
  * and glibc's ifunc resolver picks one for the CPU when the object loads,
  * so the object is built without -march=native and runs on every x86-64
  * CPU.  An x86-64-v3 (AVX2) clone, with the multiply emulated, measured no
- * faster than the plain loops, so there is none.  Any other compiler or
- * platform builds the plain loops, which write the same bits.  The loops
- * take arrays that do not overlap.
+ * faster than the plain loops, so there is none.  The clones are built
+ * only by GCC 12, the version they were tested with, or later; any other
+ * compiler or platform builds the plain loops, which write the same bits.
+ * rng.py never passes arrays that overlap.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -27,7 +28,7 @@
 #define DRAW_SALT 0x5851F42D4C957F2DULL
 
 /* glibc's stdint.h defines __GLIBC__; clang defines __GNUC__ as 4 */
-#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
 #else
 #define CLONES
@@ -46,28 +47,34 @@ static inline uint64_t mix(uint64_t x)
 /* out[i * fanout + j] = key j of keys[i]'s children, for n keys; inlined
  * with a constant fanout, the loop over j unrolls and the loop over i
  * vectorises */
-static inline void children(const uint64_t *restrict keys, size_t n, size_t fanout,
-                            uint64_t *restrict out)
+static inline void children(const uint64_t *keys, size_t n, size_t fanout, uint64_t *out)
 {
     for (size_t i = 0; i < n; i++)
         for (size_t j = 0; j < fanout; j++)
             out[i * fanout + j] = mix(keys[i] + GOLDEN * (j + 1));
 }
 
+/* any other fanout, built for the default target only: its x86-64-v4 clone
+ * vectorises over j and was slower than the plain loop at fanout 3 */
+__attribute__((noinline)) static void any_children(const uint64_t *keys, size_t n,
+                                                   size_t fanout, uint64_t *out)
+{
+    children(keys, n, fanout, out);
+}
+
 CLONES
 void splitmix_child_keys(const uint64_t *keys, size_t n, size_t fanout, uint64_t *out)
 {
     switch (fanout) {
-    case 2: children(keys, n, 2, out); break;
     case 4: children(keys, n, 4, out); break;
     case 8: children(keys, n, 8, out); break;
-    default: children(keys, n, fanout, out);
+    default: any_children(keys, n, fanout, out);
     }
 }
 
 /* out[i] = the uniform draw in [0, 1) of keys[i]: 53 bits < 2^53 convert exactly */
 CLONES
-void splitmix_unit_draws(const uint64_t *restrict keys, size_t n, double *restrict out)
+void splitmix_unit_draws(const uint64_t *keys, size_t n, double *out)
 {
     for (size_t i = 0; i < n; i++)
         out[i] = (double)(int64_t)(mix(keys[i] ^ DRAW_SALT) >> 11) * 0x1p-53;

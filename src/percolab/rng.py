@@ -14,7 +14,7 @@ sampled tree, so they must stay fixed across versions.
 The numpy body is the reference.  The compiled body runs the two loops of
 ``_splitmix.c``, built once with the platform C compiler and cached in the
 package's ``__pycache__`` under a name hashed from the source, the compile
-command and the platform.  GCC 11 or later on x86-64 glibc builds each loop
+command and the platform.  GCC 12 or later on x86-64 glibc builds each loop
 twice, plain and as an AVX-512 (x86-64-v4) clone, and the CPU picks one
 when the object loads, so the object is built without ``-march=native``;
 any other compiler builds the plain loops.  The
@@ -194,20 +194,20 @@ _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 # the draw range, then ordinary keys: a compiled object must hash them, and
 # their children at each check fanout, to the numpy body's bits before it is
 # used.  The fanouts are every one the compiled child_keys specialises and
-# one it does not.  9 keys and their 153 children are odd counts, so every
+# one it does not.  9 keys and their 135 children are odd counts, so every
 # vector loop ends in a partial vector.
 _CHECK_KEYS = (
     0x5851F42D4C957F2D, 0x7309F50F5A733562, 0x96749F8401F2AE77, 0x97CBF082B6FED2ED,
     0, 1, 12345, 1 << 63, MASK64,
 )
-_CHECK_FANOUTS = (2, 4, 8, 3)
+_CHECK_FANOUTS = (4, 8, 3)
 
 
 def _direct(keys: np.ndarray, out: np.ndarray, shape: Tuple[int, ...], dtype) -> bool:
     """Whether a compiled loop may read ``keys`` and write ``out`` in place:
     contiguous uint64 keys, and a writable contiguous ``out`` of ``shape``
-    and ``dtype`` that shares no memory with them (the loops take
-    ``restrict`` pointers; numpy buffers an overlapping operand).
+    and ``dtype`` that shares no memory with them (a loop may read a key
+    it has already overwritten; numpy buffers an overlapping operand).
     """
     return (
         keys.dtype == np.uint64

@@ -192,7 +192,7 @@ def _guarded(shape, offset, dtype):
 @pytest.mark.parametrize("fanout", [2, 3, 4, 8, 9])
 @pytest.mark.parametrize("build", ["dispatched", "plain"])
 def test_compiled_loops_match_the_numpy_body(tmp_path, monkeypatch, build, fanout):
-    # the specialised fanouts 2, 4 and 8 and the generic loop, at every
+    # the specialised fanouts 4 and 8 and the generic loop, at every
     # count 0..33 of keys and at views one element apart, so that vector
     # loops run with no, part and whole vectors at either alignment; the
     # element on each side of every output stays untouched.  "plain" is the
