@@ -1,11 +1,14 @@
-/* Compiled body of percolab.rng.child_keys and percolab.rng.unit_draws.
+/* Compiled body of percolab.rng.child_keys, percolab.rng.unit_draws and
+ * percolab.rng.count_children.
  *
- * Each loop writes exactly what the numpy body in rng.py writes, with the
- * constants of rng.py: the splitmix64 finalizer of a key plus GOLDEN times
- * the child's index + 1, and the top 53 bits of a salted key's finalizer,
- * scaled by 2^-53.  rng.py builds this file with the platform C compiler,
- * checks the object against the numpy body, and falls back to numpy on
- * any failure.
+ * The first two loops write exactly what the numpy body in rng.py writes,
+ * with the constants of rng.py: the splitmix64 finalizer of a key plus
+ * GOLDEN times the child's index + 1, and the top 53 bits of a salted
+ * key's finalizer, scaled by 2^-53.  The third hashes the same children
+ * and draws but writes neither: it counts the children whose draw is
+ * below p into cells, as the numpy slice loop of percolation.py counts
+ * them.  rng.py builds this file with the platform C compiler, checks the
+ * object against the numpy body, and falls back to numpy on any failure.
  *
  * The finalizer is two 64-bit multiplies, which plain x86-64 cannot do in
  * a vector register, so the loops are also built for x86-64-v4, whose
@@ -44,6 +47,19 @@ static inline uint64_t mix(uint64_t x)
     return x;
 }
 
+/* key j of key's children */
+static inline uint64_t child(uint64_t key, size_t j)
+{
+    return mix(key + GOLDEN * (j + 1));
+}
+
+/* whether a key's draw, its top 53 bits, is below bound / 2^53: the same
+ * test as draw < p with bound = ceil(p * 2^53), in integers */
+static inline uint64_t alive(uint64_t key, uint64_t bound)
+{
+    return (mix(key ^ DRAW_SALT) >> 11) < bound;
+}
+
 /* out[i * fanout + j] = key j of keys[i]'s children, for n keys; inlined
  * with a constant fanout, the loop over j unrolls and the loop over i
  * vectorises */
@@ -51,7 +67,7 @@ static inline void children(const uint64_t *keys, size_t n, size_t fanout, uint6
 {
     for (size_t i = 0; i < n; i++)
         for (size_t j = 0; j < fanout; j++)
-            out[i * fanout + j] = mix(keys[i] + GOLDEN * (j + 1));
+            out[i * fanout + j] = child(keys[i], j);
 }
 
 /* any other fanout, built for the default target only: its x86-64-v4 clone
@@ -78,4 +94,72 @@ void splitmix_unit_draws(const uint64_t *keys, size_t n, double *out)
 {
     for (size_t i = 0; i < n; i++)
         out[i] = (double)(int64_t)(mix(keys[i] ^ DRAW_SALT) >> 11) * 0x1p-53;
+}
+
+/* Parents counted at a time: the loops over a block's parents vectorise,
+ * and its alive counts wait in a buffer for the scatter into cells, which
+ * cannot. */
+#define BLOCK 64
+
+/* Count the alive children of n keys into cells and return how many there
+ * are: with no labels, at cells[0]; with a unit, at the parent's cell
+ * cells[labels[i] / unit]; with unit 0, at the child's full label
+ * cells[labels[i] * fanout + j].  Labels are read in order, so sorted
+ * labels divide once per cell.  The loops run over a block's parents for
+ * each child index j, so they vectorise at any fanout. */
+__attribute__((always_inline)) static inline uint64_t count(
+    const uint64_t *keys, const int64_t *labels, size_t n, size_t fanout, uint64_t bound,
+    uint64_t unit, int64_t *cells)
+{
+    uint64_t per[BLOCK], total = 0;
+    uint64_t cell = 0, first = 0; /* the current cell and its first label */
+    for (size_t start = 0; start < n; start += BLOCK) {
+        size_t b = n - start < BLOCK ? n - start : BLOCK;
+        const uint64_t *k = keys + start;
+        if (!labels) {
+            for (size_t j = 0; j < fanout; j++)
+                for (size_t i = 0; i < b; i++)
+                    total += alive(child(k[i], j), bound);
+        } else if (!unit) {
+            for (size_t j = 0; j < fanout; j++) {
+                for (size_t i = 0; i < b; i++)
+                    per[i] = alive(child(k[i], j), bound);
+                for (size_t i = 0; i < b; i++) {
+                    cells[labels[start + i] * fanout + j] += per[i];
+                    total += per[i];
+                }
+            }
+        } else {
+            for (size_t i = 0; i < b; i++)
+                per[i] = 0;
+            for (size_t j = 0; j < fanout; j++)
+                for (size_t i = 0; i < b; i++)
+                    per[i] += alive(child(k[i], j), bound);
+            for (size_t i = 0; i < b; i++) {
+                uint64_t label = labels[start + i];
+                if (unit == 1) {
+                    cell = label;
+                } else if (label - first >= unit) {
+                    cell = label / unit;
+                    first = cell * unit;
+                }
+                cells[cell] += per[i];
+                total += per[i];
+            }
+        }
+    }
+    if (!labels)
+        cells[0] += total;
+    return total;
+}
+
+CLONES
+uint64_t splitmix_count_children(const uint64_t *keys, const int64_t *labels, size_t n,
+                                 size_t fanout, uint64_t bound, uint64_t unit, int64_t *cells)
+{
+    switch (fanout) {
+    case 4: return count(keys, labels, n, 4, bound, unit, cells);
+    case 8: return count(keys, labels, n, 8, bound, unit, cells);
+    default: return count(keys, labels, n, fanout, bound, unit, cells);
+    }
 }

@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import MemoryBudgetError
-from .rng import child_key, child_keys, substream, unit_draw, unit_draws
+from .rng import child_key, child_keys, count_children, substream, unit_draw, unit_draws
 
 _DEFAULT_MAX_NODES = 1 << 24
 
@@ -36,6 +36,8 @@ _DEFAULT_MAX_NODES = 1 << 24
 # index array stay in cache, where one pass over a whole large level would
 # not.  On a 2-CPU x86-64 machine 1 << 13 hashed as fast as 1 << 14 with
 # 1.7 MB less peak memory, and 1 << 12 was slower by its per-call costs.
+# Only parents whose children are stored are sliced where the compiled count
+# step runs: it counts the rest of a counted level in place.
 _CHUNK = 1 << 13
 
 # Stream indices under a seed.  Retention draws, path-choice draws, path
@@ -364,7 +366,11 @@ class LazyTree:
         the one contiguous range of parents under them, found by
         ``searchsorted`` on the parents' labels.  With nothing to keep (the
         default), the frontier stays one level above the counted level.
-        The deepest count returned is the counted total.
+        The deepest count returned is the counted total.  Where the
+        compiled count step runs (``rng.count_children``), it counts the
+        parents before that range in one call and those after it in
+        another, and only the range is hashed in slices; the order in
+        which parents are hashed, and every count, stay as they are.
         """
         self._budget(levels + 1)  # the counts returned, 0 once the frontier dies
         fanout, p = self.config.branching, self.config.p
@@ -376,17 +382,24 @@ class LazyTree:
             keys, labels = frontier.keys, frontier.labels
             extend = frontier.depth < frontier.label_depth
             digits = min(frontier.depth, frontier.label_depth)  # of each parent's label
+            unit = _cell_unit(fanout, digits, cells) if counted else 0
             lo, hi = frontier._under(keep) if counted else (0, keys.size)  # parents stored
             out = frontier._levels[1]
             filled = hashed = 0
-            for start in range(0, keys.size, _CHUNK):
-                part = keys[start : start + _CHUNK]
+            first, last = 0, keys.size  # the parents hashed in slices
+            if counted:  # the compiled step counts the parents outside [lo, hi)
+                before = count_children(keys, labels, range(lo), fanout, p, unit, cells)
+                if before is not None:
+                    hashed, first, last = before, lo, hi
+            for start in range(first, last, _CHUNK):
+                stop = min(start + _CHUNK, last)
+                part = keys[start:stop]
                 children, bits, draws, alive = workspace.slice(part.size)
                 child_keys(part, fanout, children.reshape(-1, fanout), bits.reshape(-1, fanout))
                 np.less(unit_draws(children, draws, bits), p, out=alive)
-                parent = None if labels is None else labels[start : start + _CHUNK]
+                parent = None if labels is None else labels[start:stop]
                 if counted:
-                    hashed += _count_level(alive.reshape(-1, fanout), parent, digits, cells)
+                    hashed += _count_level(alive.reshape(-1, fanout), parent, unit, cells)
                 a, b = max(lo - start, 0), min(hi - start, part.size)  # stored, within the slice
                 if a >= b:
                     continue
@@ -404,6 +417,8 @@ class LazyTree:
                         child_labels *= fanout
                         child_labels += nz
                 filled += count
+            if last < keys.size:  # the same arrays as the first call: it runs too
+                hashed += count_children(keys, labels, range(hi, keys.size), fanout, p, unit, cells)
             sizes.append(hashed if counted else filled)
             if keep or not counted:
                 frontier._swap(filled)
@@ -425,26 +440,35 @@ class LazyTree:
 _ROW_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
+def _cell_unit(fanout: int, digits: int, cells: np.ndarray) -> int:
+    """Parent labels of ``digits`` digits per cell of ``cells``, or 0 where
+    the cells resolve each child's own digit.
+
+    A child's label is its parent's, with the child's digit appended when
+    the frontier labels that deep.  A grid of (k^m)^c cells with c >
+    ``digits`` resolves that digit; a coarser one puts each child in its
+    parent's cell, the parent's label cut to c digits.
+    """
+    labels = fanout**digits
+    return 0 if labels < cells.size else labels // cells.size
+
+
 def _count_level(
-    alive: np.ndarray, parent: Optional[np.ndarray], digits: int, cells: np.ndarray
+    alive: np.ndarray, parent: Optional[np.ndarray], unit: int, cells: np.ndarray
 ) -> int:
     """Add each alive child of an (parents, fanout) mask to ``cells`` at its
     label truncated to the grid's digits; returns the number of alive children.
 
-    ``parent`` holds the parents' labels, of ``digits`` digits each (None:
-    every child goes to cell 0).  A child's label is its parent's, with the
-    child's digit appended when the frontier labels that deep.  A grid of
-    (k^m)^c cells with c > ``digits`` resolves that digit; a coarser one
-    puts each child in its parent's cell, the parent's label cut to c digits.
+    ``parent`` holds the parents' labels (None: every child goes to cell 0),
+    and ``unit`` is ``_cell_unit`` of the grid.
     """
     count = int(np.count_nonzero(alive))
     fanout = alive.shape[1]
     if parent is None:
         cells[0] += count
-    elif fanout**digits < cells.size:  # cells at full labels: the parent's, then the digit
+    elif not unit:  # cells at full labels: the parent's, then the digit
         cells.reshape(-1, fanout)[parent] += alive
     else:  # a child lies in its parent's cell: weigh each parent by its alive children
-        unit = fanout**digits // cells.size  # parent labels per cell
         word = _ROW_WORDS.get(fanout)
         if word is None:
             ones = np.ones(fanout, np.uint8 if fanout < 256 else np.int64)

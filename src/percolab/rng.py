@@ -11,17 +11,21 @@ the package's reproducibility contract: changing them silently changes every
 sampled tree, so they must stay fixed across versions.
 
 ``child_keys`` and ``unit_draws`` have two bodies that write the same bits.
-The numpy body is the reference.  The compiled body runs the two loops of
-``_splitmix.c``, built once with the platform C compiler and cached in the
-package's ``__pycache__`` under a name hashed from the source, the compile
-command and the platform.  GCC 12 or later on x86-64 glibc builds each loop
-twice, plain and as an AVX-512 (x86-64-v4) clone, and the CPU picks one
-when the object loads, so the object is built without ``-march=native``;
-any other compiler builds the plain loops.  The
-object is loaded with ``ctypes`` and checked against the numpy body before
-first use, at every fanout the compiled ``child_keys`` specialises and one
-it does not.  Without a compiler, or on any failure to
-build, load or pass that check, the numpy body runs.  A compiler that runs
+The numpy body is the reference.  The compiled body runs two of the three
+loops of ``_splitmix.c``, built once with the platform C compiler and
+cached in the package's ``__pycache__`` under a name hashed from the
+source, the compile command and the platform.  GCC 12 or later on x86-64
+glibc builds each loop twice, plain and as an AVX-512 (x86-64-v4) clone,
+and the CPU picks one when the object loads, so the object is built
+without ``-march=native``; any other compiler builds the plain loops.  The
+third loop, ``count_children``, hashes a level's children only to count
+the alive ones into cells; it has no numpy body, and where it cannot run,
+the caller hashes the level through ``child_keys`` and ``unit_draws``
+instead.  The object is loaded with ``ctypes`` and checked against the
+numpy body before first use, at every fanout the compiled loops specialise
+and one they do not, and the count step in each of its modes.  Without a
+compiler, or on any failure to build, load or pass that check, the numpy
+body runs.  A compiler that runs
 and fails leaves a marker of the same name beside the object, so each
 source is built at most once however many processes find no object.
 """
@@ -29,6 +33,7 @@ source is built at most once however many processes find no object.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import platform
 import sys
@@ -117,7 +122,7 @@ def child_keys(
     loops = _loops()
     if loops is None or not _direct(keys, children, (keys.size, fanout), np.uint64):
         return _numpy_child_keys(keys, fanout, children, scratch)
-    loops[0](keys.ctypes.data, keys.size, fanout, children.ctypes.data)
+    loops[0](_address(keys), keys.size, fanout, _address(children))
     return children
 
 
@@ -152,7 +157,7 @@ def unit_draws(
     loops = _loops()
     if loops is None or not _direct(keys, out, keys.shape, np.float64):
         return _numpy_unit_draws(keys, out, scratch)
-    loops[1](keys.ctypes.data, keys.size, out.ctypes.data)
+    loops[1](_address(keys), keys.size, _address(out))
     return out
 
 
@@ -169,6 +174,44 @@ def _numpy_unit_draws(
     # bits < 2^53 convert exactly, and the power-of-two scale is exact too;
     # they read the same as int64, which converts faster than uint64
     return np.multiply(bits.view(np.int64), _INV_2_53, out=out)
+
+
+def count_children(
+    keys: np.ndarray,
+    labels: Optional[np.ndarray],
+    parents: range,
+    fanout: int,
+    p: float,
+    unit: int,
+    cells: np.ndarray,
+) -> Optional[int]:
+    """Count the alive children of ``keys[parents]`` into ``cells``; returns
+    how many there are.  ``parents`` is a range of step 1.
+
+    A child is alive when its draw is below ``p``.  Without ``labels`` every
+    child counts at ``cells[0]``; with a ``unit``, at its parent's cell
+    ``labels[i] // unit``; with ``unit`` 0, at its full label
+    ``labels[i] * fanout + j``.  ``labels`` (int64, one per key) must be
+    sorted: IndexError is raised, before anything is counted, where the first
+    or the last parent's cells fall outside ``cells`` (int64).  Nothing is
+    stored.  Returns None, having counted nothing, where the compiled step
+    cannot run: no compiled loops, or arrays it cannot read or write in place.
+    """
+    loops = _loops()
+    if loops is None or not _countable(keys, labels, cells):
+        return None
+    if not parents:
+        return 0
+    first, last = parents[0], parents[-1]
+    at_labels = None
+    if labels is not None:
+        top = labels[last] * fanout + fanout - 1 if unit == 0 else labels[last] // unit
+        if labels[first] < 0 or top >= cells.size:
+            raise IndexError(f"labels up to {labels[last]} reach past {cells.size} cells")
+        at_labels = _address(labels) + 8 * first
+    at_keys = _address(keys) + 8 * first
+    bound = math.ceil(p * 2.0**53)  # draw < p iff its 53 bits are below this bound
+    return loops[2](at_keys, at_labels, len(parents), fanout, bound, unit, _address(cells))
 
 
 def substream(seed: int, *indices: int) -> int:
@@ -191,32 +234,63 @@ _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
 # Keys whose salted hashes are 0, 2^11 - 1, 2^63 and 2^64 - 1, the edges of
-# the draw range, then ordinary keys: a compiled object must hash them, and
-# their children at each check fanout, to the numpy body's bits before it is
-# used.  The fanouts are every one the compiled child_keys specialises and
-# one it does not.  9 keys and their 135 children are odd counts, so every
-# vector loop ends in a partial vector.
+# the draw range; keys whose child 0 is each of those, and one whose child 0
+# draws exactly 0.7; then ordinary keys.  A compiled object must hash them,
+# and their children at each check fanout, to the numpy body's bits before
+# it is used, and count both as parents at each check p.  The fanouts are
+# every one the compiled loops specialise and one they do not.  At
+# p = 2^-53 only a draw of 0 is below p, and at 0.7 the draw of 0.7 is not.
+# 13 keys and their 195 children are odd counts, so every vector loop ends
+# in a partial vector.
 _CHECK_KEYS = (
     0x5851F42D4C957F2D, 0x7309F50F5A733562, 0x96749F8401F2AE77, 0x97CBF082B6FED2ED,
-    0, 1, 12345, 1 << 63, MASK64,
+    0xB0267A43B0BADA87, 0x0787DE67E195908D, 0x02DA46FFE13780F0, 0xDB061F5DD88A7A13,
+    0x831FF1E888A5CA92, 1, 12345, 1 << 63, MASK64,
 )
 _CHECK_FANOUTS = (4, 8, 3)
+_CHECK_PS = (2.0**-53, 0.7, 1.0)
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of a writable, contiguous, non-empty array's data: a
+    ctypes view of its buffer reads it in about a quarter of the time
+    ``ndarray.ctypes.data`` takes."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def _direct(keys: np.ndarray, out: np.ndarray, shape: Tuple[int, ...], dtype) -> bool:
     """Whether a compiled loop may read ``keys`` and write ``out`` in place:
-    contiguous uint64 keys, and a writable contiguous ``out`` of ``shape``
-    and ``dtype`` that shares no memory with them (a loop may read a key
-    it has already overwritten; numpy buffers an overlapping operand).
+    some contiguous uint64 keys, and a writable contiguous ``out`` of
+    ``shape`` and ``dtype`` that shares no memory with them (a loop may read
+    a key it has already overwritten; numpy buffers an overlapping operand).
+    ``_address`` reads only writable buffers, so read-only keys are refused.
     """
     return (
         keys.dtype == np.uint64
+        and keys.size > 0
         and keys.flags.c_contiguous
+        and keys.flags.writeable
         and out.shape == shape
         and out.dtype == dtype
         and out.flags.c_contiguous
         and out.flags.writeable
         and not np.may_share_memory(keys, out)
+    )
+
+
+def _countable(keys: np.ndarray, labels: Optional[np.ndarray], cells: np.ndarray) -> bool:
+    """Whether the compiled count step may read ``keys`` and ``labels`` and
+    add to ``cells`` in place: ``_direct`` keys and cells, and no labels or
+    writable contiguous int64 labels, one per key, apart from the cells."""
+    return _direct(keys, cells, cells.shape, np.int64) and (
+        labels is None
+        or (
+            labels.dtype == np.int64
+            and labels.shape == keys.shape
+            and labels.flags.c_contiguous
+            and labels.flags.writeable
+            and not np.may_share_memory(labels, cells)
+        )
     )
 
 
@@ -273,7 +347,8 @@ def _build(path: Path) -> None:
 
 
 def _load(directory: Path):
-    """The compiled loops ``(child_keys, unit_draws)`` cached in ``directory``, or None.
+    """The compiled loops ``(child_keys, unit_draws, count_children)`` cached
+    in ``directory``, or None.
 
     The object is built on a cache miss, unless an earlier build of the
     same source left its ``_failed`` marker.  Any failure (no compiler, an
@@ -289,31 +364,60 @@ def _load(directory: Path):
             _build(path)
         lib = ctypes.CDLL(str(path))
         child, draws = lib.splitmix_child_keys, lib.splitmix_unit_draws
+        count = lib.splitmix_count_children
         child.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p)
         draws.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+        count.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                          ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p)
         child.restype = draws.restype = None
+        count.restype = ctypes.c_uint64
     except (OSError, AttributeError):  # AttributeError: a loop missing from the object
         return None
-    return (child, draws) if _agrees(child, draws) else None
+    return (child, draws, count) if _agrees(child, draws, count) else None
 
 
-def _agrees(child, draws) -> bool:
+def _agrees(child, draws, count) -> bool:
     """Whether compiled loops write the numpy body's bits for ``_CHECK_KEYS``:
     their children at each of ``_CHECK_FANOUTS``, and the draws of the keys
-    and of all those children."""
+    and of all those children; and whether the count step, with the keys
+    and with all those children as parents, counts what the numpy body's
+    draws give at each fanout, each of ``_CHECK_PS`` and in each mode."""
     keys = np.array(_CHECK_KEYS, dtype=np.uint64)
     agree, children = True, []
     for fanout in _CHECK_FANOUTS:
         got = np.empty((keys.size, fanout), np.uint64)
-        child(keys.ctypes.data, keys.size, fanout, got.ctypes.data)
+        child(_address(keys), keys.size, fanout, _address(got))
         want = _numpy_child_keys(keys, fanout, np.empty_like(got), None)
         agree &= np.array_equal(got, want)
         children.append(want.ravel())
-    for batch in (keys, np.concatenate(children)):
+    parents = (keys, np.concatenate(children))
+    for batch in parents:
         drawn = np.empty(batch.size)
-        draws(batch.ctypes.data, batch.size, drawn.ctypes.data)
+        draws(_address(batch), batch.size, _address(drawn))
         want = _numpy_unit_draws(batch, np.empty(batch.size))
         agree &= np.array_equal(drawn.view(np.uint64), want.view(np.uint64))
+    for batch in parents:
+        labels = np.arange(1, batch.size + 1, dtype=np.int64)  # sorted, from 1
+        for fanout in _CHECK_FANOUTS:
+            kids = _numpy_child_keys(batch, fanout, np.empty((batch.size, fanout), np.uint64), None)
+            drawn = _numpy_unit_draws(kids, np.empty(kids.shape))
+            size = (batch.size + 2) * fanout  # each mode's cells, and more for a stray index
+            for p in _CHECK_PS:
+                alive = drawn < p
+                per = alive.sum(axis=1)
+                for mode, unit in ((None, 0), (labels, 1), (labels, 3), (labels, 0)):
+                    want = np.zeros(size, np.int64)
+                    if mode is None:
+                        want[0] = per.sum()
+                    elif unit:
+                        np.add.at(want, labels // unit, per)
+                    else:
+                        want.reshape(-1, fanout)[labels] = alive
+                    got = np.zeros_like(want)
+                    at = None if mode is None else _address(labels)
+                    total = count(_address(batch), at, batch.size, fanout,
+                                  math.ceil(p * 2.0**53), unit, _address(got))
+                    agree &= total == per.sum() and np.array_equal(got, want)
     return bool(agree)
 
 

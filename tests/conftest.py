@@ -61,3 +61,16 @@ def base_config():
     from percolab import PercolationConfig
 
     return PercolationConfig(m=2, k=2, p=0.8, seed=7)
+
+
+@pytest.fixture(params=["numpy", "native"])
+def hash_body(request, monkeypatch, tmp_path):
+    """Each body of the hashing loops in turn: "numpy" hashes every level
+    through the numpy bodies of ``child_keys`` and ``unit_draws``,
+    "native" through the compiled loops and the compiled count step."""
+    from helpers import native_loops
+    from percolab import rng
+
+    loops = native_loops(tmp_path) if request.param == "native" else None
+    monkeypatch.setattr(rng, "_loops", lambda: loops)
+    return request.param

@@ -8,10 +8,13 @@ only tests read them.
 """
 
 import math
+import shutil
 
 import numpy as np
+import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from percolab import rng
 from percolab.percolation import mass_factor
 
 
@@ -128,6 +131,24 @@ def pack_all_grids(side: int) -> np.ndarray:
     codes = np.arange(1 << n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
     return bits.reshape(1 << n, side, side).astype(bool)
+
+
+def require_compiler():
+    """Skip the calling test where no C compiler can build the compiled body."""
+    if shutil.which(rng._COMPILE[0]) is None:
+        pytest.skip("no C compiler: the compiled body cannot be built")
+
+
+def native_loops(tmp_path):
+    """The compiled loops, which must build, load and pass their check
+    wherever a C compiler is on the PATH, so that a broken ``_splitmix.c``
+    fails here instead of falling back to numpy; without a compiler the
+    test is skipped."""
+    loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
+    if loops is None:
+        require_compiler()
+    assert loops is not None, "the compiled body did not build, load or pass its check"
+    return loops
 
 
 def unmix64(y: int) -> int:

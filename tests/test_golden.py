@@ -294,9 +294,31 @@ def _fanout_mismatch(cache, monkeypatch):
     monkeypatch.setattr(rng, "_SOURCE", source)
 
 
+def _miscounted(cache, monkeypatch, line):
+    # only one mode of the count step is wrong: it adds its counts twice
+    source = cache.parent / "_splitmix.c"
+    text = rng._SOURCE.read_text()
+    assert text.count(line) == 1
+    source.write_text(text.replace(line, line.replace("+= ", "+= 2 * ")))
+    monkeypatch.setattr(rng, "_SOURCE", source)
+
+
+def _cell_0_miscount(cache, monkeypatch):
+    _miscounted(cache, monkeypatch, "cells[0] += total;")
+
+
+def _parent_cell_miscount(cache, monkeypatch):
+    _miscounted(cache, monkeypatch, "cells[cell] += per[i];")
+
+
+def _full_label_miscount(cache, monkeypatch):
+    _miscounted(cache, monkeypatch, "cells[labels[start + i] * fanout + j] += per[i];")
+
+
 @pytest.mark.parametrize("failure", [
     _no_compiler, _unwritable_cache, _failed_build, _corrupt_object, _unreadable_object,
-    _check_mismatch, _fanout_mismatch,
+    _check_mismatch, _fanout_mismatch, _cell_0_miscount, _parent_cell_miscount,
+    _full_label_miscount,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypatch, failure):
     # filterwarnings = error::UserWarning: a warning would fail the run

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import x_estimate
-from percolab import LazyTree, MemoryBudgetError, PercolationConfig
+from percolab import LazyTree, MemoryBudgetError, PercolationConfig, rng
 from percolab.percolation import (
     STREAM_RETENTION,
     capped_power,
@@ -129,6 +129,38 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
     prof = tree(p=0.6, seed=5, m=1).count_profile((), 40)
     assert prof[:8] == [1, 1, 2, 2, 3, 1, 1, 0] and prof[8:] == [0] * 33
     assert hashed == [1, 1, 2, 2, 3, 1, 1]
+
+
+def test_counted_level_is_hashed_by_the_count_step(monkeypatch, hash_body):
+    # with the compiled loops loaded, count_profile hashes the parents of its
+    # counted level only through the count step, and each of them once
+    from percolab import percolation
+
+    hashed, counted = [], []
+    child_keys, count_children = percolation.child_keys, percolation.count_children
+
+    def recorded(keys, fanout, *buffers):
+        hashed.extend(keys.tolist())
+        return child_keys(keys, fanout, *buffers)
+
+    def counting(keys, labels, parents, *args):
+        total = count_children(keys, labels, parents, *args)
+        if total is not None:
+            counted.extend(keys[parents.start : parents.stop].tolist())
+        return total
+
+    monkeypatch.setattr(percolation, "child_keys", recorded)
+    monkeypatch.setattr(percolation, "count_children", counting)
+    t = tree(p=0.8, seed=3)
+    depth = 6
+    profile = t.count_profile((), depth)
+    assert profile == _one_shot(t, depth)[0]
+    last = sorted(_one_shot(t, depth - 1)[1].tolist())
+    if hash_body == "native":
+        assert sorted(counted) == last and not set(last) & set(hashed)
+        assert len(hashed) == sum(profile[: depth - 1])
+    else:
+        assert counted == [] and sorted(hashed[-len(last) :]) == last
 
 
 def _one_shot(t, depth):
@@ -256,6 +288,14 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
             assert _stored(t, word, r, g) == (profile, cells)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_chunked_levels_match_one_shot_under_the_numpy_body(monkeypatch, m):
+    # where the compiled count step runs, a level counted with nothing kept
+    # never reaches the slice loop's count: hash every level in slices
+    monkeypatch.setattr(rng, "_loops", lambda: None)
+    test_chunked_levels_match_one_shot(monkeypatch, m)
+
+
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_deepest_counted_level_is_never_stored(monkeypatch, chunk):
     from percolab import percolation
@@ -319,6 +359,11 @@ def test_count_profile_matches_expand():
     with t.frontier(root, 6) as front:
         assert t.expand_retained(front, 6) == prof
     assert prof == [len(_retained_paths(t, root, j)) for j in range(7)]
+
+
+def test_count_profile_matches_expand_under_the_numpy_body(monkeypatch):
+    monkeypatch.setattr(rng, "_loops", lambda: None)
+    test_count_profile_matches_expand()
 
 
 def test_count_profile_deep_3d_matches_pointwise_walk():
@@ -463,6 +508,13 @@ def test_descendant_counts_match_pointwise_oracle(m, k, p):
             for cell in itertools.product(range(fanout), repeat=r)
         ]
         assert descendant_counts(t, start, r, g).tolist() == oracle
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p", [0.7, 1.0])
+def test_descendant_counts_match_pointwise_oracle_under_the_numpy_body(monkeypatch, m, k, p):
+    monkeypatch.setattr(rng, "_loops", lambda: None)
+    test_descendant_counts_match_pointwise_oracle(m, k, p)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])

@@ -164,16 +164,26 @@ def test_accepted_path_expands_each_word_once(monkeypatch):
     # The root's g levels and step 0's, word_1's levels g .. r + g - 1, then one
     # level per later scale: those parents' children, in that order, are
     # every key an accepted attempt hashes, and no parent is hashed twice.
+    # A parent is hashed by child_keys or, on a counted level, by the
+    # compiled count step, which counts the parents before and after the
+    # stored ones.
     from percolab import percolation
 
     parents = []
-    hash_children = percolation.child_keys
+    hash_children, count_children = percolation.child_keys, percolation.count_children
 
     def recorded(keys, fanout, *buffers):
         parents.extend(keys.tolist())
         return hash_children(keys, fanout, *buffers)
 
+    def counted(keys, labels, hashed, *args):
+        total = count_children(keys, labels, hashed, *args)
+        if total is not None:
+            parents.extend(keys[hashed.start : hashed.stop].tolist())
+        return total
+
     monkeypatch.setattr(percolation, "child_keys", recorded)
+    monkeypatch.setattr(percolation, "count_children", counted)
     n, r, g = 4, 3, 2
     path = sample_qpath(PercolationConfig(2, 2, 0.8, seed=0), n=n, r=r, g=g)
     assert path.attempts == 1

@@ -6,8 +6,8 @@ silent change to the hashing breaks every stored manifest.  These literals
 were computed once from the reference definitions and must never drift.
 """
 
+import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import unmix64
+from helpers import native_loops, require_compiler, unmix64
 from percolab import rng
 from percolab.rng import (
     _DRAW_SALT,
@@ -40,31 +40,6 @@ GOLDEN = {
     "substream_7_0": 13309476754707697221,
     "substream_7_123": 9629103888653098766,
 }
-
-
-def _compiler():
-    if shutil.which(rng._COMPILE[0]) is None:
-        pytest.skip("no C compiler: the compiled body cannot be built")
-
-
-def _native(tmp_path):
-    """The compiled loops, which must build, load and pass their check
-    wherever a C compiler is on the PATH, so that a broken ``_splitmix.c``
-    fails here instead of falling back to numpy; without a compiler the
-    test is skipped."""
-    loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
-    if loops is None:
-        _compiler()
-    assert loops is not None, "the compiled body did not build, load or pass its check"
-    return loops
-
-
-@pytest.fixture(params=["numpy", "native"])
-def hash_body(request, monkeypatch, tmp_path):
-    """Each body of ``child_keys`` and ``unit_draws`` in turn."""
-    loops = _native(tmp_path) if request.param == "native" else None
-    monkeypatch.setattr(rng, "_loops", lambda: loops)
-    return request.param
 
 
 def test_mixer_golden_values():
@@ -170,6 +145,11 @@ def test_strided_and_foreign_buffers_take_the_numpy_body(hash_body):
     assert got.tolist() == [[child_key(key, j) for j in range(3)] for key in strided.tolist()]
     draws = unit_draws(strided)
     assert draws.tolist() == [unit_draw(key) for key in strided.tolist()]
+    # the compiled body reads addresses off writable buffers only
+    frozen = keys.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(child_keys(frozen, 3), child_keys(keys.copy(), 3))
+    assert unit_draws(frozen).tolist() == [unit_draw(key) for key in keys.tolist()]
     with pytest.raises(TypeError):  # the numpy body refuses an integer out
         unit_draws(keys, np.empty(keys.size, dtype=np.int64))
     # draws written one element past their keys: a loop in order would read
@@ -189,22 +169,32 @@ def _guarded(shape, offset, dtype):
     return buffer[offset + 1 : -1].reshape(shape), lambda: buffer[offset] == buffer[-1] == 7
 
 
+@pytest.fixture(scope="module")
+def plain_loops(tmp_path_factory):
+    """The loops a compiler that fails the vector clones' guard builds."""
+    require_compiler()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_COMPILE", (*rng._COMPILE, "-D__clang__"))
+        loops = rng._load(tmp_path_factory.mktemp("plain"))
+    assert loops is not None, "the plain loops did not build, load or pass their check"
+    return loops
+
+
+def _use_build(build, request, monkeypatch, tmp_path):
+    """Make the "dispatched" build (vector clones where the compiler has
+    them) or the "plain" build this process's compiled loops."""
+    loops = request.getfixturevalue("plain_loops") if build == "plain" else native_loops(tmp_path)
+    monkeypatch.setattr(rng, "_loops", lambda: loops)
+
+
 @pytest.mark.parametrize("fanout", [2, 3, 4, 8, 9])
 @pytest.mark.parametrize("build", ["dispatched", "plain"])
-def test_compiled_loops_match_the_numpy_body(tmp_path, monkeypatch, build, fanout):
+def test_compiled_loops_match_the_numpy_body(request, tmp_path, monkeypatch, build, fanout):
     # the specialised fanouts 4 and 8 and the generic loop, at every
     # count 0..33 of keys and at views one element apart, so that vector
     # loops run with no, part and whole vectors at either alignment; the
-    # element on each side of every output stays untouched.  "plain" is the
-    # build a compiler that fails the vector clones' guard makes.
-    if build == "plain":
-        monkeypatch.setattr(rng, "_COMPILE", (*rng._COMPILE, "-D__clang__"))
-        _compiler()
-        loops = rng._load(tmp_path)
-        assert loops is not None, "the plain loops did not build, load or pass their check"
-    else:
-        loops = _native(tmp_path)
-    monkeypatch.setattr(rng, "_loops", lambda: loops)
+    # element on each side of every output stays untouched
+    _use_build(build, request, monkeypatch, tmp_path)
     pool = np.array([substream(6, i) for i in range(35)], dtype=np.uint64)
     for n in range(34):
         for offset in (0, 1):
@@ -220,8 +210,76 @@ def test_compiled_loops_match_the_numpy_body(tmp_path, monkeypatch, build, fanou
                 assert np.array_equal(drawn.view(np.uint64), bits) and untouched(), (n, offset)
 
 
+def _parent_of_draw(bits: int) -> int:
+    """A key whose child 0 draws ``bits`` / 2^53."""
+    child = unmix64(bits << 11) ^ _DRAW_SALT
+    return (unmix64(child) - rng.GOLDEN) & rng.MASK64
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("build", ["dispatched", "plain"])
+def test_compiled_count_matches_the_numpy_body(request, tmp_path, monkeypatch, build, fanout):
+    # every counting mode, at every count 0..33 of parents from either of
+    # two offsets, against the slice loop's numpy count of the numpy body's
+    # draws.  At each p, the first parents' children draw just below, at
+    # and just past p (the bound ceil(p 2^53), its floor and its
+    # predecessor), so an off-by-one bound, compare or shift shows.  The
+    # cell on each side of the cells stays untouched.
+    from percolab.percolation import _count_level
+
+    _use_build(build, request, monkeypatch, tmp_path)
+    ordinary = [substream(8, i) for i in range(35)]
+    for p in (2.0**-53, 0.3, 0.7, 1.0):
+        bound = math.ceil(p * 2**53)
+        edges = sorted({b for b in (bound - 1, bound, math.floor(p * 2**53)) if b < 2**53})
+        keys = np.array([_parent_of_draw(b) for b in edges] + ordinary, dtype=np.uint64)
+        labels = 3 * np.arange(keys.size, dtype=np.int64) + 1  # sorted, with gaps
+        size = int(labels[-1]) + 1
+        for n in range(34):
+            for offset in (0, 1):
+                parents = range(offset, offset + n)
+                part = keys[offset : offset + n]
+                children = np.empty((n, fanout), np.uint64)
+                rng._numpy_child_keys(part, fanout, children, None)
+                alive = rng._numpy_unit_draws(children, np.empty(children.shape)) < p
+                for unit, cells in ((None, 1), (1, size), (2, size), (5, size), (0, size * fanout)):
+                    mode = None if unit is None else labels
+                    want = np.full(cells, 7, np.int64)
+                    part_labels = None if mode is None else mode[parents.start : parents.stop]
+                    total = _count_level(alive, part_labels, unit or 0, want)
+                    got, untouched = _guarded((cells,), offset, np.int64)
+                    counted = rng.count_children(keys, mode, parents, fanout, p, unit or 0, got)
+                    assert counted == total and np.array_equal(got, want), (p, n, offset, unit)
+                    assert untouched(), (p, n, offset, unit)
+
+
+def test_count_step_refuses_what_it_cannot_count_in_place(hash_body):
+    keys = np.array([substream(2, i) for i in range(6)], dtype=np.uint64)
+    labels, cells = np.arange(6, dtype=np.int64), np.zeros(6, np.int64)
+    assert rng.count_children(keys, labels, range(6), 4, 0.5, 1, cells) == (
+        None if hash_body == "numpy" else cells.sum()
+    )
+    if hash_body == "numpy":
+        return
+    frozen = keys.copy()
+    frozen.flags.writeable = False
+    refused = [
+        (keys[::2], labels[:3], cells),  # strided keys
+        (frozen, labels, cells),  # read-only keys
+        (keys, labels[::-1], cells),  # strided labels
+        (keys, labels.astype(np.int32), cells),  # labels of another type
+        (keys, labels, cells[::2]),  # strided cells
+        (keys, labels, cells.view(np.uint64)),  # cells of another type
+        (keys, cells, cells),  # labels sharing the cells' memory
+    ]
+    for args in refused:
+        assert rng.count_children(args[0], args[1], range(3), 4, 0.5, 1, args[2]) is None
+    with pytest.raises(IndexError):  # the last parent's cell is past the cells
+        rng.count_children(keys, labels + 1, range(6), 4, 0.5, 1, cells)
+
+
 def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):
-    _compiler()
+    require_compiler()
     cache = tmp_path / "cache"
     assert rng._load(cache) is not None
     # published whole by os.replace: the object and nothing else
@@ -248,7 +306,7 @@ def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypat
 
 
 def test_a_cache_hit_imports_no_subprocess():
-    _compiler()
+    require_compiler()
     assert rng._loops() is not None  # the package's cache is warm from here on
     code = "import sys; from percolab import rng; print(rng.hash_kernel(), 'subprocess' in sys.modules)"
     src = str(Path(rng.__file__).parents[1])
