@@ -22,23 +22,16 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import MemoryBudgetError
-from .rng import child_key, child_keys, count_children, substream, unit_draw, unit_draws
+from .rng import (
+    child_key, child_keys, count_alive, count_children, slices, substream, unit_draw, unit_draws,
+)
 
 _DEFAULT_MAX_NODES = 1 << 24
-
-# Parents hashed per slice of a frontier level: a slice's children, draws and
-# index array stay in cache, where one pass over a whole large level would
-# not.  On a 2-CPU x86-64 machine 1 << 13 hashed as fast as 1 << 14 with
-# 1.7 MB less peak memory, and 1 << 12 was slower by its per-call costs.
-# Only parents whose children are stored are sliced where the compiled count
-# step runs: it counts the rest of a counted level in place.
-_CHUNK = 1 << 13
 
 # Stream indices under a seed.  Retention draws, path-choice draws, path
 # replicas, and plain ensemble replicas live in disjoint key subtrees, so
@@ -178,35 +171,9 @@ class _Level:
                 setattr(self, name, new)
 
 
-class _Workspace:
-    """One process's arrays for hashing trees of one fanout, grown on demand.
-
-    The slice arrays hold the children of one slice of parents while it is
-    hashed: their keys, hashed bits, draws and alive mask.  A slice's labels
-    are read through the index array of its alive children, so no label
-    array is kept here.  ``spares`` holds the level buffers no open
-    frontier holds.
-    """
-
-    _DTYPES = (np.uint64, np.uint64, np.float64, bool)
-
-    def __init__(self, fanout: int):
-        self.fanout = fanout
-        self.spares: List[_Level] = []
-        self.arrays = [np.empty(0, dtype) for dtype in self._DTYPES]
-
-    def slice(self, parents: int) -> List[np.ndarray]:
-        """Children, bits, draws and alive arrays for ``parents`` parents."""
-        n = parents * self.fanout
-        if n > self.arrays[0].size:
-            self.arrays = [np.empty(n, dtype) for dtype in self._DTYPES]
-        return [array[:n] for array in self.arrays]
-
-
-@lru_cache(maxsize=None)
-def _workspace(fanout: int) -> _Workspace:
-    """This process's workspace for ``fanout``: it lives as long as the process."""
-    return _Workspace(fanout)
+# This process's level buffers that no open frontier holds; the next frontier
+# takes them.
+_SPARES: List[_Level] = []
 
 
 class Frontier:
@@ -264,11 +231,14 @@ class Frontier:
         lo, hi = np.searchsorted(self.labels, (digits.start * unit, digits.stop * unit))
         return int(lo), int(hi)
 
+    def _nodes(self, lo: int, hi: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The keys and labels (None when unlabelled) of nodes ``lo`` .. ``hi``."""
+        return self.keys[lo:hi], None if self.labels is None else self.labels[lo:hi]
+
     def descend(self, digit: int):
         """Keep the nodes under child ``digit`` of the word; that child becomes the word."""
         lo, hi = self._under(range(digit, digit + 1))
-        self.keys = self.keys[lo:hi]
-        self.labels = self.labels[lo:hi]
+        self.keys, self.labels = self._nodes(lo, hi)
         self.labels -= digit * self.fanout ** (self.depth - 1)
         self.depth -= 1
 
@@ -278,8 +248,8 @@ class LazyTree:
 
     Buffers are reused; no result is.  A scalar query walks the keys down
     from the root, and ``expand_retained`` hashes a retained-only frontier
-    whose work and level buffers each process keeps per fanout, for every
-    tree; both hash the same counter-based keys, so they always agree.
+    whose level buffers, and ``rng``'s slice scratch, each process keeps for
+    every tree; both hash the same counter-based keys, so they always agree.
     ``max_nodes`` caps the children one frontier level or count grid may
     hold, and the counts one expansion returns; it is read from the
     ``PERCOLAB_MAX_NODES`` environment variable, else 2^24.
@@ -333,12 +303,11 @@ class LazyTree:
         fanout = self.config.branching
         if not labels_fit(fanout, label_depth):
             raise ValueError(f"{label_depth}-digit labels overflow int64 at fanout {fanout}")
-        workspace = _workspace(fanout)
-        levels = [workspace.spares.pop() if workspace.spares else _Level() for _ in range(2)]
+        levels = [_SPARES.pop() if _SPARES else _Level() for _ in range(2)]
         try:
             yield Frontier(fanout, self._lookup(digits), label_depth, levels)
         finally:
-            workspace.spares.extend(levels)
+            _SPARES.extend(levels)
 
     def expand_retained(
         self,
@@ -354,9 +323,10 @@ class LazyTree:
         so memory tracks the surviving population rather than the
         (k^m)^depth lattice; once the frontier is empty, hashing stops and
         the remaining counts are 0.  A level is hashed in slices of at most
-        ``_CHUNK`` parents.  Each slice is compacted through one index array
-        of its alive children straight into the frontier's spare level
-        buffer, which changes no key, draw, node or label.
+        ``rng._CHUNK`` parents (``rng.slices``).  Each slice is compacted
+        through one index array of its alive children straight into the
+        frontier's spare level buffer, which changes no key, draw, node or
+        label.
 
         With ``cells`` (int64, (k^m)^c entries), the deepest level is
         counted as it is hashed: each of its nodes adds one to ``cells`` at
@@ -366,15 +336,14 @@ class LazyTree:
         the one contiguous range of parents under them, found by
         ``searchsorted`` on the parents' labels.  With nothing to keep (the
         default), the frontier stays one level above the counted level.
-        The deepest count returned is the counted total.  Where the
-        compiled count step runs (``rng.count_children``), it counts the
-        parents before that range in one call and those after it in
-        another, and only the range is hashed in slices; the order in
-        which parents are hashed, and every count, stay as they are.
+        The deepest count returned is the counted total.  Only that range
+        is hashed in slices; ``rng.count_children`` counts the parents
+        before it in one call and those after it in another, without
+        storing a key or a draw.  Each parent is hashed once, in digit
+        order.
         """
         self._budget(levels + 1)  # the counts returned, 0 once the frontier dies
         fanout, p = self.config.branching, self.config.p
-        workspace = _workspace(fanout)
         sizes = [frontier.size]
         while len(sizes) <= levels and frontier.size:
             self._budget(frontier.size * fanout)
@@ -386,39 +355,29 @@ class LazyTree:
             lo, hi = frontier._under(keep) if counted else (0, keys.size)  # parents stored
             out = frontier._levels[1]
             filled = hashed = 0
-            first, last = 0, keys.size  # the parents hashed in slices
-            if counted:  # the compiled step counts the parents outside [lo, hi)
-                before = count_children(keys, labels, range(lo), fanout, p, unit, cells)
-                if before is not None:
-                    hashed, first, last = before, lo, hi
-            for start in range(first, last, _CHUNK):
-                stop = min(start + _CHUNK, last)
-                part = keys[start:stop]
-                children, bits, draws, alive = workspace.slice(part.size)
+            if counted:  # nothing of the parents before [lo, hi) is stored
+                hashed = count_children(*frontier._nodes(0, lo), fanout, p, unit, cells)
+            for a, b, (children, bits, draws, alive) in slices(lo, hi, fanout):
+                part, parent = frontier._nodes(a, b)
                 child_keys(part, fanout, children.reshape(-1, fanout), bits.reshape(-1, fanout))
                 np.less(unit_draws(children, draws, bits), p, out=alive)
-                parent = None if labels is None else labels[start:stop]
                 if counted:
-                    hashed += _count_level(alive.reshape(-1, fanout), parent, unit, cells)
-                a, b = max(lo - start, 0), min(hi - start, part.size)  # stored, within the slice
-                if a >= b:
-                    continue
-                nz = np.flatnonzero(alive[a * fanout : b * fanout])
+                    hashed += count_alive(alive.reshape(-1, fanout), parent, unit, cells)
+                nz = np.flatnonzero(alive)
                 count = nz.size
                 out.reserve(filled + count, filled, labels is not None)
-                stored = out.keys[filled : filled + count]
-                np.take(children[a * fanout :], nz, mode="clip", out=stored)
+                np.take(children, nz, mode="clip", out=out.keys[filled : filled + count])
                 if parent is not None:
                     child_labels = out.labels[filled : filled + count]
-                    owner = nz // fanout  # each child's parent, counted from parent a
-                    np.take(parent[a:], owner, mode="clip", out=child_labels)
+                    owner = nz // fanout  # each child's parent in the slice
+                    np.take(parent, owner, mode="clip", out=child_labels)
                     if extend:  # append the child's digit nz - owner * fanout
                         child_labels -= owner
                         child_labels *= fanout
                         child_labels += nz
                 filled += count
-            if last < keys.size:  # the same arrays as the first call: it runs too
-                hashed += count_children(keys, labels, range(hi, keys.size), fanout, p, unit, cells)
+            if counted:  # nor of those after it
+                hashed += count_children(*frontier._nodes(hi, keys.size), fanout, p, unit, cells)
             sizes.append(hashed if counted else filled)
             if keep or not counted:
                 frontier._swap(filled)
@@ -435,11 +394,6 @@ class LazyTree:
             return self.expand_retained(front, depth, np.zeros(1, dtype=np.int64))
 
 
-# The unsigned word one alive row fills, one byte per child, at the fanouts
-# that have one; other fanouts weigh their rows by a product instead.
-_ROW_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
-
-
 def _cell_unit(fanout: int, digits: int, cells: np.ndarray) -> int:
     """Parent labels of ``digits`` digits per cell of ``cells``, or 0 where
     the cells resolve each child's own digit.
@@ -451,34 +405,6 @@ def _cell_unit(fanout: int, digits: int, cells: np.ndarray) -> int:
     """
     labels = fanout**digits
     return 0 if labels < cells.size else labels // cells.size
-
-
-def _count_level(
-    alive: np.ndarray, parent: Optional[np.ndarray], unit: int, cells: np.ndarray
-) -> int:
-    """Add each alive child of an (parents, fanout) mask to ``cells`` at its
-    label truncated to the grid's digits; returns the number of alive children.
-
-    ``parent`` holds the parents' labels (None: every child goes to cell 0),
-    and ``unit`` is ``_cell_unit`` of the grid.
-    """
-    count = int(np.count_nonzero(alive))
-    fanout = alive.shape[1]
-    if parent is None:
-        cells[0] += count
-    elif not unit:  # cells at full labels: the parent's, then the digit
-        cells.reshape(-1, fanout)[parent] += alive
-    else:  # a child lies in its parent's cell: weigh each parent by its alive children
-        word = _ROW_WORDS.get(fanout)
-        if word is None:
-            ones = np.ones(fanout, np.uint8 if fanout < 256 else np.int64)
-            per_parent = alive.view(np.uint8) @ ones
-        else:  # times 0x01..01, the row's top byte sums its 0/1 bytes with no carry
-            ones = word(int.from_bytes(b"\x01" * fanout, "little"))
-            per_parent = (alive.view(word)[:, 0] * ones) >> word(8 * (fanout - 1))
-        added = np.bincount(parent // unit, weights=per_parent)  # exact: each sum is below 2^53
-        np.add(cells[: added.size], added, out=cells[: added.size], casting="unsafe")
-    return count
 
 
 def descendant_counts(

@@ -66,8 +66,9 @@ def base_config():
 @pytest.fixture(params=["numpy", "native"])
 def hash_body(request, monkeypatch, tmp_path):
     """Each body of the hashing loops in turn: "numpy" hashes every level
-    through the numpy bodies of ``child_keys`` and ``unit_draws``,
-    "native" through the compiled loops and the compiled count step."""
+    through the numpy bodies of ``child_keys``, ``unit_draws`` and
+    ``count_children``, "native" through the compiled loops and the
+    compiled count step."""
     from helpers import native_loops
     from percolab import rng
 

@@ -132,8 +132,8 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
 
 
 def test_counted_level_is_hashed_by_the_count_step(monkeypatch, hash_body):
-    # with the compiled loops loaded, count_profile hashes the parents of its
-    # counted level only through the count step, and each of them once
+    # under either body, count_profile hashes the parents of its counted
+    # level only through the count step, and each of them once
     from percolab import percolation
 
     hashed, counted = [], []
@@ -143,11 +143,9 @@ def test_counted_level_is_hashed_by_the_count_step(monkeypatch, hash_body):
         hashed.extend(keys.tolist())
         return child_keys(keys, fanout, *buffers)
 
-    def counting(keys, labels, parents, *args):
-        total = count_children(keys, labels, parents, *args)
-        if total is not None:
-            counted.extend(keys[parents.start : parents.stop].tolist())
-        return total
+    def counting(keys, *args):
+        counted.extend(keys.tolist())
+        return count_children(keys, *args)
 
     monkeypatch.setattr(percolation, "child_keys", recorded)
     monkeypatch.setattr(percolation, "count_children", counting)
@@ -156,11 +154,8 @@ def test_counted_level_is_hashed_by_the_count_step(monkeypatch, hash_body):
     profile = t.count_profile((), depth)
     assert profile == _one_shot(t, depth)[0]
     last = sorted(_one_shot(t, depth - 1)[1].tolist())
-    if hash_body == "native":
-        assert sorted(counted) == last and not set(last) & set(hashed)
-        assert len(hashed) == sum(profile[: depth - 1])
-    else:
-        assert counted == [] and sorted(hashed[-len(last) :]) == last
+    assert sorted(counted) == last and not set(last) & set(hashed)
+    assert len(hashed) == sum(profile[: depth - 1])
 
 
 def _one_shot(t, depth):
@@ -273,8 +268,10 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
 
     monkeypatch.setattr(qsampler, "sample_step", interleaved)
     for chunk in (1, 3, 5):
-        monkeypatch.setattr(percolation, "_CHUNK", chunk)
-        percolation._workspace.cache_clear()  # fresh buffers grow mid-level
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        # fresh buffers grow mid-level
+        monkeypatch.setattr(rng, "_SCRATCH", [a[:0] for a in rng._SCRATCH])
+        monkeypatch.setattr(percolation, "_SPARES", [])
         for t, (profile, keys, labels, counts, cells) in zip(trees, expected):
             again = expansions(t)
             assert again[0] == profile and again[3] == counts
@@ -290,8 +287,8 @@ def test_chunked_levels_match_one_shot(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_chunked_levels_match_one_shot_under_the_numpy_body(monkeypatch, m):
-    # where the compiled count step runs, a level counted with nothing kept
-    # never reaches the slice loop's count: hash every level in slices
+    # the counted levels' parents outside the stored range reach the numpy
+    # count body, in slices of the same size
     monkeypatch.setattr(rng, "_loops", lambda: None)
     test_chunked_levels_match_one_shot(monkeypatch, m)
 
@@ -301,8 +298,8 @@ def test_deepest_counted_level_is_never_stored(monkeypatch, chunk):
     from percolab import percolation
 
     if chunk:
-        monkeypatch.setattr(percolation, "_CHUNK", chunk)
-    percolation._workspace.cache_clear()  # fresh buffers must grow
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+    monkeypatch.setattr(percolation, "_SPARES", [])  # fresh buffers must grow
     asked = []
     reserve = percolation._Level.reserve
 
@@ -333,7 +330,7 @@ def test_path_stores_only_the_next_word(monkeypatch, chunk):
     from percolab import percolation
 
     if chunk:
-        monkeypatch.setattr(percolation, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
     stored = []
     swap = percolation.Frontier._swap
 

@@ -12,7 +12,7 @@ from percolab import (
     RejectionLimitError,
     dimension,
 )
-from percolab import qsampler
+from percolab import qsampler, rng
 from percolab.estimators import ensemble_from_sweep
 from percolab.experiments import ensemble_sweep_parallel
 from percolab.holes import (
@@ -164,9 +164,8 @@ def test_accepted_path_expands_each_word_once(monkeypatch):
     # The root's g levels and step 0's, word_1's levels g .. r + g - 1, then one
     # level per later scale: those parents' children, in that order, are
     # every key an accepted attempt hashes, and no parent is hashed twice.
-    # A parent is hashed by child_keys or, on a counted level, by the
-    # compiled count step, which counts the parents before and after the
-    # stored ones.
+    # A parent is hashed by child_keys or, on a counted level, by the count
+    # step, which counts the parents before and after the stored ones.
     from percolab import percolation
 
     parents = []
@@ -176,11 +175,9 @@ def test_accepted_path_expands_each_word_once(monkeypatch):
         parents.extend(keys.tolist())
         return hash_children(keys, fanout, *buffers)
 
-    def counted(keys, labels, hashed, *args):
-        total = count_children(keys, labels, hashed, *args)
-        if total is not None:
-            parents.extend(keys[hashed.start : hashed.stop].tolist())
-        return total
+    def counted(keys, *args):
+        parents.extend(keys.tolist())
+        return count_children(keys, *args)
 
     monkeypatch.setattr(percolation, "child_keys", recorded)
     monkeypatch.setattr(percolation, "count_children", counted)
@@ -199,6 +196,12 @@ def test_accepted_path_expands_each_word_once(monkeypatch):
         expected += retained(path.digits[:j], r + g - 1)
     assert parents == expected
     assert len(set(parents)) == len(parents)
+
+
+def test_accepted_path_expands_each_word_once_under_the_numpy_body(monkeypatch):
+    # the count step's numpy body hashes each parent once, in order, too
+    monkeypatch.setattr(rng, "_loops", lambda: None)
+    test_accepted_path_expands_each_word_once(monkeypatch)
 
 
 @pytest.mark.parametrize("m,p,r,g", [(2, 0.8, 3, 2), (2, 0.7, 1, 0), (3, 0.6, 2, 1)])

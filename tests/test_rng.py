@@ -220,13 +220,10 @@ def _parent_of_draw(bits: int) -> int:
 @pytest.mark.parametrize("build", ["dispatched", "plain"])
 def test_compiled_count_matches_the_numpy_body(request, tmp_path, monkeypatch, build, fanout):
     # every counting mode, at every count 0..33 of parents from either of
-    # two offsets, against the slice loop's numpy count of the numpy body's
-    # draws.  At each p, the first parents' children draw just below, at
-    # and just past p (the bound ceil(p 2^53), its floor and its
-    # predecessor), so an off-by-one bound, compare or shift shows.  The
-    # cell on each side of the cells stays untouched.
-    from percolab.percolation import _count_level
-
+    # two offsets, against the numpy body.  At each p, the first parents'
+    # children draw just below, at and just past p (the bound ceil(p 2^53),
+    # its floor and its predecessor), so an off-by-one bound, compare or
+    # shift shows.  The cell on each side of the cells stays untouched.
     _use_build(build, request, monkeypatch, tmp_path)
     ordinary = [substream(8, i) for i in range(35)]
     for p in (2.0**-53, 0.3, 0.7, 1.0):
@@ -237,45 +234,78 @@ def test_compiled_count_matches_the_numpy_body(request, tmp_path, monkeypatch, b
         size = int(labels[-1]) + 1
         for n in range(34):
             for offset in (0, 1):
-                parents = range(offset, offset + n)
                 part = keys[offset : offset + n]
-                children = np.empty((n, fanout), np.uint64)
-                rng._numpy_child_keys(part, fanout, children, None)
-                alive = rng._numpy_unit_draws(children, np.empty(children.shape)) < p
                 for unit, cells in ((None, 1), (1, size), (2, size), (5, size), (0, size * fanout)):
-                    mode = None if unit is None else labels
+                    mode = None if unit is None else labels[offset : offset + n]
                     want = np.full(cells, 7, np.int64)
-                    part_labels = None if mode is None else mode[parents.start : parents.stop]
-                    total = _count_level(alive, part_labels, unit or 0, want)
+                    total = rng._numpy_count_children(part, mode, fanout, p, unit or 0, want)
                     got, untouched = _guarded((cells,), offset, np.int64)
-                    counted = rng.count_children(keys, mode, parents, fanout, p, unit or 0, got)
+                    counted = rng.count_children(part, mode, fanout, p, unit or 0, got)
                     assert counted == total and np.array_equal(got, want), (p, n, offset, unit)
                     assert untouched(), (p, n, offset, unit)
 
 
+def test_numpy_count_body_counts_across_slices(monkeypatch):
+    # slices of 3 parents against one hashing pass over them all, in every
+    # mode, at part of a slice, one slice and several, ending inside one
+    monkeypatch.setattr(rng, "_loops", lambda: None)
+    monkeypatch.setattr(rng, "_CHUNK", 3)
+    keys = np.array([substream(5, i) for i in range(11)], dtype=np.uint64)
+    labels = 2 * np.arange(keys.size, dtype=np.int64)  # sorted, with gaps
+    for fanout in (3, 4):
+        alive = unit_draws(child_keys(keys, fanout)) < 0.6
+        for n in (2, 3, 7, 11):
+            size = (2 * n - 1) * fanout  # every mode's cells
+            full = np.zeros((size // fanout, fanout), np.int64)
+            full[labels[:n]] = alive[:n]
+            per = alive[:n].sum(axis=1)
+            modes = (
+                (None, [per.sum()]),
+                (1, np.bincount(labels[:n], per, size)),
+                (3, np.bincount(labels[:n] // 3, per, size)),
+                (0, full.ravel()),
+            )
+            for unit, want in modes:
+                cells = np.zeros(len(want), np.int64)
+                mode = None if unit is None else labels[:n]
+                assert rng.count_children(keys[:n], mode, fanout, 0.6, unit or 0, cells) == per.sum()
+                assert cells.tolist() == np.asarray(want, np.int64).tolist(), (fanout, n, unit)
+
+
 def test_count_step_refuses_what_it_cannot_count_in_place(hash_body):
-    keys = np.array([substream(2, i) for i in range(6)], dtype=np.uint64)
-    labels, cells = np.arange(6, dtype=np.int64), np.zeros(6, np.int64)
-    assert rng.count_children(keys, labels, range(6), 4, 0.5, 1, cells) == (
-        None if hash_body == "numpy" else cells.sum()
-    )
-    if hash_body == "numpy":
-        return
-    frozen = keys.copy()
+    # every layout the compiled step cannot read or write in place is
+    # counted by the numpy body, to the total and the cells that contiguous
+    # arrays of the same values give
+    keys = np.array([substream(2, i) for i in range(12)], dtype=np.uint64)
+    labels, cells = np.arange(12, dtype=np.int64), np.zeros(12, np.int64)
+    frozen = keys[:6].copy()
     frozen.flags.writeable = False
     refused = [
-        (keys[::2], labels[:3], cells),  # strided keys
-        (frozen, labels, cells),  # read-only keys
-        (keys, labels[::-1], cells),  # strided labels
-        (keys, labels.astype(np.int32), cells),  # labels of another type
-        (keys, labels, cells[::2]),  # strided cells
-        (keys, labels, cells.view(np.uint64)),  # cells of another type
-        (keys, cells, cells),  # labels sharing the cells' memory
+        (keys[::2], labels[:6], cells),  # strided keys
+        (frozen, labels[:6], cells),  # read-only keys
+        (keys[:6], labels[::2], cells),  # strided labels
+        (keys[:6], labels[:6].astype(np.int32), cells),  # labels of another type
+        (keys[:6], labels[:6], cells[::2]),  # strided cells
+        (keys[:6], labels[:6], cells.view(np.uint64)),  # cells of another type
+        (keys[:6], np.zeros(6, np.int64), None),  # labels sharing the cells' memory
     ]
-    for args in refused:
-        assert rng.count_children(args[0], args[1], range(3), 4, 0.5, 1, args[2]) is None
-    with pytest.raises(IndexError):  # the last parent's cell is past the cells
-        rng.count_children(keys, labels + 1, range(6), 4, 0.5, 1, cells)
+    for parents, mode, into in refused:
+        into = mode if into is None else into
+        assert not rng._countable(parents, mode, into)
+        want = np.zeros(into.size, np.int64)
+        total = rng.count_children(np.array(parents), np.array(mode, np.int64), 4, 0.5, 1, want)
+        into[:] = 0
+        assert rng.count_children(parents, mode, 4, 0.5, 1, into) == total > 0
+        assert into.tolist() == want.tolist()
+    # labels whose cells fall outside the cells are refused before anything
+    # is counted, in every mode, by either body: past the end, and below 0,
+    # where an index would wrap around to the last cells
+    past, negative = labels[:6] + 1, labels[:6] - 1
+    for mode, unit, size in ((past, 1, 6), (past, 3, 2), (past, 0, 24), (negative, 0, 24), (negative, 1, 6)):
+        cells = np.zeros(size, np.int64)
+        with pytest.raises(IndexError):
+            rng.count_children(keys[:6], mode, 4, 0.5, unit, cells)
+        assert not cells.any()
 
 
 def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):
