@@ -6,9 +6,9 @@
  * GOLDEN times the child's index + 1, and the top 53 bits of a salted
  * key's finalizer, scaled by 2^-53.  The third hashes the same children
  * and draws but writes neither: it counts the children whose draw is
- * below p into cells, as the numpy slice loop of percolation.py counts
- * them.  rng.py builds this file with the platform C compiler, checks the
- * object against the numpy body, and falls back to numpy on any failure.
+ * below p into cells, as the numpy body in rng.py counts them.  _native.py
+ * builds this file with the platform C compiler, checks each loop against
+ * its numpy body, and falls back to numpy on any failure.
  *
  * The finalizer is two 64-bit multiplies, which plain x86-64 cannot do in
  * a vector register, so the loops are also built for x86-64-v4, whose

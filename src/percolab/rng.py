@@ -10,38 +10,15 @@ The finalizer is the splitmix64 output function.  Its constants are part of
 the package's reproducibility contract: changing them silently changes every
 sampled tree, so they must stay fixed across versions.
 
-``child_keys`` and ``unit_draws`` have two bodies that write the same bits.
-The numpy body is the reference.  The compiled body runs two of the three
-loops of ``_splitmix.c``, built once with the platform C compiler and
-cached in the package's ``__pycache__`` under a name hashed from the
-source, the compile command and the platform.  GCC 12 or later on x86-64
-glibc builds each loop twice, plain and as an AVX-512 (x86-64-v4) clone,
-and the CPU picks one when the object loads, so the object is built
-without ``-march=native``; any other compiler builds the plain loops.  The
-third loop, ``count_children``, hashes a level's children only to count
-the alive ones into cells; its numpy body hashes them in slices, as a
-frontier's stored levels are, and counts each slice through
-``count_alive``.  The slices share one scratch (``slices``).  The object
-is loaded with ``ctypes`` and checked against the numpy body before first
-use, at every fanout the compiled loops specialise and one they do not,
-and the count step in each of its modes.  Without a compiler, or on any
-failure to build, load or pass that check, the numpy body runs.  A
-compiler that runs and fails leaves a marker of the same name beside the
-object, so each source is built at most once however many processes find
-no object.
+``child_keys``, ``unit_draws`` and ``count_children`` have two bodies that
+write the same bits.  The numpy body is the reference and the fallback; the
+compiled body is a loop of ``_splitmix.c``, which ``_native`` builds, binds
+and checks against the numpy body.
 """
 
 from __future__ import annotations
 
-import ctypes
-import math
-import os
-import platform
-import sys
-import zlib
-from contextlib import contextmanager, suppress
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -136,14 +113,14 @@ def child_keys(
     """
     children = np.empty((keys.size, fanout), dtype=np.uint64) if out is None else out
     loops = _loops()
-    if loops is None or not _direct(keys, children, (keys.size, fanout), np.uint64):
+    if loops is None or not _in_place(keys, None, children, (keys.size, fanout), np.uint64):
         return _numpy_child_keys(keys, fanout, children, scratch)
-    loops[0](_address(keys), keys.size, fanout, _address(children))
+    loops["child_keys"](keys, fanout, children)
     return children
 
 
 def _numpy_child_keys(
-    keys: np.ndarray, fanout: int, children: np.ndarray, scratch: Optional[np.ndarray]
+    keys: np.ndarray, fanout: int, children: np.ndarray, scratch: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """The numpy body of ``child_keys``, into ``children``."""
     # one pass per column: a broadcast add would loop fanout entries at a time
@@ -171,9 +148,9 @@ def unit_draws(
     if out is None:
         out = np.empty(keys.shape, dtype=np.float64)
     loops = _loops()
-    if loops is None or not _direct(keys, out, keys.shape, np.float64):
+    if loops is None or not _in_place(keys, None, out, keys.shape, np.float64):
         return _numpy_unit_draws(keys, out, scratch)
-    loops[1](_address(keys), keys.size, _address(out))
+    loops["unit_draws"](keys, out)
     return out
 
 
@@ -254,21 +231,20 @@ def count_children(
     ``labels[i] // unit``; with ``unit`` 0, at its full label
     ``labels[i] * fanout + j``.  ``labels`` (one per key) must be sorted:
     IndexError is raised, before anything is counted, where the first or
-    the last key's cells fall outside ``cells``.  Nothing is stored.  The
-    compiled step counts where it can read and write the arrays in place,
-    the numpy body anywhere else.
+    the last key's cells, or cell 0 without labels, fall outside
+    ``cells``.  Nothing is stored.  The compiled step counts where it can
+    read and write the arrays in place, the numpy body anywhere else.
     """
+    low = high = top = 0  # without labels, every child counts at cell 0
     if labels is not None and labels.size:
         low, high = int(labels[0]), int(labels[-1])
         top = high * fanout + fanout - 1 if unit == 0 else high // unit
-        if low < 0 or top >= cells.size:
-            raise IndexError(f"labels {low} to {high} reach outside {cells.size} cells")
+    if low < 0 or top >= cells.size:
+        raise IndexError(f"labels {low} to {high} reach cell {top}, outside {cells.size} cells")
     loops = _loops()
-    if loops is None or not _countable(keys, labels, cells):
+    if loops is None or not _in_place(keys, labels, cells, cells.shape, np.int64):
         return _numpy_count_children(keys, labels, fanout, p, unit, cells)
-    at_labels = None if labels is None else _address(labels)
-    bound = math.ceil(p * 2.0**53)  # draw < p iff its 53 bits are below this bound
-    return loops[2](_address(keys), at_labels, keys.size, fanout, bound, unit, _address(cells))
+    return loops["count_children"](keys, labels, fanout, p, unit, cells)
 
 
 def _numpy_count_children(
@@ -304,197 +280,34 @@ def substream(seed: int, *indices: int) -> int:
 
 # -- the compiled body ---------------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("_splitmix.c")
-_CACHE = Path(__file__).with_name("__pycache__")
-# no -march=native: a cached object must run on every CPU of its architecture
-_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
-# Keys whose salted hashes are 0, 2^11 - 1, 2^63 and 2^64 - 1, the edges of
-# the draw range; keys whose child 0 is each of those, and one whose child 0
-# draws exactly 0.7; then ordinary keys.  A compiled object must hash them,
-# and their children at each check fanout, to the numpy body's bits before
-# it is used, and count both as parents at each check p.  The fanouts are
-# every one the compiled loops specialise and one they do not.  At
-# p = 2^-53 only a draw of 0 is below p, and at 0.7 the draw of 0.7 is not.
-# 13 keys and their 195 children are odd counts, so every vector loop ends
-# in a partial vector.
-_CHECK_KEYS = (
-    0x5851F42D4C957F2D, 0x7309F50F5A733562, 0x96749F8401F2AE77, 0x97CBF082B6FED2ED,
-    0xB0267A43B0BADA87, 0x0787DE67E195908D, 0x02DA46FFE13780F0, 0xDB061F5DD88A7A13,
-    0x831FF1E888A5CA92, 1, 12345, 1 << 63, MASK64,
-)
-_CHECK_FANOUTS = (4, 8, 3)
-_CHECK_PS = (2.0**-53, 0.7, 1.0)
-
-
-def _address(array: np.ndarray) -> int:
-    """The address of a writable, contiguous, non-empty array's data: a
-    ctypes view of its buffer reads it in about a quarter of the time
-    ``ndarray.ctypes.data`` takes."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-
-def _direct(keys: np.ndarray, out: np.ndarray, shape: Tuple[int, ...], dtype) -> bool:
-    """Whether a compiled loop may read ``keys`` and write ``out`` in place:
-    some contiguous uint64 keys, and a writable contiguous ``out`` of
-    ``shape`` and ``dtype`` that shares no memory with them (a loop may read
-    a key it has already overwritten; numpy buffers an overlapping operand).
-    ``_address`` reads only writable buffers, so read-only keys are refused.
-    """
+def _in_place(keys: np.ndarray, labels, out: np.ndarray, shape, dtype) -> bool:
+    """Whether a compiled loop may read ``keys`` and ``labels`` (None: none)
+    and write ``out`` in place: some uint64 keys, no labels or int64 labels
+    one per key, and an ``out`` of ``shape`` and ``dtype``, each aligned,
+    contiguous and writable (the loops read only writable buffers), with
+    ``out`` apart from the others (a loop may read a key it has already
+    overwritten; numpy buffers an overlapping operand)."""
     return (
-        keys.dtype == np.uint64
-        and keys.size > 0
-        and keys.flags.c_contiguous
-        and keys.flags.writeable
-        and out.shape == shape
-        and out.dtype == dtype
-        and out.flags.c_contiguous
-        and out.flags.writeable
+        keys.dtype == np.uint64 and keys.size > 0 and keys.flags.carray
+        and out.shape == shape and out.dtype == dtype and out.flags.carray
         and not np.may_share_memory(keys, out)
+        and (labels is None or labels.dtype == np.int64 and labels.shape == keys.shape
+             and labels.flags.carray and not np.may_share_memory(labels, out))
     )
-
-
-def _countable(keys: np.ndarray, labels: Optional[np.ndarray], cells: np.ndarray) -> bool:
-    """Whether the compiled count step may read ``keys`` and ``labels`` and
-    add to ``cells`` in place: ``_direct`` keys and cells, and no labels or
-    writable contiguous int64 labels, one per key, apart from the cells."""
-    return _direct(keys, cells, cells.shape, np.int64) and (
-        labels is None
-        or (
-            labels.dtype == np.int64
-            and labels.shape == keys.shape
-            and labels.flags.c_contiguous
-            and labels.flags.writeable
-            and not np.may_share_memory(labels, cells)
-        )
-    )
-
-
-def _object(directory: Path) -> Path:
-    """The cached object's path for this source, compile command and platform.
-
-    zlib is loaded with numpy already; hashlib would load OpenSSL.
-    """
-    tag = zlib.crc32(" ".join(_COMPILE).encode(), zlib.crc32(_SOURCE.read_bytes()))
-    tag = zlib.crc32(f"{sys.platform}-{platform.machine()}".encode(), tag)
-    return directory / f"_splitmix-{tag:08x}.so"
-
-
-def _failed(path: Path) -> Path:
-    """The marker a failed build of the object at ``path`` leaves beside it."""
-    return path.with_suffix(".failed")
-
-
-@contextmanager
-def _published(path: Path) -> Iterator[str]:
-    """A temporary file beside ``path``, moved onto it by one ``os.replace``
-    when the block succeeds, and removed in any case."""
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(prefix=path.name, dir=path.parent)
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _build(path: Path) -> None:
-    """Compile ``_SOURCE`` to ``path``, published whole by one ``os.replace``.
-
-    Raises OSError on any failure, a missing compiler among them.  A
-    compile that fails or hangs also publishes the ``_failed`` marker.
-    """
-    import subprocess
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _published(path) as tmp:
-        try:
-            subprocess.run(
-                [*_COMPILE, "-o", tmp, str(_SOURCE)],
-                check=True, stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
-            )
-        except subprocess.SubprocessError as exc:  # a failed or hung compile
-            with suppress(OSError), _published(_failed(path)) as marker:
-                Path(marker).write_text(f"{exc}\n", encoding="utf-8")
-            raise OSError(f"cannot build {path.name}: {exc}") from exc
-
-
-def _load(directory: Path):
-    """The compiled loops ``(child_keys, unit_draws, count_children)`` cached
-    in ``directory``, or None.
-
-    The object is built on a cache miss, unless an earlier build of the
-    same source left its ``_failed`` marker.  Any failure (no compiler, an
-    unwritable directory, a failed build or load, a missing loop, a check
-    that disagrees with the numpy body) returns None, so the numpy body
-    runs.
-    """
-    try:
-        path = _object(directory)
-        if not path.exists():
-            if _failed(path).exists():
-                return None
-            _build(path)
-        lib = ctypes.CDLL(str(path))
-        child, draws = lib.splitmix_child_keys, lib.splitmix_unit_draws
-        count = lib.splitmix_count_children
-        child.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p)
-        draws.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
-        count.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                          ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p)
-        child.restype = draws.restype = None
-        count.restype = ctypes.c_uint64
-    except (OSError, AttributeError):  # AttributeError: a loop missing from the object
-        return None
-    return (child, draws, count) if _agrees(child, draws, count) else None
-
-
-def _agrees(child, draws, count) -> bool:
-    """Whether compiled loops write the numpy body's bits for ``_CHECK_KEYS``:
-    their children at each of ``_CHECK_FANOUTS``, and the draws of the keys
-    and of all those children; and whether the count step, with the keys
-    and with all those children as parents, counts what the numpy body
-    counts of them all at each fanout, each of ``_CHECK_PS`` and in each
-    mode."""
-    keys = np.array(_CHECK_KEYS, dtype=np.uint64)
-    agree, children = True, []
-    for fanout in _CHECK_FANOUTS:
-        got = np.empty((keys.size, fanout), np.uint64)
-        child(_address(keys), keys.size, fanout, _address(got))
-        want = _numpy_child_keys(keys, fanout, np.empty_like(got), None)
-        agree &= np.array_equal(got, want)
-        children.append(want.ravel())
-    batch = np.concatenate([keys, *children])
-    parts = (slice(0, keys.size), slice(keys.size, batch.size))  # the keys, their children
-    for part in parts:
-        drawn = np.empty(batch[part].size)
-        draws(_address(batch[part]), drawn.size, _address(drawn))
-        want = _numpy_unit_draws(batch[part], np.empty(drawn.size))
-        agree &= np.array_equal(drawn.view(np.uint64), want.view(np.uint64))
-    labels = np.arange(1, batch.size + 1, dtype=np.int64)  # sorted, from 1
-    for fanout in _CHECK_FANOUTS:
-        size = (batch.size + 2) * fanout  # each mode's cells, and more for a stray index
-        for p in _CHECK_PS:
-            for mode, unit in ((None, 0), (labels, 1), (labels, 3), (labels, 0)):
-                want, got = np.zeros(size, np.int64), np.zeros(size, np.int64)
-                total = _numpy_count_children(batch, mode, fanout, p, unit, want)
-                for part in parts:  # one step per part, both into ``got``
-                    at = None if mode is None else _address(labels[part])
-                    total -= count(_address(batch[part]), at, batch[part].size, fanout,
-                                   math.ceil(p * 2.0**53), unit, _address(got))
-                agree &= total == 0 and np.array_equal(got, want)
-    return bool(agree)
 
 
 @lru_cache(maxsize=None)
 def _loops():
-    """This process's compiled loops from the package's ``__pycache__``, or None."""
-    return _load(_CACHE)
+    """This process's compiled loops, by the name of the function that calls
+    each, from the package's ``__pycache__``; or None."""
+    return _native._load()
 
 
 def hash_kernel() -> str:
     """Which body hashes in this process: "native" (compiled) or "numpy"."""
     return "numpy" if _loops() is None else "native"
+
+
+# last: the loader binds the numpy bodies above as its references
+from . import _native  # noqa: E402

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from percolab import rng
+from percolab import _native, rng
 from percolab.percolation import mass_factor
 
 
@@ -135,7 +135,7 @@ def pack_all_grids(side: int) -> np.ndarray:
 
 def require_compiler():
     """Skip the calling test where no C compiler can build the compiled body."""
-    if shutil.which(rng._COMPILE[0]) is None:
+    if shutil.which(_native._COMPILE[0]) is None:
         pytest.skip("no C compiler: the compiled body cannot be built")
 
 
@@ -144,7 +144,7 @@ def native_loops(tmp_path):
     wherever a C compiler is on the PATH, so that a broken ``_splitmix.c``
     fails here instead of falling back to numpy; without a compiler the
     test is skipped."""
-    loops = rng._loops() or rng._load(tmp_path)  # the package's cache may be read-only
+    loops = rng._loops() or _native._load(tmp_path)  # the package's cache may be read-only
     if loops is None:
         require_compiler()
     assert loops is not None, "the compiled body did not build, load or pass its check"

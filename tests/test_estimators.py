@@ -86,6 +86,19 @@ def test_ensemble_estimates_monotone_in_alpha():
             assert pairs[j][0].estimate <= pairs[i][1].estimate + 1e-12
 
 
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("p", [0.8, 0.6])
+def test_ensemble_lower_estimate_covers_the_dead_child_law(p, seed):
+    # at r = 1, g = 0 a hole of side 1/2 is a dead child of the root, and
+    # under the size-biased law P(some child is dead) = 1 - p^(k^m - 1)
+    # exactly, since E[W 1{all alive}] = p^(k^m) / p.  The seeds and the
+    # 3 se band were fixed before either seed was run.
+    cfg = PercolationConfig(2, 2, p, seed=seed)
+    weights, blocks = ensemble_sweep_parallel(cfg, r=1, g=0, replicas=20_000, workers=2)
+    ((lower, _),) = ensemble_from_sweep(cfg, (0.5,), 1, weights, blocks)
+    assert abs(lower.estimate - (1 - p**3)) <= 3 * lower.se
+
+
 def test_p_one_ensemble_all_zero_above_one_cell():
     cfg = PercolationConfig(2, 2, 1.0, seed=0)
     ((lower, upper),) = _ensemble(cfg, (0.25,), r=4, g=2, replicas=50)

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from percolab import cli, rng
+from percolab import _native, cli, rng
 
 SPECS = {
     "path-series": {
@@ -267,40 +267,40 @@ def _unwritable_cache(cache, monkeypatch):
 def _failed_build(cache, monkeypatch):
     source = cache.parent / "_splitmix.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(rng, "_SOURCE", source)
+    monkeypatch.setattr(_native, "_SOURCE", source)
 
 
 def _corrupt_object(cache, monkeypatch):
     cache.mkdir()
-    rng._object(cache).write_bytes(b"not a shared object")
+    _native._object(cache).write_bytes(b"not a shared object")
 
 
 def _unreadable_object(cache, monkeypatch):
-    rng._object(cache).mkdir(parents=True)  # a directory where the object should be
+    _native._object(cache).mkdir(parents=True)  # a directory where the object should be
 
 
 def _check_mismatch(cache, monkeypatch):
     source = cache.parent / "_splitmix.c"
-    source.write_text(rng._SOURCE.read_text().replace(">> 11", ">> 12"))
-    monkeypatch.setattr(rng, "_SOURCE", source)
+    source.write_text(_native._SOURCE.read_text().replace(">> 11", ">> 12"))
+    monkeypatch.setattr(_native, "_SOURCE", source)
 
 
 def _fanout_mismatch(cache, monkeypatch):
     # only the fanout-4 case is wrong: it hashes its keys' children at fanout 2
     source = cache.parent / "_splitmix.c"
-    text = rng._SOURCE.read_text()
+    text = _native._SOURCE.read_text()
     assert text.count("children(keys, n, 4, out)") == 1
     source.write_text(text.replace("children(keys, n, 4, out)", "children(keys, n, 2, out)"))
-    monkeypatch.setattr(rng, "_SOURCE", source)
+    monkeypatch.setattr(_native, "_SOURCE", source)
 
 
 def _miscounted(cache, monkeypatch, line):
     # only one mode of the count step is wrong: it adds its counts twice
     source = cache.parent / "_splitmix.c"
-    text = rng._SOURCE.read_text()
+    text = _native._SOURCE.read_text()
     assert text.count(line) == 1
     source.write_text(text.replace(line, line.replace("+= ", "+= 2 * ")))
-    monkeypatch.setattr(rng, "_SOURCE", source)
+    monkeypatch.setattr(_native, "_SOURCE", source)
 
 
 def _cell_0_miscount(cache, monkeypatch):
@@ -323,7 +323,7 @@ def _full_label_miscount(cache, monkeypatch):
 def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypatch, failure):
     # filterwarnings = error::UserWarning: a warning would fail the run
     cache = tmp_path / "cache"
-    monkeypatch.setattr(rng, "_CACHE", cache)
+    monkeypatch.setattr(_native, "_CACHE", cache)
     failure(cache, monkeypatch)
     rng._loops.cache_clear()
     try:
@@ -345,7 +345,7 @@ def test_a_failed_build_is_tried_once_per_source(tmp_path, capsys, monkeypatch):
     stand_in.write_text(f"#!/bin/sh\necho cc >> '{calls}'\nsleep 0.3\nexit 1\n")
     stand_in.chmod(0o755)
     monkeypatch.setenv("PATH", f"{stand_in.parent}{os.pathsep}{os.environ['PATH']}")
-    monkeypatch.setattr(rng, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
     try:
         for run in ("first", "second"):
             rng._loops.cache_clear()  # each run resolves the loops afresh, as a new process does
@@ -357,4 +357,4 @@ def test_a_failed_build_is_tried_once_per_source(tmp_path, capsys, monkeypatch):
         rng._loops.cache_clear()  # the next caller loads from the package's cache
     assert capsys.readouterr().err == ""
     assert calls.read_text().splitlines() == ["cc"]
-    assert rng._failed(rng._object(tmp_path / "cache")).exists()
+    assert _native._object(tmp_path / "cache").with_suffix(".failed").exists()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import native_loops, require_compiler, unmix64
-from percolab import rng
+from percolab import _native, rng
 from percolab.rng import (
     _DRAW_SALT,
     _mix64_inplace,
@@ -118,7 +118,7 @@ def test_unit_draws_at_the_edges_of_the_range(hash_body):
     keys = [unmix64(bits) ^ _DRAW_SALT for bits in edges]
     for key, bits in zip(keys, edges):
         assert mix64(key ^ _DRAW_SALT) == bits
-    assert set(keys) <= set(rng._CHECK_KEYS)  # a compiled body is checked on them first
+    assert set(keys) <= set(_native._CHECK_KEYS)  # a compiled body is checked on them first
     expected = list(edges.values())
     assert [unit_draw(key) for key in keys] == expected
     assert unit_draws(np.array(keys, dtype=np.uint64)).tolist() == expected
@@ -174,8 +174,8 @@ def plain_loops(tmp_path_factory):
     """The loops a compiler that fails the vector clones' guard builds."""
     require_compiler()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng, "_COMPILE", (*rng._COMPILE, "-D__clang__"))
-        loops = rng._load(tmp_path_factory.mktemp("plain"))
+        patch.setattr(_native, "_COMPILE", (*_native._COMPILE, "-D__clang__"))
+        loops = _native._load(tmp_path_factory.mktemp("plain"))
     assert loops is not None, "the plain loops did not build, load or pass their check"
     return loops
 
@@ -291,17 +291,20 @@ def test_count_step_refuses_what_it_cannot_count_in_place(hash_body):
     ]
     for parents, mode, into in refused:
         into = mode if into is None else into
-        assert not rng._countable(parents, mode, into)
+        assert not rng._in_place(parents, mode, into, into.shape, np.int64)
         want = np.zeros(into.size, np.int64)
         total = rng.count_children(np.array(parents), np.array(mode, np.int64), 4, 0.5, 1, want)
         into[:] = 0
         assert rng.count_children(parents, mode, 4, 0.5, 1, into) == total > 0
         assert into.tolist() == want.tolist()
     # labels whose cells fall outside the cells are refused before anything
-    # is counted, in every mode, by either body: past the end, and below 0,
-    # where an index would wrap around to the last cells
+    # is counted, in every mode, by either body: past the end, below 0,
+    # where an index would wrap around to the last cells, and no cell 0 for
+    # the children of unlabelled keys
     past, negative = labels[:6] + 1, labels[:6] - 1
-    for mode, unit, size in ((past, 1, 6), (past, 3, 2), (past, 0, 24), (negative, 0, 24), (negative, 1, 6)):
+    for mode, unit, size in (
+        (past, 1, 6), (past, 3, 2), (past, 0, 24), (negative, 0, 24), (negative, 1, 6), (None, 0, 0),
+    ):
         cells = np.zeros(size, np.int64)
         with pytest.raises(IndexError):
             rng.count_children(keys[:6], mode, 4, 0.5, unit, cells)
@@ -311,9 +314,9 @@ def test_count_step_refuses_what_it_cannot_count_in_place(hash_body):
 def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypatch):
     require_compiler()
     cache = tmp_path / "cache"
-    assert rng._load(cache) is not None
+    assert _native._load(cache) is not None
     # published whole by os.replace: the object and nothing else
-    assert [p.name for p in cache.iterdir()] == [rng._object(cache).name]
+    assert [p.name for p in cache.iterdir()] == [_native._object(cache).name]
 
     builds = []
 
@@ -322,17 +325,25 @@ def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypat
         raise subprocess.CalledProcessError(1, cmd)
 
     monkeypatch.setattr(subprocess, "run", failing_build)
-    assert rng._load(cache) is not None and builds == []  # a cache hit compiles nothing
+    assert _native._load(cache) is not None and builds == []  # a cache hit compiles nothing
     # another source is another object, never a stale one
     source = tmp_path / "_splitmix.c"
-    source.write_text(rng._SOURCE.read_text() + "/* edited */\n")
-    before = rng._object(cache)
-    monkeypatch.setattr(rng, "_SOURCE", source)
-    assert rng._object(cache) != before
-    assert rng._load(cache) is None and len(builds) == 1  # a miss builds, and this build fails
+    source.write_text(_native._SOURCE.read_text() + "/* edited */\n")
+    before = _native._object(cache)
+    monkeypatch.setattr(_native, "_SOURCE", source)
+    assert _native._object(cache) != before
+    assert _native._load(cache) is None and len(builds) == 1  # a miss builds, and this build fails
     # the failure is marked beside the object it would have been, and not retried
-    assert rng._failed(rng._object(cache)).exists()
-    assert rng._load(cache) is None and len(builds) == 1
+    assert _native._object(cache).with_suffix(".failed").exists()
+    assert _native._load(cache) is None and len(builds) == 1
+
+
+def test_the_package_data_ships_the_loaders_source():
+    # an installed copy without the source would run the numpy body silently;
+    # read as text, since tomllib is missing on Python 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    assert f'"{_native._SOURCE.name}"' in section
 
 
 def test_a_cache_hit_imports_no_subprocess():
