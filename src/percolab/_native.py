@@ -1,21 +1,24 @@
-"""Build, cache, bind and check the compiled bodies of ``rng``'s hashing loops.
+"""Build, cache, bind and check the compiled loops of ``rng`` and ``holes``.
 
-``_splitmix.c`` holds three loops that write the bits of the numpy bodies
-of ``rng.child_keys``, ``rng.unit_draws`` and ``rng.count_children``.  It
-is built once with the platform C compiler and cached in the package's
-``__pycache__`` under a name hashed from the source, the compile command
-and the platform.  GCC 12 or later on x86-64 glibc builds each loop twice,
-plain and as an AVX-512 (x86-64-v4) clone, and the CPU picks one when the
-object loads, so the object is built without ``-march=native``; any other
-compiler builds the plain loops.
+``_native.c`` holds five loops.  Three write the bits of the numpy bodies
+of ``rng.child_keys``, ``rng.unit_draws`` and ``rng.count_children``; two
+compute what the numpy bodies of ``holes._stack_sweeps`` and
+``holes.empty_block_sides`` compute.  It is built once with the platform C
+compiler and cached in the package's ``__pycache__`` under a name hashed
+from the source, the compile command and the platform.  GCC 12 or later on
+x86-64 glibc builds each hashing loop twice, plain and as an AVX-512
+(x86-64-v4) clone, and the CPU picks one when the object loads, so the
+object is built without ``-march=native``; any other compiler builds the
+plain loops.
 
 The loops are bound with ``ctypes`` from one table, ``_LOOPS``, and each is
-checked against its numpy body before first use (``_agrees``), at every
-fanout the loops specialise and one they do not, and the count step in each
-of its modes.  Without a compiler, or on any failure to build, load or pass
-that check, the numpy bodies run.  A compiler that runs and fails leaves a
-marker beside where the object would be, so each source is built at most
-once however many processes find no object.
+checked against its numpy body before first use (``_agrees``): the hashing
+loops at every fanout they specialise and one they do not, the count step
+in each of its modes, and the geometry on fixed grids of 1, 2 and 3 axes.
+Without a compiler, or on any failure to build, load or pass that check,
+the numpy bodies run.  A compiler that runs and fails leaves a marker
+beside where the object would be, so each source is built at most once
+however many processes find no object.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from . import rng
+from . import holes, rng
 
-_SOURCE = Path(__file__).with_name("_splitmix.c")
+_SOURCE = Path(__file__).with_name("_native.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 # no -march=native: a cached object must run on every CPU of its architecture
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
@@ -53,11 +56,18 @@ class _Array:
         return None if array is None else ctypes.byref(ctypes.c_char.from_buffer(array))
 
 
+def _shape(cells: np.ndarray, spatial: int) -> np.ndarray:
+    """The shape the geometry loops read: the batch's size, then the spatial extents."""
+    extents = cells.shape[cells.ndim - spatial :]
+    return np.array((cells.size // math.prod(extents),) + extents, np.int64)
+
+
 # A compiled loop: its symbol, C argument and result types, its reference (the
-# numpy body in ``rng``), and ``call(loop, *the reference's arguments)``.
+# numpy body in ``rng`` or ``holes``), and ``call(loop, *the reference's
+# arguments)``.
 _Loop = namedtuple("_Loop", "symbol argtypes restype reference call")
 _SIZE, _U64 = ctypes.c_size_t, ctypes.c_uint64
-# The compiled loops, by the name of the ``rng`` function that calls each.
+# The compiled loops, by the name of the function that calls each.
 _LOOPS = {
     "child_keys": _Loop(
         "splitmix_child_keys", (_Array, _SIZE, _SIZE, _Array), None, rng._numpy_child_keys,
@@ -74,6 +84,21 @@ _LOOPS = {
         lambda loop, keys, labels, fanout, p, unit, cells: loop(
             keys, labels, keys.size, fanout, math.ceil(p * 2.0**53), unit, cells
         ),
+    ),
+    "stack_sweeps": _Loop(
+        "geometry_sweeps", (_Array, _SIZE, _Array, _SIZE, _Array, _Array, _Array, _SIZE), None,
+        holes._numpy_sweeps,
+        # the scratch holds three tables of one grid
+        lambda loop, stack, boxes, out: loop(
+            stack, stack.itemsize, _shape(stack, stack.ndim - 1), stack.ndim - 1,
+            boxes if boxes.size else None,
+            np.empty(3 * math.prod(n + 1 for n in stack.shape[1:]), np.int32), out, out.shape[1],
+        ),
+    ),
+    "empty_block_sides": _Loop(
+        "geometry_empty_sides", (_Array, _Array, _SIZE, _Array), None,
+        holes._numpy_empty_block_sides,
+        lambda loop, occ, spatial, sides: loop(occ, _shape(occ, spatial), spatial, sides),
     ),
 }
 
@@ -93,6 +118,18 @@ _CHECK_KEYS = (
 )
 _CHECK_FANOUTS = (4, 8, 3)
 _CHECK_PS = (2.0**-53, 0.7, 1.0)
+# Stacks the sweeps must sweep as their numpy body does, of 1, 2 and 3
+# spatial axes and each cell size the loop reads: (shape, cell type, each
+# grid's box as its first cell and end per axis).  The boxes are clipped at
+# each face, and one is one cell wide on one axis and no cell on another.
+_CHECK_STACKS = (
+    ((2, 6), np.uint32, []),
+    ((3, 6, 5), np.uint16, [[(0, 3), (0, 2)], [(3, 6), (2, 5)], [(2, 3), (1, 1)]]),
+    ((2, 4, 5, 4), bool, [[(0, 2), (1, 3), (2, 4)], [(2, 4), (3, 5), (0, 2)]]),
+)
+# Ragged and batched occupancy maps the empty-block map must fill as its
+# numpy body does: (shape, spatial axes).
+_CHECK_MAPS = (((2, 9), 1), ((3, 5, 7), 2), ((2, 4, 6, 5), 3))
 
 
 def _object(directory: Path) -> Path:
@@ -102,7 +139,7 @@ def _object(directory: Path) -> Path:
     """
     tag = zlib.crc32(" ".join(_COMPILE).encode(), zlib.crc32(_SOURCE.read_bytes()))
     tag = zlib.crc32(f"{sys.platform}-{platform.machine()}".encode(), tag)
-    return directory / f"_splitmix-{tag:08x}.so"
+    return directory / f"_native-{tag:08x}.so"
 
 
 def _build(path: Path) -> None:
@@ -154,10 +191,42 @@ def _load(directory: Optional[Path] = None) -> Optional[Dict[str, Callable]]:
 
 
 def _agrees(loops: Dict[str, Callable]) -> bool:
-    """Whether each loop, called as ``rng`` calls it, writes into its last
-    argument and returns what one call of its reference does, on the cases
-    that ``_CHECK_KEYS`` describes; the count step runs once on the keys and
-    once on their children, both into one array."""
+    """Whether each loop, called as its caller calls it, writes into its
+    last argument what its reference writes and returns in all what its
+    reference returns, on every case of ``_checks``."""
+    for name, calls, out, want, total in _checks():
+        got = [loops[name](*call, out) for call in calls]
+        if out.tobytes() != want.tobytes() or (total is not None and sum(got) != total):
+            return False
+    return True
+
+
+def _reference(name: str, args: tuple, out: np.ndarray) -> tuple:
+    """A check of one loop: one call with ``args``, the output as it starts,
+    and what the reference writes into a copy of it and returns (None for a
+    loop without a result)."""
+    want = out.copy()
+    total = _LOOPS[name].reference(*args, want)
+    return name, [args], out, want, total if _LOOPS[name].restype else None
+
+
+def _cells(shape: tuple, dtype) -> np.ndarray:
+    """Fixed cells of ``shape``: about half of them 0, the rest 1 to 6."""
+    i = np.arange(math.prod(shape))
+    return ((i * 2654435761 % 13) * (i * 40503 % 7 < 4) % 7).astype(dtype).reshape(shape)
+
+
+def _checks():
+    """Every check of ``_agrees``: (loop, its calls without the output, the
+    output as it starts, what it must hold after them, their total result).
+
+    The hashing loops run on the cases that ``_CHECK_KEYS`` describes.  The
+    count step runs once on the keys and once on their children, both into
+    one array, and what it must count comes from one hashing of each
+    fanout's batch, counted by ``rng.count_alive`` at each p and mode, as
+    its reference counts each slice.  The geometry loops run on
+    ``_CHECK_STACKS`` and ``_CHECK_MAPS``.
+    """
     keys = np.array(_CHECK_KEYS, dtype=np.uint64)
     children = [rng._numpy_child_keys(keys, f, np.empty((keys.size, f), np.uint64)).ravel()
                 for f in _CHECK_FANOUTS]
@@ -165,22 +234,24 @@ def _agrees(loops: Dict[str, Callable]) -> bool:
     parts = (slice(0, keys.size), slice(keys.size, batch.size))  # the keys, their children
     labels = np.arange(1, batch.size + 1, dtype=np.int64)  # sorted, from 1
     modes = ((None, 0), (labels, 1), (labels, 3), (labels, 0))
-    # each loop's checks: its reference's arguments, and its calls without the
-    # output; the count's cells hold each mode's, and more for a stray index
-    checks = {
-        "child_keys": [((keys, f, np.empty((keys.size, f), np.uint64)), [(keys, f)])
-                       for f in _CHECK_FANOUTS],
-        "unit_draws": [((batch[s], np.empty(batch[s].size)), [(batch[s],)]) for s in parts],
-        "count_children": [
-            ((batch, mode, fanout, p, unit, np.zeros((batch.size + 2) * fanout, np.int64)),
-             [(batch[s], mode if mode is None else mode[s], fanout, p, unit) for s in parts])
-            for fanout, p, (mode, unit) in itertools.product(_CHECK_FANOUTS, _CHECK_PS, modes)
-        ],
-    }
-    for name, row in _LOOPS.items():
-        for args, calls in checks[name]:
-            out = args[-1].copy()  # the loop's output, as the reference's starts
-            got, want = [loops[name](*call, out) for call in calls], row.reference(*args)
-            if out.tobytes() != args[-1].tobytes() or (row.restype and sum(got) != want):
-                return False
-    return True
+    for f in _CHECK_FANOUTS:
+        yield _reference("child_keys", (keys, f), np.empty((keys.size, f), np.uint64))
+    for s in parts:
+        yield _reference("unit_draws", (batch[s],), np.empty(batch[s].size))
+    for fanout in _CHECK_FANOUTS:
+        hashed = rng._numpy_child_keys(batch, fanout, np.empty((batch.size, fanout), np.uint64))
+        draws = rng._numpy_unit_draws(hashed.ravel(), np.empty(hashed.size)).reshape(hashed.shape)
+        for p, (mode, unit) in itertools.product(_CHECK_PS, modes):
+            cells = np.zeros((batch.size + 2) * fanout, np.int64)  # more for a stray index
+            want = cells.copy()
+            total = rng.count_alive(draws < p, mode, unit, want)
+            calls = [(batch[s], mode if mode is None else mode[s], fanout, p, unit) for s in parts]
+            yield "count_children", calls, cells, want, total
+    for shape, dtype, boxes in _CHECK_STACKS:
+        width = min(shape[1:])
+        boxes = np.array(boxes, np.int64).reshape(-1, len(shape) - 1, 2)
+        out = np.zeros((shape[0], width + min(width, shape[1] // 2) + 3), np.int64)
+        yield _reference("stack_sweeps", (_cells(shape, dtype), boxes), out)
+    for shape, spatial in _CHECK_MAPS:
+        occupied = _cells(shape, bool)
+        yield _reference("empty_block_sides", (occupied, spatial), np.empty(shape, np.int64))

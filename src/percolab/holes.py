@@ -16,6 +16,17 @@ window sides gives every grid's window sweep and every ball box's sweep.
 ``window_min_sweep`` and ``ball_porosities`` are that sweep on a stack of
 one grid.
 
+Compiled loops.  ``_stack_sweeps`` and ``empty_block_sides`` have two bodies
+with the same results, dispatched as ``rng`` dispatches its hashing.  The
+numpy bodies here (``_numpy_sweeps`` and ``_numpy_empty_block_sides``) are
+the reference and the fallback.  The compiled bodies are two loops of
+``_native.c``, which ``_native`` builds, binds and checks against them and
+``rng._loops()`` hands out: one builds each grid's summed-area table in
+int32 and takes every side's window and ball box minima from it, one
+fills the empty-block map by dynamic programming.  They run on arrays
+they can read in place, with up to 3 spatial axes; the sweep loop also
+needs unsigned cells of at most 4 bytes whose table fits int32.
+
 Conventions.  A "block" of side a is a cube of a^m cells.  A cell with no
 retained count is conclusively dead (pruning is hereditary), so an empty
 block certifies a genuine gap of the limit set; an occupied cell may still
@@ -36,24 +47,31 @@ _PAD = np.iinfo(np.int64).max  # fills each ball sweep past its box's width
 # -- summed-area table -------------------------------------------------------
 
 
+def _table_type(cells: np.ndarray, axes: range) -> type:
+    """The type of the summed-area table of ``cells`` over the spatial ``axes``.
+
+    Boolean or integer cells give exact integers in the narrowest of int16,
+    int32 and int64 that holds a grid's cell count times its largest
+    absolute cell: no entry and no window sum can then overflow, and a
+    narrower table means less memory for every window sum to read.
+    Anything else gives float64.
+    """
+    if cells.dtype.kind not in "biu":
+        return np.float64
+    reach = max(int(cells.max(initial=0)), -int(cells.min(initial=0)))
+    bound = reach * math.prod(cells.shape[axis] for axis in axes)
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def _summed_table(cells: np.ndarray, axes: range) -> np.ndarray:
     """The grid zero-padded on its low side, cumsummed over the spatial ``axes``.
 
     Entry [i, j, ...] of the spatial axes is the sum of cells[:i, :j, ...];
-    every other axis is a batch axis.  Boolean or integer cells give exact
-    integers in the narrowest of int16, int32 and int64 that holds a grid's
-    cell count times its largest absolute cell: no entry and no window sum
-    can then overflow, and a narrower table means less memory for every
-    window sum to read.  Anything else gives float64.
+    every other axis is a batch axis.  The table is of ``_table_type``.
     """
     pad = tuple(slice(1, None) if axis in axes else slice(None) for axis in range(cells.ndim))
     shape = tuple(n + (axis in axes) for axis, n in enumerate(cells.shape))
-    dtype = np.float64
-    if cells.dtype.kind in "biu":
-        reach = max(int(cells.max(initial=0)), -int(cells.min(initial=0)))
-        bound = reach * math.prod(cells.shape[axis] for axis in axes)
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    table = np.zeros(shape, dtype=dtype)
+    table = np.zeros(shape, dtype=_table_type(cells, axes))
     table[pad] = cells
     for axis in axes:
         np.add.accumulate(table, axis=axis, out=table)  # in-place cumsum
@@ -84,18 +102,32 @@ def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np
 
     "Ending at" means the cell is the block's highest corner along every
     spatial axis.  The last ``spatial`` axes are spatial and any leading
-    axes are independent batch problems.  An empty block contains the empty
-    block of every smaller side ending at the same cell, so counting the
-    empty windows of side 1, 2, ... that end at a cell gives its side; the
-    count stops at the first side with no empty window anywhere.  The count
-    runs in the narrowest unsigned type that holds the smallest extent; the
-    map is int64.
+    axes are independent batch problems; the map is int64.  The compiled
+    loop fills it by dynamic programming where it can read the occupancy in
+    place (up to 3 spatial axes, some cells), the numpy body anywhere else.
     """
     occ = np.asarray(occupied, dtype=bool)
     if spatial is None:
         spatial = occ.ndim
     if spatial < 1 or spatial > occ.ndim:
         raise ValueError(f"spatial axis count {spatial} out of range")
+    sides = np.empty(occ.shape, np.int64)
+    loops = rng._loops()
+    if loops is None or spatial > 3 or not _readable(occ):
+        return _numpy_empty_block_sides(occ, spatial, sides)
+    loops["empty_block_sides"](occ, spatial, sides)
+    return sides
+
+
+def _numpy_empty_block_sides(occ: np.ndarray, spatial: int, out: np.ndarray) -> np.ndarray:
+    """The numpy body of ``empty_block_sides``, into ``out``.
+
+    An empty block contains the empty block of every smaller side ending at
+    the same cell, so counting the empty windows of side 1, 2, ... that end
+    at a cell gives its side; the count stops at the first side with no
+    empty window anywhere, and runs in the narrowest unsigned type that
+    holds the smallest extent.
+    """
     axes = range(occ.ndim - spatial, occ.ndim)
     width = min(occ.shape[axes.start :])
     sides = np.zeros(occ.shape, dtype=np.min_scalar_type(width))
@@ -106,19 +138,21 @@ def empty_block_sides(occupied: np.ndarray, spatial: Optional[int] = None) -> np
         if not empty.any():
             break
         sides[(Ellipsis,) + (slice(a - 1, None),) * spatial] += empty
-    return sides.astype(np.int64)
+    out[...] = sides
+    return out
 
 
 def max_empty_block(occupied, spatial: Optional[int] = None):
     """Side of the largest fully empty block in the grid.
 
     With leading batch axes before the last ``spatial`` axes, returns one
-    maximum per batch element; otherwise a plain int.
+    maximum per batch element; otherwise a plain int.  A grid with no cells
+    has none, so its maximum is 0.
     """
     sides = empty_block_sides(occupied, spatial)
     if spatial in (None, sides.ndim):
-        return int(sides.max()) if sides.size else 0
-    return sides.max(axis=tuple(range(sides.ndim - spatial, sides.ndim)))
+        return int(sides.max(initial=0))
+    return sides.max(axis=tuple(range(sides.ndim - spatial, sides.ndim)), initial=0)
 
 
 def restricted_max_empty_block(occupied, center: Sequence[int]) -> int:
@@ -155,36 +189,59 @@ def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray
     holds one center cell per grid.  Returns each grid's window sweep (as
     ``window_min_sweep``), each ball box's sweep, padded with ``_PAD`` past
     the box's narrowest extent to min(width, side // 2) + 1 entries, and
-    each box's count (see ``ball_porosities``).  One loop over the window
-    side a serves them all: a box's side-a windows are the grid's side-a
-    windows whose lowest cell lies in lo .. hi - a (hi exclusive), and a
-    box's count is the sum of the box sliced out of the stack, exact for
-    integer stacks.  The stack axis comes first, so each grid's minimum
-    reduces one contiguous run.
+    each box's count (see ``ball_porosities``).  The compiled loop sweeps
+    stacks of up to 3 spatial axes, of unsigned cells of at most 4 bytes
+    whose table fits int32, where it can read them in place; the numpy body
+    sweeps anything else.
+    """
+    shape = stack.shape[1:]
+    width = min(shape)
+    boxes = np.zeros((len(centers), len(shape), 2), np.int64)  # per axis lo, hi; hi exclusive
+    for box, center in zip(boxes, np.asarray(centers).tolist()):
+        lo, hi = ball_box(center, shape, shape[0] / 4.0)
+        box[:] = [(l, max(l, h + 1)) for l, h in zip(lo, hi)]  # an empty box has no window
+    table = _table_type(stack, range(1, stack.ndim))
+    # per grid: its window sweep, its box's sweep and its box's count
+    out = np.zeros((stack.shape[0], width + min(width, shape[0] // 2) + 3),
+                   np.float64 if table is np.float64 else np.int64)
+    out[: len(boxes), width + 2 : -1] = _PAD
+    loops = rng._loops()
+    # the loop reads a box for every grid or for none
+    compiled = (stack.dtype.kind in "bu" and stack.itemsize <= 4 and table in (np.int16, np.int32)
+                and len(shape) <= 3 and len(boxes) in (0, stack.shape[0]) and _readable(stack))
+    if loops is None or not compiled:
+        _numpy_sweeps(stack, boxes, out)
+    else:
+        loops["stack_sweeps"](stack, boxes, out)
+    return out[:, : width + 1], out[: len(boxes), width + 1 : -1], out[: len(boxes), -1]
+
+
+def _numpy_sweeps(stack: np.ndarray, boxes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The numpy body of ``_stack_sweeps``, into the rows of ``out``.
+
+    One loop over the window side a serves every sweep: a box's side-a
+    windows are the grid's side-a windows whose lowest cell lies in
+    lo .. hi - a, and a box's count is the sum of the box sliced out of the
+    stack, exact for integer stacks.  The stack axis comes first, so each
+    grid's minimum reduces one contiguous run.
     """
     n, shape = stack.shape[0], stack.shape[1:]
     axes = range(1, stack.ndim)
     table = _summed_table(stack, axes)
     scratch = np.empty((2, table.size), table.dtype)
     width = min(shape)
-    boxes = []  # (lo, hi) per axis, hi exclusive; an empty box has no window
-    for center in np.asarray(centers).tolist():
-        lo, hi = ball_box(center, shape, shape[0] / 4.0)
-        boxes.append([(l, max(l, h + 1)) for l, h in zip(lo, hi)])
+    sweeps, balls = out[:, : width + 1], out[: len(boxes), width + 1 : -1]
+    boxes = boxes.tolist()
     extents = [min(h - l for l, h in box) for box in boxes]
-    dtype = np.float64 if table.dtype.kind == "f" else np.int64
-    sweeps = np.zeros((n, width + 1), dtype=dtype)
-    balls = np.full((len(boxes), min(width, shape[0] // 2) + 1), _PAD, dtype=dtype)
-    balls[:, 0] = 0
     for a in range(1, width + 1):
         sums = _window_sums(table, a, axes, scratch)
         sweeps[:, a] = sums.reshape(n, -1).min(axis=1)
         for j, (box, extent) in enumerate(zip(boxes, extents)):
             if extent >= a:
                 balls[j, a] = sums[(j,) + tuple(slice(l, h + 1 - a) for l, h in box)].min()
-    boxed = [grid[tuple(slice(l, h) for l, h in box)] for grid, box in zip(stack, boxes)]
-    counts = np.array([cells.sum() for cells in boxed], dtype=dtype)
-    return sweeps, balls, counts
+    for j, (grid, box) in enumerate(zip(stack, boxes)):
+        out[j, -1] = grid[tuple(slice(l, h) for l, h in box)].sum()
+    return out
 
 
 def stack_geometry(stack: np.ndarray, centers) -> Tuple[np.ndarray, ...]:
@@ -311,3 +368,14 @@ def ball_porosities(counts: np.ndarray, center: Sequence[int]) -> Tuple[np.ndarr
         raise ValueError(f"center cell {tuple(center)} has no retained count")
     _, balls, total = _stack_sweeps(counts[None], [center])
     return balls[0][balls[0] != _PAD], total[0].item()
+
+
+def _readable(cells: np.ndarray) -> bool:
+    """Whether a compiled loop may read ``cells`` in place: some cells,
+    aligned, contiguous and writable (the loops read only writable
+    buffers)."""
+    return cells.size > 0 and cells.flags.carray
+
+
+# last: the loader binds the numpy bodies above as its references
+from . import rng  # noqa: E402

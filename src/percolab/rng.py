@@ -12,8 +12,9 @@ sampled tree, so they must stay fixed across versions.
 
 ``child_keys``, ``unit_draws`` and ``count_children`` have two bodies that
 write the same bits.  The numpy body is the reference and the fallback; the
-compiled body is a loop of ``_splitmix.c``, which ``_native`` builds, binds
-and checks against the numpy body.
+compiled body is one of the three hashing loops of ``_native.c``, which
+``_native`` builds, binds and checks against the numpy body.  ``_loops()``
+holds every compiled loop of the process, the geometry of ``holes`` too.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ def _in_place(keys: np.ndarray, labels, out: np.ndarray, shape, dtype) -> bool:
 @lru_cache(maxsize=None)
 def _loops():
     """This process's compiled loops, by the name of the function that calls
-    each, from the package's ``__pycache__``; or None."""
+    each, from the package's ``__pycache__``; or None, and then every caller,
+    in ``holes`` too, runs its numpy body."""
     return _native._load()
 
 

@@ -64,11 +64,10 @@ def base_config():
 
 
 @pytest.fixture(params=["numpy", "native"])
-def hash_body(request, monkeypatch, tmp_path):
-    """Each body of the hashing loops in turn: "numpy" hashes every level
-    through the numpy bodies of ``child_keys``, ``unit_draws`` and
-    ``count_children``, "native" through the compiled loops and the
-    compiled count step."""
+def body(request, monkeypatch, tmp_path):
+    """Each body of the compiled loops in turn: "numpy" runs the numpy
+    bodies of ``rng``'s hashing and count step and of ``holes``' stack
+    geometry, "native" the compiled loops wherever they take the arrays."""
     from helpers import native_loops
     from percolab import rng
 

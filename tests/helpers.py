@@ -141,7 +141,7 @@ def require_compiler():
 
 def native_loops(tmp_path):
     """The compiled loops, which must build, load and pass their check
-    wherever a C compiler is on the PATH, so that a broken ``_splitmix.c``
+    wherever a C compiler is on the PATH, so that a broken ``_native.c``
     fails here instead of falling back to numpy; without a compiler the
     test is skipped."""
     loops = rng._loops() or _native._load(tmp_path)  # the package's cache may be read-only

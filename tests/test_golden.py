@@ -265,7 +265,7 @@ def _unwritable_cache(cache, monkeypatch):
 
 
 def _failed_build(cache, monkeypatch):
-    source = cache.parent / "_splitmix.c"
+    source = cache.parent / "_native.c"
     source.write_text("this is not C\n")
     monkeypatch.setattr(_native, "_SOURCE", source)
 
@@ -280,14 +280,14 @@ def _unreadable_object(cache, monkeypatch):
 
 
 def _check_mismatch(cache, monkeypatch):
-    source = cache.parent / "_splitmix.c"
+    source = cache.parent / "_native.c"
     source.write_text(_native._SOURCE.read_text().replace(">> 11", ">> 12"))
     monkeypatch.setattr(_native, "_SOURCE", source)
 
 
 def _fanout_mismatch(cache, monkeypatch):
     # only the fanout-4 case is wrong: it hashes its keys' children at fanout 2
-    source = cache.parent / "_splitmix.c"
+    source = cache.parent / "_native.c"
     text = _native._SOURCE.read_text()
     assert text.count("children(keys, n, 4, out)") == 1
     source.write_text(text.replace("children(keys, n, 4, out)", "children(keys, n, 2, out)"))
@@ -296,7 +296,7 @@ def _fanout_mismatch(cache, monkeypatch):
 
 def _miscounted(cache, monkeypatch, line):
     # only one mode of the count step is wrong: it adds its counts twice
-    source = cache.parent / "_splitmix.c"
+    source = cache.parent / "_native.c"
     text = _native._SOURCE.read_text()
     assert text.count(line) == 1
     source.write_text(text.replace(line, line.replace("+= ", "+= 2 * ")))
@@ -315,10 +315,28 @@ def _full_label_miscount(cache, monkeypatch):
     _miscounted(cache, monkeypatch, "cells[labels[start + i] * fanout + j] += per[i];")
 
 
+def _broken(cache, monkeypatch, line, broken):
+    source = cache.parent / "_native.c"
+    text = _native._SOURCE.read_text()
+    assert text.count(line) == 1
+    source.write_text(text.replace(line, broken))
+    monkeypatch.setattr(_native, "_SOURCE", source)
+
+
+def _box_bound_mismatch(cache, monkeypatch):
+    # only the ball boxes are wrong: their windows reach one cell past the box
+    _broken(cache, monkeypatch, "? hi[d] - a : 0", "? hi[d] - a + 1 : 0")
+
+
+def _diagonal_skipped(cache, monkeypatch):
+    # only the empty-block map is wrong: it skips the lower corner neighbour
+    _broken(cache, monkeypatch, "min64(min64(up, corner), left)", "min64(up, left)")
+
+
 @pytest.mark.parametrize("failure", [
     _no_compiler, _unwritable_cache, _failed_build, _corrupt_object, _unreadable_object,
     _check_mismatch, _fanout_mismatch, _cell_0_miscount, _parent_cell_miscount,
-    _full_label_miscount,
+    _full_label_miscount, _box_bound_mismatch, _diagonal_skipped,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_loader_failures_fall_back_to_the_numpy_body(tmp_path, capsys, monkeypatch, failure):
     # filterwarnings = error::UserWarning: a warning would fail the run

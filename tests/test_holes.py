@@ -26,9 +26,11 @@ from helpers import (
     brute_min_window_sum,
     discrepancy,
     hole_bracket,
+    native_loops,
     pack_all_grids,
 )
-from percolab import PercolationConfig
+from percolab import PercolationConfig, holes
+from percolab import rng as rng_module
 from percolab.errors import ZeroMassError
 from percolab.holes import (
     ball_box,
@@ -137,9 +139,10 @@ def test_window_sums_match_brute():
         counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.6)
         sweep = window_min_sweep(cells)
         exact = window_min_sweep(counts)  # integer grids take an exact int64 table
+        small = window_min_sweep(counts.astype(np.uint8))  # and unsigned ones the compiled loop
         for a in range(1, min(shape) + 1):
             assert sweep[a] == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
-            assert exact[a] == brute_min_window_sum(counts, a)
+            assert exact[a] == small[a] == brute_min_window_sum(counts, a)
 
 
 def test_window_sums_stay_exact_past_int32():
@@ -470,3 +473,122 @@ def test_ball_porosities_keeps_a_float_box_count():
     box = _ball_cells(grid, (3, 3), 4.0)
     assert isinstance(count, float) and count == box.sum()
     assert sweep == pytest.approx(window_min_sweep(box), abs=1e-12)
+
+
+# -- both bodies -------------------------------------------------------------------
+#
+# Each test below runs under both bodies (the ``body`` fixture): the compiled
+# loops wherever they take the arrays, and the numpy bodies everywhere.
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("m,side", [(1, 1), (1, 9), (2, 2), (2, 7), (3, 3), (3, 6)])
+def test_stack_geometry_matches_the_oracles(body, m, side, dtype):
+    # every center at a corner, on an edge or face, or in the middle, so the
+    # boxes are clipped at each face; at side 1 a box holds no cell
+    rng = np.random.default_rng(side + 10 * m)
+    centers = np.array(list(product(sorted({0, side // 2, side - 1}), repeat=m)))
+    stack = rng.integers(0, 5, size=(len(centers),) + (side,) * m)
+    stack *= rng.random(stack.shape) < 0.5
+    stack[(np.arange(len(centers)),) + tuple(centers.T)] = 1  # each center holds the set
+    stack = stack.astype(dtype)
+    a_star, sweeps, balls, counts = stack_geometry(stack, centers)
+    assert balls.shape == (len(centers), side // 2 + 1)
+    for grid, center, a, sweep, ball, count in zip(stack, centers, a_star, sweeps, balls, counts):
+        assert a == brute_max_empty_block(grid)
+        assert sweep.tolist() == [0] + [brute_min_window_sum(grid, s) for s in range(1, side + 1)]
+        oracle, total = ball_box_sweep(grid, center)
+        assert count == total
+        assert ball[: oracle.size].tolist() == oracle.tolist()
+        assert np.all(ball[oracle.size :] == np.iinfo(np.int64).max)
+
+
+_MAPS = [((9,), 1), ((3, 9), 1), ((5, 8), 2), ((3, 4, 7), 2), ((2, 3, 1, 6), 2),
+         ((4, 6, 3), 3), ((2, 3, 5, 4), 3)]
+
+
+@pytest.mark.parametrize("shape,spatial", _MAPS,
+                         ids=["x".join(map(str, shape)) + f"-{m}d" for shape, m in _MAPS])
+def test_empty_block_map_of_ragged_and_batched_grids_matches_the_oracle(body, shape, spatial):
+    occ = np.random.default_rng(sum(shape)).random(shape) < 0.3
+    grids = occ.reshape((-1,) + shape[len(shape) - spatial :])
+    want = np.stack([brute_empty_block_sides(grid) for grid in grids]).reshape(shape)
+    sides = empty_block_sides(occ, spatial)
+    assert sides.dtype == np.int64 and np.array_equal(sides, want)
+    spatial_axes = tuple(range(len(shape) - spatial, len(shape)))
+    assert np.array_equal(max_empty_block(occ, spatial), want.max(axis=spatial_axes))
+
+
+@pytest.mark.parametrize("dtype,value,table", [
+    (np.uint16, 2047, np.int16), (np.uint16, 2048, np.int32),
+    (np.uint32, 2**27 - 1, np.int32), (np.uint32, 2**27, np.int64),
+])
+def test_sweeps_stay_exact_at_the_table_bounds(body, dtype, value, table):
+    # 16 cells times the largest cell, just below and just above the bounds
+    # of an int16 and an int32 table; only the int16 and int32 tables are
+    # the compiled loop's
+    stack = np.zeros((2, 4, 4), dtype)
+    stack[0] = value
+    stack[1, 1:4, 2] = value
+    assert holes._table_type(stack, range(1, 3)) is table
+    _, sweeps, balls, counts = stack_geometry(stack, [(0, 0), (2, 2)])
+    assert sweeps[0].tolist() == [a * a * value for a in range(5)]
+    assert sweeps[1].tolist() == [0, 0, 0, 2 * value, 3 * value]
+    assert counts.tolist() == [value, value]  # one-cell boxes at 0, 0 and 2, 2
+    assert balls.tolist() == [[0, value, holes._PAD], [0, value, holes._PAD]]
+
+
+def test_grids_without_cells(body):
+    # an extent of 0 has no cell, no block and no window; the compiled loops
+    # never see it
+    assert max_empty_block(np.zeros((3, 0, 4), bool), 2).tolist() == [0, 0, 0]
+    assert max_empty_block(np.zeros((0, 4, 4), bool), 2).shape == (0,)
+    assert max_empty_block(np.zeros((0, 4), bool)) == 0
+    sides = empty_block_sides(np.zeros((2, 0, 3), bool), 2)
+    assert sides.shape == (2, 0, 3) and sides.dtype == np.int64
+    assert window_min_sweep(np.zeros((0, 3), np.uint8)).tolist() == [0]
+    sweeps, balls, counts = holes._stack_sweeps(np.zeros((2, 3, 0), np.uint16))
+    assert sweeps.tolist() == [[0], [0]] and balls.shape == (0, 1) and counts.shape == (0,)
+
+
+def test_arrays_the_loops_cannot_take_go_to_the_numpy_body(body):
+    # strided, read-only, signed, 8-byte, float and 4-axis arrays, and boxes
+    # for some grids only, give what contiguous copies of the same values
+    # give, or the oracle
+    rng = np.random.default_rng(3)
+    cells = (rng.integers(0, 4, size=(2, 8, 8)) * (rng.random((2, 8, 8)) < 0.4)).astype(np.uint8)
+    frozen = cells.copy()
+    frozen.flags.writeable = False
+    want = [s.tolist() for s in holes._stack_sweeps(cells, [(3, 3), (0, 7)])]
+    for other in (frozen, cells.astype(np.int64), cells.astype(np.uint64)):
+        assert [s.tolist() for s in holes._stack_sweeps(other, [(3, 3), (0, 7)])] == want
+    strided = np.repeat(cells, 2, axis=2)[:, :, ::2]
+    assert [s.tolist() for s in holes._stack_sweeps(strided, [(3, 3), (0, 7)])] == want
+    sweeps, balls, counts = holes._stack_sweeps(cells, [(3, 3)])  # a box for one grid of two
+    assert [sweeps.tolist(), balls.tolist(), counts.tolist()] == [want[0], want[1][:1], want[2][:1]]
+    assert window_min_sweep(cells[0].astype(float)).tolist() == want[0][0]
+    occ = cells > 0
+    want = empty_block_sides(occ, 2)
+    assert np.array_equal(empty_block_sides(np.repeat(occ, 2, axis=2)[:, :, ::2], 2), want)
+    frozen = occ.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(empty_block_sides(frozen, 2), want)
+    four = rng.random((3, 2, 3, 2)) < 0.3
+    assert np.array_equal(empty_block_sides(four), brute_empty_block_sides(four))
+
+
+def test_path_stacks_take_the_compiled_geometry(monkeypatch, tmp_path):
+    # a path's unsigned stacks are swept and mapped by the compiled loops,
+    # not only by the numpy bodies
+    loops = native_loops(tmp_path)
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append(name) or loops[name](*args)
+
+    monkeypatch.setattr(rng_module, "_loops", lambda: {**loops, **{
+        name: spy(name) for name in ("stack_sweeps", "empty_block_sides")
+    }})
+    config = PercolationConfig(m=3, k=2, p=0.6, seed=1)
+    sample_qpath(config, n=3, r=3, g=2)
+    assert sorted(set(calls)) == ["empty_block_sides", "stack_sweeps"]

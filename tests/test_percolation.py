@@ -131,7 +131,7 @@ def test_expand_hashes_nothing_after_extinction(monkeypatch):
     assert hashed == [1, 1, 2, 2, 3, 1, 1]
 
 
-def test_counted_level_is_hashed_by_the_count_step(monkeypatch, hash_body):
+def test_counted_level_is_hashed_by_the_count_step(monkeypatch, body):
     # under either body, count_profile hashes the parents of its counted
     # level only through the count step, and each of them once
     from percolab import percolation

@@ -67,7 +67,7 @@ def test_scalar_and_vector_mixers_agree():
         assert mix64(int(x)) == int(v)
 
 
-def test_scalar_and_vector_children_agree(hash_body):
+def test_scalar_and_vector_children_agree(body):
     key = seed_key(42)
     table = child_keys(np.array([key], dtype=np.uint64), 4)
     assert table.shape == (1, 4)
@@ -78,7 +78,7 @@ def test_scalar_and_vector_children_agree(hash_body):
         assert float(draws[i]) == unit_draw(child_key(key, i))
 
 
-def test_draws_are_unit_interval(hash_body):
+def test_draws_are_unit_interval(body):
     keys = np.array([substream(9, i) for i in range(1000)], dtype=np.uint64)
     draws = unit_draws(keys)
     assert np.all(draws >= 0.0) and np.all(draws < 1.0)
@@ -97,7 +97,7 @@ def test_child_keys_match_nested_substreams():
     assert substream(5, 2, 7) == child_key(child_key(seed_key(5), 2), 7)
 
 
-def test_vector_kernels_leave_input_untouched(hash_body):
+def test_vector_kernels_leave_input_untouched(body):
     keys = np.array([substream(9, i) for i in range(50)] + [0, 2**64 - 1], dtype=np.uint64)
     before = keys.tobytes()
     children = child_keys(keys, 3)
@@ -110,7 +110,7 @@ def test_vector_kernels_leave_input_untouched(hash_body):
         assert int(mixed[i]) == mix64(key)
 
 
-def test_unit_draws_at_the_edges_of_the_range(hash_body):
+def test_unit_draws_at_the_edges_of_the_range(body):
     # keys crafted so that their salted hash is each edge of the 64-bit range:
     # the low 11 bits are dropped, the top bit must not read as a sign, and
     # the largest draw is (2^53 - 1) / 2^53
@@ -135,7 +135,7 @@ def test_unmix64_inverts_the_finalizer():
         assert unmix64(mix64(x)) == x and mix64(unmix64(x)) == x
 
 
-def test_strided_and_foreign_buffers_take_the_numpy_body(hash_body):
+def test_strided_and_foreign_buffers_take_the_numpy_body(body):
     # the compiled loops read and write only contiguous arrays of their dtype
     keys = np.array([substream(4, i) for i in range(12)], dtype=np.uint64)
     strided = keys[::3]
@@ -272,7 +272,7 @@ def test_numpy_count_body_counts_across_slices(monkeypatch):
                 assert cells.tolist() == np.asarray(want, np.int64).tolist(), (fanout, n, unit)
 
 
-def test_count_step_refuses_what_it_cannot_count_in_place(hash_body):
+def test_count_step_refuses_what_it_cannot_count_in_place(body):
     # every layout the compiled step cannot read or write in place is
     # counted by the numpy body, to the total and the cells that contiguous
     # arrays of the same values give
@@ -327,7 +327,7 @@ def test_loader_builds_once_into_a_cache_named_by_its_source(tmp_path, monkeypat
     monkeypatch.setattr(subprocess, "run", failing_build)
     assert _native._load(cache) is not None and builds == []  # a cache hit compiles nothing
     # another source is another object, never a stale one
-    source = tmp_path / "_splitmix.c"
+    source = tmp_path / "_native.c"
     source.write_text(_native._SOURCE.read_text() + "/* edited */\n")
     before = _native._object(cache)
     monkeypatch.setattr(_native, "_SOURCE", source)
