@@ -8,8 +8,8 @@
  * and draws but writes neither: it counts the children whose draw is
  * below p into cells, as the numpy body in rng.py counts them.  The last
  * two are the geometry of a stack of grids: every window sweep and ball
- * box sweep off one summed-area table per grid, and the empty-block map,
- * as the numpy bodies in holes.py compute them.  _native.py builds this
+ * box sweep of int64 count grids off one summed-area table per grid, and
+ * the empty-block map, as the numpy bodies in holes.py compute them.  _native.py builds this
  * file with the platform C compiler, checks each loop against its numpy
  * body, and falls back to numpy on any failure.
  *
@@ -186,21 +186,12 @@ static void axes3(const int64_t *shape, size_t m, size_t extent[3], int spatial[
     }
 }
 
-/* Cell i of unsigned cells of item size 1, 2 or 4, whose values fit int32. */
-static inline int32_t cell(const void *cells, size_t i, size_t item)
-{
-    switch (item) {
-    case 1: return ((const uint8_t *)cells)[i];
-    case 2: return ((const uint16_t *)cells)[i];
-    default: return (int32_t)((const uint32_t *)cells)[i];
-    }
-}
-
 /* The summed-area table of one grid into t, of extents te = extent +
  * spatial: entry i sums the cells below i on every spatial axis, so index
- * 0 of a spatial axis is 0.  Every entry is the sum of a box of cells. */
-static void summed_table(const void *cells, size_t item, const size_t extent[3],
-                         const int spatial[3], const size_t te[3], int32_t *t)
+ * 0 of a spatial axis is 0.  Every entry is the sum of a box of cells,
+ * which fits int32. */
+static void summed_table(const int64_t *cells, const size_t extent[3], const int spatial[3],
+                         const size_t te[3], int32_t *t)
 {
     size_t row = te[2], plane = te[1] * row, c = 0;
     for (size_t i = 0; i < te[0] * plane; i++)
@@ -209,7 +200,7 @@ static void summed_table(const void *cells, size_t item, const size_t extent[3],
         for (size_t i1 = 0; i1 < extent[1]; i1++) {
             int32_t *r = t + (i0 + spatial[0]) * plane + (i1 + spatial[1]) * row, sum = 0;
             for (size_t i2 = 0; i2 < extent[2]; i2++)
-                r[i2 + 1] = sum += cell(cells, c++, item);
+                r[i2 + 1] = sum += (int32_t)cells[c++];
         }
     if (spatial[1])
         for (size_t i0 = 0; i0 < te[0]; i0++)
@@ -253,41 +244,17 @@ static int32_t least(const int32_t *w, const size_t e[3], const size_t first[3],
     return low;
 }
 
-/* The sum of a grid's cells lo .. hi - 1 on each axis, from its table t of
- * extents te: the table at the box's corners, each high corner added and
- * each low one taken away, on the spatial axes only. */
-static int64_t box_sum(const int32_t *t, const size_t te[3], const int spatial[3],
-                       const size_t lo[3], const size_t hi[3])
-{
-    unsigned axes = spatial[0] | spatial[1] << 1 | spatial[2] << 2;
-    int64_t sum = 0;
-    for (unsigned corner = 0; corner < 8; corner++) {
-        if (corner & ~axes)
-            continue;
-        size_t at = 0;
-        int64_t sign = 1;
-        for (size_t d = 0; d < 3; d++) {
-            unsigned high = corner >> d & 1;
-            sign = high || !spatial[d] ? sign : -sign;
-            at = at * te[d] + (high ? hi[d] : lo[d]);
-        }
-        sum += sign * t[at];
-    }
-    return sum;
-}
-
-/* The window sweeps of shape[0] grids of the m spatial extents shape[1 ..
- * m], their cells unsigned of item size 1, 2 or 4, whose tables hold their
- * sums in int32.  Row g of out, of cols entries, gets grid g's least sum
- * of a side-a window at [a], for every a up to the smallest extent width.
- * Unless boxes is NULL, it holds per grid and spatial axis a box's first
- * cell and its end, and row g also gets the box's least side-a window sum
- * at [width + 1 + a], for every a up to the box's narrowest extent, and
- * the box's cell sum at [cols - 1]; a box's side-a windows are the grid's
- * whose lowest cell lies in lo .. hi - a.  Every other entry of out is
- * left as it is.  scratch holds three tables of one grid. */
-void geometry_sweeps(const void *cells, size_t item, const int64_t *shape, size_t m,
-                     const int64_t *boxes, int32_t *scratch, int64_t *out, size_t cols)
+/* The window sweeps of shape[0] grids of int64 cells and the m spatial
+ * extents shape[1 .. m], whose tables hold their sums in int32.  Row g of
+ * out, of cols entries, gets grid g's least sum of a side-a window at [a],
+ * for every a up to the smallest extent width.  Unless boxes is NULL, it
+ * holds per grid and spatial axis a box's first cell and its end, and row
+ * g also gets the box's least side-a window sum at [width + 1 + a], for
+ * every a up to the box's narrowest extent; a box's side-a windows are the
+ * grid's whose lowest cell lies in lo .. hi - a.  Every other entry of out
+ * is left as it is.  scratch holds three tables of one grid. */
+void geometry_sweeps(const int64_t *cells, const int64_t *shape, size_t m, const int64_t *boxes,
+                     int32_t *scratch, int64_t *out, size_t cols)
 {
     size_t extent[3], te[3], size = 1, count = 1, width = SIZE_MAX;
     int spatial[3];
@@ -303,7 +270,7 @@ void geometry_sweeps(const void *cells, size_t item, const int64_t *shape, size_
     int32_t *t = scratch, *buffers[2] = {scratch + size, scratch + 2 * size};
     for (size_t g = 0; g < (size_t)shape[0]; g++) {
         int64_t *row = out + g * cols;
-        summed_table((const char *)cells + g * count * item, item, extent, spatial, te, t);
+        summed_table(cells + g * count, extent, spatial, te, t);
         size_t lo[3] = {0, 0, 0}, hi[3] = {1, 1, 1}, narrowest = 0;
         if (boxes) {
             narrowest = width;
@@ -312,7 +279,6 @@ void geometry_sweeps(const void *cells, size_t item, const int64_t *shape, size_
                 hi[d] = (size_t)boxes[2 * (g * m + d + m - 3) + 1];
                 narrowest = hi[d] - lo[d] < narrowest ? hi[d] - lo[d] : narrowest;
             }
-            row[cols - 1] = box_sum(t, te, spatial, lo, hi);
         }
         for (size_t a = 1; a <= width; a++) {
             const int32_t *w = t;

@@ -11,14 +11,15 @@ x86-64 glibc builds each hashing loop twice, plain and as an AVX-512
 object is built without ``-march=native``; any other compiler builds the
 plain loops.
 
-The loops are bound with ``ctypes`` from one table, ``_LOOPS``, and each is
-checked against its numpy body before first use (``_agrees``): the hashing
-loops at every fanout they specialise and one they do not, the count step
-in each of its modes, and the geometry on fixed grids of 1, 2 and 3 axes.
-Without a compiler, or on any failure to build, load or pass that check,
-the numpy bodies run.  A compiler that runs and fails leaves a marker
-beside where the object would be, so each source is built at most once
-however many processes find no object.
+The loops are bound with ``ctypes`` from one table, ``_LOOPS``, and each
+is checked against its numpy body before first use (``_agrees``): the
+hashing loops at every fanout they specialise and one they do not, the
+count step in each of its modes, and the geometry on fixed int64 count
+grids of 1, 2 and 3 axes and their occupancy.  Without a compiler, or on
+any failure to build, load or pass that check, the numpy bodies run.  A
+compiler that runs and fails leaves a marker beside where the object
+would be, so each source is built at most once however many processes
+find no object.
 """
 
 from __future__ import annotations
@@ -86,12 +87,11 @@ _LOOPS = {
         ),
     ),
     "stack_sweeps": _Loop(
-        "geometry_sweeps", (_Array, _SIZE, _Array, _SIZE, _Array, _Array, _Array, _SIZE), None,
+        "geometry_sweeps", (_Array, _Array, _SIZE, _Array, _Array, _Array, _SIZE), None,
         holes._numpy_sweeps,
         # the scratch holds three tables of one grid
         lambda loop, stack, boxes, out: loop(
-            stack, stack.itemsize, _shape(stack, stack.ndim - 1), stack.ndim - 1,
-            boxes if boxes.size else None,
+            stack, _shape(stack, stack.ndim - 1), stack.ndim - 1, boxes if boxes.size else None,
             np.empty(3 * math.prod(n + 1 for n in stack.shape[1:]), np.int32), out, out.shape[1],
         ),
     ),
@@ -118,18 +118,16 @@ _CHECK_KEYS = (
 )
 _CHECK_FANOUTS = (4, 8, 3)
 _CHECK_PS = (2.0**-53, 0.7, 1.0)
-# Stacks the sweeps must sweep as their numpy body does, of 1, 2 and 3
-# spatial axes and each cell size the loop reads: (shape, cell type, each
-# grid's box as its first cell and end per axis).  The boxes are clipped at
-# each face, and one is one cell wide on one axis and no cell on another.
+# Batches of int64 count grids of 1, 2 and 3 spatial axes, ragged at 2 and
+# 3, which the sweeps must sweep and whose occupancy the empty-block map
+# must fill as their numpy bodies do: (shape, each grid's box as its first
+# cell and end per axis).  The boxes are clipped at each face, and one is
+# one cell wide on one axis and no cell on another.
 _CHECK_STACKS = (
-    ((2, 6), np.uint32, []),
-    ((3, 6, 5), np.uint16, [[(0, 3), (0, 2)], [(3, 6), (2, 5)], [(2, 3), (1, 1)]]),
-    ((2, 4, 5, 4), bool, [[(0, 2), (1, 3), (2, 4)], [(2, 4), (3, 5), (0, 2)]]),
+    ((2, 6), []),
+    ((3, 6, 5), [[(0, 3), (0, 2)], [(3, 6), (2, 5)], [(2, 3), (1, 1)]]),
+    ((2, 4, 5, 4), [[(0, 2), (1, 3), (2, 4)], [(2, 4), (3, 5), (0, 2)]]),
 )
-# Ragged and batched occupancy maps the empty-block map must fill as its
-# numpy body does: (shape, spatial axes).
-_CHECK_MAPS = (((2, 9), 1), ((3, 5, 7), 2), ((2, 4, 6, 5), 3))
 
 
 def _object(directory: Path) -> Path:
@@ -210,10 +208,10 @@ def _reference(name: str, args: tuple, out: np.ndarray) -> tuple:
     return name, [args], out, want, total if _LOOPS[name].restype else None
 
 
-def _cells(shape: tuple, dtype) -> np.ndarray:
-    """Fixed cells of ``shape``: about half of them 0, the rest 1 to 6."""
-    i = np.arange(math.prod(shape))
-    return ((i * 2654435761 % 13) * (i * 40503 % 7 < 4) % 7).astype(dtype).reshape(shape)
+def _cells(shape: tuple) -> np.ndarray:
+    """Fixed int64 cells of ``shape``: about half of them 0, the rest 1 to 6."""
+    i = np.arange(math.prod(shape), dtype=np.int64)
+    return ((i * 2654435761 % 13) * (i * 40503 % 7 < 4) % 7).reshape(shape)
 
 
 def _checks():
@@ -225,7 +223,8 @@ def _checks():
     one array, and what it must count comes from one hashing of each
     fanout's batch, counted by ``rng.count_alive`` at each p and mode, as
     its reference counts each slice.  The geometry loops run on
-    ``_CHECK_STACKS`` and ``_CHECK_MAPS``.
+    ``_CHECK_STACKS``: the sweeps on their cells, the empty-block map on
+    their occupancy.
     """
     keys = np.array(_CHECK_KEYS, dtype=np.uint64)
     children = [rng._numpy_child_keys(keys, f, np.empty((keys.size, f), np.uint64)).ravel()
@@ -247,11 +246,10 @@ def _checks():
             total = rng.count_alive(draws < p, mode, unit, want)
             calls = [(batch[s], mode if mode is None else mode[s], fanout, p, unit) for s in parts]
             yield "count_children", calls, cells, want, total
-    for shape, dtype, boxes in _CHECK_STACKS:
-        width = min(shape[1:])
-        boxes = np.array(boxes, np.int64).reshape(-1, len(shape) - 1, 2)
-        out = np.zeros((shape[0], width + min(width, shape[1] // 2) + 3), np.int64)
-        yield _reference("stack_sweeps", (_cells(shape, dtype), boxes), out)
-    for shape, spatial in _CHECK_MAPS:
-        occupied = _cells(shape, bool)
-        yield _reference("empty_block_sides", (occupied, spatial), np.empty(shape, np.int64))
+    for shape, boxes in _CHECK_STACKS:
+        cells, width = _cells(shape), min(shape[1:])
+        boxes = np.array(boxes, np.int64).reshape(-1, cells.ndim - 1, 2)
+        out = np.zeros((shape[0], width + min(width, shape[1] // 2) + 2), np.int64)
+        yield _reference("stack_sweeps", (cells, boxes), out)
+        sides = np.empty(shape, np.int64)
+        yield _reference("empty_block_sides", (cells > 0, len(shape) - 1), sides)

@@ -25,7 +25,7 @@ the reference and the fallback.  The compiled bodies are two loops of
 int32 and takes every side's window and ball box minima from it, one
 fills the empty-block map by dynamic programming.  They run on arrays
 they can read in place, with up to 3 spatial axes; the sweep loop also
-needs unsigned cells of at most 4 bytes whose table fits int32.
+needs int64 cells, the type a path counts in, whose table fits int32.
 
 Conventions.  A "block" of side a is a cube of a^m cells.  A cell with no
 retained count is conclusively dead (pruning is hereditary), so an empty
@@ -189,10 +189,11 @@ def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray
     holds one center cell per grid.  Returns each grid's window sweep (as
     ``window_min_sweep``), each ball box's sweep, padded with ``_PAD`` past
     the box's narrowest extent to min(width, side // 2) + 1 entries, and
-    each box's count (see ``ball_porosities``).  The compiled loop sweeps
-    stacks of up to 3 spatial axes, of unsigned cells of at most 4 bytes
-    whose table fits int32, where it can read them in place; the numpy body
-    sweeps anything else.
+    each box's count (see ``ball_porosities``), the sum of the box sliced
+    out of the stack, exact for integer stacks.  The compiled loop sweeps
+    stacks of up to 3 spatial axes, of int64 cells whose table fits int32,
+    where it can read them in place; the numpy body sweeps anything else
+    that has cells.
     """
     shape = stack.shape[1:]
     width = min(shape)
@@ -201,19 +202,20 @@ def _stack_sweeps(stack: np.ndarray, centers: Sequence = ()) -> Tuple[np.ndarray
         lo, hi = ball_box(center, shape, shape[0] / 4.0)
         box[:] = [(l, max(l, h + 1)) for l, h in zip(lo, hi)]  # an empty box has no window
     table = _table_type(stack, range(1, stack.ndim))
-    # per grid: its window sweep, its box's sweep and its box's count
-    out = np.zeros((stack.shape[0], width + min(width, shape[0] // 2) + 3),
+    # per grid: its window sweep and its box's sweep
+    out = np.zeros((stack.shape[0], width + min(width, shape[0] // 2) + 2),
                    np.float64 if table is np.float64 else np.int64)
-    out[: len(boxes), width + 2 : -1] = _PAD
+    out[: len(boxes), width + 2 :] = _PAD
+    counts = np.array([stack[(j,) + tuple(slice(l, h) for l, h in box)].sum()
+                       for j, box in enumerate(boxes.tolist())], out.dtype)
     loops = rng._loops()
     # the loop reads a box for every grid or for none
-    compiled = (stack.dtype.kind in "bu" and stack.itemsize <= 4 and table in (np.int16, np.int32)
-                and len(shape) <= 3 and len(boxes) in (0, stack.shape[0]) and _readable(stack))
-    if loops is None or not compiled:
-        _numpy_sweeps(stack, boxes, out)
-    else:
+    if (loops is not None and stack.dtype == np.int64 and table in (np.int16, np.int32)
+            and len(shape) <= 3 and len(boxes) in (0, stack.shape[0]) and _readable(stack)):
         loops["stack_sweeps"](stack, boxes, out)
-    return out[:, : width + 1], out[: len(boxes), width + 1 : -1], out[: len(boxes), -1]
+    elif stack.size:
+        _numpy_sweeps(stack, boxes, out)
+    return out[:, : width + 1], out[: len(boxes), width + 1 :], counts
 
 
 def _numpy_sweeps(stack: np.ndarray, boxes: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -221,16 +223,15 @@ def _numpy_sweeps(stack: np.ndarray, boxes: np.ndarray, out: np.ndarray) -> np.n
 
     One loop over the window side a serves every sweep: a box's side-a
     windows are the grid's side-a windows whose lowest cell lies in
-    lo .. hi - a, and a box's count is the sum of the box sliced out of the
-    stack, exact for integer stacks.  The stack axis comes first, so each
-    grid's minimum reduces one contiguous run.
+    lo .. hi - a.  The stack axis comes first, so each grid's minimum
+    reduces one contiguous run.
     """
     n, shape = stack.shape[0], stack.shape[1:]
     axes = range(1, stack.ndim)
     table = _summed_table(stack, axes)
     scratch = np.empty((2, table.size), table.dtype)
     width = min(shape)
-    sweeps, balls = out[:, : width + 1], out[: len(boxes), width + 1 : -1]
+    sweeps, balls = out[:, : width + 1], out[: len(boxes), width + 1 :]
     boxes = boxes.tolist()
     extents = [min(h - l for l, h in box) for box in boxes]
     for a in range(1, width + 1):
@@ -239,8 +240,6 @@ def _numpy_sweeps(stack: np.ndarray, boxes: np.ndarray, out: np.ndarray) -> np.n
         for j, (box, extent) in enumerate(zip(boxes, extents)):
             if extent >= a:
                 balls[j, a] = sums[(j,) + tuple(slice(l, h + 1 - a) for l, h in box)].min()
-    for j, (grid, box) in enumerate(zip(stack, boxes)):
-        out[j, -1] = grid[tuple(slice(l, h) for l, h in box)].sum()
     return out
 
 

@@ -53,8 +53,9 @@ DEFAULT_EPS_GRID: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
 
 # Grid cells a path stacks before it sweeps them: its geometry costs one
 # summed-area table and one loop over window sides per stack, not per scale.
-# A sweep holds about 20 bytes per stacked cell at once, so 1 << 15 cells
-# (8 scales of a 64 x 64 or a 16^3 grid) take under 1 MB.
+# A stacked cell is an int64 count, the type the expansion counts in, and a
+# sweep holds up to about 20 bytes more per stacked cell at once, so 1 << 15
+# cells (8 scales of a 64 x 64 or a 16^3 grid) take under 1 MB.
 _STACK_CELLS = 1 << 15
 
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -219,10 +220,7 @@ def sample_qpath(
     child_mass = mass_factor(config, g)
     # past int64 labels, each step counts its word's cells afresh instead
     streamed = labels_fit(fanout, r + g)
-    # a cell counts at most fanout^g nodes, so a stack that holds every
-    # scale's grid until its sweep can be of the narrowest type that fits
-    stack_type = np.min_scalar_type(capped_power(k, m * g, 1 << 63))
-    stack = np.empty((min(n, stack_size(config, r)),) + (k**r,) * m, stack_type)
+    stack = np.empty((min(n, stack_size(config, r)),) + (k**r,) * m, np.int64)
     for attempt in range(max_attempts):
         tree_cfg = replica_config(config, replica, attempt)
         tree = LazyTree(tree_cfg)

@@ -138,8 +138,8 @@ def test_window_sums_match_brute():
         cells = rng.random(shape)
         counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.6)
         sweep = window_min_sweep(cells)
-        exact = window_min_sweep(counts)  # integer grids take an exact int64 table
-        small = window_min_sweep(counts.astype(np.uint8))  # and unsigned ones the compiled loop
+        exact = window_min_sweep(counts)  # int64 grids take the compiled loop
+        small = window_min_sweep(counts.astype(np.uint8))  # and narrower ones the numpy body
         for a in range(1, min(shape) + 1):
             assert sweep[a] == pytest.approx(brute_min_window_sum(cells, a), rel=1e-12)
             assert exact[a] == small[a] == brute_min_window_sum(counts, a)
@@ -481,7 +481,7 @@ def test_ball_porosities_keeps_a_float_box_count():
 # loops wherever they take the arrays, and the numpy bodies everywhere.
 
 
-@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint32, np.int64])
 @pytest.mark.parametrize("m,side", [(1, 1), (1, 9), (2, 2), (2, 7), (3, 3), (3, 6)])
 def test_stack_geometry_matches_the_oracles(body, m, side, dtype):
     # every center at a corner, on an edge or face, or in the middle, so the
@@ -522,20 +522,25 @@ def test_empty_block_map_of_ragged_and_batched_grids_matches_the_oracle(body, sh
 @pytest.mark.parametrize("dtype,value,table", [
     (np.uint16, 2047, np.int16), (np.uint16, 2048, np.int32),
     (np.uint32, 2**27 - 1, np.int32), (np.uint32, 2**27, np.int64),
+    (np.int64, -2048, np.int32),
 ])
 def test_sweeps_stay_exact_at_the_table_bounds(body, dtype, value, table):
-    # 16 cells times the largest cell, just below and just above the bounds
-    # of an int16 and an int32 table; only the int16 and int32 tables are
-    # the compiled loop's
-    stack = np.zeros((2, 4, 4), dtype)
-    stack[0] = value
-    stack[1, 1:4, 2] = value
-    assert holes._table_type(stack, range(1, 3)) is table
-    _, sweeps, balls, counts = stack_geometry(stack, [(0, 0), (2, 2)])
-    assert sweeps[0].tolist() == [a * a * value for a in range(5)]
-    assert sweeps[1].tolist() == [0, 0, 0, 2 * value, 3 * value]
-    assert counts.tolist() == [value, value]  # one-cell boxes at 0, 0 and 2, 2
-    assert balls.tolist() == [[0, value, holes._PAD], [0, value, holes._PAD]]
+    # 16 cells times the largest absolute cell, just below and just above
+    # the bounds of an int16 and an int32 table, in unsigned cells (the
+    # numpy body's) and int64 cells (the compiled loop's, at an int16 or
+    # int32 table); the negative cells take the most of a column, the
+    # others the least
+    column = [0, 1, 2, 3, 3] if value < 0 else [0, 0, 0, 2, 3]
+    for cells in (dtype, np.int64):
+        stack = np.zeros((2, 4, 4), cells)
+        stack[0] = value
+        stack[1, 1:4, 2] = value
+        assert holes._table_type(stack, range(1, 3)) is table
+        _, sweeps, balls, counts = stack_geometry(stack, [(0, 0), (2, 2)])
+        assert sweeps[0].tolist() == [a * a * value for a in range(5)]
+        assert sweeps[1].tolist() == [c * value for c in column]
+        assert counts.tolist() == [value, value]  # one-cell boxes at 0, 0 and 2, 2
+        assert balls.tolist() == [[0, value, holes._PAD], [0, value, holes._PAD]]
 
 
 def test_grids_without_cells(body):
@@ -549,24 +554,43 @@ def test_grids_without_cells(body):
     assert window_min_sweep(np.zeros((0, 3), np.uint8)).tolist() == [0]
     sweeps, balls, counts = holes._stack_sweeps(np.zeros((2, 3, 0), np.uint16))
     assert sweeps.tolist() == [[0], [0]] and balls.shape == (0, 1) and counts.shape == (0,)
+    for dtype in (np.uint8, np.int64):  # a stack of no grids
+        a_star, sweeps, balls, counts = stack_geometry(np.zeros((0, 4, 4), dtype),
+                                                       np.zeros((0, 2), int))
+        assert [a_star.shape, sweeps.shape, balls.shape, counts.shape] == [(0,), (0, 5), (0, 3), (0,)]
 
 
-def test_arrays_the_loops_cannot_take_go_to_the_numpy_body(body):
-    # strided, read-only, signed, 8-byte, float and 4-axis arrays, and boxes
-    # for some grids only, give what contiguous copies of the same values
-    # give, or the oracle
+def test_arrays_the_loops_cannot_take_go_to_the_numpy_body(body, monkeypatch):
+    # the sweep loop takes contiguous writable int64 stacks and a box for
+    # every grid or none; bool, unsigned, float, strided, read-only and
+    # 4-axis stacks, and boxes for some grids only, go to the numpy body and
+    # give what the loop gives for the same values, or the oracle
+    swept = []
+    loops = rng_module._loops()
+    if loops is not None:
+        sweep = loops["stack_sweeps"]
+        monkeypatch.setattr(rng_module, "_loops", lambda: {
+            **loops, "stack_sweeps": lambda *args: swept.append(1) or sweep(*args)})
     rng = np.random.default_rng(3)
-    cells = (rng.integers(0, 4, size=(2, 8, 8)) * (rng.random((2, 8, 8)) < 0.4)).astype(np.uint8)
+    cells = rng.integers(0, 4, size=(2, 8, 8)) * (rng.random((2, 8, 8)) < 0.4)
+    boxes = [(3, 3), (0, 7)]
+    want = [s.tolist() for s in holes._stack_sweeps(cells, boxes)]
+    occupied = [s.tolist() for s in holes._stack_sweeps((cells > 0).astype(np.int64), boxes)]
+    assert len(swept) == (2 if body == "native" else 0)
     frozen = cells.copy()
     frozen.flags.writeable = False
-    want = [s.tolist() for s in holes._stack_sweeps(cells, [(3, 3), (0, 7)])]
-    for other in (frozen, cells.astype(np.int64), cells.astype(np.uint64)):
-        assert [s.tolist() for s in holes._stack_sweeps(other, [(3, 3), (0, 7)])] == want
     strided = np.repeat(cells, 2, axis=2)[:, :, ::2]
-    assert [s.tolist() for s in holes._stack_sweeps(strided, [(3, 3), (0, 7)])] == want
+    unsigned = [cells.astype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
+    assert [s.tolist() for s in holes._stack_sweeps(cells > 0, boxes)] == occupied
+    for other in [*unsigned, frozen, strided]:
+        assert [s.tolist() for s in holes._stack_sweeps(other, boxes)] == want
+    assert window_min_sweep(cells[0].astype(float)).tolist() == want[0][0]
     sweeps, balls, counts = holes._stack_sweeps(cells, [(3, 3)])  # a box for one grid of two
     assert [sweeps.tolist(), balls.tolist(), counts.tolist()] == [want[0], want[1][:1], want[2][:1]]
-    assert window_min_sweep(cells[0].astype(float)).tolist() == want[0][0]
+    four = cells.reshape(2, 2, 2, 4, 4)
+    for grid, sweep in zip(four, holes._stack_sweeps(four)[0]):
+        assert sweep.tolist() == [0] + [brute_min_window_sum(grid, a) for a in (1, 2)]
+    assert len(swept) == (2 if body == "native" else 0)
     occ = cells > 0
     want = empty_block_sides(occ, 2)
     assert np.array_equal(empty_block_sides(np.repeat(occ, 2, axis=2)[:, :, ::2], 2), want)
@@ -578,7 +602,7 @@ def test_arrays_the_loops_cannot_take_go_to_the_numpy_body(body):
 
 
 def test_path_stacks_take_the_compiled_geometry(monkeypatch, tmp_path):
-    # a path's unsigned stacks are swept and mapped by the compiled loops,
+    # a path's int64 stacks are swept and mapped by the compiled loops,
     # not only by the numpy bodies
     loops = native_loops(tmp_path)
     calls = []

@@ -346,6 +346,17 @@ def test_the_package_data_ships_the_loaders_source():
     assert f'"{_native._SOURCE.name}"' in section
 
 
+@pytest.mark.parametrize("defines", [[], ["-D__clang__"]], ids=["as_shipped", "plain_loops"])
+def test_the_loops_source_compiles_without_a_warning(tmp_path, defines):
+    # -c, not -fsyntax-only, which does not report unused functions; with
+    # __clang__ defined, the plain loops are built without their clones
+    require_compiler()
+    cmd = [_native._COMPILE[0], "-c", "-O0", "-Wall", "-Wextra", "-Werror", *defines]
+    out = subprocess.run([*cmd, "-o", str(tmp_path / "native.o"), str(_native._SOURCE)],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def test_a_cache_hit_imports_no_subprocess():
     require_compiler()
     assert rng._loops() is not None  # the package's cache is warm from here on
